@@ -9,7 +9,7 @@ from .errors import (
     SimulationInvariantError,
     TraceParseError,
 )
-from .linksim import EventKind, Simulation, SimulationResult, run_simulation
+from .linksim import EventKind, Simulation, SimulationResult
 from .metrics import (
     DEFAULT_ALPHA,
     QoEReport,
@@ -27,7 +27,6 @@ from .model import (
     PacketState,
     ScenarioConfig,
     SimClock,
-    enqueue_block,
     generate_blocks,
     load_scenario,
     mark_block_complete,
@@ -45,12 +44,10 @@ from .predictor import (
 from .runner import (
     ComparisonRow,
     ComparisonTable,
-    RunConfig,
     RunParams,
     TuneResult,
     build_table,
     execute_run,
-    run_single,
     run_sweep,
     tune_thresholds,
 )

@@ -15,19 +15,18 @@ import json
 import os
 import sys
 
-from .errors import ConfigurationError, SimulationInvariantError
+from .errors import ConfigurationError, IllegalStateError, SimulationInvariantError
 from .model import load_scenario
 from .runner import (
     DEFAULT_LOSS_RATE,
     DEFAULT_RTT_MS,
     DEFAULT_THRESHOLD_HIGH_MBPS,
     DEFAULT_THRESHOLD_LOW_MBPS,
-    RunConfig,
     RunParams,
     build_table,
+    execute_run,
     load_filtered_corpus,
     load_records,
-    run_single,
     run_sweep,
     tune_thresholds,
     write_event_log,
@@ -37,6 +36,7 @@ from .predictor import Thresholds
 from .schedulers import SCHEDULER_NAMES
 from .traces import (
     concat_traces,
+    load_corpus,
     load_trace,
     split_corpus,
     synthesize_trace,
@@ -75,21 +75,9 @@ def _params_from_args(args, seed: int = 0) -> RunParams:
 
 
 def _cmd_run(args) -> int:
-    config = RunConfig(
-        scenario_path=args.scenario,
-        trace_path=args.trace,
-        scheduler=args.scheduler,
-        duration_s=args.duration_s,
-        seed=args.seed,
-        rtt_ms=args.rtt_ms,
-        loss_rate=args.loss_rate,
-        alpha=args.alpha,
-        threshold_low_mbps=args.threshold_low_mbps,
-        threshold_high_mbps=args.threshold_high_mbps,
-        trace_format=args.trace_format,
-        literal_mid_branch=args.literal_mid_branch,
-    )
-    result, report = run_single(config)
+    result, report = execute_run(load_trace(args.trace, args.trace_format),
+                                 load_scenario(args.scenario), args.scheduler,
+                                 _params_from_args(args, args.seed))
     text = report.to_json()
     if args.out:
         with open(args.out, "w") as fh:
@@ -166,23 +154,10 @@ def _cmd_traces_parse(args) -> int:
     return 0
 
 
-def _list_corpus_files(corpus_dir: str) -> list[str]:
-    try:
-        names = sorted(os.listdir(corpus_dir))
-    except OSError as exc:
-        raise ConfigurationError("cannot list corpus dir %s: %s" % (corpus_dir, exc)) from exc
-    paths = [os.path.join(corpus_dir, n) for n in names if not n.startswith(".")]
-    paths = [p for p in paths if os.path.isfile(p)]
-    if not paths:
-        raise ConfigurationError("no trace files under %s" % corpus_dir)
-    return paths
-
-
 def _cmd_traces_filter(args) -> int:
     lines = []
     kept = 0
-    for path in _list_corpus_files(args.corpus):
-        trace = load_trace(path, args.trace_format)
+    for trace in load_corpus(args.corpus, args.trace_format):
         stats = _trace_stats(trace)
         kept += 1 if stats["passes_filter"] else 0
         lines.append(json.dumps(stats, sort_keys=True))
@@ -197,7 +172,7 @@ def _cmd_traces_filter(args) -> int:
 
 
 def _cmd_traces_split(args) -> int:
-    traces = [load_trace(p, args.trace_format) for p in _list_corpus_files(args.corpus)]
+    traces = load_corpus(args.corpus, args.trace_format)
     train, test = split_corpus(traces, args.train_fraction, args.seed)
     train_tags = {t.source_tag for t in train}
     lines = [json.dumps({"source": t.source_tag,
@@ -364,7 +339,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except SimulationInvariantError as exc:
+    except (SimulationInvariantError, IllegalStateError) as exc:
         print("invariant violation: %s" % exc, file=sys.stderr)
         return 2
 

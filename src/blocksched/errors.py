@@ -1,5 +1,6 @@
-"""Exception types. Configuration problems exit the CLI with code 1,
-simulation invariant violations with code 2."""
+"""Exception types. Configuration problems exit the CLI with code 1;
+simulation invariant violations, and IllegalStateError raised during a
+run (an object reached in the wrong lifecycle state), exit with code 2."""
 from __future__ import annotations
 
 

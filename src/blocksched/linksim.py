@@ -34,7 +34,6 @@ from .model import (
     PacketState,
     ScenarioConfig,
     SimClock,
-    enqueue_block,
     generate_blocks,
     mark_block_complete,
 )
@@ -70,11 +69,6 @@ class SimulationResult:
     duration_s: float
     end_time: float
     seed: int
-    rtt_s: float
-    loss_rate: float
-    threshold_low: float  # bytes/s
-    threshold_high: float  # bytes/s
-    payload_bytes: int
     blocks: list[Block]
     events: list[tuple]
     decisions: list[tuple]
@@ -180,11 +174,6 @@ class Simulation:
             duration_s=self.duration_s,
             end_time=self.clock.now,
             seed=self.seed,
-            rtt_s=self.rtt_s,
-            loss_rate=self.loss_rate,
-            threshold_low=self.thresholds.low,
-            threshold_high=self.thresholds.high,
-            payload_bytes=self.payload_bytes,
             blocks=self.blocks,
             events=self.events,
             decisions=self.decisions,
@@ -199,7 +188,7 @@ class Simulation:
     # -- handlers ------------------------------------------------------
 
     def _on_block_arrival(self, t: float, block: Block) -> None:
-        enqueue_block(self.queue, block)
+        self.queue.enqueue(block)
         self.events.append(("block_arrival", t, block.block_id))
         self._ensure_opportunity(t)
 
@@ -297,7 +286,7 @@ class Simulation:
         block.received_packets += 1
         if not block.expired and block.completion_time is None and block.is_fully_received():
             finish = mark_block_complete(block, self.queue)
-            on_time = finish - block.arrival_time <= block.deadline_s
+            on_time = not block.past_deadline(finish)
             self.counters["blocks_completed"] += 1
             self.events.append(("block_complete", finish, block.block_id, on_time))
             self.scheduler.note_block_resolved(block.element_id, on_time)
@@ -336,18 +325,11 @@ class Simulation:
         if self._slot is not None:
             raise SimulationInvariantError("selection queue still holds %r after drain"
                                            % (self._slot.packet_id,))
-        for block in list(self.queue):
-            if now - block.arrival_time > block.deadline_s:
-                block.expired = True
-                for p in block.pending:
-                    p.state = PacketState.EXPIRED_DISCARDED
-                block.pending.clear()
-                self.queue.remove(block)
-                self._record_expiry(block, now)
-            else:
-                raise SimulationInvariantError(
-                    "block %r unresolved after drain at %r" % (block.block_id, now)
-                )
+        for block in filter_expired(self.queue, now):
+            self._record_expiry(block, now)
+        unresolved = [block.block_id for block in self.queue]
+        if unresolved:
+            raise SimulationInvariantError("blocks %r unresolved after drain at %r" % (unresolved, now))
         if len(self.ledger) != 0:
             raise SimulationInvariantError("inflight ledger not empty after drain")
         terminal = (PacketState.DELIVERED, PacketState.EXPIRED_DISCARDED)
@@ -362,17 +344,6 @@ class Simulation:
                     )
         if self.counters["sends"] != self.counters["delivered_packets"] + self.counters["loss_signals"]:
             raise SimulationInvariantError("send/response accounting mismatch: %r" % (self.counters,))
-
-
-def run_simulation(trace: LinkTrace, scenario: ScenarioConfig, scheduler: Scheduler, *,
-                   duration_s: float, seed: int = 0, rtt_s: float = 0.08,
-                   loss_rate: float = 0.005, thresholds: Thresholds,
-                   payload_bytes: int = PACKET_PAYLOAD_BYTES,
-                   forced_loss_sends=()) -> SimulationResult:
-    sim = Simulation(trace, scenario, scheduler, duration_s=duration_s, seed=seed,
-                     rtt_s=rtt_s, loss_rate=loss_rate, thresholds=thresholds,
-                     payload_bytes=payload_bytes, forced_loss_sends=forced_loss_sends)
-    return sim.run()
 
 
 def event_dicts(result: SimulationResult):

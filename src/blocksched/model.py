@@ -212,6 +212,12 @@ class Block:
     def expiry_time(self) -> float:
         return self.arrival_time + self.deadline_s
 
+    def past_deadline(self, now: float) -> bool:
+        """True once now is strictly past the deadline window (now - E > D).
+        The one expiry rule: the queue filter, the scheduling features and
+        the on-time test all ask it, so no two of them disagree."""
+        return now - self.arrival_time > self.deadline_s
+
     def has_sendable(self) -> bool:
         return bool(self.pending) and not self.expired
 
@@ -304,10 +310,6 @@ class BlockAwaitingQueue:
             raise IllegalStateError("block %r not in queue" % (block.block_id,))
         del self._ids[block.block_id]
         self._blocks.remove(block)
-
-
-def enqueue_block(queue: BlockAwaitingQueue, block: Block) -> None:
-    queue.enqueue(block)
 
 
 def mark_block_complete(block: Block, queue: BlockAwaitingQueue | None = None) -> float:

@@ -5,7 +5,8 @@ persists one summary record per run, and aggregates mean metrics per
 (scheduler, scenario, trace group) into a comparison table. Records are
 the source of truth: a table regenerated from the record files equals
 the one produced by the sweep, and an interrupted sweep resumes by
-skipping combinations whose record file already exists.
+skipping combinations whose record file already exists. Threshold tuning
+runs each grid cell through the same sweep engine.
 
 Baseline rows carry qoe_gain_vs_baseline_pct = 100 * (qoe_proposed -
 qoe_baseline) / qoe_baseline for the same scenario and trace group; the
@@ -24,10 +25,10 @@ from dataclasses import dataclass, field, replace
 from .errors import ConfigurationError
 from .linksim import SimulationResult, Simulation, decision_dicts, event_dicts
 from .metrics import DEFAULT_ALPHA, QoEReport, build_report
-from .model import ScenarioConfig, load_scenario
+from .model import ScenarioConfig
 from .predictor import Thresholds
 from .schedulers import make_scheduler
-from .traces import LinkTrace, filter_corpus, load_trace
+from .traces import LinkTrace, filter_corpus, load_corpus
 from .units import PACKET_PAYLOAD_BYTES
 
 DEFAULT_RTT_MS = 80.0
@@ -61,43 +62,6 @@ def execute_run(trace: LinkTrace, scenario: ScenarioConfig, scheduler_name: str,
                      payload_bytes=params.payload_bytes, forced_loss_sends=forced_loss_sends)
     result = sim.run()
     return result, build_report(result, trace, params.alpha)
-
-
-@dataclass
-class RunConfig:
-    """File-facing configuration for the run subcommand."""
-
-    scenario_path: str
-    trace_path: str
-    scheduler: str
-    duration_s: float
-    seed: int = 0
-    rtt_ms: float = DEFAULT_RTT_MS
-    loss_rate: float = DEFAULT_LOSS_RATE
-    alpha: float = DEFAULT_ALPHA
-    threshold_low_mbps: float = DEFAULT_THRESHOLD_LOW_MBPS
-    threshold_high_mbps: float = DEFAULT_THRESHOLD_HIGH_MBPS
-    trace_format: str | None = None
-    literal_mid_branch: bool = False
-
-    def params(self) -> RunParams:
-        if self.duration_s <= 0:
-            raise ConfigurationError("duration_s must be positive, got %r" % self.duration_s)
-        return RunParams(
-            duration_s=self.duration_s,
-            seed=self.seed,
-            rtt_s=self.rtt_ms / 1000.0,
-            loss_rate=self.loss_rate,
-            alpha=self.alpha,
-            thresholds=Thresholds.from_mbps(self.threshold_low_mbps, self.threshold_high_mbps),
-            literal_mid_branch=self.literal_mid_branch,
-        )
-
-
-def run_single(config: RunConfig) -> tuple[SimulationResult, QoEReport]:
-    scenario = load_scenario(config.scenario_path)
-    trace = load_trace(config.trace_path, config.trace_format)
-    return execute_run(trace, scenario, config.scheduler, config.params())
 
 
 def write_event_log(result: SimulationResult, path: str) -> None:
@@ -333,13 +297,9 @@ def tune_thresholds(grid_low_mbps, grid_high_mbps, traces, scenario: ScenarioCon
         raise ConfigurationError("threshold tuning has no traces to run")
     cells = []
     for lo, hi in sorted(pairs):
-        qoes = []
-        for trace in traces:
-            for seed in seeds:
-                cell_params = replace(params, seed=seed, thresholds=Thresholds.from_mbps(lo, hi))
-                _, report = execute_run(trace, scenario, "proposed", cell_params)
-                qoes.append(report.qoe)
-        cells.append({"low_mbps": lo, "high_mbps": hi, "mean_qoe": _mean(qoes), "runs": len(qoes)})
+        cell_params = replace(params, thresholds=Thresholds.from_mbps(lo, hi))
+        (row,) = run_sweep(traces, [scenario], ["proposed"], seeds, cell_params).rows
+        cells.append({"low_mbps": lo, "high_mbps": hi, "mean_qoe": row.qoe, "runs": row.runs})
         if log:
             log("tune cell L=%.3g H=%.3g mean_qoe=%.4f" % (lo, hi, cells[-1]["mean_qoe"]))
     best = max(cells, key=lambda c: (c["mean_qoe"], -c["low_mbps"], -c["high_mbps"]))
@@ -354,18 +314,7 @@ def tune_thresholds(grid_low_mbps, grid_high_mbps, traces, scenario: ScenarioCon
 
 def load_filtered_corpus(corpus_dir: str, fmt: str | None = None) -> list[LinkTrace]:
     """Load every trace file in a directory and apply the corpus filter."""
-    try:
-        names = sorted(os.listdir(corpus_dir))
-    except OSError as exc:
-        raise ConfigurationError("cannot list corpus dir %s: %s" % (corpus_dir, exc)) from exc
-    traces = []
-    for name in names:
-        path = os.path.join(corpus_dir, name)
-        if os.path.isfile(path) and not name.startswith("."):
-            traces.append(load_trace(path, fmt))
-    if not traces:
-        raise ConfigurationError("no trace files under %s" % corpus_dir)
-    kept = filter_corpus(traces)
+    kept = filter_corpus(load_corpus(corpus_dir, fmt))
     if not kept:
         raise ConfigurationError(
             "corpus %s is empty after filtering (keep: mean < 3 Mbps and min > 0.2 Mbps)"

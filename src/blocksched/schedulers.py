@@ -47,7 +47,7 @@ class BlockStats:
 
 
 def compute_block_stats(block: Block, now: float) -> BlockStats:
-    if block.expired or now > block.expiry_time:
+    if block.expired or block.past_deadline(now):
         raise IllegalStateError("block %r is expired at %r" % (block.block_id, now))
     return BlockStats(
         remaining_size_ratio=block.unacked_bytes / block.total_bytes,
@@ -58,13 +58,14 @@ def compute_block_stats(block: Block, now: float) -> BlockStats:
 
 
 def filter_expired(queue: BlockAwaitingQueue, now: float) -> list[Block]:
-    """Remove blocks whose deadline window has closed (strictly past it).
+    """Remove blocks whose deadline window has closed, as decided by
+    ``Block.past_deadline``.
 
     Unsent packets of an expired block are discarded; packets already on
     the wire keep flying and their responses are still processed. Returns
     the expired blocks so the caller can record their outcomes.
     """
-    expired = [b for b in queue if now - b.arrival_time > b.deadline_s]
+    expired = [b for b in queue if b.past_deadline(now)]
     for block in expired:
         block.expired = True
         for packet in block.pending:

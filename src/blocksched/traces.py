@@ -17,6 +17,7 @@ trace duration.
 from __future__ import annotations
 
 import math
+import os
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -262,6 +263,19 @@ def load_trace(path: str, fmt: str | None = None, bucket_s: float = 1.0) -> Link
     if fmt == "csv":
         return parse_csv_trace(lines, source_tag=path)
     return parse_packet_opportunity_trace(lines, bucket_s=bucket_s, source_tag=path)
+
+
+def load_corpus(corpus_dir: str, fmt: str | None = None) -> list[LinkTrace]:
+    """Load every non-hidden file in a directory as a trace, in name order."""
+    try:
+        names = sorted(os.listdir(corpus_dir))
+    except OSError as exc:
+        raise ConfigurationError("cannot list corpus dir %s: %s" % (corpus_dir, exc)) from exc
+    paths = [os.path.join(corpus_dir, n) for n in names if not n.startswith(".")]
+    traces = [load_trace(p, fmt) for p in paths if os.path.isfile(p)]
+    if not traces:
+        raise ConfigurationError("no trace files under %s" % corpus_dir)
+    return traces
 
 
 def trace_passes_filter(trace: LinkTrace) -> bool:

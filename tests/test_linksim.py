@@ -11,7 +11,6 @@ from blocksched.linksim import (
     Simulation,
     decision_dicts,
     event_dicts,
-    run_simulation,
 )
 from blocksched.model import PacketState
 from blocksched.predictor import Thresholds
@@ -35,12 +34,12 @@ def constant_trace(mbps=1.0, duration_s=30.0):
 
 def run_one(scenario, trace=None, scheduler="proposed", duration_s=2.0, seed=0,
             loss_rate=0.0, rtt_s=0.08, forced_loss_sends=()):
-    return run_simulation(
+    return Simulation(
         trace if trace is not None else constant_trace(),
         scenario,
         make_scheduler(scheduler, scenario=scenario),
         duration_s=duration_s, seed=seed, rtt_s=rtt_s, loss_rate=loss_rate,
-        thresholds=TH, forced_loss_sends=forced_loss_sends)
+        thresholds=TH, forced_loss_sends=forced_loss_sends).run()
 
 
 def events_of(result, kind):

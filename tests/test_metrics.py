@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from blocksched.linksim import run_simulation
+from blocksched.linksim import Simulation
 from blocksched.metrics import (
     DEFAULT_ALPHA,
     build_report,
@@ -102,10 +102,10 @@ def _run(loss_rate=0.0, duration_s=4.0, deadline_s=0.2, forced=()):
         element(element_id=1, priority=1, deadline_s=deadline_s,
                 block_size_bytes=6000, period_s=0.5))
     trace = synthesize_trace("constant", duration_s=30.0, seed=0, mbps=2.0)
-    result = run_simulation(trace, scenario, make_scheduler("proposed"),
-                            duration_s=duration_s, seed=4, loss_rate=loss_rate,
-                            thresholds=Thresholds.from_mbps(0.8, 2.3),
-                            forced_loss_sends=forced)
+    result = Simulation(trace, scenario, make_scheduler("proposed"),
+                        duration_s=duration_s, seed=4, loss_rate=loss_rate,
+                        thresholds=Thresholds.from_mbps(0.8, 2.3),
+                        forced_loss_sends=forced).run()
     return result, trace
 
 

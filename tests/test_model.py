@@ -19,7 +19,6 @@ from blocksched.model import (
     ScenarioConfig,
     SimClock,
     build_packets,
-    enqueue_block,
     generate_blocks,
     load_scenario,
     mark_block_complete,
@@ -149,15 +148,15 @@ class TestQueue:
         q = BlockAwaitingQueue()
         blocks = [block_at(index=i, arrival_time=i * 0.1) for i in range(3)]
         for b in blocks:
-            enqueue_block(q, b)
+            q.enqueue(b)
         assert [b.block_id for b in q] == [(0, 0), (0, 1), (0, 2)]
         assert len(q) == 3
 
     def test_duplicate_enqueue_rejected(self):
         q = BlockAwaitingQueue()
-        enqueue_block(q, block_at())
+        q.enqueue(block_at())
         with pytest.raises(DuplicateBlockError):
-            enqueue_block(q, block_at())
+            q.enqueue(block_at())
 
     def test_completed_block_cannot_enter(self):
         b = block_at()
@@ -166,7 +165,7 @@ class TestQueue:
         b.received_packets = len(b.packets)
         q = BlockAwaitingQueue()
         with pytest.raises(IllegalStateError):
-            enqueue_block(q, b)
+            q.enqueue(b)
 
     def test_remove_unknown_block_rejected(self):
         q = BlockAwaitingQueue()
@@ -176,7 +175,7 @@ class TestQueue:
     def test_membership_and_get(self):
         q = BlockAwaitingQueue()
         b = block_at()
-        enqueue_block(q, b)
+        q.enqueue(b)
         assert b.block_id in q
         assert q.get(b.block_id) is b
         q.remove(b)
@@ -187,7 +186,7 @@ class TestMarkBlockComplete:
     def test_completion_is_latest_client_receipt(self):
         b = block_at(total_bytes=3000)  # two packets
         q = BlockAwaitingQueue()
-        enqueue_block(q, b)
+        q.enqueue(b)
         b.packets[0].client_receive_time = 0.05
         b.packets[1].client_receive_time = 0.07
         b.received_packets = 2

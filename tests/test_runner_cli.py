@@ -7,22 +7,21 @@ import os
 import pytest
 
 from blocksched.cli import main
-from blocksched.errors import ConfigurationError, SimulationInvariantError
+from blocksched.errors import ConfigurationError, IllegalStateError, SimulationInvariantError
 from blocksched.runner import (
-    RunConfig,
     RunParams,
     build_table,
     execute_run,
     load_filtered_corpus,
     load_records,
     record_key,
-    run_single,
     run_sweep,
     tune_thresholds,
     write_event_log,
 )
-from blocksched.traces import synthesize_trace
-from conftest import SCENARIO_DIR, element, quick_params, scenario_of
+from blocksched.model import load_scenario
+from blocksched.traces import load_trace, synthesize_trace
+from conftest import CORPUS_DIR, SCENARIO_DIR, element, quick_params, scenario_of
 
 SCENARIO_1 = os.path.join(SCENARIO_DIR, "scenario_1.json")
 
@@ -57,13 +56,12 @@ class TestExecuteRun:
         _, b = execute_run(trace, small_scenario(), "proposed", params)
         assert a.to_json() == b.to_json()
 
-    def test_run_single_reads_files(self, tmp_path):
-        trace_path = os.path.join(str(tmp_path), "c.csv")
-        small_corpus()[0].write_csv(trace_path)
-        config = RunConfig(scenario_path=SCENARIO_1, trace_path=trace_path,
-                           scheduler="fifo", duration_s=1.5, loss_rate=0.0)
-        result, report = run_single(config)
-        assert result.scheduler_name == "fifo"
+    def test_block_live_to_the_last_ulp_does_not_abort_the_run(self):
+        # a block of this run is checked one ulp inside its window, where
+        # now > E + D and now - E > D used to disagree
+        trace = load_trace(os.path.join(CORPUS_DIR, "ramp09.csv"))
+        params = RunParams(duration_s=8.0, seed=449071)
+        result, report = execute_run(trace, load_scenario(SCENARIO_1), "proposed", params)
         assert report.block_count == len(result.blocks) > 0
 
     def test_event_log_is_json_lines(self, tmp_path):
@@ -227,6 +225,15 @@ class TestCli:
         assert set(report) >= {"qoe", "delivery_ratio", "utilization", "scheduler"}
         assert report["scheduler"] == "proposed"
 
+    def test_run_reads_scenario_and_trace_files(self, tmp_path, capsys):
+        trace = self._write_trace(tmp_path, "c.csv")
+        code = main(["run", "--scenario", SCENARIO_1, "--trace", trace,
+                     "--scheduler", "fifo", "--duration-s", "1.5", "--loss-rate", "0"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["scheduler"] == "fifo"
+        assert report["block_count"] == len(report["blocks"]) > 0
+
     def test_run_writes_report_and_event_log(self, tmp_path, capsys):
         trace = self._write_trace(tmp_path)
         out = os.path.join(str(tmp_path), "report.json")
@@ -341,10 +348,24 @@ class TestCli:
     def test_invariant_violations_exit_2(self, tmp_path, capsys, monkeypatch):
         import blocksched.cli as cli_module
 
-        def boom(config):
+        def boom(*args):
             raise SimulationInvariantError("synthetic failure")
 
-        monkeypatch.setattr(cli_module, "run_single", boom)
+        monkeypatch.setattr(cli_module, "execute_run", boom)
         trace = self._write_trace(tmp_path)
         assert main(["run", "--scenario", SCENARIO_1, "--trace", trace,
                      "--duration-s", "1"]) == 2
+
+    def test_illegal_state_during_run_exits_2(self, tmp_path, capsys, monkeypatch):
+        import blocksched.cli as cli_module
+
+        def boom(*args):
+            raise IllegalStateError("block (0, 3) is expired at 0.95")
+
+        monkeypatch.setattr(cli_module, "execute_run", boom)
+        trace = self._write_trace(tmp_path)
+        assert main(["run", "--scenario", SCENARIO_1, "--trace", trace,
+                     "--duration-s", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "invariant violation: block (0, 3) is expired" in err
+        assert "Traceback" not in err

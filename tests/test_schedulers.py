@@ -1,14 +1,17 @@
 """Selection policies: regime-switched scan and the baseline set."""
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from blocksched.errors import ConfigurationError, IllegalStateError
+from blocksched.linksim import Simulation
+from blocksched.metrics import delivery_indicator
 from blocksched.model import BlockAwaitingQueue, PacketState
-from blocksched.predictor import Regime
+from blocksched.predictor import Regime, Thresholds
 from blocksched.schedulers import (
     BlockStats,
     DecisionReason,
@@ -22,6 +25,7 @@ from blocksched.schedulers import (
     select_block_rswn,
     select_block_sfra,
 )
+from blocksched.traces import synthesize_trace
 from conftest import block_at, element, scenario_of
 from reference_selection import reference_select
 
@@ -102,6 +106,72 @@ class TestFilterExpired:
         expired = filter_expired(queue, now=0.25)
         assert expired == [blocks[0]]
         assert list(queue) == blocks[1:]
+
+
+def _ulps_from(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+# (E, D, f): a block window and a point E + f * D inside or past it
+WINDOWS = st.tuples(st.floats(min_value=0.0, max_value=1e4),
+                    st.floats(min_value=1e-3, max_value=1e3),
+                    st.floats(min_value=0.0, max_value=2.0))
+
+
+def _times_in(arrival: float, deadline: float, frac: float) -> list[float]:
+    """E + f * D plus every float within four ulps of E + D, where the
+    forms now - E > D and now > E + D can disagree."""
+    edge = arrival + deadline
+    return [arrival + frac * deadline] + [_ulps_from(edge, k) for k in range(-4, 5)]
+
+
+def _engine_on_time(arrival: float, deadline: float, finish: float) -> bool:
+    """The on-time flag the engine records when a one-packet block's only
+    packet reaches the client at finish."""
+    scenario = scenario_of(element(block_size_bytes=1500))
+    sim = Simulation(synthesize_trace("constant", duration_s=1.0, seed=0, mbps=1.0), scenario,
+                     make_scheduler("fifo"), duration_s=1.0,
+                     thresholds=Thresholds.from_mbps(0.8, 2.3))
+    block = block_at(arrival_time=arrival, deadline_s=deadline, total_bytes=1500, element_id=9)
+    sim.blocks_by_id[block.block_id] = block
+    sim._on_packet_delivered(finish, block.packets[0])
+    kind, _, block_id, on_time = sim.events[-1]
+    assert (kind, block_id) == ("block_complete", block.block_id)
+    return on_time
+
+
+class TestExpiryRule:
+    def test_last_ulp_block_is_live_everywhere(self):
+        # 0.321 + 0.631 rounds to 0.952, one ulp below now, while
+        # now - 0.321 rounds to exactly 0.631: the window is not yet past
+        now = 0.9520000000000001
+        block = block_at(arrival_time=0.321, deadline_s=0.631)
+        queue = BlockAwaitingQueue()
+        queue.enqueue(block)
+        assert filter_expired(queue, now) == []
+        assert compute_block_stats(block, now).remaining_packets == block.packet_count
+
+    @given(WINDOWS)
+    def test_block_stats_refuse_exactly_what_the_filter_expires(self, window):
+        for now in _times_in(*window):
+            block = block_at(arrival_time=window[0], deadline_s=window[1])
+            queue = BlockAwaitingQueue()
+            queue.enqueue(block)
+            try:
+                compute_block_stats(block, now)
+                raised = False
+            except IllegalStateError:
+                raised = True
+            assert raised == (filter_expired(queue, now) == [block]), now
+
+    @given(WINDOWS)
+    def test_engine_on_time_flag_matches_delivery_indicator(self, window):
+        arrival, deadline, _ = window
+        for finish in _times_in(*window):
+            assert _engine_on_time(arrival, deadline, finish) == bool(
+                delivery_indicator(arrival, finish, deadline)), finish
 
 
 class TestProposedLowRegime:
