@@ -29,7 +29,6 @@ from .runner import (
     load_records,
     run_sweep,
     tune_thresholds,
-    write_event_log,
 )
 from .metrics import DEFAULT_ALPHA
 from .predictor import Thresholds
@@ -75,9 +74,17 @@ def _params_from_args(args, seed: int = 0) -> RunParams:
 
 
 def _cmd_run(args) -> int:
-    result, report = execute_run(load_trace(args.trace, args.trace_format),
-                                 load_scenario(args.scenario), args.scheduler,
-                                 _params_from_args(args, args.seed))
+    trace = load_trace(args.trace, args.trace_format)
+    scenario = load_scenario(args.scenario)
+    params = _params_from_args(args, args.seed)
+    if args.event_log:
+        with open(args.event_log, "w") as log:
+            _, report = execute_run(
+                trace, scenario, args.scheduler, params,
+                record=lambda rec: log.write(json.dumps(rec, sort_keys=True) + "\n"))
+        _log("event log written to %s" % args.event_log)
+    else:
+        _, report = execute_run(trace, scenario, args.scheduler, params)
     text = report.to_json()
     if args.out:
         with open(args.out, "w") as fh:
@@ -86,9 +93,6 @@ def _cmd_run(args) -> int:
         _log("report written to %s" % args.out)
     else:
         print(text)
-    if args.event_log:
-        write_event_log(result, args.event_log)
-        _log("event log written to %s" % args.event_log)
     return 0
 
 

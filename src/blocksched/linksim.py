@@ -18,13 +18,22 @@ by send order, so a run is a pure function of its configuration.
 
 Event kinds at equal timestamps process in a fixed order:
 send_opportunity, packet_delivered, ack, loss_signal, block_arrival.
+
+Recording is opt-in. Pass ``record``, a callable taking one dict, and the
+simulation hands it a JSON-ready record for every event and scheduling
+decision, in engine order; with ``record=None`` (the default, used by
+sweeps and tuning) no record is built. Only ``blocksched run
+--event-log`` and the tests turn it on; the event log is one JSON object
+per line in that same order. Each record carries ``kind`` and ``t``;
+the other keys per kind are listed in the README.
 """
 from __future__ import annotations
 
 import enum
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ConfigurationError, SimulationInvariantError
 from .model import (
@@ -70,9 +79,13 @@ class SimulationResult:
     end_time: float
     seed: int
     blocks: list[Block]
-    events: list[tuple]
-    decisions: list[tuple]
     counters: dict
+
+
+def _packet_ref(packet: Packet) -> list:
+    """A packet id as a flat JSON list: element id, block index, packet index."""
+    block_id, index = packet.packet_id
+    return [*block_id, index]
 
 
 class Simulation:
@@ -82,7 +95,8 @@ class Simulation:
                  duration_s: float, seed: int = 0, rtt_s: float = 0.08,
                  loss_rate: float = 0.005, thresholds: Thresholds,
                  payload_bytes: int = PACKET_PAYLOAD_BYTES,
-                 forced_loss_sends=()) -> None:
+                 forced_loss_sends=(),
+                 record: Callable[[dict], None] | None = None) -> None:
         if duration_s <= 0:
             raise ConfigurationError("duration_s must be positive, got %r" % duration_s)
         if rtt_s <= 0:
@@ -100,6 +114,7 @@ class Simulation:
         self.thresholds = thresholds
         self.payload_bytes = payload_bytes
         self.forced_loss_sends = frozenset(forced_loss_sends)
+        self.record = record
 
         self.clock = SimClock()
         self.queue = BlockAwaitingQueue()
@@ -113,8 +128,6 @@ class Simulation:
         self._slot: Packet | None = None
         self._opportunity_pending = False
         self._send_index = 0
-        self.events: list[tuple] = []
-        self.decisions: list[tuple] = []
         self.counters = {
             "sends": 0,
             "retransmission_sends": 0,
@@ -141,10 +154,6 @@ class Simulation:
         if not self._heap:
             return None
         time_s, kind, _, payload = heapq.heappop(self._heap)
-        if time_s < self.clock.now:
-            raise SimulationInvariantError(
-                "event at %r behind clock %r (kind %d)" % (time_s, self.clock.now, kind)
-            )
         self.clock.advance(time_s)
         if kind == EventKind.SEND_OPPORTUNITY:
             self._on_send_opportunity(time_s)
@@ -175,8 +184,6 @@ class Simulation:
             end_time=self.clock.now,
             seed=self.seed,
             blocks=self.blocks,
-            events=self.events,
-            decisions=self.decisions,
             counters=self.counters,
         )
 
@@ -189,12 +196,14 @@ class Simulation:
 
     def _on_block_arrival(self, t: float, block: Block) -> None:
         self.queue.enqueue(block)
-        self.events.append(("block_arrival", t, block.block_id))
+        if self.record is not None:
+            self.record({"kind": "block_arrival", "t": t, "block_id": list(block.block_id)})
         self._ensure_opportunity(t)
 
     def _record_expiry(self, block: Block, t: float) -> None:
         self.counters["blocks_expired"] += 1
-        self.events.append(("block_expired", t, block.block_id))
+        if self.record is not None:
+            self.record({"kind": "block_expired", "t": t, "block_id": list(block.block_id)})
         self.scheduler.note_block_resolved(block.element_id, False)
 
     def _decide(self, t: float) -> Block | None:
@@ -202,21 +211,29 @@ class Simulation:
         regime = self.predictor.regime
         smoothed = self.predictor.smoothed
         if not eligible:
-            self.decisions.append((t, None, "none_eligible", int(regime), None, smoothed, 0))
+            if self.record is not None:
+                self.record({"kind": "decision", "t": t, "selected": None,
+                             "reason": "none_eligible", "regime": int(regime), "score": None,
+                             "smoothed_bw": smoothed, "eligible": 0})
             return None
         stats = [compute_block_stats(b, t) for b in eligible]
         retx = [b.retransmission_pending() for b in eligible]
         ctx = SchedulingContext(now=t, blocks=eligible, stats=stats, retransmission=retx,
                                 regime=regime, smoothed_bw=smoothed)
         decision: SchedulerDecision = self.scheduler.select(ctx)
-        self.decisions.append((t, decision.selected, decision.reason.value, int(regime),
-                               decision.score, smoothed, len(eligible)))
-        if decision.selected is None:
+        selected = decision.selected
+        if self.record is not None:
+            self.record({"kind": "decision", "t": t,
+                         "selected": None if selected is None else list(selected),
+                         "reason": decision.reason.value, "regime": int(regime),
+                         "score": decision.score, "smoothed_bw": smoothed,
+                         "eligible": len(eligible)})
+        if selected is None:
             return None
-        block = self.queue.get(decision.selected)
+        block = self.queue.get(selected)
         if block is None or not block.has_sendable():
             raise SimulationInvariantError(
-                "scheduler %s selected ineligible block %r" % (self.scheduler.name, decision.selected)
+                "scheduler %s selected ineligible block %r" % (self.scheduler.name, selected)
             )
         return block
 
@@ -242,7 +259,8 @@ class Simulation:
             if block.expired:
                 slot.state = PacketState.EXPIRED_DISCARDED
                 self.counters["slot_discards"] += 1
-                self.events.append(("slot_discard", t, slot.packet_id))
+                if self.record is not None:
+                    self.record({"kind": "slot_discard", "t": t, "packet_id": _packet_ref(slot)})
                 self._slot = slot = None
         if slot is None:
             self._fill_slot(t)
@@ -270,7 +288,10 @@ class Simulation:
             self._push(t + self.rtt_s, EventKind.LOSS_SIGNAL, packet)
         else:
             self._push(end + self.one_way_delay_s, EventKind.PACKET_DELIVERED, packet)
-        self.events.append(("send", t, packet.packet_id, packet.size_bytes, is_retx, thr))
+        if self.record is not None:
+            self.record({"kind": "send", "t": t, "packet_id": _packet_ref(packet),
+                         "size": packet.size_bytes, "retransmission": is_retx,
+                         "thr_instant": thr})
         self._fill_slot(t)
         self._push(end, EventKind.SEND_OPPORTUNITY, None)
         self._opportunity_pending = True
@@ -281,14 +302,18 @@ class Simulation:
         packet.client_receive_time = t
         self.counters["delivered_packets"] += 1
         self.counters["delivered_bytes"] += packet.size_bytes
-        self.events.append(("delivered", t, packet.packet_id, packet.size_bytes))
+        if self.record is not None:
+            self.record({"kind": "delivered", "t": t, "packet_id": _packet_ref(packet),
+                         "size": packet.size_bytes})
         block = self.blocks_by_id[packet.block_id]
         block.received_packets += 1
         if not block.expired and block.completion_time is None and block.is_fully_received():
             finish = mark_block_complete(block, self.queue)
             on_time = not block.past_deadline(finish)
             self.counters["blocks_completed"] += 1
-            self.events.append(("block_complete", finish, block.block_id, on_time))
+            if self.record is not None:
+                self.record({"kind": "block_complete", "t": finish,
+                             "block_id": list(block.block_id), "on_time": on_time})
             self.scheduler.note_block_resolved(block.element_id, on_time)
         self._push(t + self.one_way_delay_s, EventKind.ACK, packet)
 
@@ -300,7 +325,9 @@ class Simulation:
         block = self.blocks_by_id[packet.block_id]
         block.acked_packets += 1
         block.acked_bytes += packet.size_bytes
-        self.events.append(("ack", t, packet.packet_id, sample))
+        if self.record is not None:
+            self.record({"kind": "ack", "t": t, "packet_id": _packet_ref(packet),
+                         "thr_smoothed": sample})
 
     def _on_loss_signal(self, t: float, packet: Packet) -> None:
         sample = self.predictor.observe_response(self.ledger, packet.send_time, t)
@@ -316,7 +343,9 @@ class Simulation:
             block.pending.appendleft(packet)
             requeued = True
             self._ensure_opportunity(t)
-        self.events.append(("loss", t, packet.packet_id, sample, requeued))
+        if self.record is not None:
+            self.record({"kind": "loss", "t": t, "packet_id": _packet_ref(packet),
+                         "thr_smoothed": sample, "requeued": requeued})
 
     # -- termination ---------------------------------------------------
 
@@ -345,30 +374,3 @@ class Simulation:
         if self.counters["sends"] != self.counters["delivered_packets"] + self.counters["loss_signals"]:
             raise SimulationInvariantError("send/response accounting mismatch: %r" % (self.counters,))
 
-
-def event_dicts(result: SimulationResult):
-    """Yield event-log records as JSON-ready dicts with stable keys."""
-    for ev in result.events:
-        kind = ev[0]
-        if kind == "send":
-            yield {"kind": kind, "t": ev[1], "packet_id": list(ev[2][0]) + [ev[2][1]],
-                   "size": ev[3], "retransmission": ev[4], "thr_instant": ev[5]}
-        elif kind in ("delivered",):
-            yield {"kind": kind, "t": ev[1], "packet_id": list(ev[2][0]) + [ev[2][1]], "size": ev[3]}
-        elif kind == "ack":
-            yield {"kind": kind, "t": ev[1], "packet_id": list(ev[2][0]) + [ev[2][1]], "thr_smoothed": ev[3]}
-        elif kind == "loss":
-            yield {"kind": kind, "t": ev[1], "packet_id": list(ev[2][0]) + [ev[2][1]],
-                   "thr_smoothed": ev[3], "requeued": ev[4]}
-        elif kind == "slot_discard":
-            yield {"kind": kind, "t": ev[1], "packet_id": list(ev[2][0]) + [ev[2][1]]}
-        elif kind == "block_complete":
-            yield {"kind": kind, "t": ev[1], "block_id": list(ev[2]), "on_time": ev[3]}
-        else:  # block_arrival, block_expired
-            yield {"kind": kind, "t": ev[1], "block_id": list(ev[2])}
-
-
-def decision_dicts(result: SimulationResult):
-    for t, selected, reason, regime, score, smoothed, n_eligible in result.decisions:
-        yield {"t": t, "selected": list(selected) if selected else None, "reason": reason,
-               "regime": regime, "score": score, "smoothed_bw": smoothed, "eligible": n_eligible}

@@ -106,16 +106,6 @@ def classify_regime(throughput: float, thresholds: Thresholds) -> Regime:
     return Regime.MID
 
 
-@dataclass(frozen=True)
-class BandwidthEstimate:
-    """Snapshot of both estimators at one instant."""
-
-    time_s: float
-    instantaneous: float
-    smoothed: float
-    regime: Regime
-
-
 class BandwidthPredictor:
     """Stateful wrapper the simulation feeds send and response events.
 
@@ -127,7 +117,6 @@ class BandwidthPredictor:
         self.thresholds = thresholds
         self.instantaneous = thresholds.low
         self.smoothed = thresholds.low
-        self.sample_count = 0
 
     def observe_send(self, size_bytes: int, enqueue_time: float, send_time: float) -> float | None:
         """Update the instantaneous estimate; returns the new sample, or
@@ -144,13 +133,8 @@ class BandwidthPredictor:
         signal; the measured packet must still be in the ledger."""
         sample = smoothed_throughput(ledger, send_time, response_time)
         self.smoothed = sample
-        self.sample_count += 1
         return sample
 
     @property
     def regime(self) -> Regime:
         return classify_regime(self.smoothed, self.thresholds)
-
-    def snapshot(self, time_s: float) -> BandwidthEstimate:
-        return BandwidthEstimate(time_s=time_s, instantaneous=self.instantaneous,
-                                 smoothed=self.smoothed, regime=self.regime)

@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigurationError
-from .linksim import SimulationResult, Simulation, decision_dicts, event_dicts
+from .linksim import SimulationResult, Simulation
 from .metrics import DEFAULT_ALPHA, QoEReport, build_report
 from .model import ScenarioConfig
 from .predictor import Thresholds
@@ -54,24 +54,18 @@ class RunParams:
 
 
 def execute_run(trace: LinkTrace, scenario: ScenarioConfig, scheduler_name: str,
-                params: RunParams, forced_loss_sends=()) -> tuple[SimulationResult, QoEReport]:
+                params: RunParams, forced_loss_sends=(),
+                record=None) -> tuple[SimulationResult, QoEReport]:
+    """One simulation and its report; record is the optional event sink
+    (see linksim.Simulation)."""
     scheduler = make_scheduler(scheduler_name, scenario, params.literal_mid_branch)
     sim = Simulation(trace, scenario, scheduler,
                      duration_s=params.duration_s, seed=params.seed, rtt_s=params.rtt_s,
                      loss_rate=params.loss_rate, thresholds=params.thresholds,
-                     payload_bytes=params.payload_bytes, forced_loss_sends=forced_loss_sends)
+                     payload_bytes=params.payload_bytes, forced_loss_sends=forced_loss_sends,
+                     record=record)
     result = sim.run()
     return result, build_report(result, trace, params.alpha)
-
-
-def write_event_log(result: SimulationResult, path: str) -> None:
-    with open(path, "w") as fh:
-        for record in event_dicts(result):
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
-        for record in decision_dicts(result):
-            fh.write(json.dumps({"kind": "decision", **record}, sort_keys=True))
-            fh.write("\n")
 
 
 # -- sweep records -----------------------------------------------------

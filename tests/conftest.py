@@ -6,6 +6,7 @@ import os
 import pytest
 from hypothesis import settings
 
+from blocksched.linksim import Simulation
 from blocksched.model import Block, MediaElement, ScenarioConfig, build_packets
 from blocksched.predictor import Thresholds
 from blocksched.runner import RunParams
@@ -50,6 +51,15 @@ def default_thresholds():
 def quick_params(duration_s=5.0, **kw) -> RunParams:
     kw.setdefault("seed", 0)
     return RunParams(duration_s=duration_s, **kw)
+
+
+def run_recorded(trace, scenario, scheduler, drive=Simulation.run, **kw):
+    """Build a Simulation whose record sink is a list, drive it (a full run
+    by default) and return (what drive returned, the records in engine
+    order)."""
+    records: list[dict] = []
+    sim = Simulation(trace, scenario, scheduler, record=records.append, **kw)
+    return drive(sim), records
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

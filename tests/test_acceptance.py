@@ -51,15 +51,27 @@ def check(num: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def run_and_audit(trace, scenario, scheduler_name, params, forced=()):
-    result, report = execute_run(trace, scenario, scheduler_name, params, forced)
-    expiries = {b.block_id: b.expiry_time for b in result.blocks}
-    AUDIT["runs"] += 1
-    for ev in result.events:
-        if ev[0] == "send":
+def run_and_audit(trace, scenario, scheduler_name, params, forced=(), keep=None):
+    """Run once, checking each send against its block's expiry as its record
+    streams past; keep, when a list, also receives every record."""
+    deadlines = {e.element_id: e.deadline_s for e in scenario.elements}
+    expiries = {}
+
+    def audit(rec):
+        kind = rec["kind"]
+        if kind == "block_arrival":
+            element_id, index = rec["block_id"]
+            expiries[(element_id, index)] = rec["t"] + deadlines[element_id]
+        elif kind == "send":
             AUDIT["sends"] += 1
-            if ev[1] > expiries[ev[2][0]] + 1e-9:
+            element_id, index, _ = rec["packet_id"]
+            if rec["t"] > expiries[(element_id, index)] + 1e-9:
                 AUDIT["late_sends"] += 1
+        if keep is not None:
+            keep.append(rec)
+
+    result, report = execute_run(trace, scenario, scheduler_name, params, forced, record=audit)
+    AUDIT["runs"] += 1
     return result, report
 
 
@@ -119,9 +131,10 @@ def test_criterion_03_estimator_convergence_and_smoothing():
     saturator = scenario_of(element(element_id=0, priority=0, deadline_s=10.0,
                                     block_size_bytes=150000, period_s=0.4))
     constant = synthesize_trace("constant", 30.0, 0, mbps=1.0)
-    result, _ = run_and_audit(constant, saturator, "proposed",
-                              RunParams(duration_s=8.0, loss_rate=0.0))
-    window = [ev[3] for ev in result.events if ev[0] == "ack" and 5.0 <= ev[1] <= 8.0]
+    records = []
+    run_and_audit(constant, saturator, "proposed", RunParams(duration_s=8.0, loss_rate=0.0),
+                  keep=records)
+    window = [r["thr_smoothed"] for r in records if r["kind"] == "ack" and 5.0 <= r["t"] <= 8.0]
     rate = 125000.0
     worst = max(abs(s - rate) / rate for s in window)
     converged = bool(window) and all(0.9 * rate <= s <= 1.1 * rate for s in window)
@@ -132,10 +145,12 @@ def test_criterion_03_estimator_convergence_and_smoothing():
         element(element_id=0, priority=0, deadline_s=1.0, block_size_bytes=150750, period_s=0.5),
         element(element_id=1, priority=1, deadline_s=0.5, block_size_bytes=2250, period_s=0.1))
     wave = synthesize_trace("square_wave", 100.0, 0, low_mbps=0.5, high_mbps=2.5, period_s=4.0)
-    result, _ = run_and_audit(wave, mixed, "proposed",
-                              RunParams(duration_s=100.0, loss_rate=0.0))
-    smoothed = [ev[3] for ev in result.events if ev[0] == "ack"]
-    instant = [ev[5] for ev in result.events if ev[0] == "send" and ev[5] is not None]
+    records = []
+    run_and_audit(wave, mixed, "proposed", RunParams(duration_s=100.0, loss_rate=0.0),
+                  keep=records)
+    smoothed = [r["thr_smoothed"] for r in records if r["kind"] == "ack"]
+    instant = [r["thr_instant"] for r in records
+               if r["kind"] == "send" and r["thr_instant"] is not None]
     ratio = statistics.pstdev(smoothed) / statistics.pstdev(instant)
     check(3, converged and ratio < 1.0,
           "constant link: %d samples within %.1f%% of 1 Mbps; square wave: "
@@ -185,14 +200,15 @@ def test_criterion_06_retransmission_first_in_every_regime():
     ok = True
     for regime, thresholds in pinned.items():
         params = RunParams(duration_s=3.0, loss_rate=0.0, thresholds=thresholds)
-        result, _ = run_and_audit(constant, scenario, "proposed", params, forced=(40,))
-        losses = [ev for ev in result.events if ev[0] == "loss"]
-        assert len(losses) == 1 and losses[0][4] is True
-        loss_t, lost_block = losses[0][1], losses[0][2][0]
-        after = next(d for d in result.decisions if d[0] >= loss_t)
-        seen.append("%s regime=%d" % (after[2], after[3]))
-        ok = ok and (after[1] == lost_block and after[2] == "retransmission"
-                     and after[3] == int(regime))
+        records = []
+        run_and_audit(constant, scenario, "proposed", params, forced=(40,), keep=records)
+        losses = [r for r in records if r["kind"] == "loss"]
+        assert len(losses) == 1 and losses[0]["requeued"] is True
+        loss_t, lost_block = losses[0]["t"], losses[0]["packet_id"][:2]
+        after = next(r for r in records if r["kind"] == "decision" and r["t"] >= loss_t)
+        seen.append("%s regime=%d" % (after["reason"], after["regime"]))
+        ok = ok and (after["selected"] == lost_block and after["reason"] == "retransmission"
+                     and after["regime"] == int(regime))
     check(6, ok, "first post-loss decision: %s (expected retransmission in "
                  "regimes 0, 1, 2)" % "; ".join(seen))
 
@@ -242,8 +258,9 @@ def test_criterion_09_light_load_delivers_everything():
     ok = True
     details = []
     for name in SCHEDULER_NAMES:
-        result, report = run_and_audit(constant, scenario, name, params)
-        delivered = sum(ev[3] for ev in result.events if ev[0] == "delivered")
+        records = []
+        result, report = run_and_audit(constant, scenario, name, params, keep=records)
+        delivered = sum(r["size"] for r in records if r["kind"] == "delivered")
         offered = constant.integrate_capacity(0.0, max(result.duration_s, result.end_time))
         recomputed_util = min(1.0, delivered / offered)
         exact = (report.delivery_ratio == 1.0

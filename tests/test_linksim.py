@@ -6,17 +6,13 @@ import json
 import pytest
 
 from blocksched.errors import ConfigurationError, SimulationInvariantError
-from blocksched.linksim import (
-    EventKind,
-    Simulation,
-    decision_dicts,
-    event_dicts,
-)
+from blocksched.linksim import EventKind, Simulation
 from blocksched.model import PacketState
 from blocksched.predictor import Thresholds
-from blocksched.schedulers import make_scheduler
+from blocksched.runner import RunParams, execute_run
+from blocksched.schedulers import SCHEDULER_NAMES, make_scheduler
 from blocksched.traces import synthesize_trace
-from conftest import element, scenario_of
+from conftest import element, run_recorded, scenario_of
 
 TH = Thresholds.from_mbps(0.8, 2.3)
 APPROX = dict(rel=1e-9, abs=1e-9)
@@ -34,16 +30,17 @@ def constant_trace(mbps=1.0, duration_s=30.0):
 
 def run_one(scenario, trace=None, scheduler="proposed", duration_s=2.0, seed=0,
             loss_rate=0.0, rtt_s=0.08, forced_loss_sends=()):
-    return Simulation(
+    """One full run; returns (result, records)."""
+    return run_recorded(
         trace if trace is not None else constant_trace(),
         scenario,
         make_scheduler(scheduler, scenario=scenario),
         duration_s=duration_s, seed=seed, rtt_s=rtt_s, loss_rate=loss_rate,
-        thresholds=TH, forced_loss_sends=forced_loss_sends).run()
+        thresholds=TH, forced_loss_sends=forced_loss_sends)
 
 
-def events_of(result, kind):
-    return [e for e in result.events if e[0] == kind]
+def records_of(records, kind):
+    return [r for r in records if r["kind"] == kind]
 
 
 class TestSingleBlockTimeline:
@@ -54,38 +51,38 @@ class TestSingleBlockTimeline:
         return run_one(one_block_scenario())
 
     def test_sends_pipeline_at_transmission_cadence(self):
-        result = self._run()
-        sends = events_of(result, "send")
+        result, records = self._run()
+        sends = records_of(records, "send")
         t0 = result.blocks[0].arrival_time
-        assert [e[1] for e in sends] == [pytest.approx(t0, **APPROX),
-                                         pytest.approx(t0 + 0.012, **APPROX)]
+        assert [r["t"] for r in sends] == [pytest.approx(t0, **APPROX),
+                                           pytest.approx(t0 + 0.012, **APPROX)]
         # first send leaves the instant it was chosen, so no latency sample;
         # the second waited exactly one transmission time in the slot
-        assert sends[0][5] is None
-        assert sends[1][5] == pytest.approx(1500 / 0.012, **APPROX)
+        assert sends[0]["thr_instant"] is None
+        assert sends[1]["thr_instant"] == pytest.approx(1500 / 0.012, **APPROX)
         assert result.blocks[0].packets[1].enqueue_time == pytest.approx(t0, **APPROX)
 
     def test_delivery_and_ack_timing(self):
-        result = self._run()
+        result, records = self._run()
         t0 = result.blocks[0].arrival_time
-        assert [e[1] for e in events_of(result, "delivered")] == [
+        assert [r["t"] for r in records_of(records, "delivered")] == [
             pytest.approx(t0 + 0.052, **APPROX), pytest.approx(t0 + 0.064, **APPROX)]
-        acks = events_of(result, "ack")
-        assert [e[1] for e in acks] == [
+        acks = records_of(records, "ack")
+        assert [r["t"] for r in acks] == [
             pytest.approx(t0 + 0.092, **APPROX), pytest.approx(t0 + 0.104, **APPROX)]
         # the first response window [t0, t0+0.092] still holds both packets,
         # including the measured one; the second only the later packet
-        assert acks[0][3] == pytest.approx(3000 / 0.092, **APPROX)
-        assert acks[1][3] == pytest.approx(1500 / 0.092, **APPROX)
+        assert acks[0]["thr_smoothed"] == pytest.approx(3000 / 0.092, **APPROX)
+        assert acks[1]["thr_smoothed"] == pytest.approx(1500 / 0.092, **APPROX)
         assert result.end_time == pytest.approx(t0 + 0.104, **APPROX)
 
     def test_block_completes_on_time(self):
-        result = self._run()
+        result, records = self._run()
         t0 = result.blocks[0].arrival_time
-        completes = events_of(result, "block_complete")
+        completes = records_of(records, "block_complete")
         assert len(completes) == 1
-        assert completes[0][1] == pytest.approx(t0 + 0.064, **APPROX)
-        assert completes[0][3] is True
+        assert completes[0]["t"] == pytest.approx(t0 + 0.064, **APPROX)
+        assert completes[0]["on_time"] is True
         assert result.blocks[0].completion_time == pytest.approx(t0 + 0.064, **APPROX)
         assert result.counters["blocks_completed"] == 1
         assert result.counters["blocks_expired"] == 0
@@ -94,25 +91,27 @@ class TestSingleBlockTimeline:
 
 class TestLossAndRetransmission:
     def test_forced_loss_requeues_and_preempts(self):
-        result = run_one(one_block_scenario(), forced_loss_sends={0})
+        result, records = run_one(one_block_scenario(), forced_loss_sends={0})
         t0 = result.blocks[0].arrival_time
-        losses = events_of(result, "loss")
+        losses = records_of(records, "loss")
         assert len(losses) == 1
-        _, loss_t, loss_pid, sample, requeued = losses[0]
+        loss = losses[0]
+        loss_t = loss["t"]
         assert loss_t == pytest.approx(t0 + 0.08, **APPROX)
-        assert requeued is True
+        assert loss["requeued"] is True
         # both packets were on the wire across the loss window
-        assert sample == pytest.approx(3000 / 0.08, **APPROX)
+        assert loss["thr_smoothed"] == pytest.approx(3000 / 0.08, **APPROX)
 
-        after = [d for d in result.decisions if d[0] >= loss_t and d[1] is not None]
-        assert after[0][1] == result.blocks[0].block_id
-        assert after[0][2] == "retransmission"
+        after = [d for d in records_of(records, "decision")
+                 if d["t"] >= loss_t and d["selected"] is not None]
+        assert after[0]["selected"] == list(result.blocks[0].block_id)
+        assert after[0]["reason"] == "retransmission"
 
-        sends = events_of(result, "send")
+        sends = records_of(records, "send")
         assert len(sends) == 3
-        assert sends[2][2] == loss_pid  # the lost packet goes out again
-        assert sends[2][4] is True
-        assert sends[2][1] == pytest.approx(t0 + 0.08, **APPROX)
+        assert sends[2]["packet_id"] == loss["packet_id"]  # the lost packet goes out again
+        assert sends[2]["retransmission"] is True
+        assert sends[2]["t"] == pytest.approx(t0 + 0.08, **APPROX)
         assert result.counters["retransmission_sends"] == 1
         assert result.counters["loss_signals"] == 1
 
@@ -125,18 +124,18 @@ class TestLossAndRetransmission:
         # deadline shorter than one transmission: the block expires at the
         # second opportunity, its slot packet is discarded unsent, and the
         # eventual loss signal must not requeue anything
-        result = run_one(one_block_scenario(deadline_s=0.01), forced_loss_sends={0})
+        result, records = run_one(one_block_scenario(deadline_s=0.01), forced_loss_sends={0})
         t0 = result.blocks[0].arrival_time
-        discards = events_of(result, "slot_discard")
+        discards = records_of(records, "slot_discard")
         assert len(discards) == 1
-        assert discards[0][1] == pytest.approx(t0 + 0.012, **APPROX)
+        assert discards[0]["t"] == pytest.approx(t0 + 0.012, **APPROX)
         assert result.counters["slot_discards"] == 1
 
-        losses = events_of(result, "loss")
+        losses = records_of(records, "loss")
         assert len(losses) == 1
-        assert losses[0][4] is False  # not requeued
-        assert events_of(result, "block_expired") != []
-        assert events_of(result, "block_complete") == []
+        assert losses[0]["requeued"] is False
+        assert records_of(records, "block_expired") != []
+        assert records_of(records, "block_complete") == []
         assert result.counters == {**result.counters, "sends": 1,
                                    "delivered_packets": 0, "blocks_expired": 1}
         states = {p.state for p in result.blocks[0].packets}
@@ -153,34 +152,40 @@ class TestDeterminism:
         trace = synthesize_trace("square_wave", duration_s=20.0, seed=0,
                                  low_mbps=0.5, high_mbps=2.5, period_s=4.0)
         kw = dict(duration_s=3.0, seed=7, loss_rate=0.3)
-        a = run_one(self._scenario(), trace=trace, **kw)
-        b = run_one(self._scenario(), trace=trace, **kw)
-        assert a.events == b.events
-        assert a.decisions == b.decisions
+        a, a_records = run_one(self._scenario(), trace=trace, **kw)
+        b, b_records = run_one(self._scenario(), trace=trace, **kw)
+        assert a_records == b_records
         assert a.counters == b.counters
 
     def test_different_seed_different_run(self):
         trace = constant_trace()
-        a = run_one(self._scenario(), trace=trace, duration_s=3.0, seed=1)
-        b = run_one(self._scenario(), trace=trace, duration_s=3.0, seed=2)
-        assert a.events != b.events
+        _, a_records = run_one(self._scenario(), trace=trace, duration_s=3.0, seed=1)
+        _, b_records = run_one(self._scenario(), trace=trace, duration_s=3.0, seed=2)
+        assert ([r for r in a_records if r["kind"] != "decision"]
+                != [r for r in b_records if r["kind"] != "decision"])
 
 
 class TestConservation:
-    @pytest.mark.parametrize("scheduler", ["proposed", "fifo", "sfra", "ldf", "rswn"])
-    def test_every_block_and_packet_resolves(self, scheduler):
+    """Two elements over a 0.5/2.5 Mbps square wave with 2% loss."""
+
+    def _inputs(self):
         scenario = scenario_of(
             element(element_id=0, priority=0, deadline_s=0.1, block_size_bytes=3000, period_s=0.15),
             element(element_id=1, priority=1, deadline_s=0.2, block_size_bytes=7500, period_s=0.25))
         trace = synthesize_trace("square_wave", duration_s=20.0, seed=0,
                                  low_mbps=0.5, high_mbps=2.5, period_s=4.0)
-        result = run_one(scenario, trace=trace, scheduler=scheduler,
-                         duration_s=6.0, seed=3, loss_rate=0.02)
+        return scenario, trace
+
+    @pytest.mark.parametrize("scheduler", ["proposed", "fifo", "sfra", "ldf", "rswn"])
+    def test_every_block_and_packet_resolves(self, scheduler):
+        scenario, trace = self._inputs()
+        result, records = run_one(scenario, trace=trace, scheduler=scheduler,
+                                  duration_s=6.0, seed=3, loss_rate=0.02)
         c = result.counters
         assert c["blocks_completed"] + c["blocks_expired"] == len(result.blocks)
-        assert c["sends"] == len(events_of(result, "send"))
-        assert c["loss_signals"] == len(events_of(result, "loss"))
-        assert c["delivered_bytes"] == sum(e[3] for e in events_of(result, "delivered"))
+        assert c["sends"] == len(records_of(records, "send"))
+        assert c["loss_signals"] == len(records_of(records, "loss"))
+        assert c["delivered_bytes"] == sum(r["size"] for r in records_of(records, "delivered"))
         for block in result.blocks:
             if block.completion_time is not None:
                 assert not block.expired
@@ -190,11 +195,22 @@ class TestConservation:
             else:
                 assert block.expired
 
+    @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+    def test_recording_only_observes(self, scheduler):
+        scenario, trace = self._inputs()
+        params = RunParams(duration_s=6.0, seed=3, loss_rate=0.02)
+        records: list[dict] = []
+        on, on_report = execute_run(trace, scenario, scheduler, params, record=records.append)
+        off, off_report = execute_run(trace, scenario, scheduler, params, record=None)
+        assert on_report.to_json() == off_report.to_json()
+        assert on.counters == off.counters
+        assert len(records_of(records, "send")) == on.counters["sends"] > 0
+
     def test_delivered_bytes_bounded_by_link_capacity(self):
         scenario = scenario_of(element(element_id=0, priority=0, deadline_s=0.5,
                                        block_size_bytes=15000, period_s=0.1))
         trace = constant_trace(mbps=1.0)
-        result = run_one(scenario, trace=trace, duration_s=5.0, seed=2)
+        result, _ = run_one(scenario, trace=trace, duration_s=5.0, seed=2)
         offered = trace.integrate_capacity(0.0, result.end_time)
         assert result.counters["delivered_bytes"] <= offered + 1e-6
 
@@ -204,13 +220,14 @@ class TestConservation:
             element(element_id=1, priority=1, deadline_s=0.2, block_size_bytes=7500, period_s=0.2))
         trace = synthesize_trace("square_wave", duration_s=20.0, seed=0,
                                  low_mbps=0.4, high_mbps=2.0, period_s=3.0)
-        result = run_one(scenario, trace=trace, duration_s=6.0, seed=5, loss_rate=0.05)
+        result, records = run_one(scenario, trace=trace, duration_s=6.0, seed=5, loss_rate=0.05)
         windows = {b.block_id: (b.arrival_time, b.expiry_time) for b in result.blocks}
-        sends = events_of(result, "send")
+        sends = records_of(records, "send")
         assert sends
-        for _, t, pid, _, _, _ in sends:
-            arrival, expiry = windows[pid[0]]
-            assert arrival <= t <= expiry + 1e-9
+        for send in sends:
+            element_id, index, _ = send["packet_id"]
+            arrival, expiry = windows[(element_id, index)]
+            assert arrival <= send["t"] <= expiry + 1e-9
 
 
 class TestGuards:
@@ -244,11 +261,11 @@ class TestGuards:
 
 class TestSerialization:
     def test_event_and_decision_records_are_json_ready(self):
-        result = run_one(one_block_scenario(), forced_loss_sends={0})
-        events = list(event_dicts(result))
-        decisions = list(decision_dicts(result))
-        for record in events + decisions:
-            json.dumps(record)  # must not raise
+        _, records = run_one(one_block_scenario(), forced_loss_sends={0})
+        for record in records:
+            assert json.loads(json.dumps(record)) == record  # lists, not tuples
+        events = [r for r in records if r["kind"] != "decision"]
+        decisions = records_of(records, "decision")
         kinds = {r["kind"] for r in events}
         assert {"block_arrival", "send", "delivered", "ack", "loss",
                 "block_complete"} <= kinds

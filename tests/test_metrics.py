@@ -6,7 +6,6 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from blocksched.linksim import Simulation
 from blocksched.metrics import (
     DEFAULT_ALPHA,
     build_report,
@@ -19,7 +18,7 @@ from blocksched.metrics import (
 from blocksched.predictor import Thresholds
 from blocksched.schedulers import make_scheduler
 from blocksched.traces import synthesize_trace
-from conftest import element, scenario_of
+from conftest import element, run_recorded, scenario_of
 
 
 class TestDeliveryIndicator:
@@ -102,16 +101,16 @@ def _run(loss_rate=0.0, duration_s=4.0, deadline_s=0.2, forced=()):
         element(element_id=1, priority=1, deadline_s=deadline_s,
                 block_size_bytes=6000, period_s=0.5))
     trace = synthesize_trace("constant", duration_s=30.0, seed=0, mbps=2.0)
-    result = Simulation(trace, scenario, make_scheduler("proposed"),
-                        duration_s=duration_s, seed=4, loss_rate=loss_rate,
-                        thresholds=Thresholds.from_mbps(0.8, 2.3),
-                        forced_loss_sends=forced).run()
-    return result, trace
+    result, records = run_recorded(trace, scenario, make_scheduler("proposed"),
+                                   duration_s=duration_s, seed=4, loss_rate=loss_rate,
+                                   thresholds=Thresholds.from_mbps(0.8, 2.3),
+                                   forced_loss_sends=forced)
+    return result, trace, records
 
 
 class TestBuildReport:
     def test_matches_independent_recomputation(self):
-        result, trace = _run(loss_rate=0.05)
+        result, trace, records = _run(loss_rate=0.05)
         report = build_report(result, trace)
         flags = [delivery_indicator(b.arrival_time, b.completion_time, b.deadline_s)
                  for b in result.blocks]
@@ -121,12 +120,14 @@ class TestBuildReport:
         offered = trace.integrate_capacity(0.0, max(result.duration_s, result.end_time))
         assert report.offered_bytes == offered
         assert report.utilization == min(1.0, result.counters["delivered_bytes"] / offered)
+        delivered = sum(r["size"] for r in records if r["kind"] == "delivered")
+        assert report.utilization == min(1.0, delivered / offered)
         on_time_bytes = sum(b.total_bytes for b, f in zip(result.blocks, flags) if f)
         assert report.effective_util == min(1.0, on_time_bytes / offered)
         assert report.qoe == report.delivery_ratio + 0.85 * report.utilization
 
     def test_retransmissions_never_double_count_received_bytes(self):
-        result, trace = _run(forced=(0, 4))
+        result, trace, _ = _run(forced=(0, 4))
         assert result.counters["retransmission_sends"] >= 2
         report = build_report(result, trace)
         # a lost copy burns capacity without delivering, so sends outnumber
@@ -140,23 +141,23 @@ class TestBuildReport:
         # deadlines shorter than one delivery round trip: packets still
         # reach the client and count as received, but no block finishes
         # inside its window, so effective utilization collapses to zero
-        result, trace = _run(deadline_s=0.03, duration_s=2.0)
+        result, trace, _ = _run(deadline_s=0.03, duration_s=2.0)
         report = build_report(result, trace)
         assert report.effective_util == 0.0
         assert report.utilization > 0.0
 
     def test_lossless_run_keeps_both_utilizations_equal(self):
-        result, trace = _run()
+        result, trace, _ = _run()
         report = build_report(result, trace)
         assert report.delivery_ratio == 1.0
         assert report.utilization == pytest.approx(report.effective_util)
 
     def test_session_window_covers_overrun(self):
-        result, _ = _run()
+        result, _, _ = _run()
         assert session_window_end(result) == max(result.duration_s, result.end_time)
 
     def test_json_round_trip(self):
-        result, trace = _run()
+        result, trace, _ = _run()
         report = build_report(result, trace)
         data = json.loads(report.to_json())
         assert data["scheduler"] == "proposed"
@@ -165,7 +166,7 @@ class TestBuildReport:
         assert data["qoe"] == report.qoe
 
     def test_expired_blocks_lower_the_ratio(self):
-        result, trace = _run(deadline_s=0.03, duration_s=2.0)
+        result, trace, _ = _run(deadline_s=0.03, duration_s=2.0)
         report = build_report(result, trace)
         assert report.on_time_count < report.block_count
         assert report.delivery_ratio < 1.0

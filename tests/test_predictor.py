@@ -143,13 +143,3 @@ class TestBandwidthPredictor:
         assert sample == 6000 / 0.02
         assert predictor.smoothed == sample
         assert predictor.regime is Regime.HIGH
-
-    def test_snapshot_carries_both_estimates(self):
-        th = Thresholds.from_mbps(0.8, 2.3)
-        predictor = BandwidthPredictor(th)
-        predictor.observe_send(1500, 0.0, 0.1)
-        snap = predictor.snapshot(0.5)
-        assert snap.time_s == 0.5
-        assert snap.instantaneous == 15000.0
-        assert snap.smoothed == th.low
-        assert snap.regime is Regime.MID

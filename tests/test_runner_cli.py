@@ -17,13 +17,26 @@ from blocksched.runner import (
     record_key,
     run_sweep,
     tune_thresholds,
-    write_event_log,
 )
 from blocksched.model import load_scenario
 from blocksched.traces import load_trace, synthesize_trace
 from conftest import CORPUS_DIR, SCENARIO_DIR, element, quick_params, scenario_of
 
 SCENARIO_1 = os.path.join(SCENARIO_DIR, "scenario_1.json")
+
+# every key of every event-log record, by kind
+RECORD_KEYS = {
+    "block_arrival": {"kind", "t", "block_id"},
+    "block_expired": {"kind", "t", "block_id"},
+    "block_complete": {"kind", "t", "block_id", "on_time"},
+    "send": {"kind", "t", "packet_id", "size", "retransmission", "thr_instant"},
+    "delivered": {"kind", "t", "packet_id", "size"},
+    "ack": {"kind", "t", "packet_id", "thr_smoothed"},
+    "loss": {"kind", "t", "packet_id", "thr_smoothed", "requeued"},
+    "slot_discard": {"kind", "t", "packet_id"},
+    "decision": {"kind", "t", "selected", "reason", "regime", "score", "smoothed_bw",
+                 "eligible"},
+}
 
 
 def small_scenario():
@@ -64,16 +77,23 @@ class TestExecuteRun:
         result, report = execute_run(trace, load_scenario(SCENARIO_1), "proposed", params)
         assert report.block_count == len(result.blocks) > 0
 
-    def test_event_log_is_json_lines(self, tmp_path):
-        trace = small_corpus()[0]
-        result, _ = execute_run(trace, small_scenario(), "proposed",
-                                quick_params(duration_s=1.0))
+    def test_event_log_is_json_lines(self, tmp_path, capsys):
+        trace = os.path.join(str(tmp_path), "trace.csv")
+        small_corpus()[1].write_csv(trace)
         path = os.path.join(str(tmp_path), "events.jsonl")
-        write_event_log(result, path)
+        code = main(["run", "--scenario", SCENARIO_1, "--trace", trace, "--scheduler", "proposed",
+                     "--duration-s", "2", "--seed", "3", "--loss-rate", "0.05",
+                     "--event-log", path])
+        assert code == 0
         with open(path) as fh:
             lines = [json.loads(line) for line in fh]
-        assert any(r.get("kind") == "send" for r in lines)
-        assert any(r.get("kind") == "decision" for r in lines)
+        for line in lines:
+            assert set(line) == RECORD_KEYS[line["kind"]], line
+        assert {"send", "decision", "ack", "loss"} <= {line["kind"] for line in lines}
+        records = []
+        execute_run(load_trace(trace), load_scenario(SCENARIO_1), "proposed",
+                    RunParams(duration_s=2.0, seed=3, loss_rate=0.05), record=records.append)
+        assert lines == records
 
 
 class TestRecordKeys:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from blocksched.errors import ConfigurationError, IllegalStateError
-from blocksched.linksim import Simulation
 from blocksched.metrics import delivery_indicator
 from blocksched.model import BlockAwaitingQueue, PacketState
 from blocksched.predictor import Regime, Thresholds
@@ -26,7 +25,7 @@ from blocksched.schedulers import (
     select_block_sfra,
 )
 from blocksched.traces import synthesize_trace
-from conftest import block_at, element, scenario_of
+from conftest import block_at, element, run_recorded, scenario_of
 from reference_selection import reference_select
 
 HIGH_REGIMES = {Regime.LOW: 0, Regime.MID: 1, Regime.HIGH: 2}
@@ -131,15 +130,18 @@ def _engine_on_time(arrival: float, deadline: float, finish: float) -> bool:
     """The on-time flag the engine records when a one-packet block's only
     packet reaches the client at finish."""
     scenario = scenario_of(element(block_size_bytes=1500))
-    sim = Simulation(synthesize_trace("constant", duration_s=1.0, seed=0, mbps=1.0), scenario,
-                     make_scheduler("fifo"), duration_s=1.0,
-                     thresholds=Thresholds.from_mbps(0.8, 2.3))
     block = block_at(arrival_time=arrival, deadline_s=deadline, total_bytes=1500, element_id=9)
-    sim.blocks_by_id[block.block_id] = block
-    sim._on_packet_delivered(finish, block.packets[0])
-    kind, _, block_id, on_time = sim.events[-1]
-    assert (kind, block_id) == ("block_complete", block.block_id)
-    return on_time
+
+    def deliver(sim):
+        sim.blocks_by_id[block.block_id] = block
+        sim._on_packet_delivered(finish, block.packets[0])
+
+    _, records = run_recorded(synthesize_trace("constant", duration_s=1.0, seed=0, mbps=1.0),
+                              scenario, make_scheduler("fifo"), drive=deliver, duration_s=1.0,
+                              thresholds=Thresholds.from_mbps(0.8, 2.3))
+    last = records[-1]
+    assert (last["kind"], last["block_id"]) == ("block_complete", list(block.block_id))
+    return last["on_time"]
 
 
 class TestExpiryRule:
