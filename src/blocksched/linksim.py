@@ -149,8 +149,9 @@ class Simulation:
         self._seq += 1
 
     def advance(self):
-        """Process the earliest pending event; returns (time, kind) or None
-        when the heap is empty. Events may never run behind the clock."""
+        """Process the earliest pending event; returns (time, kind), with the
+        kind as the int value of its EventKind, or None when the heap is
+        empty. Events may never run behind the clock."""
         if not self._heap:
             return None
         time_s, kind, _, payload = heapq.heappop(self._heap)
@@ -167,7 +168,7 @@ class Simulation:
             self._on_block_arrival(time_s, payload)
         else:
             raise SimulationInvariantError("unknown event kind %r" % kind)
-        return time_s, EventKind(kind)
+        return time_s, kind
 
     def run(self) -> SimulationResult:
         if self._finished:
@@ -361,6 +362,9 @@ class Simulation:
             raise SimulationInvariantError("blocks %r unresolved after drain at %r" % (unresolved, now))
         if len(self.ledger) != 0:
             raise SimulationInvariantError("inflight ledger not empty after drain")
+        if self.ledger.total_bytes != 0:
+            raise SimulationInvariantError("inflight ledger still counts %r bytes after drain"
+                                           % self.ledger.total_bytes)
         terminal = (PacketState.DELIVERED, PacketState.EXPIRED_DISCARDED)
         for block in self.blocks:
             resolved = block.completion_time is not None or block.expired

@@ -8,6 +8,15 @@ loss signal and divides the bytes of every packet sent inside the
 response window by the window width, which averages over roughly one
 round trip.
 
+The inflight ledger keeps a running byte total and relies on send order:
+entries are added in nondecreasing send time (a retransmission is removed
+and re-added at its new send time), so the entries sent before a window
+form a prefix of the ledger's send-order queue and the window sum is the
+total minus that prefix. Every earlier packet's response is due no later
+than the current one's, so the prefix is almost always empty and the
+smoothed estimate costs O(1) per response. ``InflightLedger.add``
+rejects an out-of-order send time.
+
 The smoothed estimate drives regime classification against two
 thresholds L < H (configured in Mbps): below L the link is scarce, above
 H it is plentiful, in between it is moderate. The scheduler switches
@@ -17,6 +26,8 @@ logging and diagnostics.
 from __future__ import annotations
 
 import enum
+import math
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, DegenerateIntervalError, DegenerateLatencyError
@@ -61,11 +72,20 @@ class InflightLedger:
     """Bytes currently on the wire, keyed by packet id, with send times.
 
     Entries are added when a packet leaves the sender and removed when its
-    acknowledgement or loss signal returns.
+    acknowledgement or loss signal returns. Send times must be added in
+    nondecreasing order (``add`` raises ``ValueError`` otherwise), so
+    appending keeps the entries in send order; ``total_bytes`` is the
+    running sum of the inflight sizes.
     """
 
     def __init__(self) -> None:
-        self._entries: dict = {}
+        self._entries: dict = {}  # packet id -> (packet id, size, send time)
+        # the same entry tuples in send order; an entry removed out of order
+        # stays until every older one has left, and is live only while
+        # _entries still maps its id to that very tuple
+        self._order: deque = deque()
+        self._total = 0
+        self._last_send = -math.inf
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -73,17 +93,40 @@ class InflightLedger:
     def __contains__(self, packet_id) -> bool:
         return packet_id in self._entries
 
+    @property
+    def total_bytes(self) -> int:
+        return self._total
+
     def add(self, packet_id, size_bytes: int, send_time: float) -> None:
         if packet_id in self._entries:
             raise KeyError("packet %r already inflight" % (packet_id,))
-        self._entries[packet_id] = (size_bytes, send_time)
+        if send_time < self._last_send:
+            raise ValueError("send time %r is earlier than the previous send at %r"
+                             % (send_time, self._last_send))
+        entry = (packet_id, size_bytes, send_time)
+        self._entries[packet_id] = entry
+        self._order.append(entry)
+        self._total += size_bytes
+        self._last_send = send_time
 
     def remove(self, packet_id) -> None:
-        del self._entries[packet_id]
+        entries = self._entries
+        self._total -= entries.pop(packet_id)[1]
+        order = self._order
+        while order and entries.get(order[0][0]) is not order[0]:
+            order.popleft()
 
     def bytes_sent_since(self, window_start: float) -> int:
         """Total inflight bytes whose send time falls at or after window_start."""
-        return sum(size for size, sent in self._entries.values() if sent >= window_start)
+        entries = self._entries
+        total = self._total
+        for entry in self._order:
+            packet_id, size, sent = entry
+            if sent >= window_start:
+                break
+            if entries.get(packet_id) is entry:
+                total -= size
+        return total
 
 
 def smoothed_throughput(ledger: InflightLedger, window_start: float, window_end: float) -> float:

@@ -5,7 +5,9 @@ persists one summary record per run, and aggregates mean metrics per
 (scheduler, scenario, trace group) into a comparison table. Records are
 the source of truth: a table regenerated from the record files equals
 the one produced by the sweep, and an interrupted sweep resumes by
-skipping combinations whose record file already exists. Threshold tuning
+skipping combinations whose record file already exists. A record file
+is written whole or not at all (a temp file renamed into place), so an
+interrupted write never leaves a truncated record behind. Threshold tuning
 runs each grid cell through the same sweep engine.
 
 Baseline rows carry qoe_gain_vs_baseline_pct = 100 * (qoe_proposed -
@@ -85,6 +87,21 @@ def summary_record(report: QoEReport) -> dict:
     return record
 
 
+def _write_record(path: str, record: dict) -> None:
+    """Write a record to a temp file beside path (a name load_records
+    skips), then rename it over path."""
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(record, fh, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _sweep_worker(args) -> dict:
     trace, scenario, scheduler_name, params = args
     _, report = execute_run(trace, scenario, scheduler_name, params)
@@ -137,9 +154,7 @@ def run_sweep(traces, scenarios, scheduler_names, seeds, params: RunParams,
                                                     args[0].source_tag, args[3].seed))
     for (path, _), record in zip(pending, fresh):
         if path:
-            with open(path, "w") as fh:
-                json.dump(record, fh, sort_keys=True)
-                fh.write("\n")
+            _write_record(path, record)
         records.append(record)
     return build_table(records, trace_group)
 

@@ -206,6 +206,33 @@ class TestConservation:
         assert on.counters == off.counters
         assert len(records_of(records, "send")) == on.counters["sends"] > 0
 
+    @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+    def test_smoothed_estimates_match_an_inflight_replay(self, scheduler):
+        # a long round trip keeps dozens of packets in flight and loss adds
+        # retransmissions; each response's estimate is recomputed from the
+        # send/ack/loss records alone by brute force
+        scenario = scenario_of(
+            element(element_id=0, priority=0, deadline_s=1.2, block_size_bytes=15000, period_s=0.2),
+            element(element_id=1, priority=1, deadline_s=2.0, block_size_bytes=30000, period_s=0.25))
+        _, trace = self._inputs()
+        result, records = run_one(scenario, trace=trace, scheduler=scheduler,
+                                  duration_s=6.0, seed=3, rtt_s=0.6, loss_rate=0.05)
+        inflight: dict = {}  # packet id -> (size, send time)
+        responses = 0
+        for r in records:
+            pid = tuple(r.get("packet_id", ()))
+            if r["kind"] == "send":
+                inflight[pid] = (r["size"], r["t"])
+            elif r["kind"] in ("ack", "loss"):
+                _, start = inflight[pid]
+                sent_since = sum(size for size, sent in inflight.values() if sent >= start)
+                assert r["thr_smoothed"] == sent_since / (r["t"] - start)
+                del inflight[pid]
+                responses += 1
+        assert inflight == {}
+        assert responses == result.counters["sends"]
+        assert result.counters["retransmission_sends"] > 0
+
     def test_delivered_bytes_bounded_by_link_capacity(self):
         scenario = scenario_of(element(element_id=0, priority=0, deadline_s=0.5,
                                        block_size_bytes=15000, period_s=0.1))
@@ -241,6 +268,14 @@ class TestGuards:
         with pytest.raises(SimulationInvariantError):
             while sim.advance() is not None:
                 pass
+
+    def test_ledger_byte_drift_is_an_invariant_error(self):
+        sim = Simulation(constant_trace(), one_block_scenario(), make_scheduler("fifo"),
+                         duration_s=2.0, seed=0, loss_rate=0.0, thresholds=TH)
+        sim.advance()
+        sim.ledger._total += 1  # add/remove accounting drifts by one byte
+        with pytest.raises(SimulationInvariantError, match="1 bytes"):
+            sim.run()
 
     def test_run_twice_rejected(self):
         sim = Simulation(constant_trace(), one_block_scenario(), make_scheduler("fifo"),

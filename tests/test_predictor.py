@@ -1,6 +1,8 @@
 """Bandwidth estimators and regime classification."""
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -86,6 +88,76 @@ class TestSmoothed:
         window = (0.0, 0.1)
         assert smoothed_throughput(scaled, *window) == pytest.approx(
             smoothed_throughput(base, *window) * scale)
+
+
+# one ledger operation: ("add", size, gap after the previous send),
+# ("remove", index into the live ids), ("readd", index, gap): a
+# retransmission of a live packet, or ("stale", size, how far before the
+# previous send)
+_gaps = st.sampled_from([0.0, 0.001, 0.0125, 0.3])
+_ledger_ops = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.integers(min_value=0, max_value=3000), _gaps),
+    st.tuples(st.just("remove"), st.integers(min_value=0, max_value=63)),
+    st.tuples(st.just("readd"), st.integers(min_value=0, max_value=63), _gaps),
+    st.tuples(st.just("stale"), st.integers(min_value=1, max_value=3000),
+              st.floats(min_value=1e-9, max_value=1.0)),
+), max_size=40)
+
+
+def _probe_windows(send_times):
+    """Window starts below, at, between and above the given send times."""
+    times = sorted(set(send_times))
+    if not times:
+        return [-math.inf, 0.0, math.inf]
+    between = [(a + b) / 2 for a, b in zip(times, times[1:])]
+    return [-math.inf, times[0] - 1.0, *times, *between, times[-1] + 1.0, math.inf]
+
+
+class TestInflightLedger:
+    def _check(self, ledger, model):
+        assert len(ledger) == len(model)
+        assert ledger.total_bytes == sum(size for size, _ in model.values())
+        for w in _probe_windows(sent for _, sent in model.values()):
+            assert ledger.bytes_sent_since(w) == sum(
+                size for size, sent in model.values() if sent >= w)
+
+    @given(ops=_ledger_ops)
+    def test_matches_brute_force_sum(self, ops):
+        ledger = InflightLedger()
+        model: dict = {}  # packet id -> (size, send time), the reference
+        now = 0.0
+        next_id = 0
+        for op in ops:
+            if op[0] == "add":
+                _, size, gap = op
+                now += gap
+                ledger.add(next_id, size, now)
+                model[next_id] = (size, now)
+                next_id += 1
+            elif op[0] == "remove" and model:
+                pid = sorted(model)[op[1] % len(model)]
+                ledger.remove(pid)
+                del model[pid]
+            elif op[0] == "readd" and model:
+                pid = sorted(model)[op[1] % len(model)]
+                size, _ = model.pop(pid)
+                ledger.remove(pid)
+                now += op[2]
+                ledger.add(pid, size, now)
+                model[pid] = (size, now)
+            elif op[0] == "stale" and next_id:
+                _, size, back = op
+                with pytest.raises(ValueError):
+                    ledger.add(next_id, size, now - back)
+                assert next_id not in ledger
+            self._check(ledger, model)
+        for pid in list(model):
+            ledger.remove(pid)
+            del model[pid]
+            self._check(ledger, model)
+        assert ledger.total_bytes == 0
+        assert ledger.bytes_sent_since(-math.inf) == 0
+        assert not ledger._order  # removed entries do not pile up
 
 
 class TestRegimes:

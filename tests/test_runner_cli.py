@@ -146,6 +146,37 @@ class TestSweep:
         assert stamps == after  # nothing re-ran or rewrote
         assert first == second
 
+    def test_crash_mid_write_leaves_no_partial_record(self, tmp_path, monkeypatch):
+        records_dir = tmp_path / "records"
+        clean = self._sweep(tmp_path / "clean")
+        real_dump = json.dump
+        calls = []
+
+        def dump_then_crash(obj, fh, **kw):
+            # the third record gets half its bytes written, then the write fails
+            calls.append(obj)
+            if len(calls) == 3:
+                text = json.dumps(obj, **kw)
+                fh.write(text[:len(text) // 2])
+                fh.flush()
+                raise OSError("disk full")
+            return real_dump(obj, fh, **kw)
+
+        monkeypatch.setattr(json, "dump", dump_then_crash)
+        with pytest.raises(OSError, match="disk full"):
+            self._sweep(records_dir)
+        monkeypatch.setattr(json, "dump", real_dump)
+        names = sorted(os.listdir(records_dir))
+        assert len(names) == 2 and all(n.endswith(".json") for n in names)
+        crashed = record_key(calls[2]["scheduler"], calls[2]["scenario"], calls[2]["trace"],
+                             calls[2]["seed"]) + ".json"
+        assert crashed not in names and crashed in os.listdir(tmp_path / "clean")
+        resumed = self._sweep(records_dir)
+        assert resumed == clean
+        assert sorted(os.listdir(records_dir)) == sorted(os.listdir(tmp_path / "clean"))
+        for name in os.listdir(records_dir):
+            assert (records_dir / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
     def test_table_regenerates_from_records_alone(self, tmp_path):
         records_dir = tmp_path / "records"
         table = self._sweep(records_dir)
