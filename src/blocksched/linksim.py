@@ -208,7 +208,14 @@ class Simulation:
         self.scheduler.note_block_resolved(block.element_id, False)
 
     def _decide(self, t: float) -> Block | None:
-        eligible = [b for b in self.queue if b.has_sendable()]
+        eligible = []
+        stats = []
+        retx = []
+        for b in self.queue:
+            if b.has_sendable():
+                eligible.append(b)
+                stats.append(compute_block_stats(b, t))
+                retx.append(b.retransmission_pending())
         regime = self.predictor.regime
         smoothed = self.predictor.smoothed
         if not eligible:
@@ -217,8 +224,6 @@ class Simulation:
                              "reason": "none_eligible", "regime": int(regime), "score": None,
                              "smoothed_bw": smoothed, "eligible": 0})
             return None
-        stats = [compute_block_stats(b, t) for b in eligible]
-        retx = [b.retransmission_pending() for b in eligible]
         ctx = SchedulingContext(now=t, blocks=eligible, stats=stats, retransmission=retx,
                                 regime=regime, smoothed_bw=smoothed)
         decision: SchedulerDecision = self.scheduler.select(ctx)

@@ -275,19 +275,19 @@ def generate_blocks(scenario: ScenarioConfig, duration_s: float, seed: int,
 class BlockAwaitingQueue:
     """Sender-side queue of blocks that still have undelivered packets.
 
-    Iteration order is arrival order. Membership is tracked by block id;
-    enqueueing the same id twice is an error.
+    Iteration order is arrival order: the blocks live in one dict keyed by
+    block id, whose insertion order is the enqueue order. Enqueueing the
+    same id twice is an error.
     """
 
     def __init__(self) -> None:
-        self._blocks: list[Block] = []
         self._ids: dict[BlockId, Block] = {}
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        return len(self._ids)
 
     def __iter__(self):
-        return iter(self._blocks)
+        return iter(self._ids.values())
 
     def __contains__(self, block_id: BlockId) -> bool:
         return block_id in self._ids
@@ -302,14 +302,12 @@ class BlockAwaitingQueue:
             raise IllegalStateError("block %r has no undelivered packets" % (block.block_id,))
         if block.expired:
             raise IllegalStateError("block %r already expired" % (block.block_id,))
-        self._blocks.append(block)
         self._ids[block.block_id] = block
 
     def remove(self, block: Block) -> None:
         if block.block_id not in self._ids:
             raise IllegalStateError("block %r not in queue" % (block.block_id,))
         del self._ids[block.block_id]
-        self._blocks.remove(block)
 
 
 def mark_block_complete(block: Block, queue: BlockAwaitingQueue | None = None) -> float:

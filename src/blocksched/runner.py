@@ -5,10 +5,13 @@ persists one summary record per run, and aggregates mean metrics per
 (scheduler, scenario, trace group) into a comparison table. Records are
 the source of truth: a table regenerated from the record files equals
 the one produced by the sweep, and an interrupted sweep resumes by
-skipping combinations whose record file already exists. A record file
-is written whole or not at all (a temp file renamed into place), so an
-interrupted write never leaves a truncated record behind. Threshold tuning
-runs each grid cell through the same sweep engine.
+skipping combinations whose record file already exists. Each record is
+written, and logged, as soon as its run's result is collected (in grid
+order, serially and with a process pool alike), so an interrupt or a
+failing run keeps every record collected before it. A record file is
+written whole or not at all (a temp file renamed into place), so an
+interrupted write never leaves a truncated record behind. Threshold
+tuning runs each grid cell through the same sweep engine.
 
 Baseline rows carry qoe_gain_vs_baseline_pct = 100 * (qoe_proposed -
 qoe_baseline) / qoe_baseline for the same scenario and trace group; the
@@ -17,6 +20,7 @@ positive value there means it beat every competitor.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -141,21 +145,20 @@ def run_sweep(traces, scenarios, scheduler_names, seeds, params: RunParams,
         pending.append((path, (trace, scenario, scheduler_name, replace(params, seed=seed))))
     total = len(combos)
     done = total - len(pending)
-    if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            fresh = list(pool.map(_sweep_worker, [args for _, args in pending], chunksize=1))
-    else:
-        fresh = []
-        for _, args in pending:
-            fresh.append(_sweep_worker(args))
+    tasks = [args for _, args in pending]
+    parallel = jobs > 1 and len(pending) > 1
+    with (ProcessPoolExecutor(max_workers=jobs) if parallel else contextlib.nullcontext()) as pool:
+        # results are collected lazily, in task order; each is written and
+        # logged before the next is awaited
+        fresh = pool.map(_sweep_worker, tasks, chunksize=1) if parallel else map(_sweep_worker, tasks)
+        for (path, args), record in zip(pending, fresh):
+            if path:
+                _write_record(path, record)
+            records.append(record)
             done += 1
             if log:
                 log("run %d/%d %s/%s/%s seed=%d" % (done, total, args[2], args[1].name,
                                                     args[0].source_tag, args[3].seed))
-    for (path, _), record in zip(pending, fresh):
-        if path:
-            _write_record(path, record)
-        records.append(record)
     return build_table(records, trace_group)
 
 

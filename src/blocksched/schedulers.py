@@ -5,10 +5,15 @@ order, already stripped of expired blocks, restricted to blocks that
 have a packet ready to send. They return the id of the block whose head
 packet should enter the selection queue next.
 
+The features a policy reads are the four fields of ``BlockStats``:
+remaining deadline ratio Dr, remaining size ratio Sr, remaining unacked
+packet count Pkt, and priority P. ``compute_block_stats`` builds them
+from the block's fields, once per eligible block per decision; the
+engine does so in the same single pass over the queue that picks the
+eligible blocks and flags pending retransmissions.
+
 The proposed policy is regime-switched. A lost packet awaiting
-retransmission always preempts fresh data. Otherwise, with remaining
-deadline ratio Dr, remaining size ratio Sr, remaining unacked packet
-count Pkt, and priority P:
+retransmission always preempts fresh data. Otherwise:
 
   scarce link (low regime):    maximize Dr / Pkt * (1 + P)
       spend the little capacity on blocks with slack and rank, they are
@@ -30,15 +35,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigurationError, IllegalStateError
 from .model import Block, BlockAwaitingQueue, BlockId, PacketState
 from .predictor import Regime
 
 
-@dataclass(frozen=True)
-class BlockStats:
-    """Scheduling features of one live block at one instant."""
+class BlockStats(NamedTuple):
+    """Scheduling features of one live block at one instant (an immutable
+    tuple: one is built per eligible block per decision)."""
 
     remaining_size_ratio: float  # Sr: unacked bytes / total bytes
     remaining_deadline_ratio: float  # Dr: time left / deadline window
@@ -47,13 +53,21 @@ class BlockStats:
 
 
 def compute_block_stats(block: Block, now: float) -> BlockStats:
+    """The block's features at now; it must still be inside its window.
+
+    Reads the block's fields directly; each expression is the one its
+    ``Block`` property spells out (``unacked_bytes``, ``expiry_time``,
+    ``unacked_packets``), so the values are bit-for-bit the same.
+    """
     if block.expired or block.past_deadline(now):
         raise IllegalStateError("block %r is expired at %r" % (block.block_id, now))
+    total_bytes = block.total_bytes
+    deadline_s = block.deadline_s
     return BlockStats(
-        remaining_size_ratio=block.unacked_bytes / block.total_bytes,
-        remaining_deadline_ratio=(block.expiry_time - now) / block.deadline_s,
-        remaining_packets=block.unacked_packets,
-        priority=block.priority,
+        (total_bytes - block.acked_bytes) / total_bytes,
+        (block.arrival_time + deadline_s - now) / deadline_s,
+        len(block.packets) - block.acked_packets,
+        block.priority,
     )
 
 

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from blocksched import runner
 from blocksched.cli import main
 from blocksched.errors import ConfigurationError, IllegalStateError, SimulationInvariantError
 from blocksched.runner import (
@@ -176,6 +177,52 @@ class TestSweep:
         assert sorted(os.listdir(records_dir)) == sorted(os.listdir(tmp_path / "clean"))
         for name in os.listdir(records_dir):
             assert (records_dir / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+    def test_interrupted_serial_sweep_keeps_finished_records(self, tmp_path, monkeypatch):
+        records_dir = tmp_path / "records"
+        clean = self._sweep(tmp_path / "clean")
+        real_worker = runner._sweep_worker
+        calls = []
+
+        def interrupt_eighth(args):
+            calls.append(args)
+            if len(calls) == 8:
+                raise KeyboardInterrupt
+            return real_worker(args)
+
+        monkeypatch.setattr(runner, "_sweep_worker", interrupt_eighth)
+        with pytest.raises(KeyboardInterrupt):
+            self._sweep(records_dir)
+        names = sorted(os.listdir(records_dir))
+        assert len(names) == 7 and all(n.endswith(".json") for n in names)
+        calls.clear()
+        resumed = self._sweep(records_dir)
+        assert len(calls) == 2  # only the interrupted cell and the one after it
+        assert resumed == clean
+        for name in os.listdir(tmp_path / "clean"):
+            assert (records_dir / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+    def test_failing_parallel_cell_keeps_earlier_records(self, tmp_path):
+        # the broken scenario's cells come after every cell of the good one;
+        # its invalid deadline fails generate_blocks inside the worker
+        broken = scenario_of(element(deadline_s=-1.0), name="broken")
+        records_dir = tmp_path / "records"
+        with pytest.raises(ConfigurationError, match="deadline_s must be positive"):
+            run_sweep(small_corpus(), [small_scenario(), broken], ["fifo"], [0, 1],
+                      quick_params(duration_s=2.0), records_dir=str(records_dir), jobs=2)
+        names = sorted(os.listdir(records_dir))
+        assert names == sorted(record_key("fifo", "mini", trace.source_tag, seed) + ".json"
+                               for trace in small_corpus() for seed in (0, 1))
+
+    def test_parallel_sweep_logs_like_serial(self, tmp_path):
+        logs = {}
+        for jobs in (1, 2):
+            logs[jobs] = []
+            run_sweep(small_corpus(), [small_scenario()], self.SCHEDULERS, [0],
+                      quick_params(duration_s=2.0), records_dir=str(tmp_path / str(jobs)),
+                      jobs=jobs, log=logs[jobs].append)
+        assert len(logs[1]) == 9 and logs[1][-1].startswith("run 9/9 ")
+        assert logs[2] == logs[1]
 
     def test_table_regenerates_from_records_alone(self, tmp_path):
         records_dir = tmp_path / "records"

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from blocksched.errors import ConfigurationError, IllegalStateError
 from blocksched.metrics import delivery_indicator
@@ -73,6 +73,34 @@ class TestBlockStats:
         block2.expired = True
         with pytest.raises(IllegalStateError):
             compute_block_stats(block2, now=0.1)
+
+    def test_stats_are_an_immutable_value(self):
+        s = BlockStats(remaining_size_ratio=0.5, remaining_deadline_ratio=0.25,
+                       remaining_packets=3, priority=2)
+        assert s == BlockStats(0.5, 0.25, 3, 2)
+        assert BlockStats._fields == ("remaining_size_ratio", "remaining_deadline_ratio",
+                                      "remaining_packets", "priority")
+        with pytest.raises(AttributeError):
+            s.priority = 5
+        assert s.priority == 2
+
+    @given(st.floats(min_value=0.0, max_value=1e4), st.floats(min_value=1e-3, max_value=1e3),
+           st.integers(min_value=1500, max_value=40000), st.integers(min_value=0, max_value=15),
+           st.data())
+    def test_fields_equal_the_block_property_formulas(self, arrival, deadline, total, prio,
+                                                      data):
+        block = block_at(arrival_time=arrival, deadline_s=deadline, priority=prio,
+                         total_bytes=total)
+        acked = data.draw(st.integers(min_value=0, max_value=block.packet_count))
+        block.acked_packets = acked
+        block.acked_bytes = sum(p.size_bytes for p in block.packets[:acked])
+        now = arrival + data.draw(st.floats(min_value=0.0, max_value=1.0)) * deadline
+        assume(not block.past_deadline(now))
+        s = compute_block_stats(block, now)
+        assert s.remaining_size_ratio == block.unacked_bytes / block.total_bytes
+        assert s.remaining_deadline_ratio == (block.expiry_time - now) / block.deadline_s
+        assert s.remaining_packets == block.unacked_packets
+        assert s.priority == block.priority
 
 
 class TestFilterExpired:
