@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConfigurationError, SimulationInvariantError
+from .errors import ConfigurationError, IllegalStateError, SimulationInvariantError
 from .model import (
     Block,
     BlockAwaitingQueue,
@@ -209,12 +209,14 @@ class Simulation:
 
     def _decide(self, t: float) -> Block | None:
         eligible = []
-        stats = []
         retx = []
         for b in self.queue:
             if b.has_sendable():
+                # the queue was filtered at this instant, so no eligible
+                # block can be past its deadline; the policy may never see one
+                if b.past_deadline(t):
+                    raise IllegalStateError("block %r is expired at %r" % (b.block_id, t))
                 eligible.append(b)
-                stats.append(compute_block_stats(b, t))
                 retx.append(b.retransmission_pending())
         regime = self.predictor.regime
         smoothed = self.predictor.smoothed
@@ -224,8 +226,10 @@ class Simulation:
                              "reason": "none_eligible", "regime": int(regime), "score": None,
                              "smoothed_bw": smoothed, "eligible": 0})
             return None
-        ctx = SchedulingContext(now=t, blocks=eligible, stats=stats, retransmission=retx,
-                                regime=regime, smoothed_bw=smoothed)
+        # features are built only if the policy reads ctx.stats, through the
+        # module global so that a wrapper installed on it sees every call
+        ctx = SchedulingContext(now=t, blocks=eligible, retransmission=retx, regime=regime,
+                                smoothed_bw=smoothed, features=compute_block_stats)
         decision: SchedulerDecision = self.scheduler.select(ctx)
         selected = decision.selected
         if self.record is not None:

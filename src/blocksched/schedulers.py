@@ -5,12 +5,15 @@ order, already stripped of expired blocks, restricted to blocks that
 have a packet ready to send. They return the id of the block whose head
 packet should enter the selection queue next.
 
-The features a policy reads are the four fields of ``BlockStats``:
+The features a policy may read are the four fields of ``BlockStats``:
 remaining deadline ratio Dr, remaining size ratio Sr, remaining unacked
 packet count Pkt, and priority P. ``compute_block_stats`` builds them
-from the block's fields, once per eligible block per decision; the
-engine does so in the same single pass over the queue that picks the
-eligible blocks and flags pending retransmissions.
+from the block's fields. The engine's single pass over the queue picks
+the eligible blocks and flags pending retransmissions but builds no
+features: ``SchedulingContext.stats`` builds them on its first read, one
+per eligible block, and keeps them for the rest of the decision. So the
+policies that rank on them (proposed and sfra) pay for them once per
+decision, and fifo, ldf and rswn, which read only the blocks, never do.
 
 The proposed policy is regime-switched. A lost packet awaiting
 retransmission always preempts fresh data. Otherwise:
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError, IllegalStateError
 from .model import Block, BlockAwaitingQueue, BlockId, PacketState
@@ -44,7 +47,7 @@ from .predictor import Regime
 
 class BlockStats(NamedTuple):
     """Scheduling features of one live block at one instant (an immutable
-    tuple: one is built per eligible block per decision)."""
+    tuple, built at most once per eligible block per decision)."""
 
     remaining_size_ratio: float  # Sr: unacked bytes / total bytes
     remaining_deadline_ratio: float  # Dr: time left / deadline window
@@ -106,16 +109,38 @@ class SchedulerDecision:
     score: float | None = None
 
 
-@dataclass
 class SchedulingContext:
-    """Everything a policy may look at for one decision."""
+    """Everything a policy may look at for one decision.
 
-    now: float
-    blocks: list[Block]  # live, sendable, arrival order
-    stats: list[BlockStats]
-    retransmission: list[bool]  # head packet is a loss retransmission
-    regime: Regime
-    smoothed_bw: float  # bytes/s
+    ``stats`` holds one ``BlockStats`` per entry of ``blocks``, in the same
+    order. Unless the caller passes them in, they are built on the first
+    read of ``stats``, by calling ``features(block, now)`` for every block,
+    and that list is returned by every later read, so a decision builds
+    each block's features at most once and a policy that never reads
+    ``stats`` builds none.
+    """
+
+    __slots__ = ("now", "blocks", "retransmission", "regime", "smoothed_bw", "_features",
+                 "_stats")
+
+    def __init__(self, *, now: float, blocks: list[Block], retransmission: list[bool],
+                 regime: Regime, smoothed_bw: float, stats: list[BlockStats] | None = None,
+                 features: Callable[[Block, float], BlockStats] = compute_block_stats) -> None:
+        self.now = now
+        self.blocks = blocks  # live, sendable, arrival order
+        self.retransmission = retransmission  # head packet is a loss retransmission
+        self.regime = regime
+        self.smoothed_bw = smoothed_bw  # bytes/s
+        self._features = features
+        self._stats = stats
+
+    @property
+    def stats(self) -> list[BlockStats]:
+        stats = self._stats
+        if stats is None:
+            features, now = self._features, self.now
+            stats = self._stats = [features(block, now) for block in self.blocks]
+        return stats
 
 
 def _key_low(s: BlockStats) -> float:
@@ -196,12 +221,13 @@ def select_block_sfra(ctx: SchedulingContext) -> SchedulerDecision:
     """Smallest remaining size ratio first; ties keep the earlier arrival."""
     if not ctx.blocks:
         return SchedulerDecision(None, DecisionReason.NONE_ELIGIBLE)
+    stats = ctx.stats
     best = 0
-    for i in range(1, len(ctx.blocks)):
-        if ctx.stats[i].remaining_size_ratio < ctx.stats[best].remaining_size_ratio:
+    for i in range(1, len(stats)):
+        if stats[i].remaining_size_ratio < stats[best].remaining_size_ratio:
             best = i
     return SchedulerDecision(ctx.blocks[best].block_id, DecisionReason.FIRST_BLOCK,
-                             ctx.stats[best].remaining_size_ratio)
+                             stats[best].remaining_size_ratio)
 
 
 def select_block_rswn(ctx: SchedulingContext) -> SchedulerDecision:
@@ -213,11 +239,11 @@ def select_block_rswn(ctx: SchedulingContext) -> SchedulerDecision:
         return SchedulerDecision(None, DecisionReason.NONE_ELIGIBLE)
     best = -1
     best_key = None
-    for i, (block, s) in enumerate(zip(ctx.blocks, ctx.stats)):
+    for i, block in enumerate(ctx.blocks):
         time_left = block.expiry_time - ctx.now
         if ctx.smoothed_bw <= 0 or block.unacked_bytes / ctx.smoothed_bw > time_left:
             continue
-        key = (-(1 + s.priority), block.expiry_time)
+        key = (-(1 + block.priority), block.expiry_time)
         if best < 0 or key < best_key:
             best, best_key = i, key
     if best < 0:
@@ -225,7 +251,7 @@ def select_block_rswn(ctx: SchedulingContext) -> SchedulerDecision:
         return SchedulerDecision(ctx.blocks[best].block_id, DecisionReason.FIRST_BLOCK,
                                  ctx.blocks[best].expiry_time)
     return SchedulerDecision(ctx.blocks[best].block_id, DecisionReason.FIRST_BLOCK,
-                             float(1 + ctx.stats[best].priority))
+                             float(1 + ctx.blocks[best].priority))
 
 
 class Scheduler:

@@ -64,6 +64,10 @@ class LinkTrace:
         for i, (t, c) in enumerate(self.samples):
             end = self.samples[i + 1][0] if i + 1 < len(self.samples) else self.duration_s
             prefix.append(prefix[-1] + c * (end - t))
+        if prefix[-1] <= 0:
+            raise ConfigurationError(
+                "trace %r carries zero bytes per loop, so no packet could ever be sent"
+                % self.source_tag)
         self._prefix = prefix
 
     @property
@@ -105,8 +109,9 @@ class LinkTrace:
 
     def time_to_send(self, start_s: float, nbytes: float) -> float:
         """Earliest time by which nbytes fit onto the link starting at
-        start_s, with the trace looping. A trace whose whole loop carries
-        zero bytes cannot make progress, which is a fatal simulation state."""
+        start_s, with the trace looping. Construction rejects a trace whose
+        whole loop carries zero bytes; one that got here anyway could never
+        make progress, which is a fatal simulation state."""
         if nbytes <= 0:
             raise ValueError("nbytes must be positive, got %r" % nbytes)
         if start_s < 0:

@@ -10,9 +10,13 @@ from blocksched.linksim import Simulation
 from blocksched.model import Block, MediaElement, ScenarioConfig, build_packets
 from blocksched.predictor import Thresholds
 from blocksched.runner import RunParams
+from blocksched.traces import synthesize_trace
 
+# HYPOTHESIS_PROFILE=fuzz runs the engine fuzz property at length (see
+# test_engine_fuzz.py); every other property is cheap at either count.
 settings.register_profile("suite", max_examples=60, deadline=None)
-settings.load_profile("suite")
+settings.register_profile("fuzz", max_examples=1500, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIO_DIR = os.path.join(REPO_ROOT, "scenarios")
@@ -43,6 +47,25 @@ def block_at(arrival_time=0.0, deadline_s=0.2, priority=0, total_bytes=3000,
     )
 
 
+def deep_queue_inputs(duration_s=6.0):
+    """Twelve elements offering about 5 Mbps over a jittered 0.5/2.5 Mbps
+    square wave: the queue grows dozens of blocks deep, so every decision
+    sees many eligible blocks. Returns (scenario, trace)."""
+    elements = 12
+    share = 5.0 * 125000.0 / elements  # bytes/s offered per element
+    members = []
+    for i in range(elements):
+        size = 3000 + 12000 * i // (elements - 1)
+        deadline = 0.4 + 0.8 * (i * 5 % elements) / (elements - 1)
+        members.append(element(element_id=i, priority=i * 7 % elements,
+                               deadline_s=round(deadline, 3), block_size_bytes=size,
+                               period_s=size / share))
+    trace = synthesize_trace("square_wave", duration_s, seed=7, sample_s=0.5, low_mbps=0.5,
+                             high_mbps=2.5, period_s=4.0, jitter_mbps=0.2,
+                             source_tag="deep-square")
+    return scenario_of(*members, name="deep_queue"), trace
+
+
 @pytest.fixture
 def default_thresholds():
     return Thresholds.from_mbps(0.8, 2.3)
@@ -60,6 +83,24 @@ def run_recorded(trace, scenario, scheduler, drive=Simulation.run, **kw):
     records: list[dict] = []
     sim = Simulation(trace, scenario, scheduler, record=records.append, **kw)
     return drive(sim), records
+
+
+class EagerFeatures:
+    """Wraps a policy so that every decision reads ``ctx.stats`` (twice)
+    before the policy sees the context, forcing the features to be built
+    whether or not the policy reads them. It is not a ``Scheduler``
+    subclass, so tests that list the subclasses never see it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+
+    def select(self, ctx):
+        assert ctx.stats is ctx.stats
+        return self.inner.select(ctx)
+
+    def note_block_resolved(self, element_id, on_time):
+        self.inner.note_block_resolved(element_id, on_time)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,0 +1,119 @@
+"""The engine's invariants over generated scenarios, traces and parameters.
+
+Each draw is run under every policy. A run must finish, which means every
+``_finalize`` invariant held (every block and packet resolved, the
+inflight ledger drained, sends matched by responses). On top of that:
+nothing is sent after its block's deadline, a block reported on time
+finished inside its window, the link never delivers more than the trace
+offered, a second run gives the same records, and forcing the scheduling
+features to be built for every decision changes no record.
+
+The suite profile keeps this short; ``HYPOTHESIS_PROFILE=fuzz`` runs it at
+length.
+"""
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blocksched.model import MediaElement, ScenarioConfig
+from blocksched.predictor import Thresholds
+from blocksched.schedulers import SCHEDULER_NAMES, make_scheduler
+from blocksched.traces import synthesize_trace
+from blocksched.units import PACKET_PAYLOAD_BYTES
+from conftest import EagerFeatures, run_recorded
+
+# one draw runs every policy three times, so it gets a fifth of the
+# profile's example count
+EXAMPLES = max(1, settings.default.max_examples // 5)
+
+positive_mbps = st.floats(0.2, 8.0)
+mbps_or_zero = st.one_of(st.just(0.0), positive_mbps)  # zero gives a dead segment
+
+
+@st.composite
+def scenarios(draw, rtt_s):
+    count = draw(st.integers(1, 5))
+    priorities = draw(st.permutations(range(count)))
+    elements = []
+    for element_id, priority in enumerate(priorities):
+        # whole packets plus a tail packet of 0..payload-1 more bytes
+        size = (draw(st.integers(1, 10)) * PACKET_PAYLOAD_BYTES
+                + draw(st.integers(0, PACKET_PAYLOAD_BYTES - 1)))
+        elements.append(MediaElement(
+            element_id=element_id, priority=priority,
+            deadline_s=rtt_s * draw(st.floats(0.25, 8.0)),  # below and above the RTT
+            block_size_bytes=size, period_s=draw(st.floats(0.02, 1.0))))
+    return ScenarioConfig(name="fuzz", elements=elements)
+
+
+@st.composite
+def traces(draw):
+    """Constant, square-wave or ramp capacity, optionally jittered. Each
+    draw has at least one sample at its peak rate, so it carries bytes
+    however short it is, and many have zero-capacity stretches."""
+    kind = draw(st.sampled_from(["constant", "square_wave", "ramp"]))
+    peak = draw(positive_mbps)
+    samples = draw(st.integers(2 if kind == "ramp" else 1, 12))  # often shorter than the run
+    if kind == "constant":
+        params = {"mbps": peak}
+    elif kind == "square_wave":
+        # a square wave opens with its "low" level, here the peak
+        params = {"low_mbps": peak, "high_mbps": draw(mbps_or_zero),
+                  "period_s": draw(st.floats(0.2, 3.0))}
+    else:
+        ends = draw(st.permutations([draw(mbps_or_zero), peak]))
+        params = {"start_mbps": ends[0], "end_mbps": ends[1]}
+    if draw(st.booleans()):
+        # below the peak, so jitter can zero a sample but never the peak's
+        params["jitter_mbps"] = peak * draw(st.floats(0.05, 0.9))
+    sample_s = draw(st.sampled_from([0.05, 0.25, 1.0]))
+    return synthesize_trace(kind, sample_s * samples, seed=draw(st.integers(0, 1 << 16)),
+                            sample_s=sample_s, source_tag="fuzz", **params)
+
+
+@st.composite
+def draws(draw):
+    rtt_s = draw(st.floats(0.01, 0.3))
+    low = draw(st.floats(0.1, 3.0))
+    return {
+        "scenario": draw(scenarios(rtt_s)),
+        "trace": draw(traces()),
+        "duration_s": draw(st.floats(0.3, 3.0)),
+        "seed": draw(st.integers(0, 1 << 16)),
+        "rtt_s": rtt_s,
+        "loss_rate": draw(st.one_of(st.just(0.0), st.floats(0.0, 0.4))),
+        "thresholds": Thresholds.from_mbps(low, low + draw(st.floats(0.1, 3.0))),
+        "literal_mid_branch": draw(st.booleans()),
+    }
+
+
+def run_policy(case, name, wrap=lambda scheduler: scheduler):
+    scenario, trace = case["scenario"], case["trace"]
+    scheduler = wrap(make_scheduler(name, scenario, case["literal_mid_branch"]))
+    return run_recorded(trace, scenario, scheduler, duration_s=case["duration_s"],
+                        seed=case["seed"], rtt_s=case["rtt_s"], loss_rate=case["loss_rate"],
+                        thresholds=case["thresholds"])
+
+
+@settings(max_examples=EXAMPLES)
+@given(draws())
+def test_engine_invariants_hold_on_generated_inputs(case):
+    for name in SCHEDULER_NAMES:
+        result, records = run_policy(case, name)  # finishing means _finalize passed
+        blocks = {block.block_id: block for block in result.blocks}
+        for record in records:
+            if record["kind"] == "send":
+                element_id, index, _ = record["packet_id"]
+                assert not blocks[(element_id, index)].past_deadline(record["t"]), record
+            elif record["kind"] == "block_complete":
+                block = blocks[tuple(record["block_id"])]
+                in_window = record["t"] - block.arrival_time <= block.deadline_s
+                assert record["on_time"] == in_window, record
+        offered = case["trace"].integrate_capacity(0.0, result.end_time)
+        assert result.counters["delivered_bytes"] <= offered * (1 + 1e-9) + 1e-6
+
+        again = run_policy(case, name)
+        assert again[1] == records
+        eager = run_policy(case, name, wrap=EagerFeatures)
+        assert eager[1] == records

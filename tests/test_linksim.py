@@ -5,14 +5,15 @@ import json
 
 import pytest
 
-from blocksched.errors import ConfigurationError, SimulationInvariantError
+from blocksched import linksim
+from blocksched.errors import ConfigurationError, IllegalStateError, SimulationInvariantError
 from blocksched.linksim import EventKind, Simulation
 from blocksched.model import PacketState
 from blocksched.predictor import Thresholds
 from blocksched.runner import RunParams, execute_run
 from blocksched.schedulers import SCHEDULER_NAMES, make_scheduler
 from blocksched.traces import synthesize_trace
-from conftest import element, run_recorded, scenario_of
+from conftest import EagerFeatures, deep_queue_inputs, element, run_recorded, scenario_of
 
 TH = Thresholds.from_mbps(0.8, 2.3)
 APPROX = dict(rel=1e-9, abs=1e-9)
@@ -292,6 +293,61 @@ class TestGuards:
         args.update(kw)
         with pytest.raises(ConfigurationError):
             Simulation(constant_trace(), one_block_scenario(), make_scheduler("fifo"), **args)
+
+
+class TestFeatureBuilds:
+    """Features are built only for policies that read them, once per
+    eligible block per decision, through the module-level
+    ``compute_block_stats`` the engine calls."""
+
+    FEATURE_READERS = ("proposed", "sfra")
+
+    def _builds_per_decision(self, monkeypatch, name, wrap=lambda scheduler: scheduler):
+        """Run the deep-queue scenario counting feature builds; returns
+        (eligible, builds) for every decision with a block to choose from."""
+        builds = [0]
+        compute = linksim.compute_block_stats
+
+        def counting(block, now):
+            builds[0] += 1
+            return compute(block, now)
+
+        per_decision = []
+
+        def sink(record):
+            if record["kind"] == "decision":
+                per_decision.append((record["eligible"], builds[0]))
+                builds[0] = 0
+
+        monkeypatch.setattr(linksim, "compute_block_stats", counting)
+        scenario, trace = deep_queue_inputs(duration_s=4.0)
+        scheduler = wrap(make_scheduler(name, scenario=scenario))
+        Simulation(trace, scenario, scheduler, duration_s=4.0, seed=1, thresholds=TH,
+                   record=sink).run()
+        assert builds[0] == 0  # every build happened inside a decision
+        busy = [pair for pair in per_decision if pair[0] > 0]
+        assert max(eligible for eligible, _ in busy) >= 20  # the queue really is deep
+        return busy
+
+    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    def test_each_policy_builds_only_what_it_reads(self, monkeypatch, name):
+        for eligible, builds in self._builds_per_decision(monkeypatch, name):
+            assert builds == (eligible if name in self.FEATURE_READERS else 0)
+
+    @pytest.mark.parametrize("name", ["proposed", "fifo"])
+    def test_repeated_reads_build_once(self, monkeypatch, name):
+        busy = self._builds_per_decision(monkeypatch, name, wrap=EagerFeatures)
+        assert all(builds == eligible for eligible, builds in busy)
+
+    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    def test_past_deadline_block_reaching_a_decision_is_illegal(self, name):
+        scenario = one_block_scenario(deadline_s=0.1)
+        sim = Simulation(constant_trace(), scenario, make_scheduler(name, scenario=scenario),
+                         duration_s=2.0, seed=0, loss_rate=0.0, thresholds=TH)
+        block = sim.blocks[0]
+        sim.queue.enqueue(block)  # skip the expiry filter a send opportunity runs first
+        with pytest.raises(IllegalStateError, match="is expired at"):
+            sim._decide(block.arrival_time + 0.5)
 
 
 class TestSerialization:

@@ -439,6 +439,15 @@ class TestCli:
                      "--scenarios", SCENARIO_1, "--duration-s", "1",
                      "--out-dir", os.path.join(str(tmp_path), "o")]) == 1
 
+    def test_all_zero_trace_exits_1(self, tmp_path, capsys):
+        trace = os.path.join(str(tmp_path), "dead.csv")
+        with open(trace, "w") as fh:
+            fh.write("0.0,0.0\n1.0,0.0\n")
+        assert main(["run", "--scenario", SCENARIO_1, "--trace", trace,
+                     "--duration-s", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "zero bytes per loop" in err and "invariant violation" not in err
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert main(["run", "--help"]) == 0

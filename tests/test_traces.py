@@ -7,7 +7,7 @@ import os
 import pytest
 from hypothesis import given, strategies as st
 
-from blocksched.errors import ConfigurationError, SimulationInvariantError, TraceParseError
+from blocksched.errors import ConfigurationError, TraceParseError
 from blocksched.traces import (
     LinkTrace,
     concat_traces,
@@ -185,9 +185,8 @@ class TestCapacityLookupAndIntegration:
         assert trace.time_to_send(0.0, 600) == pytest.approx(1.1)
 
     def test_all_zero_trace_cannot_transmit(self):
-        trace = mk([(0.0, 0.0)], 1.0)
-        with pytest.raises(SimulationInvariantError):
-            trace.time_to_send(0.0, 1500)
+        with pytest.raises(ConfigurationError, match="zero bytes per loop"):
+            mk([(0.0, 0.0)], 1.0)
 
     def test_mean_is_time_weighted(self):
         trace = mk([(0.0, 1000.0), (3.0, 5000.0)], 4.0)
