@@ -16,10 +16,9 @@ import os
 import sys
 
 from .errors import ConfigurationError, IllegalStateError, SimulationInvariantError
+from .linksim import DEFAULT_LOSS_RATE, DEFAULT_RTT_S
 from .model import load_scenario
 from .runner import (
-    DEFAULT_LOSS_RATE,
-    DEFAULT_RTT_MS,
     DEFAULT_THRESHOLD_HIGH_MBPS,
     DEFAULT_THRESHOLD_LOW_MBPS,
     RunParams,
@@ -50,7 +49,7 @@ def _log(message: str) -> None:
 
 def _add_run_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--duration-s", type=float, required=True, help="workload generation horizon")
-    parser.add_argument("--rtt-ms", type=float, default=DEFAULT_RTT_MS)
+    parser.add_argument("--rtt-ms", type=float, default=DEFAULT_RTT_S * 1000.0)
     parser.add_argument("--loss-rate", type=float, default=DEFAULT_LOSS_RATE)
     parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="utilization weight in QoE")
     parser.add_argument("--threshold-low-mbps", type=float, default=DEFAULT_THRESHOLD_LOW_MBPS)

@@ -55,8 +55,11 @@ from .schedulers import (
     filter_expired,
 )
 from .traces import LinkTrace
-from .units import PACKET_PAYLOAD_BYTES
 
+# the one home of a run's link defaults; RunParams and the CLI take theirs
+# from here
+DEFAULT_RTT_S = 0.08
+DEFAULT_LOSS_RATE = 0.005
 _LOSS_STREAM_OFFSET = 0x1F3A9C
 
 
@@ -92,9 +95,8 @@ class Simulation:
     """One run of one scheduler over one trace and scenario."""
 
     def __init__(self, trace: LinkTrace, scenario: ScenarioConfig, scheduler: Scheduler, *,
-                 duration_s: float, seed: int = 0, rtt_s: float = 0.08,
-                 loss_rate: float = 0.005, thresholds: Thresholds,
-                 payload_bytes: int = PACKET_PAYLOAD_BYTES,
+                 duration_s: float, seed: int = 0, rtt_s: float = DEFAULT_RTT_S,
+                 loss_rate: float = DEFAULT_LOSS_RATE, thresholds: Thresholds,
                  forced_loss_sends=(),
                  record: Callable[[dict], None] | None = None) -> None:
         if duration_s <= 0:
@@ -112,7 +114,6 @@ class Simulation:
         self.one_way_delay_s = rtt_s / 2.0
         self.loss_rate = loss_rate
         self.thresholds = thresholds
-        self.payload_bytes = payload_bytes
         self.forced_loss_sends = frozenset(forced_loss_sends)
         self.record = record
 
@@ -120,7 +121,7 @@ class Simulation:
         self.queue = BlockAwaitingQueue()
         self.predictor = BandwidthPredictor(thresholds)
         self.ledger = InflightLedger()
-        self.blocks = generate_blocks(scenario, duration_s, seed, payload_bytes)
+        self.blocks = generate_blocks(scenario, duration_s, seed)
         self.blocks_by_id = {b.block_id: b for b in self.blocks}
         self._loss_rng = random.Random(_LOSS_STREAM_OFFSET + seed)
         self._heap: list[tuple] = []

@@ -46,7 +46,7 @@ class ScenarioConfig:
     name: str
     elements: list[MediaElement]
 
-    def validate(self, payload_bytes: int = PACKET_PAYLOAD_BYTES) -> None:
+    def validate(self) -> None:
         if not self.elements:
             raise ConfigurationError("scenario %r has no elements" % self.name)
         ids = [e.element_id for e in self.elements]
@@ -61,10 +61,10 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     "element %d: period_s must be positive, got %r" % (e.element_id, e.period_s)
                 )
-            if e.block_size_bytes < payload_bytes:
+            if e.block_size_bytes < PACKET_PAYLOAD_BYTES:
                 raise ConfigurationError(
                     "element %d: block_size_bytes %d is smaller than one packet payload (%d)"
-                    % (e.element_id, e.block_size_bytes, payload_bytes)
+                    % (e.element_id, e.block_size_bytes, PACKET_PAYLOAD_BYTES)
                 )
         # priorities must form a contiguous ladder starting at 0 so that the
         # (1 + P) weighting is comparable across scenarios
@@ -160,14 +160,14 @@ class Packet:
         return self.packet_id[0]
 
 
-def build_packets(block_id: BlockId, total_bytes: int, payload_bytes: int = PACKET_PAYLOAD_BYTES) -> list[Packet]:
+def build_packets(block_id: BlockId, total_bytes: int) -> list[Packet]:
     """Split total_bytes into full payloads plus one smaller tail packet."""
-    if total_bytes < payload_bytes:
+    if total_bytes < PACKET_PAYLOAD_BYTES:
         raise ConfigurationError(
             "block %r: %d bytes is smaller than one packet payload" % (block_id, total_bytes)
         )
-    sizes = [payload_bytes] * (total_bytes // payload_bytes)
-    tail = total_bytes % payload_bytes
+    sizes = [PACKET_PAYLOAD_BYTES] * (total_bytes // PACKET_PAYLOAD_BYTES)
+    tail = total_bytes % PACKET_PAYLOAD_BYTES
     if tail:
         sizes.append(tail)
     return [Packet(packet_id=(block_id, i), size_bytes=size) for i, size in enumerate(sizes)]
@@ -228,8 +228,7 @@ class Block:
         return self.received_packets == self.packet_count
 
 
-def make_block(element: MediaElement, index: int, arrival_time: float,
-               payload_bytes: int = PACKET_PAYLOAD_BYTES) -> Block:
+def make_block(element: MediaElement, index: int, arrival_time: float) -> Block:
     block_id: BlockId = (element.element_id, index)
     return Block(
         block_id=block_id,
@@ -239,12 +238,11 @@ def make_block(element: MediaElement, index: int, arrival_time: float,
         deadline_s=element.deadline_s,
         priority=element.priority,
         total_bytes=element.block_size_bytes,
-        packets=build_packets(block_id, element.block_size_bytes, payload_bytes),
+        packets=build_packets(block_id, element.block_size_bytes),
     )
 
 
-def generate_blocks(scenario: ScenarioConfig, duration_s: float, seed: int,
-                    payload_bytes: int = PACKET_PAYLOAD_BYTES) -> list[Block]:
+def generate_blocks(scenario: ScenarioConfig, duration_s: float, seed: int) -> list[Block]:
     """Produce the arrival schedule for one session.
 
     Each element emits blocks periodically starting from a seeded phase
@@ -252,7 +250,7 @@ def generate_blocks(scenario: ScenarioConfig, duration_s: float, seed: int,
     The result is sorted by (arrival time, element id, block index) and is
     a pure function of (scenario, duration_s, seed).
     """
-    scenario.validate(payload_bytes)
+    scenario.validate()
     if duration_s < 0:
         raise ConfigurationError("duration_s must be non-negative, got %r" % duration_s)
     rng = random.Random(seed)
@@ -266,7 +264,7 @@ def generate_blocks(scenario: ScenarioConfig, duration_s: float, seed: int,
             arrival = phase + index * element.period_s
             if arrival >= duration_s:
                 break
-            blocks.append(make_block(element, index, arrival, payload_bytes))
+            blocks.append(make_block(element, index, arrival))
             index += 1
     blocks.sort(key=lambda b: (b.arrival_time, b.element_id, b.index))
     return blocks

@@ -29,16 +29,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigurationError
-from .linksim import SimulationResult, Simulation
+from .linksim import DEFAULT_LOSS_RATE, DEFAULT_RTT_S, SimulationResult, Simulation
 from .metrics import DEFAULT_ALPHA, QoEReport, build_report
 from .model import ScenarioConfig
 from .predictor import Thresholds
 from .schedulers import make_scheduler
 from .traces import LinkTrace, filter_corpus, load_corpus
-from .units import PACKET_PAYLOAD_BYTES
 
-DEFAULT_RTT_MS = 80.0
-DEFAULT_LOSS_RATE = 0.005
 DEFAULT_THRESHOLD_LOW_MBPS = 0.8
 DEFAULT_THRESHOLD_HIGH_MBPS = 2.3
 
@@ -49,14 +46,13 @@ class RunParams:
 
     duration_s: float
     seed: int = 0
-    rtt_s: float = DEFAULT_RTT_MS / 1000.0
+    rtt_s: float = DEFAULT_RTT_S
     loss_rate: float = DEFAULT_LOSS_RATE
     alpha: float = DEFAULT_ALPHA
     thresholds: Thresholds = field(
         default_factory=lambda: Thresholds.from_mbps(DEFAULT_THRESHOLD_LOW_MBPS,
                                                      DEFAULT_THRESHOLD_HIGH_MBPS))
     literal_mid_branch: bool = False
-    payload_bytes: int = PACKET_PAYLOAD_BYTES
 
 
 def execute_run(trace: LinkTrace, scenario: ScenarioConfig, scheduler_name: str,
@@ -68,8 +64,7 @@ def execute_run(trace: LinkTrace, scenario: ScenarioConfig, scheduler_name: str,
     sim = Simulation(trace, scenario, scheduler,
                      duration_s=params.duration_s, seed=params.seed, rtt_s=params.rtt_s,
                      loss_rate=params.loss_rate, thresholds=params.thresholds,
-                     payload_bytes=params.payload_bytes, forced_loss_sends=forced_loss_sends,
-                     record=record)
+                     forced_loss_sends=forced_loss_sends, record=record)
     result = sim.run()
     return result, build_report(result, trace, params.alpha)
 

@@ -5,6 +5,12 @@ order, already stripped of expired blocks, restricted to blocks that
 have a packet ready to send. They return the id of the block whose head
 packet should enter the selection queue next.
 
+Each stateless policy is a plain ``select_block_*`` function of that
+view, and ``Scheduler(name, policy)`` is the one class that drives any
+of them. ldf keeps per-element deficits between decisions, so it alone
+is a ``Scheduler`` subclass (``LdfScheduler``). ``make_scheduler`` builds
+a policy by name.
+
 The features a policy may read are the four fields of ``BlockStats``:
 remaining deadline ratio Dr, remaining size ratio Sr, remaining unacked
 packet count Pkt, and priority P. ``compute_block_stats`` builds them
@@ -37,6 +43,7 @@ uses a non-strict comparison.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -218,7 +225,8 @@ def select_block_fifo(ctx: SchedulingContext) -> SchedulerDecision:
 
 
 def select_block_sfra(ctx: SchedulingContext) -> SchedulerDecision:
-    """Smallest remaining size ratio first; ties keep the earlier arrival."""
+    """Shortest-fraction-remaining approximation of a drain-fastest policy:
+    smallest remaining size ratio first; ties keep the earlier arrival."""
     if not ctx.blocks:
         return SchedulerDecision(None, DecisionReason.NONE_ELIGIBLE)
     stats = ctx.stats
@@ -231,10 +239,10 @@ def select_block_sfra(ctx: SchedulingContext) -> SchedulerDecision:
 
 
 def select_block_rswn(ctx: SchedulingContext) -> SchedulerDecision:
-    """Highest static weight (1 + P) among blocks the current bandwidth
-    estimate says can still finish inside their windows; ties keep the
-    earlier absolute deadline. Falls back to the earliest absolute
-    deadline when nothing looks completable."""
+    """Rate-aware static weights: the highest weight (1 + P) among blocks
+    the current bandwidth estimate says can still finish inside their
+    windows; ties keep the earlier absolute deadline. Falls back to the
+    earliest absolute deadline when nothing looks completable."""
     if not ctx.blocks:
         return SchedulerDecision(None, DecisionReason.NONE_ELIGIBLE)
     best = -1
@@ -255,41 +263,21 @@ def select_block_rswn(ctx: SchedulingContext) -> SchedulerDecision:
 
 
 class Scheduler:
-    """Stateful policy wrapper driven by the simulation."""
+    """A named policy driven by the simulation: ``select`` applies the
+    policy function to each decision's context. A policy that keeps state
+    across decisions subclasses it and overrides ``select`` and
+    ``note_block_resolved``."""
 
-    name = "base"
+    def __init__(self, name: str,
+                 policy: Callable[[SchedulingContext], SchedulerDecision]) -> None:
+        self.name = name
+        self.policy = policy
 
     def select(self, ctx: SchedulingContext) -> SchedulerDecision:
-        raise NotImplementedError
+        return self.policy(ctx)
 
     def note_block_resolved(self, element_id: int, on_time: bool) -> None:
         """Called once per block when it completes or expires."""
-
-
-class ProposedScheduler(Scheduler):
-    name = "proposed"
-
-    def __init__(self, literal_mid_branch: bool = False) -> None:
-        self.literal_mid_branch = literal_mid_branch
-
-    def select(self, ctx: SchedulingContext) -> SchedulerDecision:
-        return select_block_proposed(ctx, self.literal_mid_branch)
-
-
-class FifoScheduler(Scheduler):
-    name = "fifo"
-
-    def select(self, ctx: SchedulingContext) -> SchedulerDecision:
-        return select_block_fifo(ctx)
-
-
-class SfraScheduler(Scheduler):
-    """Shortest-fraction-remaining approximation of a drain-fastest policy."""
-
-    name = "sfra"
-
-    def select(self, ctx: SchedulingContext) -> SchedulerDecision:
-        return select_block_sfra(ctx)
 
 
 class LdfScheduler(Scheduler):
@@ -302,9 +290,8 @@ class LdfScheduler(Scheduler):
     earlier arrival.
     """
 
-    name = "ldf"
-
     def __init__(self, rates: dict[int, float]) -> None:
+        super().__init__("ldf", self.select)  # the policy is this stateful select
         self.rates = dict(rates)
         self.deficits = {k: 0.0 for k in self.rates}
         self._last_tick = 0.0
@@ -333,32 +320,22 @@ class LdfScheduler(Scheduler):
             self.deficits[element_id] = max(0.0, self.deficits[element_id] - 1.0)
 
 
-class RswnScheduler(Scheduler):
-    """Rate-aware static weights: serve the heaviest block that current
-    bandwidth says can still make its window."""
-
-    name = "rswn"
-
-    def select(self, ctx: SchedulingContext) -> SchedulerDecision:
-        return select_block_rswn(ctx)
-
-
 SCHEDULER_NAMES = ("proposed", "fifo", "sfra", "ldf", "rswn")
 
 
 def make_scheduler(name: str, scenario=None, literal_mid_branch: bool = False) -> Scheduler:
     """Build a policy by name; ldf derives its per-element rates from the
     scenario's block periods."""
-    if name == "proposed":
-        return ProposedScheduler(literal_mid_branch=literal_mid_branch)
-    if name == "fifo":
-        return FifoScheduler()
-    if name == "sfra":
-        return SfraScheduler()
     if name == "ldf":
         if scenario is None:
             raise IllegalStateError("ldf needs a scenario to derive arrival rates")
         return LdfScheduler({e.element_id: 1.0 / e.period_s for e in scenario.elements})
-    if name == "rswn":
-        return RswnScheduler()
-    raise ConfigurationError("unknown scheduler %r (known: %s)" % (name, ", ".join(SCHEDULER_NAMES)))
+    policies = {
+        "proposed": functools.partial(select_block_proposed, literal_mid_branch=literal_mid_branch),
+        "fifo": select_block_fifo,
+        "sfra": select_block_sfra,
+        "rswn": select_block_rswn,
+    }
+    if name not in policies:
+        raise ConfigurationError("unknown scheduler %r (known: %s)" % (name, ", ".join(SCHEDULER_NAMES)))
+    return Scheduler(name, policies[name])

@@ -219,9 +219,9 @@ def parse_csv_trace(lines, source_tag: str = "csv") -> LinkTrace:
 
 
 def parse_packet_opportunity_trace(lines, bucket_s: float = 1.0,
-                                   payload_bytes: int = PACKET_PAYLOAD_BYTES,
                                    source_tag: str = "opportunity") -> LinkTrace:
-    """Bucket millisecond delivery opportunities into a capacity trace."""
+    """Bucket millisecond delivery opportunities, one full packet payload
+    each, into a capacity trace."""
     if bucket_s <= 0:
         raise ConfigurationError("bucket_s must be positive, got %r" % bucket_s)
     stamps_ms: list[int] = []
@@ -249,7 +249,7 @@ def parse_packet_opportunity_trace(lines, bucket_s: float = 1.0,
     counts = [0] * nbuckets
     for ms in stamps_ms:
         counts[int(ms // bucket_ms)] += 1
-    samples = tuple((i * bucket_s, count * payload_bytes / bucket_s) for i, count in enumerate(counts))
+    samples = tuple((i * bucket_s, count * PACKET_PAYLOAD_BYTES / bucket_s) for i, count in enumerate(counts))
     return LinkTrace(samples=samples, duration_s=nbuckets * bucket_s, source_tag=source_tag)
 
 

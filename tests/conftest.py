@@ -88,8 +88,8 @@ def run_recorded(trace, scenario, scheduler, drive=Simulation.run, **kw):
 class EagerFeatures:
     """Wraps a policy so that every decision reads ``ctx.stats`` (twice)
     before the policy sees the context, forcing the features to be built
-    whether or not the policy reads them. It is not a ``Scheduler``
-    subclass, so tests that list the subclasses never see it."""
+    whether or not the policy reads them. It is a plain wrapper around a
+    built scheduler, not a ``Scheduler`` subclass."""
 
     def __init__(self, inner):
         self.inner = inner

@@ -52,21 +52,36 @@ def test_runner_names_used_by_the_benchmark():
     assert "execute_run" in runner._sweep_worker.__code__.co_names
 
 
-def test_every_scheduler_defines_its_own_select():
-    names = {cls.name for cls in schedulers.Scheduler.__subclasses__() if "select" in vars(cls)}
-    assert names == set(schedulers.SCHEDULER_NAMES)
-
-
-def test_traced_run_records_every_span(tmp_path):
+def traced_run(tmp_path, scheduler_name, record=None):
+    """One short scenario_1 run under the installed, tracing probe; returns
+    the probe's logged line and the (closed) probe."""
     trace = traces.synthesize_trace("constant", duration_s=4.0, seed=0, mbps=1.0)
     scenario = model.load_scenario(os.path.join(SCENARIO_DIR, "scenario_1.json"))
     probe = PROBE["Probe"](LIB, str(tmp_path / "spans.log"))
     try:
         probe.install(tracing=True)
-        runner.execute_run(trace, scenario, "proposed", runner.RunParams(duration_s=2.0))
+        runner.execute_run(trace, scenario, scheduler_name, runner.RunParams(duration_s=2.0),
+                           record=record)
         probe.uninstall()
         (line,) = probe.drain()
     finally:
         probe.close()
+    return line, probe
+
+
+@pytest.mark.parametrize("name", schedulers.SCHEDULER_NAMES)
+def test_select_span_counts_every_decision(name, tmp_path):
+    # the engine calls select once per decision that has an eligible block,
+    # so a policy the probe misses counts 0 and a doubly wrapped select
+    # counts twice
+    records: list[dict] = []
+    line, _ = traced_run(tmp_path, name, record=records.append)
+    decisions = sum(1 for r in records if r["kind"] == "decision" and r["eligible"] > 0)
+    assert decisions > 0
+    assert line["spans"]["schedulers.select"][0] == decisions
+
+
+def test_traced_run_records_every_span(tmp_path):
+    line, probe = traced_run(tmp_path, "proposed")
     assert runner.execute_run is probe.execute_run
     assert [name for name, (calls, _, _) in line["spans"].items() if calls == 0] == []

@@ -6,16 +6,21 @@ inflight ledger drained, sends matched by responses). On top of that:
 nothing is sent after its block's deadline, a block reported on time
 finished inside its window, the link never delivers more than the trace
 offered, a second run gives the same records, and forcing the scheduling
-features to be built for every decision changes no record.
+features to be built for every decision changes no record. An auditor
+rebuilds the report's session numbers from the event log, the scenario,
+the trace and alpha alone, and they must equal ``build_report``'s exactly.
 
 The suite profile keeps this short; ``HYPOTHESIS_PROFILE=fuzz`` runs it at
 length.
 """
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blocksched.errors import ConfigurationError
+from blocksched.metrics import build_report
 from blocksched.model import MediaElement, ScenarioConfig
 from blocksched.predictor import Thresholds
 from blocksched.schedulers import SCHEDULER_NAMES, make_scheduler
@@ -85,6 +90,7 @@ def draws(draw):
         "loss_rate": draw(st.one_of(st.just(0.0), st.floats(0.0, 0.4))),
         "thresholds": Thresholds.from_mbps(low, low + draw(st.floats(0.1, 3.0))),
         "literal_mid_branch": draw(st.booleans()),
+        "alpha": draw(st.floats(0.0, 2.0)),
     }
 
 
@@ -94,6 +100,41 @@ def run_policy(case, name, wrap=lambda scheduler: scheduler):
     return run_recorded(trace, scenario, scheduler, duration_s=case["duration_s"],
                         seed=case["seed"], rtt_s=case["rtt_s"], loss_rate=case["loss_rate"],
                         thresholds=case["thresholds"])
+
+
+def audit_report(records, scenario, trace, duration_s, alpha) -> dict | None:
+    """The report's session numbers rebuilt from the event log: block sizes
+    and deadlines come from the scenario's elements, arrivals and
+    completions from the log, and the window ends at the later of the run
+    length and the last record. None when the run made no blocks."""
+    elements = {e.element_id: e for e in scenario.elements}
+    arrivals = {}
+    completions = {}
+    delivered = 0
+    for r in records:
+        if r["kind"] == "block_arrival":
+            arrivals[tuple(r["block_id"])] = r["t"]
+        elif r["kind"] == "block_complete":
+            completions[tuple(r["block_id"])] = r["t"]
+        elif r["kind"] == "delivered":
+            delivered += r["size"]
+    if not arrivals:
+        return None
+    on_time = [block_id for block_id, finish in completions.items()
+               if finish - arrivals[block_id] <= elements[block_id[0]].deadline_s]
+    on_time_bytes = sum(elements[block_id[0]].block_size_bytes for block_id in on_time)
+    offered = trace.integrate_capacity(0.0, max(duration_s, max(r["t"] for r in records)))
+    ratio = len(on_time) / len(arrivals)
+    util = min(1.0, delivered / offered)
+    return {
+        "block_count": len(arrivals),
+        "on_time_count": len(on_time),
+        "delivery_ratio": ratio,
+        "delivered_bytes": delivered,
+        "utilization": util,
+        "effective_util": min(1.0, on_time_bytes / offered),
+        "qoe": ratio + alpha * util,
+    }
 
 
 @settings(max_examples=EXAMPLES)
@@ -112,6 +153,15 @@ def test_engine_invariants_hold_on_generated_inputs(case):
                 assert record["on_time"] == in_window, record
         offered = case["trace"].integrate_capacity(0.0, result.end_time)
         assert result.counters["delivered_bytes"] <= offered * (1 + 1e-9) + 1e-6
+
+        audit = audit_report(records, case["scenario"], case["trace"], case["duration_s"],
+                             case["alpha"])
+        if audit is None:
+            with pytest.raises(ConfigurationError):
+                build_report(result, case["trace"], case["alpha"])
+        else:
+            report = build_report(result, case["trace"], case["alpha"])
+            assert audit == {key: getattr(report, key) for key in audit}
 
         again = run_policy(case, name)
         assert again[1] == records

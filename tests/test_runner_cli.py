@@ -9,6 +9,7 @@ import pytest
 from blocksched import runner
 from blocksched.cli import main
 from blocksched.errors import ConfigurationError, IllegalStateError, SimulationInvariantError
+from blocksched.linksim import Simulation
 from blocksched.runner import (
     RunParams,
     build_table,
@@ -20,6 +21,7 @@ from blocksched.runner import (
     tune_thresholds,
 )
 from blocksched.model import load_scenario
+from blocksched.schedulers import make_scheduler
 from blocksched.traces import load_trace, synthesize_trace
 from conftest import CORPUS_DIR, SCENARIO_DIR, element, quick_params, scenario_of
 
@@ -95,6 +97,25 @@ class TestExecuteRun:
         execute_run(load_trace(trace), load_scenario(SCENARIO_1), "proposed",
                     RunParams(duration_s=2.0, seed=3, loss_rate=0.05), record=records.append)
         assert lines == records
+
+    def test_defaults_have_one_home(self, tmp_path, capsys):
+        # a bare Simulation, a default RunParams and the CLI's defaults all
+        # take the RTT and loss rate from linksim, so their runs are equal
+        trace_path = os.path.join(CORPUS_DIR, "sq01.csv")
+        trace, scenario = load_trace(trace_path), load_scenario(SCENARIO_1)
+        params = RunParams(duration_s=8.0)
+        bare: list[dict] = []
+        Simulation(trace, scenario, make_scheduler("proposed", scenario), duration_s=8.0,
+                   thresholds=params.thresholds, record=bare.append).run()
+        records: list[dict] = []
+        execute_run(trace, scenario, "proposed", params, record=records.append)
+        log = os.path.join(str(tmp_path), "events.jsonl")
+        assert main(["run", "--scenario", SCENARIO_1, "--trace", trace_path,
+                     "--duration-s", "8", "--event-log", log]) == 0
+        with open(log) as fh:
+            logged = [json.loads(line) for line in fh]
+        assert bare == records == logged
+        assert any(r["kind"] == "loss" for r in records)  # the loss rate is exercised
 
 
 class TestRecordKeys:
