@@ -16,7 +16,6 @@ from .metrics import (
     build_report,
     channel_utilization,
     delivery_indicator,
-    effective_utilization,
     session_qoe,
 )
 from .model import (

@@ -285,7 +285,6 @@ class Simulation:
         packet.send_count += 1
         is_retx = packet.send_count > 1
         if is_retx:
-            packet.retransmission_count += 1
             self.counters["retransmission_sends"] += 1
         packet.state = PacketState.INFLIGHT
         thr = self.predictor.observe_send(packet.size_bytes, packet.enqueue_time, t)
@@ -332,7 +331,6 @@ class Simulation:
         sample = self.predictor.observe_response(self.ledger, packet.send_time, t)
         self.ledger.remove(packet.packet_id)
         packet.state = PacketState.DELIVERED
-        packet.response_time = t
         block = self.blocks_by_id[packet.block_id]
         block.acked_packets += 1
         block.acked_bytes += packet.size_bytes
@@ -343,7 +341,6 @@ class Simulation:
     def _on_loss_signal(self, t: float, packet: Packet) -> None:
         sample = self.predictor.observe_response(self.ledger, packet.send_time, t)
         self.ledger.remove(packet.packet_id)
-        packet.response_time = t
         self.counters["loss_signals"] += 1
         block = self.blocks_by_id[packet.block_id]
         if block.expired:

@@ -1,19 +1,23 @@
-"""Session quality metrics.
+"""Session quality metrics and the run report.
 
 A block counts as delivered on time when its client-side completion
 time F satisfies F - E <= D, with E its arrival at the sender and D its
 deadline window. The session delivery ratio averages that indicator
 over all blocks. Channel utilization divides bytes the client actually
 received by the bytes the capacity trace offered over the session
-window; effective utilization restricts the numerator to the original
-bytes of on-time blocks, so retransmitted copies and late stragglers do
-not count. Session QoE is delivery_ratio + alpha * utilization with
-alpha weighting efficiency against timeliness.
+window; effective utilization is the same ratio over the original bytes
+of on-time blocks only, so retransmitted copies and late stragglers do
+not count. Session QoE is delivery_ratio + alpha * utilization (the
+gross one) with alpha weighting efficiency against timeliness.
+
+QoEReport is the one schema for a run's numbers: its field names are
+the keys of the `run` report and of the sweep record (runner.summary_record
+drops only blocks).
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError
 from .linksim import SimulationResult
@@ -42,11 +46,6 @@ def channel_utilization(received_bytes: float, offered_bytes: float) -> float:
     return min(1.0, received_bytes / offered_bytes)
 
 
-def effective_utilization(on_time_block_bytes: float, offered_bytes: float) -> float:
-    """Original bytes of on-time blocks over offered capacity bytes."""
-    return channel_utilization(on_time_block_bytes, offered_bytes)
-
-
 def session_qoe(delivery_ratio: float, utilization: float, alpha: float = DEFAULT_ALPHA) -> float:
     if not 0.0 <= delivery_ratio <= 1.0:
         raise ValueError("delivery_ratio must be in [0, 1], got %r" % delivery_ratio)
@@ -58,65 +57,33 @@ def session_qoe(delivery_ratio: float, utilization: float, alpha: float = DEFAUL
 
 
 @dataclass(frozen=True)
-class BlockOutcome:
-    block_id: tuple
-    element_id: int
-    arrival_time: float
-    completion_time: float | None
-    deadline_s: float
-    total_bytes: int
-    on_time: int
-
-
-@dataclass(frozen=True)
 class QoEReport:
-    """Per-session metrics plus the per-block outcomes they came from."""
+    """Per-session metrics plus the per-block outcomes they came from.
 
-    scenario_name: str
-    trace_tag: str
-    scheduler_name: str
+    to_dict lists every field under its own name. Each entry of blocks is
+    the outcome dict the `run` report prints: block_id, element_id,
+    arrival_time, completion_time, deadline_s, total_bytes and the on_time
+    indicator.
+    """
+
+    scenario: str
+    trace: str
+    scheduler: str
     seed: int
     alpha: float
     block_count: int
     on_time_count: int
     delivery_ratio: float
     utilization: float
-    effective_util: float
+    effective_utilization: float
     qoe: float
     delivered_bytes: int
     offered_bytes: float
     end_time: float
-    outcomes: tuple
+    blocks: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario_name,
-            "trace": self.trace_tag,
-            "scheduler": self.scheduler_name,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "block_count": self.block_count,
-            "on_time_count": self.on_time_count,
-            "delivery_ratio": self.delivery_ratio,
-            "utilization": self.utilization,
-            "effective_utilization": self.effective_util,
-            "qoe": self.qoe,
-            "delivered_bytes": self.delivered_bytes,
-            "offered_bytes": self.offered_bytes,
-            "end_time": self.end_time,
-            "blocks": [
-                {
-                    "block_id": list(o.block_id),
-                    "element_id": o.element_id,
-                    "arrival_time": o.arrival_time,
-                    "completion_time": o.completion_time,
-                    "deadline_s": o.deadline_s,
-                    "total_bytes": o.total_bytes,
-                    "on_time": o.on_time,
-                }
-                for o in self.outcomes
-            ],
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -133,7 +100,7 @@ def build_report(result: SimulationResult, trace: LinkTrace, alpha: float = DEFA
         raise ConfigurationError("alpha must be non-negative, got %r" % alpha)
     if not result.blocks:
         raise ConfigurationError("run produced no blocks; nothing to score")
-    outcomes = []
+    blocks = []
     on_time_bytes = 0
     on_time_count = 0
     for block in result.blocks:
@@ -141,35 +108,34 @@ def build_report(result: SimulationResult, trace: LinkTrace, alpha: float = DEFA
         if flag:
             on_time_bytes += block.total_bytes
             on_time_count += 1
-        outcomes.append(BlockOutcome(
-            block_id=block.block_id,
-            element_id=block.element_id,
-            arrival_time=block.arrival_time,
-            completion_time=block.completion_time,
-            deadline_s=block.deadline_s,
-            total_bytes=block.total_bytes,
-            on_time=flag,
-        ))
+        blocks.append({
+            "block_id": list(block.block_id),
+            "element_id": block.element_id,
+            "arrival_time": block.arrival_time,
+            "completion_time": block.completion_time,
+            "deadline_s": block.deadline_s,
+            "total_bytes": block.total_bytes,
+            "on_time": flag,
+        })
     window_end = session_window_end(result)
     offered = trace.integrate_capacity(0.0, window_end)
     delivered = result.counters["delivered_bytes"]
     util = channel_utilization(delivered, offered)
-    eff = effective_utilization(on_time_bytes, offered)
-    ratio = on_time_count / len(outcomes)
+    ratio = on_time_count / len(blocks)
     return QoEReport(
-        scenario_name=result.scenario_name,
-        trace_tag=result.trace_tag,
-        scheduler_name=result.scheduler_name,
+        scenario=result.scenario_name,
+        trace=result.trace_tag,
+        scheduler=result.scheduler_name,
         seed=result.seed,
         alpha=alpha,
-        block_count=len(outcomes),
+        block_count=len(blocks),
         on_time_count=on_time_count,
         delivery_ratio=ratio,
         utilization=util,
-        effective_util=eff,
+        effective_utilization=channel_utilization(on_time_bytes, offered),
         qoe=session_qoe(ratio, util, alpha),
         delivered_bytes=delivered,
         offered_bytes=offered,
         end_time=result.end_time,
-        outcomes=tuple(outcomes),
+        blocks=tuple(blocks),
     )

@@ -140,7 +140,9 @@ class PacketState(enum.Enum):
 class Packet:
     """One transmission unit of a block.
 
-    send_time / response_time reflect the most recent transmission.
+    send_time reflects the most recent transmission, and send_count
+    counts every transmission, so a packet was retransmitted
+    send_count - 1 times.
     client_receive_time is set when the copy reaches the client, which can
     precede the sender-side acknowledgement by one propagation delay.
     """
@@ -150,10 +152,8 @@ class Packet:
     state: PacketState = PacketState.WAITING
     enqueue_time: float | None = None
     send_time: float | None = None
-    response_time: float | None = None
     client_receive_time: float | None = None
     send_count: int = 0
-    retransmission_count: int = 0
 
     @property
     def block_id(self) -> BlockId:

@@ -2,7 +2,10 @@
 
 A sweep runs every (scheduler, scenario, trace, seed) combination,
 persists one summary record per run, and aggregates mean metrics per
-(scheduler, scenario, trace group) into a comparison table. Records are
+(scheduler, scenario, trace group) into a comparison table. A record is
+the run's metrics.QoEReport as a dict without its per-block outcomes, so
+its keys are the report's field names; a table row averages the record
+keys named in TABLE_METRICS. Records are
 the source of truth: a table regenerated from the record files equals
 the one produced by the sweep, and an interrupted sweep resumes by
 skipping combinations whose record file already exists. Each record is
@@ -26,7 +29,7 @@ import math
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .errors import ConfigurationError
 from .linksim import DEFAULT_LOSS_RATE, DEFAULT_RTT_S, SimulationResult, Simulation
@@ -81,8 +84,10 @@ def record_key(scheduler: str, scenario_name: str, trace_tag: str, seed: int) ->
 
 
 def summary_record(report: QoEReport) -> dict:
+    """The report's fields without blocks, which only the `run` report
+    carries; per-run files stay small and block detail lives in event logs."""
     record = report.to_dict()
-    del record["blocks"]  # keep per-run files small; block detail lives in event logs
+    del record["blocks"]
     return record
 
 
@@ -157,6 +162,12 @@ def run_sweep(traces, scenarios, scheduler_names, seeds, params: RunParams,
     return build_table(records, trace_group)
 
 
+# the per-run metrics a table row averages, in column order; each is a
+# QoEReport field and a ComparisonRow field of the same name
+TABLE_METRICS = ("delivery_ratio", "utilization", "effective_utilization", "qoe")
+_TEXT_LABELS = {"effective_utilization": "effective_util"}
+
+
 @dataclass(frozen=True)
 class ComparisonRow:
     scheduler: str
@@ -168,19 +179,6 @@ class ComparisonRow:
     effective_utilization: float
     qoe: float
     qoe_gain_vs_baseline_pct: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "scheduler": self.scheduler,
-            "scenario": self.scenario,
-            "trace_group": self.trace_group,
-            "runs": self.runs,
-            "delivery_ratio": self.delivery_ratio,
-            "utilization": self.utilization,
-            "effective_utilization": self.effective_utilization,
-            "qoe": self.qoe,
-            "qoe_gain_vs_baseline_pct": self.qoe_gain_vs_baseline_pct,
-        }
 
 
 @dataclass(frozen=True)
@@ -194,17 +192,17 @@ class ComparisonTable:
         return None
 
     def to_json_lines(self) -> str:
-        return "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in self.rows)
+        return "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in self.rows)
 
     def to_text(self) -> str:
-        headers = ["scheduler", "scenario", "trace_group", "runs", "delivery_ratio",
-                   "utilization", "effective_util", "qoe", "qoe_gain_vs_baseline_%"]
+        headers = ["scheduler", "scenario", "trace_group", "runs",
+                   *(_TEXT_LABELS.get(name, name) for name in TABLE_METRICS),
+                   "qoe_gain_vs_baseline_%"]
         body = []
         for r in self.rows:
             gain = "-" if r.qoe_gain_vs_baseline_pct is None else "%+.2f" % r.qoe_gain_vs_baseline_pct
             body.append([r.scheduler, r.scenario, r.trace_group, str(r.runs),
-                         "%.4f" % r.delivery_ratio, "%.4f" % r.utilization,
-                         "%.4f" % r.effective_utilization, "%.4f" % r.qoe, gain])
+                         *("%.4f" % getattr(r, name) for name in TABLE_METRICS), gain])
         widths = [max(len(h), *(len(row[i]) for row in body)) if body else len(h)
                   for i, h in enumerate(headers)]
         lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
@@ -228,13 +226,7 @@ def build_table(records, trace_group: str = "corpus") -> ComparisonTable:
     for rec in records:
         groups.setdefault((rec["scheduler"], rec["scenario"]), []).append(rec)
     means = {
-        key: {
-            "runs": len(rs),
-            "delivery_ratio": _mean(r["delivery_ratio"] for r in rs),
-            "utilization": _mean(r["utilization"] for r in rs),
-            "effective_utilization": _mean(r["effective_utilization"] for r in rs),
-            "qoe": _mean(r["qoe"] for r in rs),
-        }
+        key: {"runs": len(rs), **{name: _mean(r[name] for r in rs) for name in TABLE_METRICS}}
         for key, rs in groups.items()
     }
     scenarios = sorted({s for _, s in means})
@@ -254,12 +246,9 @@ def build_table(records, trace_group: str = "corpus") -> ComparisonTable:
                         gain = 100.0 * (proposed_qoe - best) / best
             elif proposed_qoe is not None and m["qoe"] > 0:
                 gain = 100.0 * (proposed_qoe - m["qoe"]) / m["qoe"]
-            rows.append(ComparisonRow(
-                scheduler=sched, scenario=scenario, trace_group=trace_group,
-                runs=m["runs"], delivery_ratio=m["delivery_ratio"],
-                utilization=m["utilization"],
-                effective_utilization=m["effective_utilization"], qoe=m["qoe"],
-                qoe_gain_vs_baseline_pct=gain))
+            rows.append(ComparisonRow(scheduler=sched, scenario=scenario,
+                                      trace_group=trace_group, **m,
+                                      qoe_gain_vs_baseline_pct=gain))
     return ComparisonTable(rows=tuple(rows))
 
 

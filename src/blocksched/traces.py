@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError, SimulationInvariantError, TraceParseError
@@ -74,15 +74,11 @@ class LinkTrace:
     def bytes_per_loop(self) -> float:
         return self._prefix[-1]
 
-    def capacity_at(self, time_s: float, loop: bool = True) -> float:
-        """Capacity in bytes/s at an instant; looping wraps time modulo the
-        trace duration."""
+    def capacity_at(self, time_s: float) -> float:
+        """Capacity in bytes/s at an instant, with the trace looping."""
         if time_s < 0:
             raise ValueError("time_s must be non-negative, got %r" % time_s)
-        if time_s >= self.duration_s:
-            if not loop:
-                raise ValueError("time %r beyond trace duration %r" % (time_s, self.duration_s))
-            time_s = time_s % self.duration_s
+        time_s = time_s % self.duration_s
         idx = bisect_right(self._starts, time_s) - 1
         return self.samples[idx][1]
 
@@ -98,13 +94,10 @@ class LinkTrace:
         loops, offset = divmod(time_s, self.duration_s)
         return loops * self.bytes_per_loop + self._prefix_at(offset)
 
-    def integrate_capacity(self, t0: float, t1: float, loop: bool = True) -> float:
-        """Bytes the link can carry over [t0, t1)."""
+    def integrate_capacity(self, t0: float, t1: float) -> float:
+        """Bytes the link can carry over [t0, t1), with the trace looping."""
         if t0 < 0 or t1 < t0:
             raise ValueError("invalid window [%r, %r)" % (t0, t1))
-        if not loop:
-            t0 = min(t0, self.duration_s)
-            t1 = min(t1, self.duration_s)
         return self._absolute_prefix(t1) - self._absolute_prefix(t0)
 
     def time_to_send(self, start_s: float, nbytes: float) -> float:
@@ -128,19 +121,14 @@ class LinkTrace:
         if rem <= 0:
             loops -= 1
             rem = base
-        # earliest offset where the within-loop cumulative reaches rem
-        lo, hi = 0, len(self.samples) - 1
-        idx = 0
-        while lo <= hi:  # first segment whose end-prefix reaches rem
-            mid = (lo + hi) // 2
-            if self._prefix[mid + 1] >= rem:
-                idx = mid
-                hi = mid - 1
-            else:
-                lo = mid + 1
+        # first segment whose end-prefix reaches rem (_prefix never
+        # decreases); the upper bound keeps idx on the trace when rounding
+        # leaves rem a hair above bytes_per_loop
+        idx = bisect_left(self._prefix, rem, 1, len(self.samples)) - 1
         t, c = self.samples[idx]
         if c <= 0:
-            # rem equals the prefix at this segment start; already reached
+            # only the bounded case with a zero-capacity last segment: the
+            # loop's bytes were all carried by this segment's start
             end = t
         else:
             end = t + (rem - self._prefix[idx]) / c

@@ -132,7 +132,7 @@ def audit_report(records, scenario, trace, duration_s, alpha) -> dict | None:
         "delivery_ratio": ratio,
         "delivered_bytes": delivered,
         "utilization": util,
-        "effective_util": min(1.0, on_time_bytes / offered),
+        "effective_utilization": min(1.0, on_time_bytes / offered),
         "qoe": ratio + alpha * util,
     }
 

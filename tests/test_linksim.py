@@ -117,7 +117,6 @@ class TestLossAndRetransmission:
         assert result.counters["loss_signals"] == 1
 
         packet = result.blocks[0].packets[0]
-        assert packet.retransmission_count == 1
         assert packet.send_count == 2
         assert result.blocks[0].completion_time == pytest.approx(t0 + 0.132, **APPROX)
 

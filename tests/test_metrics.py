@@ -11,7 +11,6 @@ from blocksched.metrics import (
     build_report,
     channel_utilization,
     delivery_indicator,
-    effective_utilization,
     session_qoe,
     session_window_end,
 )
@@ -69,7 +68,6 @@ class TestUtilization:
     def test_effective_counts_only_on_time_originals(self):
         # 2000 B received in total but only one 1000 B block made its window
         assert channel_utilization(2000.0, 4000.0) == 0.5
-        assert effective_utilization(1000.0, 4000.0) == 0.25
 
 
 class TestSessionQoe:
@@ -123,7 +121,7 @@ class TestBuildReport:
         delivered = sum(r["size"] for r in records if r["kind"] == "delivered")
         assert report.utilization == min(1.0, delivered / offered)
         on_time_bytes = sum(b.total_bytes for b, f in zip(result.blocks, flags) if f)
-        assert report.effective_util == min(1.0, on_time_bytes / offered)
+        assert report.effective_utilization == min(1.0, on_time_bytes / offered)
         assert report.qoe == report.delivery_ratio + 0.85 * report.utilization
 
     def test_retransmissions_never_double_count_received_bytes(self):
@@ -135,7 +133,7 @@ class TestBuildReport:
         # the two utilizations stay equal while everything is on time
         assert result.counters["sends"] > result.counters["delivered_packets"]
         assert report.delivery_ratio == 1.0
-        assert report.utilization == pytest.approx(report.effective_util)
+        assert report.utilization == pytest.approx(report.effective_utilization)
 
     def test_late_deliveries_split_the_two_utilizations(self):
         # deadlines shorter than one delivery round trip: packets still
@@ -143,14 +141,14 @@ class TestBuildReport:
         # inside its window, so effective utilization collapses to zero
         result, trace, _ = _run(deadline_s=0.03, duration_s=2.0)
         report = build_report(result, trace)
-        assert report.effective_util == 0.0
+        assert report.effective_utilization == 0.0
         assert report.utilization > 0.0
 
     def test_lossless_run_keeps_both_utilizations_equal(self):
         result, trace, _ = _run()
         report = build_report(result, trace)
         assert report.delivery_ratio == 1.0
-        assert report.utilization == pytest.approx(report.effective_util)
+        assert report.utilization == pytest.approx(report.effective_utilization)
 
     def test_session_window_covers_overrun(self):
         result, _, _ = _run()

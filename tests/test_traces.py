@@ -28,6 +28,25 @@ def mk(samples, duration, tag="t"):
     return LinkTrace(samples=tuple(samples), duration_s=duration, source_tag=tag)
 
 
+def walk_time_to_send(samples, duration, start, nbytes):
+    """When nbytes have fit onto the looping trace from start, found by
+    walking its segments one at a time."""
+    ends = [t for t, _ in samples[1:]] + [duration]
+    remaining = nbytes
+    base = math.floor(start / duration) * duration
+    while True:
+        for (t, capacity), end in zip(samples, ends):
+            seg_end = base + end
+            if seg_end <= start or capacity == 0:
+                continue
+            begin = max(start, base + t)
+            carried = capacity * (seg_end - begin)
+            if carried >= remaining:
+                return begin + remaining / capacity
+            remaining -= carried
+        base += duration
+
+
 class TestOpportunityParsing:
     def test_uniform_667_opportunities_in_one_second(self):
         lines = [str(int(i * 1000 / 667)) for i in range(667)]
@@ -147,11 +166,6 @@ class TestCapacityLookupAndIntegration:
         with pytest.raises(ValueError):
             trace.capacity_at(-0.1)
 
-    def test_no_loop_mode_rejects_overflow(self):
-        trace = mk([(0.0, 100.0)], 1.0)
-        with pytest.raises(ValueError):
-            trace.capacity_at(1.0, loop=False)
-
     def test_integration_constant(self):
         trace = mk([(0.0, 1000.0)], 1.0)
         assert trace.integrate_capacity(0.0, 0.25) == 250.0
@@ -183,6 +197,44 @@ class TestCapacityLookupAndIntegration:
         trace = mk([(0.0, 1000.0), (0.5, 0.0), (1.0, 1000.0)], 2.0)
         # 600 bytes starting at 0: 500 by t=0.5, stall, finish at 1.1
         assert trace.time_to_send(0.0, 600) == pytest.approx(1.1)
+
+    def test_time_to_send_when_rounding_leaves_more_than_a_loop(self):
+        # floor(target / base) undercounts by one loop here, so the bytes
+        # left for the last loop exceed one loop's bytes by about 2e-5 B;
+        # the segment search must still stay inside the trace
+        base = 2931285.0810336256
+        nbytes = 2490583956810.706
+        trace = mk([(0.0, base)], 1.0)
+        assert trace.time_to_send(0.0, nbytes) == pytest.approx(nbytes / base, rel=1e-12)
+
+    @given(data=st.data(),
+           segments=st.lists(st.tuples(st.integers(1, 8),
+                                       st.one_of(st.just(0), st.integers(4, 10**6))),
+                             min_size=1, max_size=6).filter(
+               lambda segs: any(c > 0 for _, c in segs)))
+    def test_time_to_send_matches_a_segment_walk(self, data, segments):
+        # quarter-second widths and whole-byte rates (at least 4 B/s, so a
+        # loop carries at least 1 B) keep every prefix sum exact, so sizes
+        # can land exactly on a segment boundary, including one where a
+        # zero-capacity stall begins
+        samples = []
+        quarters = 0
+        for width, capacity in segments:
+            samples.append((quarters / 4, float(capacity)))
+            quarters += width
+        trace = mk(samples, quarters / 4)
+        start = data.draw(st.integers(0, 3 * quarters), label="start_quarters") / 4
+        prefixes = [0.0]
+        for width, capacity in segments:
+            prefixes.append(prefixes[-1] + capacity * width / 4)
+        loops = data.draw(st.integers(0, 2), label="whole_loops")
+        nbytes = data.draw(st.one_of(
+            st.floats(min_value=1.0, max_value=3 * trace.bytes_per_loop),
+            st.sampled_from([p for p in prefixes if p > 0]).map(
+                lambda p: p + loops * trace.bytes_per_loop),
+        ), label="nbytes")
+        expected = walk_time_to_send(samples, trace.duration_s, start, nbytes)
+        assert trace.time_to_send(start, nbytes) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_all_zero_trace_cannot_transmit(self):
         with pytest.raises(ConfigurationError, match="zero bytes per loop"):
