@@ -210,7 +210,6 @@ class Simulation:
 
     def _decide(self, t: float) -> Block | None:
         eligible = []
-        retx = []
         for b in self.queue:
             if b.has_sendable():
                 # the queue was filtered at this instant, so no eligible
@@ -218,7 +217,6 @@ class Simulation:
                 if b.past_deadline(t):
                     raise IllegalStateError("block %r is expired at %r" % (b.block_id, t))
                 eligible.append(b)
-                retx.append(b.retransmission_pending())
         regime = self.predictor.regime
         smoothed = self.predictor.smoothed
         if not eligible:
@@ -227,10 +225,11 @@ class Simulation:
                              "reason": "none_eligible", "regime": int(regime), "score": None,
                              "smoothed_bw": smoothed, "eligible": 0})
             return None
-        # features are built only if the policy reads ctx.stats, through the
-        # module global so that a wrapper installed on it sees every call
-        ctx = SchedulingContext(now=t, blocks=eligible, retransmission=retx, regime=regime,
-                                smoothed_bw=smoothed, features=compute_block_stats)
+        # features and retransmission flags are built only if the policy
+        # reads them; features through the module global so that a wrapper
+        # installed on it sees every call
+        ctx = SchedulingContext(now=t, blocks=eligible, regime=regime, smoothed_bw=smoothed,
+                                features=compute_block_stats)
         decision: SchedulerDecision = self.scheduler.select(ctx)
         selected = decision.selected
         if self.record is not None:

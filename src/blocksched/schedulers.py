@@ -14,12 +14,14 @@ a policy by name.
 The features a policy may read are the four fields of ``BlockStats``:
 remaining deadline ratio Dr, remaining size ratio Sr, remaining unacked
 packet count Pkt, and priority P. ``compute_block_stats`` builds them
-from the block's fields. The engine's single pass over the queue picks
-the eligible blocks and flags pending retransmissions but builds no
-features: ``SchedulingContext.stats`` builds them on its first read, one
-per eligible block, and keeps them for the rest of the decision. So the
-policies that rank on them (proposed and sfra) pay for them once per
-decision, and fifo, ldf and rswn, which read only the blocks, never do.
+from the block's fields. The engine's single pass over the queue only
+picks the eligible blocks; it builds no features and asks no block
+whether a retransmission is pending. ``SchedulingContext.stats`` builds
+the features on its first read, one per eligible block, and
+``SchedulingContext.retransmission`` does the same for the
+retransmission flags; each keeps its list for the rest of the decision.
+So proposed pays for both once per decision, sfra for the features
+alone, and fifo, ldf and rswn, which read only the blocks, for neither.
 
 The proposed policy is regime-switched. A lost packet awaiting
 retransmission always preempts fresh data. Otherwise:
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError, IllegalStateError
@@ -62,6 +63,10 @@ class BlockStats(NamedTuple):
     priority: int  # P
 
 
+# builds a BlockStats without the NamedTuple's Python-level __new__
+_tuple_new = tuple.__new__
+
+
 def compute_block_stats(block: Block, now: float) -> BlockStats:
     """The block's features at now; it must still be inside its window.
 
@@ -73,12 +78,12 @@ def compute_block_stats(block: Block, now: float) -> BlockStats:
         raise IllegalStateError("block %r is expired at %r" % (block.block_id, now))
     total_bytes = block.total_bytes
     deadline_s = block.deadline_s
-    return BlockStats(
+    return _tuple_new(BlockStats, (
         (total_bytes - block.acked_bytes) / total_bytes,
         (block.arrival_time + deadline_s - now) / deadline_s,
         len(block.packets) - block.acked_packets,
         block.priority,
-    )
+    ))
 
 
 def filter_expired(queue: BlockAwaitingQueue, now: float) -> list[Block]:
@@ -109,8 +114,10 @@ class DecisionReason(str, enum.Enum):
     NONE_ELIGIBLE = "none_eligible"
 
 
-@dataclass(frozen=True)
-class SchedulerDecision:
+class SchedulerDecision(NamedTuple):
+    """One policy's choice (an immutable tuple): the block whose head
+    packet goes next, or None, and why."""
+
     selected: BlockId | None
     reason: DecisionReason
     score: float | None = None
@@ -120,26 +127,29 @@ class SchedulingContext:
     """Everything a policy may look at for one decision.
 
     ``stats`` holds one ``BlockStats`` per entry of ``blocks``, in the same
-    order. Unless the caller passes them in, they are built on the first
-    read of ``stats``, by calling ``features(block, now)`` for every block,
-    and that list is returned by every later read, so a decision builds
-    each block's features at most once and a policy that never reads
-    ``stats`` builds none.
+    order, and ``retransmission`` one flag per entry, true when that
+    block's head packet is a loss retransmission. Unless the caller passes
+    them in, each list is built on its first read, ``stats`` by calling
+    ``features(block, now)`` for every block and ``retransmission`` by
+    asking every block ``retransmission_pending()``, and that list is
+    returned by every later read. So a decision builds each at most once
+    per block, and a policy that never reads one builds none of it.
     """
 
-    __slots__ = ("now", "blocks", "retransmission", "regime", "smoothed_bw", "_features",
-                 "_stats")
+    __slots__ = ("now", "blocks", "regime", "smoothed_bw", "_features", "_stats",
+                 "_retransmission")
 
-    def __init__(self, *, now: float, blocks: list[Block], retransmission: list[bool],
-                 regime: Regime, smoothed_bw: float, stats: list[BlockStats] | None = None,
+    def __init__(self, *, now: float, blocks: list[Block],
+                 retransmission: list[bool] | None = None, regime: Regime, smoothed_bw: float,
+                 stats: list[BlockStats] | None = None,
                  features: Callable[[Block, float], BlockStats] = compute_block_stats) -> None:
         self.now = now
         self.blocks = blocks  # live, sendable, arrival order
-        self.retransmission = retransmission  # head packet is a loss retransmission
         self.regime = regime
         self.smoothed_bw = smoothed_bw  # bytes/s
         self._features = features
         self._stats = stats
+        self._retransmission = retransmission
 
     @property
     def stats(self) -> list[BlockStats]:
@@ -148,6 +158,13 @@ class SchedulingContext:
             features, now = self._features, self.now
             stats = self._stats = [features(block, now) for block in self.blocks]
         return stats
+
+    @property
+    def retransmission(self) -> list[bool]:
+        retx = self._retransmission
+        if retx is None:
+            retx = self._retransmission = [b.retransmission_pending() for b in self.blocks]
+        return retx
 
 
 def _key_low(s: BlockStats) -> float:
@@ -178,14 +195,15 @@ def select_block_proposed(ctx: SchedulingContext, literal_mid_branch: bool = Fal
     if n == 0:
         return SchedulerDecision(None, DecisionReason.NONE_ELIGIBLE)
     stats = ctx.stats
+    retx = ctx.retransmission
     regime = ctx.regime
     champ = 0
     reason = DecisionReason.FIRST_BLOCK
-    champ_retx = bool(ctx.retransmission[0])
+    champ_retx = bool(retx[0])
     if champ_retx:
         reason = DecisionReason.RETRANSMISSION
     for i in range(1, n):
-        if ctx.retransmission[i]:
+        if retx[i]:
             champ, reason, champ_retx = i, DecisionReason.RETRANSMISSION, True
             continue
         if champ_retx:
@@ -245,13 +263,14 @@ def select_block_rswn(ctx: SchedulingContext) -> SchedulerDecision:
     earliest absolute deadline when nothing looks completable."""
     if not ctx.blocks:
         return SchedulerDecision(None, DecisionReason.NONE_ELIGIBLE)
+    now, bw = ctx.now, ctx.smoothed_bw
     best = -1
     best_key = None
     for i, block in enumerate(ctx.blocks):
-        time_left = block.expiry_time - ctx.now
-        if ctx.smoothed_bw <= 0 or block.unacked_bytes / ctx.smoothed_bw > time_left:
+        expiry = block.expiry_time
+        if bw <= 0 or block.unacked_bytes / bw > expiry - now:
             continue
-        key = (-(1 + block.priority), block.expiry_time)
+        key = (-(1 + block.priority), expiry)
         if best < 0 or key < best_key:
             best, best_key = i, key
     if best < 0:

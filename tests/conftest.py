@@ -86,10 +86,11 @@ def run_recorded(trace, scenario, scheduler, drive=Simulation.run, **kw):
 
 
 class EagerFeatures:
-    """Wraps a policy so that every decision reads ``ctx.stats`` (twice)
-    before the policy sees the context, forcing the features to be built
-    whether or not the policy reads them. It is a plain wrapper around a
-    built scheduler, not a ``Scheduler`` subclass."""
+    """Wraps a policy so that every decision reads ``ctx.stats`` and
+    ``ctx.retransmission`` (twice each) before the policy sees the context,
+    forcing the features and the retransmission flags to be built whether
+    or not the policy reads them. It is a plain wrapper around a built
+    scheduler, not a ``Scheduler`` subclass."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -97,6 +98,7 @@ class EagerFeatures:
 
     def select(self, ctx):
         assert ctx.stats is ctx.stats
+        assert ctx.retransmission is ctx.retransmission
         return self.inner.select(ctx)
 
     def note_block_resolved(self, element_id, on_time):

@@ -11,6 +11,7 @@ grid cell, per-block outcomes included.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -28,6 +29,25 @@ TABLE_TEXT_SHA256 = "b35c16f53b9847b99b1bb7de41acf89ceaab422930b911e326113e6e914
 TABLE_JSONL_SHA256 = "8d171bb92e308902cce0886a21734db9fcc4b3bfdd488fb4a2f40416776db7aa"
 # `run` report JSON of proposed on scenario_1 over sq01, seed 0, 8 s
 RUN_REPORT_SHA256 = "dc3fdcdd38f4dde223d359132bab73d49e93929c91e6da637b233c3cd6ad0f50"
+# `run --event-log` JSON lines of each policy: scenario_1 over sq01, seed 0,
+# 8 s, and the deep-queue inputs, seed 0, 6 s. Decision lines carry the
+# reason, score and eligible count, so a changed choice or ranking shows.
+EVENT_LOG_SHA256 = {
+    "sq01": {
+        "proposed": "9a4d202170a63907b30a501bd0d2b8e7697533913ea15ca98750004dd7d80358",
+        "fifo": "98b726cea124db88fa168bfc67560729ad456ac9494ed09699fd6a6e8c3769f5",
+        "sfra": "2f4c0fdc50613e13fe12c4efc52707becb0fa51682fb290ecc9ed1d17b21e9e9",
+        "ldf": "edd82503816a6805bc32751e6b9a5bcc03eed62b5afda4d5af01db06aef6dcf3",
+        "rswn": "4eec7e2274112197d0ac8ae06acf008bcb708382339c0e7af2a30a16f38f981a",
+    },
+    "deep_queue": {
+        "proposed": "1ecc292642e6e5398a85d33fb66bb3fb9db41945e7ffef82fda0789d03fb0fcd",
+        "fifo": "3c67d14d452edd5a278148ffd522a4ff2b6156ad20fa1b7a14ee7f42236207dd",
+        "sfra": "7e582a9e0777be2014aee2921754d1fa206b39ec640d58e65e09dc4447082a35",
+        "ldf": "205519e444855e01e3f7a41270ebfb9dc1518013ee195942a95b14289d5490e0",
+        "rswn": "f09d532a1d15a464b0c872d0925ab8435efa5d59f36e5d578ca5624a89bbfa6f",
+    },
+}
 
 
 def corpus_trace(name):
@@ -82,3 +102,22 @@ def test_golden_run_report_is_unchanged():
     _, report = execute_run(corpus_trace("sq01.csv"), scenario_1(), "proposed",
                             RunParams(duration_s=8.0))
     assert sha256_text(report.to_json()) == RUN_REPORT_SHA256
+
+
+def event_log_inputs(place):
+    """(trace, scenario, params) of one pinned event-log place."""
+    if place == "sq01":
+        return corpus_trace("sq01.csv"), scenario_1(), RunParams(duration_s=8.0)
+    scenario, trace = deep_queue_inputs()
+    return trace, scenario, RunParams(duration_s=6.0)
+
+
+@pytest.mark.parametrize("place", sorted(EVENT_LOG_SHA256))
+@pytest.mark.parametrize("name", SCHEDULER_NAMES)
+def test_golden_event_log_is_unchanged(place, name):
+    """The lines `blocksched run --event-log` writes, hashed as written."""
+    digest = hashlib.sha256()
+    trace, scenario, params = event_log_inputs(place)
+    execute_run(trace, scenario, name, params,
+                record=lambda rec: digest.update((json.dumps(rec, sort_keys=True) + "\n").encode()))
+    assert digest.hexdigest() == EVENT_LOG_SHA256[place][name]

@@ -8,7 +8,7 @@ import pytest
 from blocksched import linksim
 from blocksched.errors import ConfigurationError, IllegalStateError, SimulationInvariantError
 from blocksched.linksim import EventKind, Simulation
-from blocksched.model import PacketState
+from blocksched.model import Block, PacketState
 from blocksched.predictor import Thresholds
 from blocksched.runner import RunParams, execute_run
 from blocksched.schedulers import SCHEDULER_NAMES, make_scheduler
@@ -297,46 +297,57 @@ class TestGuards:
 class TestFeatureBuilds:
     """Features are built only for policies that read them, once per
     eligible block per decision, through the module-level
-    ``compute_block_stats`` the engine calls."""
+    ``compute_block_stats`` the engine calls; retransmission flags are
+    asked of the blocks only for the policy that reads them."""
 
     FEATURE_READERS = ("proposed", "sfra")
+    FLAG_READERS = ("proposed",)
 
-    def _builds_per_decision(self, monkeypatch, name, wrap=lambda scheduler: scheduler):
-        """Run the deep-queue scenario counting feature builds; returns
-        (eligible, builds) for every decision with a block to choose from."""
-        builds = [0]
-        compute = linksim.compute_block_stats
+    def _calls_per_decision(self, monkeypatch, name, wrap=lambda scheduler: scheduler,
+                             owner=linksim, attr="compute_block_stats"):
+        """Run the deep-queue scenario counting calls of ``owner.attr`` (the
+        feature builder by default); returns (eligible, calls) for every
+        decision with a block to choose from."""
+        calls = [0]
+        original = getattr(owner, attr)
 
-        def counting(block, now):
-            builds[0] += 1
-            return compute(block, now)
+        def counting(*args):
+            calls[0] += 1
+            return original(*args)
 
         per_decision = []
 
         def sink(record):
             if record["kind"] == "decision":
-                per_decision.append((record["eligible"], builds[0]))
-                builds[0] = 0
+                per_decision.append((record["eligible"], calls[0]))
+                calls[0] = 0
 
-        monkeypatch.setattr(linksim, "compute_block_stats", counting)
+        monkeypatch.setattr(owner, attr, counting)
         scenario, trace = deep_queue_inputs(duration_s=4.0)
         scheduler = wrap(make_scheduler(name, scenario=scenario))
         Simulation(trace, scenario, scheduler, duration_s=4.0, seed=1, thresholds=TH,
                    record=sink).run()
-        assert builds[0] == 0  # every build happened inside a decision
+        assert calls[0] == 0  # every build happened inside a decision
         busy = [pair for pair in per_decision if pair[0] > 0]
         assert max(eligible for eligible, _ in busy) >= 20  # the queue really is deep
         return busy
 
     @pytest.mark.parametrize("name", SCHEDULER_NAMES)
     def test_each_policy_builds_only_what_it_reads(self, monkeypatch, name):
-        for eligible, builds in self._builds_per_decision(monkeypatch, name):
+        for eligible, builds in self._calls_per_decision(monkeypatch, name):
             assert builds == (eligible if name in self.FEATURE_READERS else 0)
 
     @pytest.mark.parametrize("name", ["proposed", "fifo"])
     def test_repeated_reads_build_once(self, monkeypatch, name):
-        busy = self._builds_per_decision(monkeypatch, name, wrap=EagerFeatures)
+        busy = self._calls_per_decision(monkeypatch, name, wrap=EagerFeatures)
         assert all(builds == eligible for eligible, builds in busy)
+
+    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    def test_each_policy_asks_for_retransmission_flags_only_if_it_reads_them(
+            self, monkeypatch, name):
+        for eligible, asks in self._calls_per_decision(
+                monkeypatch, name, owner=Block, attr="retransmission_pending"):
+            assert asks == (eligible if name in self.FLAG_READERS else 0)
 
     @pytest.mark.parametrize("name", SCHEDULER_NAMES)
     def test_past_deadline_block_reaching_a_decision_is_illegal(self, name):

@@ -65,8 +65,9 @@ class TestUtilization:
         with pytest.raises(ValueError):
             channel_utilization(-1.0, 100.0)
 
-    def test_effective_counts_only_on_time_originals(self):
-        # 2000 B received in total but only one 1000 B block made its window
+    def test_counts_every_received_byte(self):
+        # 2000 B received, only one 1000 B block of it on time: channel
+        # utilization counts all 2000 B, on time or not
         assert channel_utilization(2000.0, 4000.0) == 0.5
 
 

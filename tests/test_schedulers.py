@@ -9,12 +9,13 @@ from hypothesis import assume, given, strategies as st
 
 from blocksched.errors import ConfigurationError, IllegalStateError
 from blocksched.metrics import delivery_indicator
-from blocksched.model import BlockAwaitingQueue, PacketState
+from blocksched.model import Block, BlockAwaitingQueue, PacketState
 from blocksched.predictor import Regime, Thresholds
 from blocksched.schedulers import (
     BlockStats,
     DecisionReason,
     LdfScheduler,
+    SchedulerDecision,
     SchedulingContext,
     compute_block_stats,
     filter_expired,
@@ -338,6 +339,52 @@ class TestRetransmissionDominance:
         decision = select_block_proposed(ctx_of([]))
         assert decision.selected is None
         assert decision.reason is DecisionReason.NONE_ELIGIBLE
+
+
+class TestSchedulingContext:
+    def _asking(self, monkeypatch):
+        """Count Block.retransmission_pending calls; returns the counter."""
+        calls = [0]
+        pending = Block.retransmission_pending
+
+        def counting(block):
+            calls[0] += 1
+            return pending(block)
+
+        monkeypatch.setattr(Block, "retransmission_pending", counting)
+        return calls
+
+    def test_flags_are_built_once_on_first_read(self, monkeypatch):
+        calls = self._asking(monkeypatch)
+        blocks = [block_at(element_id=0, index=i) for i in range(3)]
+        blocks[1].pending[0].state = PacketState.LOST_PENDING_RETX
+        ctx = SchedulingContext(now=0.0, blocks=blocks, regime=Regime.MID, smoothed_bw=1.0)
+        assert calls[0] == 0
+        assert ctx.retransmission == [False, True, False]
+        assert ctx.retransmission is ctx.retransmission
+        assert calls[0] == 3
+        assert select_block_proposed(ctx).reason is DecisionReason.RETRANSMISSION
+        assert calls[0] == 3
+
+    def test_given_flags_are_never_recomputed(self, monkeypatch):
+        calls = self._asking(monkeypatch)
+        retx = [False, True]
+        ctx = ctx_of([stats_of(), stats_of()], retx=retx)
+        assert ctx.retransmission == retx
+        assert ctx.retransmission is ctx.retransmission
+        assert select_block_proposed(ctx).selected == ctx.blocks[1].block_id
+        assert calls[0] == 0
+
+
+class TestSchedulerDecision:
+    def test_is_an_immutable_value_with_optional_score(self):
+        decision = SchedulerDecision((0, 1), DecisionReason.FIRST_BLOCK)
+        assert decision.score is None
+        assert SchedulerDecision._fields == ("selected", "reason", "score")
+        with pytest.raises(AttributeError):
+            decision.score = 1.0
+        assert decision == SchedulerDecision(selected=(0, 1), reason=DecisionReason.FIRST_BLOCK,
+                                             score=None)
 
 
 ENTRY = st.fixed_dictionaries({
