@@ -71,6 +71,17 @@ class EventKind(enum.IntEnum):
     BLOCK_ARRIVAL = 4
 
 
+# bound once (event kinds as the heap's plain ints): an enum member read is slow
+_SEND_OPPORTUNITY = int(EventKind.SEND_OPPORTUNITY)
+_PACKET_DELIVERED = int(EventKind.PACKET_DELIVERED)
+_ACK = int(EventKind.ACK)
+_LOSS_SIGNAL = int(EventKind.LOSS_SIGNAL)
+_BLOCK_ARRIVAL = int(EventKind.BLOCK_ARRIVAL)
+_IN_SELECTION_QUEUE = PacketState.IN_SELECTION_QUEUE
+_INFLIGHT = PacketState.INFLIGHT
+_DELIVERED = PacketState.DELIVERED
+
+
 @dataclass
 class SimulationResult:
     """Everything one run produced, enough to recompute every metric."""
@@ -141,12 +152,13 @@ class Simulation:
         }
         self._finished = False
         for block in self.blocks:
-            self._push(block.arrival_time, EventKind.BLOCK_ARRIVAL, block)
+            self._push(block.arrival_time, _BLOCK_ARRIVAL, block)
 
     # -- event plumbing ------------------------------------------------
 
-    def _push(self, time_s: float, kind: EventKind, payload) -> None:
-        heapq.heappush(self._heap, (time_s, int(kind), self._seq, payload))
+    def _push(self, time_s: float, kind: int, payload) -> None:
+        """Schedule an event; kind is the int value of its EventKind."""
+        heapq.heappush(self._heap, (time_s, kind, self._seq, payload))
         self._seq += 1
 
     def advance(self):
@@ -157,15 +169,15 @@ class Simulation:
             return None
         time_s, kind, _, payload = heapq.heappop(self._heap)
         self.clock.advance(time_s)
-        if kind == EventKind.SEND_OPPORTUNITY:
+        if kind == _SEND_OPPORTUNITY:
             self._on_send_opportunity(time_s)
-        elif kind == EventKind.PACKET_DELIVERED:
+        elif kind == _PACKET_DELIVERED:
             self._on_packet_delivered(time_s, payload)
-        elif kind == EventKind.ACK:
+        elif kind == _ACK:
             self._on_ack(time_s, payload)
-        elif kind == EventKind.LOSS_SIGNAL:
+        elif kind == _LOSS_SIGNAL:
             self._on_loss_signal(time_s, payload)
-        elif kind == EventKind.BLOCK_ARRIVAL:
+        elif kind == _BLOCK_ARRIVAL:
             self._on_block_arrival(time_s, payload)
         else:
             raise SimulationInvariantError("unknown event kind %r" % kind)
@@ -191,7 +203,7 @@ class Simulation:
 
     def _ensure_opportunity(self, time_s: float) -> None:
         if not self._opportunity_pending:
-            self._push(time_s, EventKind.SEND_OPPORTUNITY, None)
+            self._push(time_s, _SEND_OPPORTUNITY, None)
             self._opportunity_pending = True
 
     # -- handlers ------------------------------------------------------
@@ -209,14 +221,15 @@ class Simulation:
         self.scheduler.note_block_resolved(block.element_id, False)
 
     def _decide(self, t: float) -> Block | None:
-        eligible = []
-        for b in self.queue:
-            if b.has_sendable():
-                # the queue was filtered at this instant, so no eligible
-                # block can be past its deadline; the policy may never see one
-                if b.past_deadline(t):
-                    raise IllegalStateError("block %r is expired at %r" % (b.block_id, t))
-                eligible.append(b)
+        eligible = self.queue.sendable()
+        for b in eligible:
+            if not b.has_sendable():
+                raise SimulationInvariantError(
+                    "sendable index holds block %r, which has nothing to send" % (b.block_id,))
+            # the queue was filtered at this instant, so no eligible block
+            # can be past its deadline; the policy may never see one
+            if b.past_deadline(t):
+                raise IllegalStateError("block %r is expired at %r" % (b.block_id, t))
         regime = self.predictor.regime
         smoothed = self.predictor.smoothed
         if not eligible:
@@ -252,7 +265,8 @@ class Simulation:
         if block is None:
             return
         packet = block.pending.popleft()
-        packet.state = PacketState.IN_SELECTION_QUEUE
+        self.queue.pending_changed(block)
+        packet.state = _IN_SELECTION_QUEUE
         packet.enqueue_time = t
         self._slot = packet
 
@@ -285,7 +299,7 @@ class Simulation:
         is_retx = packet.send_count > 1
         if is_retx:
             self.counters["retransmission_sends"] += 1
-        packet.state = PacketState.INFLIGHT
+        packet.state = _INFLIGHT
         thr = self.predictor.observe_send(packet.size_bytes, packet.enqueue_time, t)
         self.ledger.add(packet.packet_id, packet.size_bytes, t)
         draw = self._loss_rng.random()
@@ -294,15 +308,15 @@ class Simulation:
         self.counters["sends"] += 1
         end = self.trace.time_to_send(t, packet.size_bytes)
         if lost:
-            self._push(t + self.rtt_s, EventKind.LOSS_SIGNAL, packet)
+            self._push(t + self.rtt_s, _LOSS_SIGNAL, packet)
         else:
-            self._push(end + self.one_way_delay_s, EventKind.PACKET_DELIVERED, packet)
+            self._push(end + self.one_way_delay_s, _PACKET_DELIVERED, packet)
         if self.record is not None:
             self.record({"kind": "send", "t": t, "packet_id": _packet_ref(packet),
                          "size": packet.size_bytes, "retransmission": is_retx,
                          "thr_instant": thr})
         self._fill_slot(t)
-        self._push(end, EventKind.SEND_OPPORTUNITY, None)
+        self._push(end, _SEND_OPPORTUNITY, None)
         self._opportunity_pending = True
 
     def _on_packet_delivered(self, t: float, packet: Packet) -> None:
@@ -324,12 +338,12 @@ class Simulation:
                 self.record({"kind": "block_complete", "t": finish,
                              "block_id": list(block.block_id), "on_time": on_time})
             self.scheduler.note_block_resolved(block.element_id, on_time)
-        self._push(t + self.one_way_delay_s, EventKind.ACK, packet)
+        self._push(t + self.one_way_delay_s, _ACK, packet)
 
     def _on_ack(self, t: float, packet: Packet) -> None:
         sample = self.predictor.observe_response(self.ledger, packet.send_time, t)
         self.ledger.remove(packet.packet_id)
-        packet.state = PacketState.DELIVERED
+        packet.state = _DELIVERED
         block = self.blocks_by_id[packet.block_id]
         block.acked_packets += 1
         block.acked_bytes += packet.size_bytes
@@ -348,6 +362,7 @@ class Simulation:
         else:
             packet.state = PacketState.LOST_PENDING_RETX
             block.pending.appendleft(packet)
+            self.queue.pending_changed(block)
             requeued = True
             self._ensure_opportunity(t)
         if self.record is not None:

@@ -10,6 +10,11 @@ Blocks are split into MTU-sized packets. Packet state tracks the sender's
 view (a packet is "delivered" once its acknowledgement returned); the
 client-side receive time is recorded separately because block completion
 is judged at the client.
+
+The sender's awaiting queue keeps a sendable index beside its blocks: the
+queued blocks that have a packet pending, in queue order. A decision walks
+only that index, because most queued blocks on a long round trip are just
+waiting for packets already in flight.
 """
 from __future__ import annotations
 
@@ -136,6 +141,10 @@ class PacketState(enum.Enum):
     EXPIRED_DISCARDED = "expired_discarded"
 
 
+# bound once: reading an enum member is several times slower than a global
+_LOST_PENDING_RETX = PacketState.LOST_PENDING_RETX
+
+
 @dataclass
 class Packet:
     """One transmission unit of a block.
@@ -222,7 +231,7 @@ class Block:
         return bool(self.pending) and not self.expired
 
     def retransmission_pending(self) -> bool:
-        return bool(self.pending) and self.pending[0].state is PacketState.LOST_PENDING_RETX
+        return bool(self.pending) and self.pending[0].state is _LOST_PENDING_RETX
 
     def is_fully_received(self) -> bool:
         return self.received_packets == self.packet_count
@@ -276,10 +285,17 @@ class BlockAwaitingQueue:
     Iteration order is arrival order: the blocks live in one dict keyed by
     block id, whose insertion order is the enqueue order. Enqueueing the
     same id twice is an error.
+
+    A second dict, the sendable index, holds the queued blocks whose
+    ``pending`` is non-empty, in queue order; ``sendable()`` returns it as
+    a list. ``enqueue`` and ``remove`` keep it in step on their own. Whoever
+    takes packets from a queued block's ``pending`` or puts them back calls
+    ``pending_changed(block)`` afterwards.
     """
 
     def __init__(self) -> None:
         self._ids: dict[BlockId, Block] = {}
+        self._ready: dict[BlockId, Block] = {}
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -293,6 +309,10 @@ class BlockAwaitingQueue:
     def get(self, block_id: BlockId) -> Block | None:
         return self._ids.get(block_id)
 
+    def sendable(self) -> list[Block]:
+        """The queued blocks with a packet pending, in queue order."""
+        return list(self._ready.values())
+
     def enqueue(self, block: Block) -> None:
         if block.block_id in self._ids:
             raise DuplicateBlockError("block %r already enqueued" % (block.block_id,))
@@ -301,11 +321,28 @@ class BlockAwaitingQueue:
         if block.expired:
             raise IllegalStateError("block %r already expired" % (block.block_id,))
         self._ids[block.block_id] = block
+        if block.pending:
+            self._ready[block.block_id] = block
 
     def remove(self, block: Block) -> None:
         if block.block_id not in self._ids:
             raise IllegalStateError("block %r not in queue" % (block.block_id,))
         del self._ids[block.block_id]
+        self._ready.pop(block.block_id, None)
+
+    def pending_changed(self, block: Block) -> None:
+        """Bring the sendable index in step after block's ``pending`` changed.
+
+        A block whose last pending packet left drops out. A block that has
+        packets again (a loss after its last packet was sent) takes back its
+        place in queue order, which needs a rebuild of the index; that is
+        rare, so it costs one pass over the queue.
+        """
+        if block.pending:
+            if block.block_id not in self._ready:
+                self._ready = {block_id: b for block_id, b in self._ids.items() if b.pending}
+        else:
+            self._ready.pop(block.block_id, None)
 
 
 def mark_block_complete(block: Block, queue: BlockAwaitingQueue | None = None) -> float:

@@ -40,6 +40,10 @@ class Regime(enum.IntEnum):
     HIGH = 2
 
 
+# bound once: reading an enum member is several times slower than a global
+_LOW, _MID, _HIGH = Regime.LOW, Regime.MID, Regime.HIGH
+
+
 @dataclass(frozen=True)
 class Thresholds:
     """Regime boundaries in bytes/s; build from Mbps via from_mbps."""
@@ -143,10 +147,10 @@ def smoothed_throughput(ledger: InflightLedger, window_start: float, window_end:
 
 def classify_regime(throughput: float, thresholds: Thresholds) -> Regime:
     if throughput < thresholds.low:
-        return Regime.LOW
+        return _LOW
     if throughput > thresholds.high:
-        return Regime.HIGH
-    return Regime.MID
+        return _HIGH
+    return _MID
 
 
 class BandwidthPredictor:

@@ -116,28 +116,34 @@ def run_sweep(traces, scenarios, scheduler_names, seeds, params: RunParams,
               records_dir: str | None = None, trace_group: str = "corpus",
               jobs: int = 1, log=None) -> "ComparisonTable":
     """Run the full grid and aggregate. traces/scenarios are parsed objects;
-    seeds is the list of per-run seeds. params.seed is ignored."""
+    seeds is the list of per-run seeds. params.seed is ignored. Two grid
+    cells with the same record_key are a ConfigurationError, raised before
+    any run."""
     traces = list(traces)
     scenarios = list(scenarios)
     if not traces:
         raise ConfigurationError("sweep has no traces to run")
     if not scenarios or not scheduler_names or not seeds:
         raise ConfigurationError("sweep needs at least one scenario, scheduler, and seed")
-    if records_dir:
-        os.makedirs(records_dir, exist_ok=True)
-    combos = []
+    combos = {}
     for scenario in scenarios:
         for scheduler_name in scheduler_names:
             for trace in traces:
                 for seed in seeds:
-                    combos.append((trace, scenario, scheduler_name, seed))
+                    key = record_key(scheduler_name, scenario.name, trace.source_tag, seed)
+                    # a repeated cell would be run and averaged twice, yet
+                    # leave one record file
+                    if key in combos:
+                        raise ConfigurationError("sweep grid repeats the run %s" % key)
+                    combos[key] = (trace, scenario, scheduler_name, seed)
+    if records_dir:
+        os.makedirs(records_dir, exist_ok=True)
     records: list[dict] = []
     pending = []
-    for trace, scenario, scheduler_name, seed in combos:
+    for key, (trace, scenario, scheduler_name, seed) in combos.items():
         path = None
         if records_dir:
-            path = os.path.join(records_dir, record_key(scheduler_name, scenario.name,
-                                                        trace.source_tag, seed) + ".json")
+            path = os.path.join(records_dir, key + ".json")
             if os.path.exists(path):
                 with open(path) as fh:
                     records.append(json.load(fh))

@@ -14,9 +14,9 @@ a policy by name.
 The features a policy may read are the four fields of ``BlockStats``:
 remaining deadline ratio Dr, remaining size ratio Sr, remaining unacked
 packet count Pkt, and priority P. ``compute_block_stats`` builds them
-from the block's fields. The engine's single pass over the queue only
-picks the eligible blocks; it builds no features and asks no block
-whether a retransmission is pending. ``SchedulingContext.stats`` builds
+from the block's fields. The engine takes the eligible blocks from the
+queue's sendable index; it builds no features and asks no block whether
+a retransmission is pending. ``SchedulingContext.stats`` builds
 the features on its first read, one per eligible block, and
 ``SchedulingContext.retransmission`` does the same for the
 retransmission flags; each keeps its list for the rest of the decision.
@@ -196,7 +196,8 @@ def select_block_proposed(ctx: SchedulingContext, literal_mid_branch: bool = Fal
         return SchedulerDecision(None, DecisionReason.NONE_ELIGIBLE)
     stats = ctx.stats
     retx = ctx.retransmission
-    regime = ctx.regime
+    low = ctx.regime is Regime.LOW
+    high = ctx.regime is Regime.HIGH
     champ = 0
     reason = DecisionReason.FIRST_BLOCK
     champ_retx = bool(retx[0])
@@ -208,11 +209,11 @@ def select_block_proposed(ctx: SchedulingContext, literal_mid_branch: bool = Fal
             continue
         if champ_retx:
             continue  # nothing outranks a pending retransmission
-        if regime is Regime.LOW:
+        if low:
             if _key_low(stats[champ]) <= _key_low(stats[i]):
                 champ, reason = i, DecisionReason.LOW_REGIME
             continue
-        if regime is Regime.HIGH:
+        if high:
             if _key_high(stats[champ]) >= _key_high(stats[i]):
                 champ, reason = i, DecisionReason.HIGH_REGIME
                 continue
@@ -226,9 +227,9 @@ def select_block_proposed(ctx: SchedulingContext, literal_mid_branch: bool = Fal
             champ, reason = i, DecisionReason.MID_DEADLINE
     if champ_retx:
         score = None
-    elif regime is Regime.LOW:
+    elif low:
         score = _key_low(stats[champ])
-    elif regime is Regime.HIGH:
+    elif high:
         score = _key_high(stats[champ])
     else:
         score = _key_mid_size(stats[champ])

@@ -5,8 +5,10 @@ Each draw is run under every policy. A run must finish, which means every
 inflight ledger drained, sends matched by responses). On top of that:
 nothing is sent after its block's deadline, a block reported on time
 finished inside its window, the link never delivers more than the trace
-offered, a second run gives the same records, and forcing the scheduling
-features to be built for every decision changes no record. An auditor
+offered, a second run gives the same records, forcing the scheduling
+features to be built for every decision changes no record, and the
+queue's sendable index equals a full scan of the queue at every decision
+(with that check on, the records are again the same). An auditor
 rebuilds the report's session numbers from the event log, the scenario,
 the trace and alpha alone, and they must equal ``build_report``'s exactly.
 
@@ -21,14 +23,14 @@ from hypothesis import strategies as st
 
 from blocksched.errors import ConfigurationError
 from blocksched.metrics import build_report
-from blocksched.model import MediaElement, ScenarioConfig
+from blocksched.model import BlockAwaitingQueue, MediaElement, ScenarioConfig
 from blocksched.predictor import Thresholds
 from blocksched.schedulers import SCHEDULER_NAMES, make_scheduler
 from blocksched.traces import synthesize_trace
 from blocksched.units import PACKET_PAYLOAD_BYTES
 from conftest import EagerFeatures, run_recorded
 
-# one draw runs every policy three times, so it gets a fifth of the
+# one draw runs every policy four times, so it gets a fifth of the
 # profile's example count
 EXAMPLES = max(1, settings.default.max_examples // 5)
 
@@ -102,6 +104,16 @@ def run_policy(case, name, wrap=lambda scheduler: scheduler):
                         thresholds=case["thresholds"])
 
 
+_sendable = BlockAwaitingQueue.sendable
+
+
+def checked_sendable(queue):
+    """The queue's sendable index, asserted equal to a full scan."""
+    ready = _sendable(queue)
+    assert ready == [b for b in queue if b.has_sendable()]
+    return ready
+
+
 def audit_report(records, scenario, trace, duration_s, alpha) -> dict | None:
     """The report's session numbers rebuilt from the event log: block sizes
     and deadlines come from the scenario's elements, arrivals and
@@ -167,3 +179,7 @@ def test_engine_invariants_hold_on_generated_inputs(case):
         assert again[1] == records
         eager = run_policy(case, name, wrap=EagerFeatures)
         assert eager[1] == records
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BlockAwaitingQueue, "sendable", checked_sendable)
+            checked = run_policy(case, name)
+        assert checked[1] == records

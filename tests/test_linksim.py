@@ -359,6 +359,17 @@ class TestFeatureBuilds:
         with pytest.raises(IllegalStateError, match="is expired at"):
             sim._decide(block.arrival_time + 0.5)
 
+    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    def test_stale_sendable_index_is_an_invariant_error(self, name):
+        scenario = one_block_scenario()
+        sim = Simulation(constant_trace(), scenario, make_scheduler(name, scenario=scenario),
+                         duration_s=2.0, seed=0, loss_rate=0.0, thresholds=TH)
+        block = sim.blocks[0]
+        sim.queue.enqueue(block)
+        block.pending.clear()  # without telling the queue through pending_changed
+        with pytest.raises(SimulationInvariantError, match="nothing to send"):
+            sim._decide(block.arrival_time)
+
 
 class TestSerialization:
     def test_event_and_decision_records_are_json_ready(self):

@@ -182,6 +182,71 @@ class TestQueue:
         assert b.block_id not in q
 
 
+def queued_blocks(count):
+    """A queue of count three-packet blocks in arrival order, and the blocks."""
+    q = BlockAwaitingQueue()
+    blocks = [block_at(index=i, arrival_time=i * 0.1) for i in range(count)]
+    for b in blocks:
+        q.enqueue(b)
+    return q, blocks
+
+
+class TestSendableIndex:
+    def test_follows_enqueue_and_remove(self):
+        q, blocks = queued_blocks(3)
+        assert q.sendable() == blocks
+        q.remove(blocks[1])
+        assert q.sendable() == [blocks[0], blocks[2]]
+
+    def test_block_leaves_when_its_last_pending_packet_is_taken(self):
+        q, blocks = queued_blocks(2)
+        first = blocks[0]
+        while first.pending:
+            first.pending.popleft()
+            q.pending_changed(first)
+            assert (first in q.sendable()) == bool(first.pending)
+        assert q.sendable() == [blocks[1]]
+        assert first.block_id in q  # still queued: its packets are in flight
+
+    def test_reentering_block_takes_back_its_queue_place(self):
+        q, blocks = queued_blocks(3)
+        middle = blocks[1]
+        packets = list(middle.pending)
+        middle.pending.clear()
+        q.pending_changed(middle)
+        assert q.sendable() == [blocks[0], blocks[2]]
+        middle.pending.appendleft(packets[-1])  # a loss re-queues one packet
+        q.pending_changed(middle)
+        assert q.sendable() == blocks
+
+    def test_block_enqueued_with_nothing_pending_is_not_sendable(self):
+        b = block_at()
+        b.pending.clear()
+        q = BlockAwaitingQueue()
+        q.enqueue(b)
+        assert b.block_id in q
+        assert q.sendable() == []
+
+    @given(st.lists(st.tuples(st.sampled_from(["take", "lose", "remove"]), st.integers(0, 3)),
+                    max_size=40))
+    def test_equals_the_queued_blocks_with_packets_pending(self, ops):
+        q, blocks = queued_blocks(4)
+        taken = {b.block_id: [] for b in blocks}
+        for op, i in ops:
+            b = blocks[i]
+            if b.block_id not in q:
+                pass
+            elif op == "remove":
+                q.remove(b)
+            elif op == "take" and b.pending:
+                taken[b.block_id].append(b.pending.popleft())
+                q.pending_changed(b)
+            elif op == "lose" and taken[b.block_id]:
+                b.pending.appendleft(taken[b.block_id].pop())
+                q.pending_changed(b)
+            assert q.sendable() == [x for x in q if x.pending]
+
+
 class TestMarkBlockComplete:
     def test_completion_is_latest_client_receipt(self):
         b = block_at(total_bytes=3000)  # two packets

@@ -273,6 +273,14 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             run_sweep(small_corpus(), [small_scenario()], [], [0], quick_params(duration_s=1.0))
 
+    @pytest.mark.parametrize("schedulers, seeds", [(["fifo"], [0, 0]), (["fifo", "fifo"], [0])])
+    def test_repeated_cell_rejected_before_any_run(self, tmp_path, schedulers, seeds):
+        records_dir = tmp_path / "records"
+        with pytest.raises(ConfigurationError, match=r"repeats the run fifo__mini__\S+__s0"):
+            run_sweep(small_corpus()[:1], [small_scenario()], schedulers, seeds,
+                      quick_params(duration_s=1.0), records_dir=str(records_dir))
+        assert not records_dir.exists()
+
 
 class TestTuneThresholds:
     def test_singleton_grid_returns_its_pair(self, tmp_path):
@@ -308,6 +316,11 @@ class TestTuneThresholds:
         with pytest.raises(ConfigurationError):
             tune_thresholds([], [2.3], small_corpus()[:1], small_scenario(),
                             quick_params(duration_s=1.0))
+
+    def test_repeated_seeds_rejected(self):
+        with pytest.raises(ConfigurationError, match="repeats the run"):
+            tune_thresholds([0.8], [2.3], small_corpus()[:1], small_scenario(),
+                            quick_params(duration_s=1.0), seeds=(0, 0))
 
 
 class TestLoadFilteredCorpus:
@@ -379,6 +392,16 @@ class TestCli:
         assert os.path.exists(os.path.join(out_dir, "table.jsonl"))
         records = os.listdir(os.path.join(out_dir, "records"))
         assert len(records) == 6  # 2 schedulers x 3 traces
+
+    def test_sweep_with_repeated_seeds_exits_1_and_writes_no_records(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path / "corpus")
+        out_dir = os.path.join(str(tmp_path), "out")
+        code = main(["sweep", "--corpus", corpus, "--scenarios", SCENARIO_1,
+                     "--schedulers", "fifo", "--seeds", "0", "0",
+                     "--duration-s", "1", "--out-dir", out_dir, "--jobs", "1"])
+        assert code == 1
+        assert "repeats the run fifo__scenario_1__t00__s0" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out_dir, "records"))
 
     def test_report_rerenders_sweep_table(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "corpus")
