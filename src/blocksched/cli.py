@@ -3,7 +3,7 @@
 Subcommands: run (one simulation), sweep (schedulers x scenarios x corpus
 x seeds into records plus a comparison table), tune (threshold grid
 search on the training split), traces (parse / filter / split /
-synthesize / concat), and report (re-render a table from records).
+synthesize), and report (re-render a table from records).
 
 Results go to stdout or files; progress goes to stderr. Exit codes:
 0 success, 1 configuration problem, 2 simulation invariant violation.
@@ -32,14 +32,7 @@ from .runner import (
 from .metrics import DEFAULT_ALPHA
 from .predictor import Thresholds
 from .schedulers import SCHEDULER_NAMES
-from .traces import (
-    concat_traces,
-    load_corpus,
-    load_trace,
-    split_corpus,
-    synthesize_trace,
-    trace_passes_filter,
-)
+from .traces import load_corpus, load_trace, split_corpus, synthesize_trace, trace_passes_filter
 from .units import bytes_per_s_to_mbps
 
 
@@ -56,6 +49,13 @@ def _add_run_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threshold-high-mbps", type=float, default=DEFAULT_THRESHOLD_HIGH_MBPS)
     parser.add_argument("--literal-mid-branch", action="store_true",
                         help="replay the original mid-regime no-op comparison lines")
+
+
+def _default_group(trace_paths) -> str:
+    """The trace group label when --group is not given: the base name of
+    the one directory that holds every trace, else "corpus"."""
+    dirs = {os.path.normpath(os.path.dirname(path)) for path in trace_paths}
+    return os.path.basename(dirs.pop()) if len(dirs) == 1 else "corpus"
 
 
 def _params_from_args(args, seed: int = 0) -> RunParams:
@@ -101,7 +101,7 @@ def _cmd_sweep(args) -> int:
     params = _params_from_args(args)
     os.makedirs(args.out_dir, exist_ok=True)
     records_dir = args.records_dir or os.path.join(args.out_dir, "records")
-    group = args.group or os.path.basename(os.path.normpath(args.corpus))
+    group = args.group or _default_group(t.source_tag for t in traces)
     table = run_sweep(traces, scenarios, args.schedulers, args.seeds, params,
                       records_dir=records_dir, trace_group=group, jobs=args.jobs, log=_log)
     table_txt = os.path.join(args.out_dir, "table.txt")
@@ -175,7 +175,7 @@ def _cmd_traces_filter(args) -> int:
 
 
 def _cmd_traces_split(args) -> int:
-    traces = load_corpus(args.corpus, args.trace_format)
+    traces = load_filtered_corpus(args.corpus, args.trace_format)
     train, test = split_corpus(traces, args.train_fraction, args.seed)
     train_tags = {t.source_tag for t in train}
     lines = [json.dumps({"source": t.source_tag,
@@ -205,17 +205,9 @@ def _cmd_traces_synthesize(args) -> int:
     return 0
 
 
-def _cmd_traces_concat(args) -> int:
-    traces = [load_trace(p, args.trace_format) for p in args.inputs]
-    joined = concat_traces(traces, source_tag=args.out)
-    joined.write_csv(args.out)
-    print(json.dumps(_trace_stats(joined), sort_keys=True))
-    return 0
-
-
 def _cmd_report(args) -> int:
     records = load_records(args.records)
-    table = build_table(records, args.group)
+    table = build_table(records, args.group or _default_group(r["trace"] for r in records))
     text = table.to_text()
     if args.out:
         with open(args.out, "w") as fh:
@@ -290,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     tf.add_argument("--manifest", default=None)
     tf.set_defaults(func=_cmd_traces_filter)
 
-    ts = tsub.add_parser("split", help="deterministic train/test split")
+    ts = tsub.add_parser("split", help="deterministic train/test split of the filtered "
+                                      "corpus, the split tune uses")
     ts.add_argument("--corpus", required=True)
     ts.add_argument("--trace-format", choices=("csv", "opportunity"), default=None)
     ts.add_argument("--train-fraction", type=float, default=0.8)
@@ -313,15 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     ty.add_argument("--jitter-mbps", type=float, default=None)
     ty.set_defaults(func=_cmd_traces_synthesize)
 
-    tc = tsub.add_parser("concat", help="join traces end to end")
-    tc.add_argument("--inputs", nargs="+", required=True)
-    tc.add_argument("--trace-format", choices=("csv", "opportunity"), default=None)
-    tc.add_argument("--out", required=True)
-    tc.set_defaults(func=_cmd_traces_concat)
-
     p_report = sub.add_parser("report", help="re-render a comparison table from records")
     p_report.add_argument("--records", required=True)
-    p_report.add_argument("--group", default="corpus")
+    p_report.add_argument("--group", default=None,
+                          help="trace group label (default: the records' trace dirname, "
+                               "as sweep labels it)")
     p_report.add_argument("--out", default=None)
     p_report.add_argument("--json-out", default=None)
     p_report.set_defaults(func=_cmd_report)

@@ -29,7 +29,6 @@ the other keys per kind are listed in the README.
 """
 from __future__ import annotations
 
-import enum
 import heapq
 import random
 from dataclasses import dataclass
@@ -42,7 +41,6 @@ from .model import (
     Packet,
     PacketState,
     ScenarioConfig,
-    SimClock,
     generate_blocks,
     mark_block_complete,
 )
@@ -63,20 +61,13 @@ DEFAULT_LOSS_RATE = 0.005
 _LOSS_STREAM_OFFSET = 0x1F3A9C
 
 
-class EventKind(enum.IntEnum):
-    SEND_OPPORTUNITY = 0
-    PACKET_DELIVERED = 1
-    ACK = 2
-    LOSS_SIGNAL = 3
-    BLOCK_ARRIVAL = 4
-
-
-# bound once (event kinds as the heap's plain ints): an enum member read is slow
-_SEND_OPPORTUNITY = int(EventKind.SEND_OPPORTUNITY)
-_PACKET_DELIVERED = int(EventKind.PACKET_DELIVERED)
-_ACK = int(EventKind.ACK)
-_LOSS_SIGNAL = int(EventKind.LOSS_SIGNAL)
-_BLOCK_ARRIVAL = int(EventKind.BLOCK_ARRIVAL)
+# event kinds; their order is the tie order at equal timestamps
+_SEND_OPPORTUNITY = 0
+_PACKET_DELIVERED = 1
+_ACK = 2
+_LOSS_SIGNAL = 3
+_BLOCK_ARRIVAL = 4
+# bound once: an enum member read is slow
 _IN_SELECTION_QUEUE = PacketState.IN_SELECTION_QUEUE
 _INFLIGHT = PacketState.INFLIGHT
 _DELIVERED = PacketState.DELIVERED
@@ -128,7 +119,7 @@ class Simulation:
         self.forced_loss_sends = frozenset(forced_loss_sends)
         self.record = record
 
-        self.clock = SimClock()
+        self.now = 0.0
         self.queue = BlockAwaitingQueue()
         self.predictor = BandwidthPredictor(thresholds)
         self.ledger = InflightLedger()
@@ -157,18 +148,20 @@ class Simulation:
     # -- event plumbing ------------------------------------------------
 
     def _push(self, time_s: float, kind: int, payload) -> None:
-        """Schedule an event; kind is the int value of its EventKind."""
+        """Schedule an event; kind is one of the event-kind ints."""
         heapq.heappush(self._heap, (time_s, kind, self._seq, payload))
         self._seq += 1
 
     def advance(self):
         """Process the earliest pending event; returns (time, kind), with the
-        kind as the int value of its EventKind, or None when the heap is
-        empty. Events may never run behind the clock."""
+        kind as its event-kind int, or None when the heap is empty. Events
+        may never run behind the clock."""
         if not self._heap:
             return None
         time_s, kind, _, payload = heapq.heappop(self._heap)
-        self.clock.advance(time_s)
+        if time_s < self.now:
+            raise SimulationInvariantError("clock regression: %r -> %r" % (self.now, time_s))
+        self.now = time_s
         if kind == _SEND_OPPORTUNITY:
             self._on_send_opportunity(time_s)
         elif kind == _PACKET_DELIVERED:
@@ -195,7 +188,7 @@ class Simulation:
             trace_tag=self.trace.source_tag,
             scheduler_name=self.scheduler.name,
             duration_s=self.duration_s,
-            end_time=self.clock.now,
+            end_time=self.now,
             seed=self.seed,
             blocks=self.blocks,
             counters=self.counters,
@@ -372,7 +365,7 @@ class Simulation:
     # -- termination ---------------------------------------------------
 
     def _finalize(self) -> None:
-        now = self.clock.now
+        now = self.now
         if self._slot is not None:
             raise SimulationInvariantError("selection queue still holds %r after drain"
                                            % (self._slot.packet_id,))

@@ -79,21 +79,6 @@ class ScenarioConfig:
                 "scenario %r: priorities %r must be exactly 0..K-1" % (self.name, prios)
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "elements": [
-                {
-                    "element_id": e.element_id,
-                    "priority": e.priority,
-                    "deadline_s": e.deadline_s,
-                    "block_size_bytes": e.block_size_bytes,
-                    "period_s": e.period_s,
-                }
-                for e in self.elements
-            ],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         try:
@@ -123,13 +108,6 @@ def load_scenario(path: str) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ConfigurationError("scenario file %s is not valid JSON: %s" % (path, exc)) from exc
     return ScenarioConfig.from_dict(data)
-
-
-def save_scenario(cfg: ScenarioConfig, path: str) -> None:
-    cfg.validate()
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 class PacketState(enum.Enum):
@@ -372,14 +350,3 @@ def mark_block_complete(block: Block, queue: BlockAwaitingQueue | None = None) -
         queue.remove(block)
     return finish
 
-
-class SimClock:
-    """Monotone simulation clock; moving backwards is a fatal error."""
-
-    def __init__(self, now: float = 0.0) -> None:
-        self.now = now
-
-    def advance(self, to: float) -> None:
-        if to < self.now:
-            raise SimulationInvariantError("clock regression: %r -> %r" % (self.now, to))
-        self.now = to

@@ -346,15 +346,3 @@ def synthesize_trace(kind: str, duration_s: float, seed: int = 0, sample_s: floa
     tag = source_tag if source_tag is not None else "synth-%s-%d" % (kind, seed)
     return LinkTrace(samples=samples, duration_s=n * sample_s, source_tag=tag)
 
-
-def concat_traces(traces, source_tag: str = "concat") -> LinkTrace:
-    """Join traces end to end, shifting timestamps by cumulative duration."""
-    traces = list(traces)
-    if not traces:
-        raise ConfigurationError("cannot concatenate an empty trace list")
-    samples: list[tuple[float, float]] = []
-    offset = 0.0
-    for tr in traces:
-        samples.extend((offset + t, c) for t, c in tr.samples)
-        offset += tr.duration_s
-    return LinkTrace(samples=tuple(samples), duration_s=offset, source_tag=source_tag)

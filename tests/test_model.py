@@ -1,6 +1,7 @@
-"""Content model: scenarios, block generation, packets, queue, clock."""
+"""Content model: scenarios, block generation, packets, queue."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -17,12 +18,10 @@ from blocksched.model import (
     BlockAwaitingQueue,
     MediaElement,
     ScenarioConfig,
-    SimClock,
     build_packets,
     generate_blocks,
     load_scenario,
     mark_block_complete,
-    save_scenario,
 )
 from blocksched.units import PACKET_PAYLOAD_BYTES
 
@@ -120,7 +119,8 @@ class TestScenarioValidation:
     def test_json_round_trip(self, tmp_path):
         cfg = two_element_scenario()
         path = str(tmp_path / "scenario.json")
-        save_scenario(cfg, path)
+        with open(path, "w") as fh:
+            json.dump(dataclasses.asdict(cfg), fh)
         loaded = load_scenario(path)
         assert loaded == cfg
 
@@ -280,19 +280,6 @@ class TestMarkBlockComplete:
         b.received_packets = 1
         with pytest.raises(SimulationInvariantError):
             mark_block_complete(b)
-
-
-class TestSimClock:
-    def test_moves_forward(self):
-        clock = SimClock()
-        clock.advance(1.5)
-        clock.advance(1.5)
-        assert clock.now == 1.5
-
-    def test_regression_is_fatal(self):
-        clock = SimClock(now=2.0)
-        with pytest.raises(SimulationInvariantError):
-            clock.advance(1.0)
 
 
 class TestMediaElement:

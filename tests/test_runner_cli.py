@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -22,7 +23,7 @@ from blocksched.runner import (
 )
 from blocksched.model import load_scenario
 from blocksched.schedulers import make_scheduler
-from blocksched.traces import load_trace, synthesize_trace
+from blocksched.traces import load_trace, split_corpus, synthesize_trace
 from conftest import CORPUS_DIR, SCENARIO_DIR, element, quick_params, scenario_of
 
 SCENARIO_1 = os.path.join(SCENARIO_DIR, "scenario_1.json")
@@ -418,6 +419,22 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out == sweep_text
 
+    def test_report_without_group_reproduces_sweep_tables(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path / "mycorpus")
+        out_dir = os.path.join(str(tmp_path), "out")
+        assert main(["sweep", "--corpus", corpus, "--scenarios", SCENARIO_1,
+                     "--schedulers", "proposed", "fifo", "--seeds", "0",
+                     "--duration-s", "1.5", "--out-dir", out_dir, "--jobs", "1"]) == 0
+        text_out = os.path.join(str(tmp_path), "report.txt")
+        json_out = os.path.join(str(tmp_path), "report.jsonl")
+        assert main(["report", "--records", os.path.join(out_dir, "records"),
+                     "--out", text_out, "--json-out", json_out]) == 0
+        for sweep_name, report_path in (("table.txt", text_out), ("table.jsonl", json_out)):
+            with open(os.path.join(out_dir, sweep_name), "rb") as a, open(report_path, "rb") as b:
+                assert a.read() == b.read()
+        with open(text_out) as fh:
+            assert fh.read().splitlines()[2].split()[2] == "mycorpus"
+
     def test_tune_prints_best_pair(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "corpus")
         out_dir = os.path.join(str(tmp_path), "tuned")
@@ -461,13 +478,25 @@ class TestCli:
         # floor(3 * 0.67) = 2 traces land in the training split
         assert sorted(splits) == ["test", "train", "train"]
 
-    def test_traces_concat(self, tmp_path, capsys):
-        a = self._write_trace(tmp_path, "a.csv")
-        b = self._write_trace(tmp_path, "b.csv")
-        out = os.path.join(str(tmp_path), "joined.csv")
-        assert main(["traces", "concat", "--inputs", a, b, "--out", out]) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["duration_s"] == pytest.approx(24.0)
+    def test_traces_split_splits_the_corpus_tune_trains_on(self, tmp_path, capsys):
+        corpus = str(tmp_path / "corpus")
+        os.makedirs(corpus)
+        bundled = ["sq01", "sq02", "sq05", "ramp01", "ramp09"]
+        for name in bundled:
+            shutil.copy(os.path.join(CORPUS_DIR, name + ".csv"), corpus)
+        # 5 Mbps is above the corpus filter's 3 Mbps mean bound
+        synthesize_trace("constant", duration_s=20.0, mbps=5.0).write_csv(
+            os.path.join(corpus, "fast.csv"))
+        manifest = os.path.join(str(tmp_path), "split.jsonl")
+        assert main(["traces", "split", "--corpus", corpus, "--train-fraction", "0.6",
+                     "--manifest", manifest]) == 0
+        with open(manifest) as fh:
+            lines = [json.loads(line) for line in fh]
+        assert sorted(line["source"] for line in lines) == sorted(
+            os.path.join(corpus, name + ".csv") for name in bundled)
+        train, _ = split_corpus(load_filtered_corpus(corpus), 0.6, 0)
+        assert {line["source"] for line in lines if line["split"] == "train"} == {
+            t.source_tag for t in train}
 
     def test_usage_errors_exit_1(self, capsys):
         assert main(["run", "--scenario", "x"]) == 1  # missing required args

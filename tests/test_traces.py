@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from blocksched.errors import ConfigurationError, TraceParseError
 from blocksched.traces import (
     LinkTrace,
-    concat_traces,
     filter_corpus,
     load_trace,
     parse_csv_trace,
@@ -341,22 +340,6 @@ class TestSynthesize:
     def test_bad_requests_rejected(self, kind, params):
         with pytest.raises(ConfigurationError):
             synthesize_trace(kind, 5.0, **params)
-
-
-class TestConcat:
-    def test_durations_and_offsets_accumulate(self):
-        a = synthesize_trace("constant", 2.0, mbps=1.0)
-        b = synthesize_trace("constant", 3.0, mbps=2.0)
-        joined = concat_traces([a, b], source_tag="ab")
-        assert joined.duration_s == 5.0
-        assert joined.capacity_at(1.5) == mbps_to_bytes_per_s(1.0)
-        assert joined.capacity_at(2.5) == mbps_to_bytes_per_s(2.0)
-        assert joined.integrate_capacity(0, 5.0) == pytest.approx(
-            a.integrate_capacity(0, 2.0) + b.integrate_capacity(0, 3.0))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            concat_traces([])
 
 
 class TestLoadTrace:
