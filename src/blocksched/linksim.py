@@ -216,12 +216,13 @@ class Simulation:
     def _decide(self, t: float) -> Block | None:
         eligible = self.queue.sendable()
         for b in eligible:
-            if not b.has_sendable():
+            # has_sendable() and past_deadline(t), read off the fields
+            if not b.pending or b.expired:
                 raise SimulationInvariantError(
                     "sendable index holds block %r, which has nothing to send" % (b.block_id,))
             # the queue was filtered at this instant, so no eligible block
             # can be past its deadline; the policy may never see one
-            if b.past_deadline(t):
+            if t >= b.expires_at:
                 raise IllegalStateError("block %r is expired at %r" % (b.block_id, t))
         regime = self.predictor.regime
         smoothed = self.predictor.smoothed

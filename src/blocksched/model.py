@@ -11,10 +11,16 @@ view (a packet is "delivered" once its acknowledgement returned); the
 client-side receive time is recorded separately because block completion
 is judged at the client.
 
+A block is past its deadline once now - E > D. That rule is computed once
+per block, as ``Block.expires_at``: the least float instant at which it
+holds, so every expiry check is one comparison, ``now >= expires_at``.
+
 The sender's awaiting queue keeps a sendable index beside its blocks: the
 queued blocks that have a packet pending, in queue order. A decision walks
 only that index, because most queued blocks on a long round trip are just
-waiting for packets already in flight.
+waiting for packets already in flight. Beside it the queue keeps an expiry
+watermark, a lower bound on its blocks' ``expires_at``, so the expiry
+filter scans the queue only once a block can have expired.
 """
 from __future__ import annotations
 
@@ -123,7 +129,7 @@ class PacketState(enum.Enum):
 _LOST_PENDING_RETX = PacketState.LOST_PENDING_RETX
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One transmission unit of a block.
 
@@ -160,7 +166,25 @@ def build_packets(block_id: BlockId, total_bytes: int) -> list[Packet]:
     return [Packet(packet_id=(block_id, i), size_bytes=size) for i, size in enumerate(sizes)]
 
 
-@dataclass
+def _expiry_instant(arrival_time: float, deadline_s: float) -> float:
+    """The least float t with t - arrival_time > deadline_s.
+
+    Float subtraction rounds monotonically, so t - E > D holds for every t
+    at or above this instant and for none below it. E + D is at most a few
+    ulps off, and the two walks settle on the boundary from there. A window
+    with no finite end (an infinite or NaN sum) never closes.
+    """
+    t = arrival_time + deadline_s
+    if not math.isfinite(t):
+        return math.inf
+    while t - arrival_time > deadline_s:
+        t = math.nextafter(t, -math.inf)
+    while not t - arrival_time > deadline_s:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+@dataclass(slots=True)
 class Block:
     """One deadline-constrained unit of content."""
 
@@ -178,10 +202,12 @@ class Block:
     acked_packets: int = 0
     acked_bytes: int = 0
     received_packets: int = 0
+    expires_at: float = field(init=False)  # the least now with now - E > D
 
     def __post_init__(self) -> None:
         if not self.pending:
             self.pending = deque(self.packets)
+        self.expires_at = _expiry_instant(self.arrival_time, self.deadline_s)
 
     @property
     def packet_count(self) -> int:
@@ -201,9 +227,11 @@ class Block:
 
     def past_deadline(self, now: float) -> bool:
         """True once now is strictly past the deadline window (now - E > D).
-        The one expiry rule: the queue filter, the scheduling features and
-        the on-time test all ask it, so no two of them disagree."""
-        return now - self.arrival_time > self.deadline_s
+        The one expiry rule, computed once as ``expires_at``: the queue
+        filter, the scheduling features, the engine's decision guard and
+        the on-time test all compare now with it, so no two of them
+        disagree."""
+        return now >= self.expires_at
 
     def has_sendable(self) -> bool:
         return bool(self.pending) and not self.expired
@@ -269,11 +297,19 @@ class BlockAwaitingQueue:
     a list. ``enqueue`` and ``remove`` keep it in step on their own. Whoever
     takes packets from a queued block's ``pending`` or puts them back calls
     ``pending_changed(block)`` afterwards.
+
+    ``next_expiry`` is the expiry watermark: a lower bound on the queued
+    blocks' ``expires_at`` (infinity while none is queued), so no queued
+    block is past its deadline before that instant. ``enqueue`` lowers it;
+    ``remove`` leaves it, since a lower bound stays one when a block goes.
+    Whoever scans the queue for expired blocks may raise it to the least
+    ``expires_at`` among the blocks that stay.
     """
 
     def __init__(self) -> None:
         self._ids: dict[BlockId, Block] = {}
         self._ready: dict[BlockId, Block] = {}
+        self.next_expiry = math.inf
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -301,6 +337,8 @@ class BlockAwaitingQueue:
         self._ids[block.block_id] = block
         if block.pending:
             self._ready[block.block_id] = block
+        if block.expires_at < self.next_expiry:
+            self.next_expiry = block.expires_at
 
     def remove(self, block: Block) -> None:
         if block.block_id not in self._ids:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError, IllegalStateError
@@ -72,9 +73,10 @@ def compute_block_stats(block: Block, now: float) -> BlockStats:
 
     Reads the block's fields directly; each expression is the one its
     ``Block`` property spells out (``unacked_bytes``, ``expiry_time``,
-    ``unacked_packets``), so the values are bit-for-bit the same.
+    ``unacked_packets``), so the values are bit-for-bit the same, and the
+    expiry check is ``Block.past_deadline``'s comparison.
     """
-    if block.expired or block.past_deadline(now):
+    if block.expired or now >= block.expires_at:
         raise IllegalStateError("block %r is expired at %r" % (block.block_id, now))
     total_bytes = block.total_bytes
     deadline_s = block.deadline_s
@@ -92,15 +94,31 @@ def filter_expired(queue: BlockAwaitingQueue, now: float) -> list[Block]:
 
     Unsent packets of an expired block are discarded; packets already on
     the wire keep flying and their responses are still processed. Returns
-    the expired blocks so the caller can record their outcomes.
+    the expired blocks, in queue order, so the caller can record their
+    outcomes.
+
+    The queue is scanned only once now has reached its expiry watermark
+    ``next_expiry``; before that no queued block can be past its deadline
+    and the result is empty. A scan raises the watermark to the least
+    ``expires_at`` among the blocks that stay.
     """
-    expired = [b for b in queue if b.past_deadline(now)]
+    if now < queue.next_expiry:
+        return []
+    expired = []
+    next_expiry = math.inf
+    for block in queue:
+        expires_at = block.expires_at
+        if now >= expires_at:
+            expired.append(block)
+        elif expires_at < next_expiry:
+            next_expiry = expires_at
     for block in expired:
         block.expired = True
         for packet in block.pending:
             packet.state = PacketState.EXPIRED_DISCARDED
         block.pending.clear()
         queue.remove(block)
+    queue.next_expiry = next_expiry
     return expired
 
 
@@ -167,22 +185,6 @@ class SchedulingContext:
         return retx
 
 
-def _key_low(s: BlockStats) -> float:
-    return s.remaining_deadline_ratio / s.remaining_packets * (1.0 + s.priority)
-
-
-def _key_high(s: BlockStats) -> float:
-    return s.remaining_deadline_ratio * (1.0 + s.priority) / s.remaining_size_ratio
-
-
-def _key_mid_size(s: BlockStats) -> float:
-    return s.remaining_size_ratio * s.remaining_packets
-
-
-def _key_mid_deadline(s: BlockStats) -> float:
-    return s.remaining_deadline_ratio / s.remaining_packets
-
-
 def select_block_proposed(ctx: SchedulingContext, literal_mid_branch: bool = False) -> SchedulerDecision:
     """Regime-switched champion scan, one pass over the queue.
 
@@ -203,36 +205,50 @@ def select_block_proposed(ctx: SchedulingContext, literal_mid_branch: bool = Fal
     champ_retx = bool(retx[0])
     if champ_retx:
         reason = DecisionReason.RETRANSMISSION
+        champ_key = champ_size = None
+    else:
+        # the champion's keys, kept so that each block's are computed once:
+        # champ_key is the active regime's key (the score), champ_size the
+        # mid rule's Sr * Pkt
+        sr, dr, pkt, p = stats[0]
+        champ_size = sr * pkt
+        if low:
+            champ_key = dr / pkt * (1.0 + p)
+        elif high:
+            champ_key = dr * (1.0 + p) / sr
+        else:
+            champ_key = champ_size
     for i in range(1, n):
         if retx[i]:
             champ, reason, champ_retx = i, DecisionReason.RETRANSMISSION, True
             continue
         if champ_retx:
             continue  # nothing outranks a pending retransmission
+        sr, dr, pkt, p = stats[i]
         if low:
-            if _key_low(stats[champ]) <= _key_low(stats[i]):
-                champ, reason = i, DecisionReason.LOW_REGIME
+            key = dr / pkt * (1.0 + p)
+            if champ_key <= key:
+                champ, champ_key, reason = i, key, DecisionReason.LOW_REGIME
             continue
+        size = sr * pkt
         if high:
-            if _key_high(stats[champ]) >= _key_high(stats[i]):
-                champ, reason = i, DecisionReason.HIGH_REGIME
+            key = dr * (1.0 + p) / sr
+            if champ_key >= key:
+                champ, champ_key, champ_size, reason = i, key, size, DecisionReason.HIGH_REGIME
                 continue
             # losing the high-regime test still earns the mid comparison
+        else:
+            key = size
         if literal_mid_branch:
             continue
-        if _key_mid_size(stats[i]) < _key_mid_size(stats[champ]):
-            champ, reason = i, DecisionReason.MID_SIZE
-        elif (_key_mid_size(stats[i]) == _key_mid_size(stats[champ])
-              and _key_mid_deadline(stats[i]) <= _key_mid_deadline(stats[champ])):
-            champ, reason = i, DecisionReason.MID_DEADLINE
-    if champ_retx:
-        score = None
-    elif low:
-        score = _key_low(stats[champ])
-    elif high:
-        score = _key_high(stats[champ])
-    else:
-        score = _key_mid_size(stats[champ])
+        if size < champ_size:
+            champ, champ_key, champ_size, reason = i, key, size, DecisionReason.MID_SIZE
+        elif size == champ_size:
+            # the deadline key Dr / Pkt breaks a size tie
+            held = stats[champ]
+            if dr / pkt <= held.remaining_deadline_ratio / held.remaining_packets:
+                champ, champ_key, reason = i, key, DecisionReason.MID_DEADLINE
+    score = None if champ_retx else champ_key
     return SchedulerDecision(ctx.blocks[champ].block_id, reason, score)
 
 
@@ -268,8 +284,10 @@ def select_block_rswn(ctx: SchedulingContext) -> SchedulerDecision:
     best = -1
     best_key = None
     for i, block in enumerate(ctx.blocks):
-        expiry = block.expiry_time
-        if bw <= 0 or block.unacked_bytes / bw > expiry - now:
+        # the expressions of expiry_time and unacked_bytes, without the
+        # property calls
+        expiry = block.arrival_time + block.deadline_s
+        if bw <= 0 or (block.total_bytes - block.acked_bytes) / bw > expiry - now:
             continue
         key = (-(1 + block.priority), expiry)
         if best < 0 or key < best_key:

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+import math
 import os
 
 import pytest
@@ -45,6 +46,13 @@ def block_at(arrival_time=0.0, deadline_s=0.2, priority=0, total_bytes=3000,
         total_bytes=total_bytes,
         packets=build_packets(block_id, total_bytes),
     )
+
+
+def ulps_from(x: float, k: int) -> float:
+    """The float k steps from x: up for positive k, down for negative."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
 
 
 def deep_queue_inputs(duration_s=6.0):

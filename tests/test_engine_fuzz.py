@@ -6,9 +6,10 @@ inflight ledger drained, sends matched by responses). On top of that:
 nothing is sent after its block's deadline, a block reported on time
 finished inside its window, the link never delivers more than the trace
 offered, a second run gives the same records, forcing the scheduling
-features to be built for every decision changes no record, and the
-queue's sendable index equals a full scan of the queue at every decision
-(with that check on, the records are again the same). An auditor
+features to be built for every decision changes no record, the queue's
+sendable index equals a full scan of the queue at every decision, and
+every expiry filter returns what a full scan of the queue before it
+finds (with those checks on, the records are again the same). An auditor
 rebuilds the report's session numbers from the event log, the scenario,
 the trace and alpha alone, and they must equal ``build_report``'s exactly.
 
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blocksched import linksim
 from blocksched.errors import ConfigurationError
 from blocksched.metrics import build_report
 from blocksched.model import BlockAwaitingQueue, MediaElement, ScenarioConfig
@@ -114,6 +116,18 @@ def checked_sendable(queue):
     return ready
 
 
+_filter_expired = linksim.filter_expired
+
+
+def checked_filter_expired(queue, now):
+    """The expiry filter, asserted equal to a full scan of the queue taken
+    before the call."""
+    before = list(queue)
+    expired = _filter_expired(queue, now)
+    assert expired == [b for b in before if now - b.arrival_time > b.deadline_s], now
+    return expired
+
+
 def audit_report(records, scenario, trace, duration_s, alpha) -> dict | None:
     """The report's session numbers rebuilt from the event log: block sizes
     and deadlines come from the scenario's elements, arrivals and
@@ -181,5 +195,6 @@ def test_engine_invariants_hold_on_generated_inputs(case):
         assert eager[1] == records
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(BlockAwaitingQueue, "sendable", checked_sendable)
+            patch.setattr(linksim, "filter_expired", checked_filter_expired)
             checked = run_policy(case, name)
         assert checked[1] == records

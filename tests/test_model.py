@@ -23,9 +23,10 @@ from blocksched.model import (
     load_scenario,
     mark_block_complete,
 )
+from blocksched.schedulers import filter_expired
 from blocksched.units import PACKET_PAYLOAD_BYTES
 
-from conftest import SCENARIO_DIR, block_at, element, scenario_of
+from conftest import SCENARIO_DIR, block_at, element, scenario_of, ulps_from
 
 
 def two_element_scenario():
@@ -245,6 +246,65 @@ class TestSendableIndex:
                 b.pending.appendleft(taken[b.block_id].pop())
                 q.pending_changed(b)
             assert q.sendable() == [x for x in q if x.pending]
+
+
+DEADLINES = (0.05, 0.1, 0.3, 0.631)
+# one queue operation: enqueue a block arriving now with a deadline; remove
+# (complete) the i-th queued block; filter after the clock moves on by dt;
+# or filter at k ulps from the i-th queued block's expiry instant, or now
+# if that is earlier
+WATERMARK_OPS = st.lists(st.one_of(
+    st.tuples(st.just("enqueue"), st.sampled_from(DEADLINES)),
+    st.tuples(st.just("remove"), st.integers(0, 40)),
+    st.tuples(st.just("filter"), st.sampled_from([0.0, 0.01, 0.05, 0.2])),
+    st.tuples(st.just("edge"), st.integers(0, 40), st.integers(-2, 2)),
+), max_size=60)
+
+
+class TestExpiryWatermark:
+    @given(WATERMARK_OPS)
+    def test_filter_equals_a_full_scan_and_the_watermark_stays_a_lower_bound(self, ops):
+        # one block per deadline to start, so a scan leaves survivors whose
+        # windows close at different instants
+        q = BlockAwaitingQueue()
+        now = 0.321
+        for index, deadline in enumerate(DEADLINES):
+            q.enqueue(block_at(arrival_time=now, deadline_s=deadline, index=index))
+        for index, (op, arg, *rest) in enumerate(ops, start=len(DEADLINES)):
+            queued = list(q)
+            if op == "enqueue":
+                q.enqueue(block_at(arrival_time=now, deadline_s=arg, index=index))
+            elif op == "remove" and queued:
+                q.remove(queued[arg % len(queued)])
+            elif op in ("filter", "edge"):
+                if op == "filter":
+                    now += arg
+                elif queued:
+                    now = max(now, ulps_from(queued[arg % len(queued)].expires_at, rest[0]))
+                expected = [b for b in queued if now - b.arrival_time > b.deadline_s]
+                assert filter_expired(q, now) == expected
+                assert list(q) == [b for b in queued if b not in expected]
+            if len(q):
+                assert q.next_expiry <= min(b.expires_at for b in q)
+
+    def test_filter_never_scans_a_queue_far_inside_its_windows(self, monkeypatch):
+        scans = [0]
+        queue_iter = BlockAwaitingQueue.__iter__
+
+        def counting(queue):
+            scans[0] += 1
+            return queue_iter(queue)
+
+        q = BlockAwaitingQueue()
+        blocks = [block_at(index=i, arrival_time=i * 0.1, deadline_s=10.0) for i in range(5)]
+        for b in blocks:
+            q.enqueue(b)
+        monkeypatch.setattr(BlockAwaitingQueue, "__iter__", counting)
+        for step in range(100):
+            assert filter_expired(q, step * 0.05) == []
+        assert scans[0] == 0
+        assert filter_expired(q, 10.05) == [blocks[0]]  # the first window has closed
+        assert scans[0] == 1
 
 
 class TestMarkBlockComplete:

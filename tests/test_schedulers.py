@@ -26,7 +26,7 @@ from blocksched.schedulers import (
     select_block_sfra,
 )
 from blocksched.traces import synthesize_trace
-from conftest import block_at, element, run_recorded, scenario_of
+from conftest import block_at, element, run_recorded, scenario_of, ulps_from
 from reference_selection import reference_select
 
 HIGH_REGIMES = {Regime.LOW: 0, Regime.MID: 1, Regime.HIGH: 2}
@@ -136,23 +136,17 @@ class TestFilterExpired:
         assert list(queue) == blocks[1:]
 
 
-def _ulps_from(x: float, k: int) -> float:
-    for _ in range(abs(k)):
-        x = math.nextafter(x, math.copysign(math.inf, k))
-    return x
-
-
 # (E, D, f): a block window and a point E + f * D inside or past it
 WINDOWS = st.tuples(st.floats(min_value=0.0, max_value=1e4),
                     st.floats(min_value=1e-3, max_value=1e3),
                     st.floats(min_value=0.0, max_value=2.0))
 
 
-def _times_in(arrival: float, deadline: float, frac: float) -> list[float]:
-    """E + f * D plus every float within four ulps of E + D, where the
+def _times_in(arrival: float, deadline: float, frac: float, ulps: int = 4) -> list[float]:
+    """E + f * D plus every float within ulps ulps of E + D, where the
     forms now - E > D and now > E + D can disagree."""
     edge = arrival + deadline
-    return [arrival + frac * deadline] + [_ulps_from(edge, k) for k in range(-4, 5)]
+    return [arrival + frac * deadline] + [ulps_from(edge, k) for k in range(-ulps, ulps + 1)]
 
 
 def _engine_on_time(arrival: float, deadline: float, finish: float) -> bool:
@@ -183,6 +177,15 @@ class TestExpiryRule:
         queue.enqueue(block)
         assert filter_expired(queue, now) == []
         assert compute_block_stats(block, now).remaining_packets == block.packet_count
+
+    @given(WINDOWS)
+    def test_expiry_instant_is_the_first_float_past_the_window(self, window):
+        arrival, deadline, _ = window
+        block = block_at(arrival_time=arrival, deadline_s=deadline)
+        for now in _times_in(*window, ulps=8):
+            assert block.past_deadline(now) == (now - arrival > deadline), now
+        assert block.past_deadline(block.expires_at)
+        assert not block.past_deadline(math.nextafter(block.expires_at, -math.inf))
 
     @given(WINDOWS)
     def test_block_stats_refuse_exactly_what_the_filter_expires(self, window):
@@ -401,6 +404,20 @@ def _ctx_from_entries(entries, regime):
     return ctx_of(stats, retx=[e["retx"] for e in entries], regime=regime)
 
 
+def _expected_score(entries, regime, idx, reason):
+    """The score the policy reports: None when a retransmission won, else
+    the winner's key in the active regime (the mid rule's size key in the
+    mid regime)."""
+    if reason == "retransmission":
+        return None
+    e = entries[idx]
+    if regime is Regime.LOW:
+        return e["dr"] / e["pkt"] * (1.0 + e["p"])
+    if regime is Regime.HIGH:
+        return e["dr"] * (1.0 + e["p"]) / e["sr"]
+    return e["sr"] * e["pkt"]
+
+
 class TestOracleEquivalence:
     @given(entries=st.lists(ENTRY, min_size=0, max_size=6),
            regime=st.sampled_from([Regime.LOW, Regime.MID, Regime.HIGH]),
@@ -412,29 +429,38 @@ class TestOracleEquivalence:
             entries, HIGH_REGIMES[regime], literal_mid=literal)
         if expected_idx is None:
             assert decision.selected is None
+            assert decision.score is None
         else:
             assert decision.selected == ctx.blocks[expected_idx].block_id
+            assert decision.score == _expected_score(entries, regime, expected_idx,
+                                                     expected_reason)
         assert decision.reason.value == expected_reason
 
     def test_matches_reference_scan_bulk(self):
         rng = random.Random(1234)
         drs, srs, pkts = [0.25, 0.5, 0.75, 1.0], [0.2, 0.5, 1.0], [1, 2, 4]
         checked = 0
-        for regime in (Regime.LOW, Regime.MID, Regime.HIGH):
-            for literal in (False, True):
-                for _ in range(200):
-                    entries = [{"dr": rng.choice(drs), "sr": rng.choice(srs),
-                                "pkt": rng.choice(pkts), "p": rng.randrange(3),
-                                "retx": rng.random() < 0.15}
-                               for _ in range(rng.randrange(1, 8))]
-                    ctx = _ctx_from_entries(entries, regime)
-                    decision = select_block_proposed(ctx, literal_mid_branch=literal)
-                    idx, reason = reference_select(entries, HIGH_REGIMES[regime],
-                                                   literal_mid=literal)
-                    assert decision.selected == ctx.blocks[idx].block_id
-                    assert decision.reason.value == reason
-                    checked += 1
-        assert checked == 1200
+        # (queue depth range, retransmission rate, lists per regime and
+        # variant): short queues, then deep ones where the champion's keys
+        # are reused many times; the deep lists rarely hold a
+        # retransmission, which would end the key comparisons
+        for (shortest, longest), retx_rate, count in (((1, 7), 0.15, 200), ((20, 60), 0.01, 50)):
+            for regime in (Regime.LOW, Regime.MID, Regime.HIGH):
+                for literal in (False, True):
+                    for _ in range(count):
+                        entries = [{"dr": rng.choice(drs), "sr": rng.choice(srs),
+                                    "pkt": rng.choice(pkts), "p": rng.randrange(3),
+                                    "retx": rng.random() < retx_rate}
+                                   for _ in range(rng.randrange(shortest, longest + 1))]
+                        ctx = _ctx_from_entries(entries, regime)
+                        decision = select_block_proposed(ctx, literal_mid_branch=literal)
+                        idx, reason = reference_select(entries, HIGH_REGIMES[regime],
+                                                       literal_mid=literal)
+                        assert decision.selected == ctx.blocks[idx].block_id
+                        assert decision.reason.value == reason
+                        assert decision.score == _expected_score(entries, regime, idx, reason)
+                        checked += 1
+        assert checked == 1500
 
 
 class TestFifo:
