@@ -29,9 +29,9 @@ the other keys per kind are listed in the README.
 """
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable
 
 from .errors import ConfigurationError, IllegalStateError, SimulationInvariantError
@@ -149,7 +149,7 @@ class Simulation:
 
     def _push(self, time_s: float, kind: int, payload) -> None:
         """Schedule an event; kind is one of the event-kind ints."""
-        heapq.heappush(self._heap, (time_s, kind, self._seq, payload))
+        heappush(self._heap, (time_s, kind, self._seq, payload))
         self._seq += 1
 
     def advance(self):
@@ -158,7 +158,7 @@ class Simulation:
         may never run behind the clock."""
         if not self._heap:
             return None
-        time_s, kind, _, payload = heapq.heappop(self._heap)
+        time_s, kind, _, payload = heappop(self._heap)
         if time_s < self.now:
             raise SimulationInvariantError("clock regression: %r -> %r" % (self.now, time_s))
         self.now = time_s
@@ -214,16 +214,20 @@ class Simulation:
         self.scheduler.note_block_resolved(block.element_id, False)
 
     def _decide(self, t: float) -> Block | None:
-        eligible = self.queue.sendable()
+        queue = self.queue
+        eligible = queue.sendable()
         for b in eligible:
-            # has_sendable() and past_deadline(t), read off the fields
+            # has_sendable(), read off the fields
             if not b.pending or b.expired:
                 raise SimulationInvariantError(
                     "sendable index holds block %r, which has nothing to send" % (b.block_id,))
-            # the queue was filtered at this instant, so no eligible block
-            # can be past its deadline; the policy may never see one
-            if t >= b.expires_at:
-                raise IllegalStateError("block %r is expired at %r" % (b.block_id, t))
+        # the queue was filtered at this instant, so no eligible block can be
+        # past its deadline; the policy may never see one. Below the expiry
+        # watermark no queued block can be, so only a later t is checked
+        if t >= queue.next_expiry:
+            for b in eligible:
+                if t >= b.expires_at:  # past_deadline(t)
+                    raise IllegalStateError("block %r is expired at %r" % (b.block_id, t))
         regime = self.predictor.regime
         smoothed = self.predictor.smoothed
         if not eligible:
@@ -247,8 +251,8 @@ class Simulation:
                          "eligible": len(eligible)})
         if selected is None:
             return None
-        block = self.queue.get(selected)
-        if block is None or not block.has_sendable():
+        block = queue.get(selected)
+        if block is None or not block.pending or block.expired:  # has_sendable()
             raise SimulationInvariantError(
                 "scheduler %s selected ineligible block %r" % (self.scheduler.name, selected)
             )
@@ -273,7 +277,7 @@ class Simulation:
             # the queue filter above marks the slot packet's block too; a
             # chosen-but-unsent packet of an expired block must not burn
             # capacity
-            block = self.blocks_by_id[slot.block_id]
+            block = self.blocks_by_id[slot.packet_id[0]]
             if block.expired:
                 slot.state = PacketState.EXPIRED_DISCARDED
                 self.counters["slot_discards"] += 1
@@ -301,16 +305,20 @@ class Simulation:
         self._send_index += 1
         self.counters["sends"] += 1
         end = self.trace.time_to_send(t, packet.size_bytes)
+        # _push inlined on the per-packet path: the same tuple and seq order
+        heap = self._heap
         if lost:
-            self._push(t + self.rtt_s, _LOSS_SIGNAL, packet)
+            heappush(heap, (t + self.rtt_s, _LOSS_SIGNAL, self._seq, packet))
         else:
-            self._push(end + self.one_way_delay_s, _PACKET_DELIVERED, packet)
+            heappush(heap, (end + self.one_way_delay_s, _PACKET_DELIVERED, self._seq, packet))
+        self._seq += 1
         if self.record is not None:
             self.record({"kind": "send", "t": t, "packet_id": _packet_ref(packet),
                          "size": packet.size_bytes, "retransmission": is_retx,
                          "thr_instant": thr})
         self._fill_slot(t)
-        self._push(end, _SEND_OPPORTUNITY, None)
+        heappush(heap, (end, _SEND_OPPORTUNITY, self._seq, None))
+        self._seq += 1
         self._opportunity_pending = True
 
     def _on_packet_delivered(self, t: float, packet: Packet) -> None:
@@ -322,7 +330,7 @@ class Simulation:
         if self.record is not None:
             self.record({"kind": "delivered", "t": t, "packet_id": _packet_ref(packet),
                          "size": packet.size_bytes})
-        block = self.blocks_by_id[packet.block_id]
+        block = self.blocks_by_id[packet.packet_id[0]]
         block.received_packets += 1
         if not block.expired and block.completion_time is None and block.is_fully_received():
             finish = mark_block_complete(block, self.queue)
@@ -332,13 +340,14 @@ class Simulation:
                 self.record({"kind": "block_complete", "t": finish,
                              "block_id": list(block.block_id), "on_time": on_time})
             self.scheduler.note_block_resolved(block.element_id, on_time)
-        self._push(t + self.one_way_delay_s, _ACK, packet)
+        heappush(self._heap, (t + self.one_way_delay_s, _ACK, self._seq, packet))
+        self._seq += 1
 
     def _on_ack(self, t: float, packet: Packet) -> None:
         sample = self.predictor.observe_response(self.ledger, packet.send_time, t)
         self.ledger.remove(packet.packet_id)
         packet.state = _DELIVERED
-        block = self.blocks_by_id[packet.block_id]
+        block = self.blocks_by_id[packet.packet_id[0]]
         block.acked_packets += 1
         block.acked_bytes += packet.size_bytes
         if self.record is not None:
@@ -349,7 +358,7 @@ class Simulation:
         sample = self.predictor.observe_response(self.ledger, packet.send_time, t)
         self.ledger.remove(packet.packet_id)
         self.counters["loss_signals"] += 1
-        block = self.blocks_by_id[packet.block_id]
+        block = self.blocks_by_id[packet.packet_id[0]]
         if block.expired:
             packet.state = PacketState.EXPIRED_DISCARDED
             requeued = False

@@ -64,13 +64,17 @@ class ScenarioConfig:
         if len(set(ids)) != len(ids):
             raise ConfigurationError("scenario %r repeats an element_id" % self.name)
         for e in self.elements:
-            if e.deadline_s <= 0:
+            # NaN fails every comparison, so test finiteness first: a NaN
+            # period would never let generate_blocks reach the run's end
+            if not math.isfinite(e.deadline_s) or e.deadline_s <= 0:
                 raise ConfigurationError(
-                    "element %d: deadline_s must be positive, got %r" % (e.element_id, e.deadline_s)
+                    "element %d: deadline_s must be positive and finite, got %r"
+                    % (e.element_id, e.deadline_s)
                 )
-            if e.period_s <= 0:
+            if not math.isfinite(e.period_s) or e.period_s <= 0:
                 raise ConfigurationError(
-                    "element %d: period_s must be positive, got %r" % (e.element_id, e.period_s)
+                    "element %d: period_s must be positive and finite, got %r"
+                    % (e.element_id, e.period_s)
                 )
             if e.block_size_bytes < PACKET_PAYLOAD_BYTES:
                 raise ConfigurationError(
@@ -148,10 +152,6 @@ class Packet:
     client_receive_time: float | None = None
     send_count: int = 0
 
-    @property
-    def block_id(self) -> BlockId:
-        return self.packet_id[0]
-
 
 def build_packets(block_id: BlockId, total_bytes: int) -> list[Packet]:
     """Split total_bytes into full payloads plus one smaller tail packet."""
@@ -163,7 +163,7 @@ def build_packets(block_id: BlockId, total_bytes: int) -> list[Packet]:
     tail = total_bytes % PACKET_PAYLOAD_BYTES
     if tail:
         sizes.append(tail)
-    return [Packet(packet_id=(block_id, i), size_bytes=size) for i, size in enumerate(sizes)]
+    return [Packet((block_id, i), size) for i, size in enumerate(sizes)]
 
 
 def _expiry_instant(arrival_time: float, deadline_s: float) -> float:

@@ -157,13 +157,16 @@ class BandwidthPredictor:
     """Stateful wrapper the simulation feeds send and response events.
 
     Until the first sample each estimate defaults to the low threshold, a
-    deliberately conservative starting point.
+    deliberately conservative starting point. ``regime`` is the smoothed
+    estimate's class; it is an attribute that changes together with
+    ``smoothed``, classified once per response rather than at every read.
     """
 
     def __init__(self, thresholds: Thresholds) -> None:
         self.thresholds = thresholds
         self.instantaneous = thresholds.low
         self.smoothed = thresholds.low
+        self.regime = classify_regime(self.smoothed, thresholds)
 
     def observe_send(self, size_bytes: int, enqueue_time: float, send_time: float) -> float | None:
         """Update the instantaneous estimate; returns the new sample, or
@@ -176,12 +179,10 @@ class BandwidthPredictor:
         return sample
 
     def observe_response(self, ledger: InflightLedger, send_time: float, response_time: float) -> float:
-        """Update the smoothed estimate from one acknowledgement or loss
-        signal; the measured packet must still be in the ledger."""
+        """Update the smoothed estimate and its regime from one
+        acknowledgement or loss signal; the measured packet must still be
+        in the ledger."""
         sample = smoothed_throughput(ledger, send_time, response_time)
         self.smoothed = sample
+        self.regime = classify_regime(sample, self.thresholds)
         return sample
-
-    @property
-    def regime(self) -> Regime:
-        return classify_regime(self.smoothed, self.thresholds)

@@ -20,8 +20,9 @@ a retransmission is pending. ``SchedulingContext.stats`` builds
 the features on its first read, one per eligible block, and
 ``SchedulingContext.retransmission`` does the same for the
 retransmission flags; each keeps its list for the rest of the decision.
-So proposed pays for both once per decision, sfra for the features
-alone, and fifo, ldf and rswn, which read only the blocks, for neither.
+Only proposed reads either, so it alone pays for them, once per
+decision. sfra reads Sr off the block (unacked bytes over total bytes),
+and fifo, ldf and rswn read other fields of the blocks themselves.
 
 The proposed policy is regime-switched. A lost packet awaiting
 retransmission always preempts fresh data. Otherwise:
@@ -134,11 +135,15 @@ class DecisionReason(str, enum.Enum):
 
 class SchedulerDecision(NamedTuple):
     """One policy's choice (an immutable tuple): the block whose head
-    packet goes next, or None, and why."""
+    packet goes next, or None, and why. The policies build it with
+    ``tuple.__new__``, as ``BlockStats`` is built."""
 
     selected: BlockId | None
     reason: DecisionReason
     score: float | None = None
+
+
+_NONE_ELIGIBLE = SchedulerDecision(None, DecisionReason.NONE_ELIGIBLE)
 
 
 class SchedulingContext:
@@ -151,7 +156,8 @@ class SchedulingContext:
     ``features(block, now)`` for every block and ``retransmission`` by
     asking every block ``retransmission_pending()``, and that list is
     returned by every later read. So a decision builds each at most once
-    per block, and a policy that never reads one builds none of it.
+    per block, and a policy that never reads one builds none of it. Only
+    proposed reads them; sfra reads Sr off the blocks themselves.
     """
 
     __slots__ = ("now", "blocks", "regime", "smoothed_bw", "_features", "_stats",
@@ -188,48 +194,49 @@ class SchedulingContext:
 def select_block_proposed(ctx: SchedulingContext, literal_mid_branch: bool = False) -> SchedulerDecision:
     """Regime-switched champion scan, one pass over the queue.
 
+    A retransmission always takes the championship and nothing else
+    outranks one, so when any flag is set the last flagged block wins and
+    no key is compared. Otherwise one loop serves the low regime and one
+    the high and mid regimes.
+
     literal_mid_branch replays a quirk of the policy's original
     pseudocode in which the mid-regime update lines compare but never
     reassign the champion; the default closes that gap with the intended
     smallest remaining work rule.
     """
-    n = len(ctx.blocks)
+    blocks = ctx.blocks
+    n = len(blocks)
     if n == 0:
-        return SchedulerDecision(None, DecisionReason.NONE_ELIGIBLE)
+        return _NONE_ELIGIBLE
     stats = ctx.stats
     retx = ctx.retransmission
-    low = ctx.regime is Regime.LOW
-    high = ctx.regime is Regime.HIGH
+    if any(retx):
+        champ = n - 1
+        while not retx[champ]:
+            champ -= 1
+        return _tuple_new(SchedulerDecision,
+                          (blocks[champ].block_id, DecisionReason.RETRANSMISSION, None))
     champ = 0
     reason = DecisionReason.FIRST_BLOCK
-    champ_retx = bool(retx[0])
-    if champ_retx:
-        reason = DecisionReason.RETRANSMISSION
-        champ_key = champ_size = None
-    else:
-        # the champion's keys, kept so that each block's are computed once:
-        # champ_key is the active regime's key (the score), champ_size the
-        # mid rule's Sr * Pkt
-        sr, dr, pkt, p = stats[0]
-        champ_size = sr * pkt
-        if low:
-            champ_key = dr / pkt * (1.0 + p)
-        elif high:
-            champ_key = dr * (1.0 + p) / sr
-        else:
-            champ_key = champ_size
-    for i in range(1, n):
-        if retx[i]:
-            champ, reason, champ_retx = i, DecisionReason.RETRANSMISSION, True
-            continue
-        if champ_retx:
-            continue  # nothing outranks a pending retransmission
-        sr, dr, pkt, p = stats[i]
-        if low:
+    regime = ctx.regime
+    if regime is Regime.LOW:
+        _, dr, pkt, p = stats[0]
+        champ_key = dr / pkt * (1.0 + p)
+        for i in range(1, n):
+            _, dr, pkt, p = stats[i]
             key = dr / pkt * (1.0 + p)
             if champ_key <= key:
                 champ, champ_key, reason = i, key, DecisionReason.LOW_REGIME
-            continue
+        return _tuple_new(SchedulerDecision, (blocks[champ].block_id, reason, champ_key))
+    # the champion's keys, kept so that each block's are computed once:
+    # champ_key is the active regime's key (the score), champ_size the mid
+    # rule's Sr * Pkt
+    high = regime is Regime.HIGH
+    sr, dr, pkt, p = stats[0]
+    champ_size = sr * pkt
+    champ_key = dr * (1.0 + p) / sr if high else champ_size
+    for i in range(1, n):
+        sr, dr, pkt, p = stats[i]
         size = sr * pkt
         if high:
             key = dr * (1.0 + p) / sr
@@ -246,58 +253,62 @@ def select_block_proposed(ctx: SchedulingContext, literal_mid_branch: bool = Fal
         elif size == champ_size:
             # the deadline key Dr / Pkt breaks a size tie
             held = stats[champ]
-            if dr / pkt <= held.remaining_deadline_ratio / held.remaining_packets:
+            if dr / pkt <= held[1] / held[2]:
                 champ, champ_key, reason = i, key, DecisionReason.MID_DEADLINE
-    score = None if champ_retx else champ_key
-    return SchedulerDecision(ctx.blocks[champ].block_id, reason, score)
+    return _tuple_new(SchedulerDecision, (blocks[champ].block_id, reason, champ_key))
 
 
 def select_block_fifo(ctx: SchedulingContext) -> SchedulerDecision:
     """Oldest block first."""
     if not ctx.blocks:
-        return SchedulerDecision(None, DecisionReason.NONE_ELIGIBLE)
-    return SchedulerDecision(ctx.blocks[0].block_id, DecisionReason.FIRST_BLOCK)
+        return _NONE_ELIGIBLE
+    return _tuple_new(SchedulerDecision, (ctx.blocks[0].block_id, DecisionReason.FIRST_BLOCK, None))
 
 
 def select_block_sfra(ctx: SchedulingContext) -> SchedulerDecision:
     """Shortest-fraction-remaining approximation of a drain-fastest policy:
-    smallest remaining size ratio first; ties keep the earlier arrival."""
-    if not ctx.blocks:
-        return SchedulerDecision(None, DecisionReason.NONE_ELIGIBLE)
-    stats = ctx.stats
-    best = 0
-    for i in range(1, len(stats)):
-        if stats[i].remaining_size_ratio < stats[best].remaining_size_ratio:
-            best = i
-    return SchedulerDecision(ctx.blocks[best].block_id, DecisionReason.FIRST_BLOCK,
-                             stats[best].remaining_size_ratio)
+    smallest remaining size ratio Sr first, read off the blocks' fields;
+    ties keep the earlier arrival."""
+    blocks = ctx.blocks
+    if not blocks:
+        return _NONE_ELIGIBLE
+    ratios = [(b.total_bytes - b.acked_bytes) / b.total_bytes for b in blocks]
+    least = min(ratios)
+    # index finds the first of equal ratios, the earliest arrival
+    return _tuple_new(SchedulerDecision,
+                      (blocks[ratios.index(least)].block_id, DecisionReason.FIRST_BLOCK, least))
 
 
 def select_block_rswn(ctx: SchedulingContext) -> SchedulerDecision:
     """Rate-aware static weights: the highest weight (1 + P) among blocks
     the current bandwidth estimate says can still finish inside their
-    windows; ties keep the earlier absolute deadline. Falls back to the
-    earliest absolute deadline when nothing looks completable."""
-    if not ctx.blocks:
-        return SchedulerDecision(None, DecisionReason.NONE_ELIGIBLE)
+    windows; ties keep the earlier absolute deadline, then the earlier
+    block. Falls back to the earliest absolute deadline when nothing
+    looks completable."""
+    blocks = ctx.blocks
+    if not blocks:
+        return _NONE_ELIGIBLE
     now, bw = ctx.now, ctx.smoothed_bw
     best = -1
-    best_key = None
-    for i, block in enumerate(ctx.blocks):
-        # the expressions of expiry_time and unacked_bytes, without the
-        # property calls
-        expiry = block.arrival_time + block.deadline_s
-        if bw <= 0 or (block.total_bytes - block.acked_bytes) / bw > expiry - now:
-            continue
-        key = (-(1 + block.priority), expiry)
-        if best < 0 or key < best_key:
-            best, best_key = i, key
+    if bw > 0:
+        best_weight = best_expiry = 0
+        for i, block in enumerate(blocks):
+            # the expressions of expiry_time and unacked_bytes, without the
+            # property calls
+            expiry = block.arrival_time + block.deadline_s
+            if (block.total_bytes - block.acked_bytes) / bw > expiry - now:
+                continue
+            # the key (-(1 + P), expiry), compared field by field
+            weight = 1 + block.priority
+            if (best < 0 or weight > best_weight
+                    or (weight == best_weight and expiry < best_expiry)):
+                best, best_weight, best_expiry = i, weight, expiry
     if best < 0:
-        best = min(range(len(ctx.blocks)), key=lambda i: (ctx.blocks[i].expiry_time, i))
-        return SchedulerDecision(ctx.blocks[best].block_id, DecisionReason.FIRST_BLOCK,
-                                 ctx.blocks[best].expiry_time)
-    return SchedulerDecision(ctx.blocks[best].block_id, DecisionReason.FIRST_BLOCK,
-                             float(1 + ctx.blocks[best].priority))
+        best = min(range(len(blocks)), key=lambda i: (blocks[i].expiry_time, i))
+        return _tuple_new(SchedulerDecision, (blocks[best].block_id, DecisionReason.FIRST_BLOCK,
+                                              blocks[best].expiry_time))
+    return _tuple_new(SchedulerDecision,
+                      (blocks[best].block_id, DecisionReason.FIRST_BLOCK, float(best_weight)))
 
 
 class Scheduler:
@@ -337,21 +348,25 @@ class LdfScheduler(Scheduler):
     def _tick(self, now: float) -> None:
         dt = now - self._last_tick
         if dt > 0:
+            deficits = self.deficits
             for k, rate in self.rates.items():
-                self.deficits[k] += rate * dt
+                deficits[k] += rate * dt
         self._last_tick = max(self._last_tick, now)
 
     def select(self, ctx: SchedulingContext) -> SchedulerDecision:
         self._tick(ctx.now)
-        if not ctx.blocks:
-            return SchedulerDecision(None, DecisionReason.NONE_ELIGIBLE)
+        blocks = ctx.blocks
+        if not blocks:
+            return _NONE_ELIGIBLE
+        deficit_of = self.deficits.get
         best = 0
-        best_deficit = self.deficits.get(ctx.blocks[0].element_id, 0.0)
-        for i in range(1, len(ctx.blocks)):
-            d = self.deficits.get(ctx.blocks[i].element_id, 0.0)
+        best_deficit = deficit_of(blocks[0].element_id, 0.0)
+        for i in range(1, len(blocks)):
+            d = deficit_of(blocks[i].element_id, 0.0)
             if d > best_deficit:
                 best, best_deficit = i, d
-        return SchedulerDecision(ctx.blocks[best].block_id, DecisionReason.FIRST_BLOCK, best_deficit)
+        return _tuple_new(SchedulerDecision,
+                          (blocks[best].block_id, DecisionReason.FIRST_BLOCK, best_deficit))
 
     def note_block_resolved(self, element_id: int, on_time: bool) -> None:
         if on_time and element_id in self.deficits:

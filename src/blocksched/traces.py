@@ -82,17 +82,17 @@ class LinkTrace:
         idx = bisect_right(self._starts, time_s) - 1
         return self.samples[idx][1]
 
-    def _prefix_at(self, offset: float) -> float:
-        """Cumulative bytes from 0 to offset within one loop, 0 <= offset <= duration."""
+    def _absolute_prefix(self, time_s: float) -> float:
+        """Cumulative bytes from 0 to time_s, with the trace looping."""
+        prefix = self._prefix
+        loops, offset = divmod(time_s, self.duration_s)
         idx = bisect_right(self._starts, offset) - 1
         if idx < 0:
-            return 0.0
-        t, c = self.samples[idx]
-        return self._prefix[idx] + c * (offset - t)
-
-    def _absolute_prefix(self, time_s: float) -> float:
-        loops, offset = divmod(time_s, self.duration_s)
-        return loops * self.bytes_per_loop + self._prefix_at(offset)
+            within = 0.0
+        else:
+            t, c = self.samples[idx]
+            within = prefix[idx] + c * (offset - t)
+        return loops * prefix[-1] + within
 
     def integrate_capacity(self, t0: float, t1: float) -> float:
         """Bytes the link can carry over [t0, t1), with the trace looping."""
@@ -109,7 +109,7 @@ class LinkTrace:
             raise ValueError("nbytes must be positive, got %r" % nbytes)
         if start_s < 0:
             raise ValueError("start_s must be non-negative, got %r" % start_s)
-        base = self.bytes_per_loop
+        base = self._prefix[-1]  # bytes_per_loop
         if base <= 0:
             raise SimulationInvariantError(
                 "trace %r carries zero bytes per loop, transmission cannot finish" % self.source_tag

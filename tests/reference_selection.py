@@ -1,9 +1,11 @@
-"""Independent brute-force re-implementation of the regime-switched
-champion scan, written line by line against the policy's published
-control flow rather than sharing any code with the package. Used as the
-oracle for equivalence testing.
+"""Independent brute-force re-implementations of the selection policies,
+written line by line against each policy's published control flow rather
+than sharing any code with the package. Used as the oracles for
+equivalence testing: ``reference_select`` for the regime-switched
+champion scan, ``reference_sfra`` and ``reference_rswn`` for two of the
+baselines.
 
-Semantics mirrored here:
+Semantics mirrored by ``reference_select``:
   - the scan seeds the champion with the first block, then walks the
     queue once in order;
   - a candidate whose head packet is a retransmission always takes the
@@ -85,3 +87,45 @@ def reference_select(entries, regime, literal_mid=False):
         i += 1
 
     return best, reason
+
+
+def reference_sfra(blocks):
+    """The sfra baseline as a strict ``<`` loop over each block's remaining
+    size ratio Sr, unacked bytes over total bytes: the first block with the
+    least Sr wins. Returns (winner_index, score) or (None, None)."""
+    if not blocks:
+        return None, None
+
+    def remaining(block):
+        return (block.total_bytes - block.acked_bytes) / block.total_bytes
+
+    best = 0
+    for i in range(1, len(blocks)):
+        if remaining(blocks[i]) < remaining(blocks[best]):
+            best = i
+    return best, remaining(blocks[best])
+
+
+def reference_rswn(blocks, now, bw):
+    """The rswn baseline with tuple keys: among blocks whose unacked bytes
+    fit in the time left at bandwidth bw (none when bw <= 0), the least key
+    (-(1 + P), absolute deadline) wins, the first of equal keys; the score
+    is the weight 1 + P. With nothing completable, the earliest absolute
+    deadline wins, the first of equal ones, and it is the score. Returns
+    (winner_index, score) or (None, None)."""
+    if not blocks:
+        return None, None
+    best = -1
+    best_key = None
+    for i, block in enumerate(blocks):
+        expiry = block.arrival_time + block.deadline_s
+        if bw <= 0 or (block.total_bytes - block.acked_bytes) / bw > expiry - now:
+            continue
+        key = (-(1 + block.priority), expiry)
+        if best < 0 or key < best_key:
+            best, best_key = i, key
+    if best < 0:
+        best = min(range(len(blocks)),
+                   key=lambda i: (blocks[i].arrival_time + blocks[i].deadline_s, i))
+        return best, blocks[best].arrival_time + blocks[best].deadline_s
+    return best, float(1 + blocks[best].priority)

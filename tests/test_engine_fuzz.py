@@ -6,9 +6,11 @@ inflight ledger drained, sends matched by responses). On top of that:
 nothing is sent after its block's deadline, a block reported on time
 finished inside its window, the link never delivers more than the trace
 offered, a second run gives the same records, forcing the scheduling
-features to be built for every decision changes no record, the queue's
-sendable index equals a full scan of the queue at every decision, and
-every expiry filter returns what a full scan of the queue before it
+features to be built for every decision changes no record, every
+decision's regime is the class of its smoothed estimate, the queue's
+sendable index equals a full scan of the queue and its expiry watermark
+is at or below every queued block's ``expires_at`` at every decision,
+and every expiry filter returns what a full scan of the queue before it
 finds (with those checks on, the records are again the same). An auditor
 rebuilds the report's session numbers from the event log, the scenario,
 the trace and alpha alone, and they must equal ``build_report``'s exactly.
@@ -18,6 +20,8 @@ length.
 """
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +30,7 @@ from blocksched import linksim
 from blocksched.errors import ConfigurationError
 from blocksched.metrics import build_report
 from blocksched.model import BlockAwaitingQueue, MediaElement, ScenarioConfig
-from blocksched.predictor import Thresholds
+from blocksched.predictor import Thresholds, classify_regime
 from blocksched.schedulers import SCHEDULER_NAMES, make_scheduler
 from blocksched.traces import synthesize_trace
 from blocksched.units import PACKET_PAYLOAD_BYTES
@@ -110,9 +114,12 @@ _sendable = BlockAwaitingQueue.sendable
 
 
 def checked_sendable(queue):
-    """The queue's sendable index, asserted equal to a full scan."""
+    """The queue's sendable index, asserted equal to a full scan, with the
+    expiry watermark asserted a lower bound on the queued blocks'
+    ``expires_at``; the engine reads both at every decision."""
     ready = _sendable(queue)
     assert ready == [b for b in queue if b.has_sendable()]
+    assert queue.next_expiry <= min((b.expires_at for b in queue), default=math.inf)
     return ready
 
 
@@ -177,6 +184,9 @@ def test_engine_invariants_hold_on_generated_inputs(case):
                 block = blocks[tuple(record["block_id"])]
                 in_window = record["t"] - block.arrival_time <= block.deadline_s
                 assert record["on_time"] == in_window, record
+            elif record["kind"] == "decision":
+                regime = classify_regime(record["smoothed_bw"], case["thresholds"])
+                assert record["regime"] == regime, record
         offered = case["trace"].integrate_capacity(0.0, result.end_time)
         assert result.counters["delivered_bytes"] <= offered * (1 + 1e-9) + 1e-6
 

@@ -300,7 +300,7 @@ class TestFeatureBuilds:
     ``compute_block_stats`` the engine calls; retransmission flags are
     asked of the blocks only for the policy that reads them."""
 
-    FEATURE_READERS = ("proposed", "sfra")
+    FEATURE_READERS = ("proposed",)
     FLAG_READERS = ("proposed",)
 
     def _calls_per_decision(self, monkeypatch, name, wrap=lambda scheduler: scheduler,

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 
 import pytest
@@ -110,6 +111,16 @@ class TestScenarioValidation:
     def test_bad_element_fields_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             scenario_of(bad).validate()
+
+    @pytest.mark.parametrize("field", ["deadline_s", "period_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timings_rejected(self, field, value):
+        # a NaN passes "<= 0", and a NaN period never ends generate_blocks
+        data = dataclasses.asdict(two_element_scenario())
+        data["elements"][1][field] = value
+        with pytest.raises(ConfigurationError, match="element 1: %s must be positive and finite"
+                           % field):
+            ScenarioConfig.from_dict(data)
 
     def test_priorities_must_ladder_from_zero(self):
         cfg = scenario_of(element(element_id=0, priority=1),

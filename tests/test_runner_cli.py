@@ -1,9 +1,12 @@
 """Experiment harness: sweeps, records, tables, tuning, and the CLI."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -24,7 +27,7 @@ from blocksched.runner import (
 from blocksched.model import load_scenario
 from blocksched.schedulers import make_scheduler
 from blocksched.traces import load_trace, split_corpus, synthesize_trace
-from conftest import CORPUS_DIR, SCENARIO_DIR, element, quick_params, scenario_of
+from conftest import CORPUS_DIR, REPO_ROOT, SCENARIO_DIR, element, quick_params, scenario_of
 
 SCENARIO_1 = os.path.join(SCENARIO_DIR, "scenario_1.json")
 
@@ -511,6 +514,24 @@ class TestCli:
         assert main(["sweep", "--corpus", os.path.join(str(tmp_path), "missing"),
                      "--scenarios", SCENARIO_1, "--duration-s", "1",
                      "--out-dir", os.path.join(str(tmp_path), "o")]) == 1
+
+    def test_nan_scenario_file_exits_1(self, tmp_path):
+        # json reads NaN, and a NaN period would make block generation
+        # loop forever, so the command runs in a child under a timeout
+        data = dataclasses.asdict(load_scenario(SCENARIO_1))
+        data["elements"][0]["period_s"] = float("nan")
+        scenario = os.path.join(str(tmp_path), "nan.json")
+        with open(scenario, "w") as fh:
+            json.dump(data, fh)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(REPO_ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "blocksched.cli", "run", "--scenario", scenario,
+             "--trace", self._write_trace(tmp_path), "--duration-s", "1"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 1, proc.stderr
+        assert "period_s must be positive and finite, got nan" in proc.stderr
 
     def test_all_zero_trace_exits_1(self, tmp_path, capsys):
         trace = os.path.join(str(tmp_path), "dead.csv")

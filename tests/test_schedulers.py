@@ -27,7 +27,7 @@ from blocksched.schedulers import (
 )
 from blocksched.traces import synthesize_trace
 from conftest import block_at, element, run_recorded, scenario_of, ulps_from
-from reference_selection import reference_select
+from reference_selection import reference_rswn, reference_select, reference_sfra
 
 HIGH_REGIMES = {Regime.LOW: 0, Regime.MID: 1, Regime.HIGH: 2}
 
@@ -442,9 +442,11 @@ class TestOracleEquivalence:
         checked = 0
         # (queue depth range, retransmission rate, lists per regime and
         # variant): short queues, then deep ones where the champion's keys
-        # are reused many times; the deep lists rarely hold a
-        # retransmission, which would end the key comparisons
-        for (shortest, longest), retx_rate, count in (((1, 7), 0.15, 200), ((20, 60), 0.01, 50)):
+        # are reused many times; those deep lists rarely hold a
+        # retransmission, which would end the key comparisons, so the last
+        # deep lists hold several, where the last flagged block must win
+        for (shortest, longest), retx_rate, count in (((1, 7), 0.15, 200), ((20, 60), 0.01, 50),
+                                                      ((20, 60), 0.1, 50)):
             for regime in (Regime.LOW, Regime.MID, Regime.HIGH):
                 for literal in (False, True):
                     for _ in range(count):
@@ -460,7 +462,52 @@ class TestOracleEquivalence:
                         assert decision.reason.value == reason
                         assert decision.score == _expected_score(entries, regime, idx, reason)
                         checked += 1
-        assert checked == 1500
+        assert checked == 1800
+
+
+@st.composite
+def baseline_contexts(draw):
+    """A context over random blocks for the baselines that read the blocks
+    themselves: acked prefixes of the packets, few priorities and few
+    absolute deadlines (so keys tie), and a bandwidth estimate that is
+    zero, negative or positive. The features are left unbuilt."""
+    blocks = []
+    for i in range(draw(st.integers(0, 10))):
+        block = block_at(arrival_time=draw(st.sampled_from([0.0, 0.1, 0.2])),
+                         deadline_s=draw(st.sampled_from([0.1, 0.2, 0.3])),
+                         priority=draw(st.integers(0, 2)),
+                         total_bytes=draw(st.sampled_from([1500, 2000, 3000, 4500])),
+                         element_id=i, index=0)
+        acked = draw(st.integers(0, len(block.packets)))
+        block.acked_packets = acked
+        block.acked_bytes = sum(packet.size_bytes for packet in block.packets[:acked])
+        blocks.append(block)
+    bw = draw(st.one_of(st.just(0.0), st.floats(-1e6, -1e-3), st.floats(1e3, 1e6)))
+    now = draw(st.sampled_from([0.0, 0.05, 0.15, 0.25]))
+    return SchedulingContext(now=now, blocks=blocks, regime=Regime.MID, smoothed_bw=bw)
+
+
+def _matches(decision, ctx, expected):
+    idx, score = expected
+    if idx is None:
+        assert decision.selected is None
+        assert decision.reason is DecisionReason.NONE_ELIGIBLE
+    else:
+        assert decision.selected == ctx.blocks[idx].block_id
+        assert decision.reason is DecisionReason.FIRST_BLOCK
+    assert decision.score == score
+
+
+class TestBaselineOracles:
+    """sfra and rswn equal their reference scans on random blocks."""
+
+    @given(baseline_contexts())
+    def test_sfra_matches_reference(self, ctx):
+        _matches(select_block_sfra(ctx), ctx, reference_sfra(ctx.blocks))
+
+    @given(baseline_contexts())
+    def test_rswn_matches_reference(self, ctx):
+        _matches(select_block_rswn(ctx), ctx, reference_rswn(ctx.blocks, ctx.now, ctx.smoothed_bw))
 
 
 class TestFifo:
@@ -472,16 +519,33 @@ class TestFifo:
         assert select_block_fifo(ctx_of([])).selected is None
 
 
+def acked_blocks(*ratios, total_bytes=3000):
+    """One block per remaining size ratio Sr, with acked_bytes set to match."""
+    blocks = [block_at(element_id=0, index=i, total_bytes=total_bytes)
+              for i in range(len(ratios))]
+    for block, sr in zip(blocks, ratios):
+        block.acked_bytes = round(total_bytes * (1 - sr))
+        assert (block.total_bytes - block.acked_bytes) / block.total_bytes == sr
+    return blocks
+
+
 class TestSfra:
+    """sfra reads Sr off the blocks; the contexts' features are the
+    defaults (every Sr 1.0), which it must ignore."""
+
     def test_smallest_remaining_ratio(self):
-        ctx = ctx_of([stats_of(sr=0.9), stats_of(sr=0.2), stats_of(sr=0.5)])
+        blocks = acked_blocks(0.9, 0.2, 0.5)
+        ctx = ctx_of([stats_of()] * 3, blocks=blocks)
         decision = select_block_sfra(ctx)
         assert decision.selected == ctx.blocks[1].block_id
         assert decision.score == 0.2
 
     def test_ties_keep_earlier_arrival(self):
-        ctx = ctx_of([stats_of(sr=0.5), stats_of(sr=0.5)])
-        assert select_block_sfra(ctx).selected == ctx.blocks[0].block_id
+        blocks = acked_blocks(0.5, 0.5)
+        ctx = ctx_of([stats_of()] * 2, blocks=blocks)
+        decision = select_block_sfra(ctx)
+        assert decision.selected == ctx.blocks[0].block_id
+        assert decision.score == 0.5
 
 
 class TestLdf:
