@@ -29,6 +29,7 @@ the other keys per kind are listed in the README.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -101,10 +102,10 @@ class Simulation:
                  loss_rate: float = DEFAULT_LOSS_RATE, thresholds: Thresholds,
                  forced_loss_sends=(),
                  record: Callable[[dict], None] | None = None) -> None:
-        if duration_s <= 0:
-            raise ConfigurationError("duration_s must be positive, got %r" % duration_s)
-        if rtt_s <= 0:
-            raise ConfigurationError("rtt_s must be positive, got %r" % rtt_s)
+        if not math.isfinite(duration_s) or duration_s <= 0:
+            raise ConfigurationError("duration_s must be positive and finite, got %r" % duration_s)
+        if not math.isfinite(rtt_s) or rtt_s <= 0:
+            raise ConfigurationError("rtt_s must be positive and finite, got %r" % rtt_s)
         if not 0.0 <= loss_rate < 1.0:
             raise ConfigurationError("loss_rate must be in [0, 1), got %r" % loss_rate)
         self.trace = trace

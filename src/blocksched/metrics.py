@@ -17,6 +17,7 @@ drops only blocks).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError
@@ -96,8 +97,8 @@ def session_window_end(result: SimulationResult) -> float:
 
 
 def build_report(result: SimulationResult, trace: LinkTrace, alpha: float = DEFAULT_ALPHA) -> QoEReport:
-    if alpha < 0:
-        raise ConfigurationError("alpha must be non-negative, got %r" % alpha)
+    if not math.isfinite(alpha) or alpha < 0:
+        raise ConfigurationError("alpha must be non-negative and finite, got %r" % alpha)
     if not result.blocks:
         raise ConfigurationError("run produced no blocks; nothing to score")
     blocks = []

@@ -13,7 +13,9 @@ is judged at the client.
 
 A block is past its deadline once now - E > D. That rule is computed once
 per block, as ``Block.expires_at``: the least float instant at which it
-holds, so every expiry check is one comparison, ``now >= expires_at``.
+holds, so every expiry check is one comparison, ``now >= expires_at``,
+and every deadline quantity (the scheduling feature Dr, rswn's keys) is
+measured to that same instant.
 
 The sender's awaiting queue keeps a sendable index beside its blocks: the
 queued blocks that have a packet pending, in queue order. A decision walks
@@ -221,16 +223,12 @@ class Block:
     def unacked_packets(self) -> int:
         return self.packet_count - self.acked_packets
 
-    @property
-    def expiry_time(self) -> float:
-        return self.arrival_time + self.deadline_s
-
     def past_deadline(self, now: float) -> bool:
         """True once now is strictly past the deadline window (now - E > D).
         The one expiry rule, computed once as ``expires_at``: the queue
         filter, the scheduling features, the engine's decision guard and
-        the on-time test all compare now with it, so no two of them
-        disagree."""
+        the on-time test all compare now with it, and Dr and rswn measure
+        time left to it, so no two of them disagree."""
         return now >= self.expires_at
 
     def has_sendable(self) -> bool:
@@ -266,8 +264,8 @@ def generate_blocks(scenario: ScenarioConfig, duration_s: float, seed: int) -> l
     a pure function of (scenario, duration_s, seed).
     """
     scenario.validate()
-    if duration_s < 0:
-        raise ConfigurationError("duration_s must be non-negative, got %r" % duration_s)
+    if not math.isfinite(duration_s) or duration_s < 0:
+        raise ConfigurationError("duration_s must be non-negative and finite, got %r" % duration_s)
     rng = random.Random(seed)
     blocks: list[Block] = []
     for element in scenario.elements:

@@ -11,18 +11,24 @@ of them. ldf keeps per-element deficits between decisions, so it alone
 is a ``Scheduler`` subclass (``LdfScheduler``). ``make_scheduler`` builds
 a policy by name.
 
+The policies are proposed and three baselines: fifo (oldest first), ldf
+(largest deficit first) and rswn (rate-aware static weights).
+
 The features a policy may read are the four fields of ``BlockStats``:
 remaining deadline ratio Dr, remaining size ratio Sr, remaining unacked
 packet count Pkt, and priority P. ``compute_block_stats`` builds them
-from the block's fields. The engine takes the eligible blocks from the
-queue's sendable index; it builds no features and asks no block whether
-a retransmission is pending. ``SchedulingContext.stats`` builds
-the features on its first read, one per eligible block, and
+from the block's fields. Every deadline quantity, Dr and rswn's keys
+alike, is measured to ``Block.expires_at``, the instant the expiry rule
+closes the window, so Dr is positive for every block a policy can see.
+
+The engine takes the eligible blocks from the queue's sendable index; it
+builds no features and asks no block whether a retransmission is
+pending. ``SchedulingContext.stats`` builds the features on its first
+read, one per eligible block, and
 ``SchedulingContext.retransmission`` does the same for the
 retransmission flags; each keeps its list for the rest of the decision.
 Only proposed reads either, so it alone pays for them, once per
-decision. sfra reads Sr off the block (unacked bytes over total bytes),
-and fifo, ldf and rswn read other fields of the blocks themselves.
+decision; fifo, ldf and rswn read the fields of the blocks themselves.
 
 The proposed policy is regime-switched. A lost packet awaiting
 retransmission always preempts fresh data. Otherwise:
@@ -73,17 +79,20 @@ def compute_block_stats(block: Block, now: float) -> BlockStats:
     """The block's features at now; it must still be inside its window.
 
     Reads the block's fields directly; each expression is the one its
-    ``Block`` property spells out (``unacked_bytes``, ``expiry_time``,
-    ``unacked_packets``), so the values are bit-for-bit the same, and the
-    expiry check is ``Block.past_deadline``'s comparison.
+    ``Block`` property spells out (``unacked_bytes``, ``unacked_packets``),
+    so the values are bit-for-bit the same, and the expiry check is
+    ``Block.past_deadline``'s comparison. Dr is the time left until
+    ``expires_at`` over the window D, so it is positive whenever the check
+    passes.
     """
-    if block.expired or now >= block.expires_at:
+    expires_at = block.expires_at
+    if block.expired or now >= expires_at:
         raise IllegalStateError("block %r is expired at %r" % (block.block_id, now))
     total_bytes = block.total_bytes
     deadline_s = block.deadline_s
     return _tuple_new(BlockStats, (
         (total_bytes - block.acked_bytes) / total_bytes,
-        (block.arrival_time + deadline_s - now) / deadline_s,
+        (expires_at - now) / deadline_s,
         len(block.packets) - block.acked_packets,
         block.priority,
     ))
@@ -157,7 +166,7 @@ class SchedulingContext:
     asking every block ``retransmission_pending()``, and that list is
     returned by every later read. So a decision builds each at most once
     per block, and a policy that never reads one builds none of it. Only
-    proposed reads them; sfra reads Sr off the blocks themselves.
+    proposed reads them; the baselines read the blocks themselves.
     """
 
     __slots__ = ("now", "blocks", "regime", "smoothed_bw", "_features", "_stats",
@@ -265,26 +274,12 @@ def select_block_fifo(ctx: SchedulingContext) -> SchedulerDecision:
     return _tuple_new(SchedulerDecision, (ctx.blocks[0].block_id, DecisionReason.FIRST_BLOCK, None))
 
 
-def select_block_sfra(ctx: SchedulingContext) -> SchedulerDecision:
-    """Shortest-fraction-remaining approximation of a drain-fastest policy:
-    smallest remaining size ratio Sr first, read off the blocks' fields;
-    ties keep the earlier arrival."""
-    blocks = ctx.blocks
-    if not blocks:
-        return _NONE_ELIGIBLE
-    ratios = [(b.total_bytes - b.acked_bytes) / b.total_bytes for b in blocks]
-    least = min(ratios)
-    # index finds the first of equal ratios, the earliest arrival
-    return _tuple_new(SchedulerDecision,
-                      (blocks[ratios.index(least)].block_id, DecisionReason.FIRST_BLOCK, least))
-
-
 def select_block_rswn(ctx: SchedulingContext) -> SchedulerDecision:
     """Rate-aware static weights: the highest weight (1 + P) among blocks
     the current bandwidth estimate says can still finish inside their
-    windows; ties keep the earlier absolute deadline, then the earlier
-    block. Falls back to the earliest absolute deadline when nothing
-    looks completable."""
+    windows; ties keep the earlier expiry instant, then the earlier block.
+    Falls back to the earliest expiry instant when nothing looks
+    completable. The expiry instant is ``Block.expires_at``."""
     blocks = ctx.blocks
     if not blocks:
         return _NONE_ELIGIBLE
@@ -293,9 +288,8 @@ def select_block_rswn(ctx: SchedulingContext) -> SchedulerDecision:
     if bw > 0:
         best_weight = best_expiry = 0
         for i, block in enumerate(blocks):
-            # the expressions of expiry_time and unacked_bytes, without the
-            # property calls
-            expiry = block.arrival_time + block.deadline_s
+            expiry = block.expires_at
+            # the expression of unacked_bytes, without the property call
             if (block.total_bytes - block.acked_bytes) / bw > expiry - now:
                 continue
             # the key (-(1 + P), expiry), compared field by field
@@ -304,9 +298,9 @@ def select_block_rswn(ctx: SchedulingContext) -> SchedulerDecision:
                     or (weight == best_weight and expiry < best_expiry)):
                 best, best_weight, best_expiry = i, weight, expiry
     if best < 0:
-        best = min(range(len(blocks)), key=lambda i: (blocks[i].expiry_time, i))
+        best = min(range(len(blocks)), key=lambda i: (blocks[i].expires_at, i))
         return _tuple_new(SchedulerDecision, (blocks[best].block_id, DecisionReason.FIRST_BLOCK,
-                                              blocks[best].expiry_time))
+                                              blocks[best].expires_at))
     return _tuple_new(SchedulerDecision,
                       (blocks[best].block_id, DecisionReason.FIRST_BLOCK, float(best_weight)))
 
@@ -373,7 +367,7 @@ class LdfScheduler(Scheduler):
             self.deficits[element_id] = max(0.0, self.deficits[element_id] - 1.0)
 
 
-SCHEDULER_NAMES = ("proposed", "fifo", "sfra", "ldf", "rswn")
+SCHEDULER_NAMES = ("proposed", "fifo", "ldf", "rswn")
 
 
 def make_scheduler(name: str, scenario=None, literal_mid_branch: bool = False) -> Scheduler:
@@ -386,7 +380,6 @@ def make_scheduler(name: str, scenario=None, literal_mid_branch: bool = False) -
     policies = {
         "proposed": functools.partial(select_block_proposed, literal_mid_branch=literal_mid_branch),
         "fifo": select_block_fifo,
-        "sfra": select_block_sfra,
         "rswn": select_block_rswn,
     }
     if name not in policies:

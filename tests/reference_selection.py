@@ -2,8 +2,7 @@
 written line by line against each policy's published control flow rather
 than sharing any code with the package. Used as the oracles for
 equivalence testing: ``reference_select`` for the regime-switched
-champion scan, ``reference_sfra`` and ``reference_rswn`` for two of the
-baselines.
+champion scan and ``reference_rswn`` for the rswn baseline.
 
 Semantics mirrored by ``reference_select``:
   - the scan seeds the champion with the first block, then walks the
@@ -89,43 +88,25 @@ def reference_select(entries, regime, literal_mid=False):
     return best, reason
 
 
-def reference_sfra(blocks):
-    """The sfra baseline as a strict ``<`` loop over each block's remaining
-    size ratio Sr, unacked bytes over total bytes: the first block with the
-    least Sr wins. Returns (winner_index, score) or (None, None)."""
-    if not blocks:
-        return None, None
-
-    def remaining(block):
-        return (block.total_bytes - block.acked_bytes) / block.total_bytes
-
-    best = 0
-    for i in range(1, len(blocks)):
-        if remaining(blocks[i]) < remaining(blocks[best]):
-            best = i
-    return best, remaining(blocks[best])
-
-
 def reference_rswn(blocks, now, bw):
     """The rswn baseline with tuple keys: among blocks whose unacked bytes
-    fit in the time left at bandwidth bw (none when bw <= 0), the least key
-    (-(1 + P), absolute deadline) wins, the first of equal keys; the score
-    is the weight 1 + P. With nothing completable, the earliest absolute
-    deadline wins, the first of equal ones, and it is the score. Returns
-    (winner_index, score) or (None, None)."""
+    fit in the time left until the expiry instant ``expires_at`` at
+    bandwidth bw (none when bw <= 0), the least key (-(1 + P), expiry
+    instant) wins, the first of equal keys; the score is the weight 1 + P.
+    With nothing completable, the earliest expiry instant wins, the first
+    of equal ones, and it is the score. Returns (winner_index, score) or
+    (None, None)."""
     if not blocks:
         return None, None
     best = -1
     best_key = None
     for i, block in enumerate(blocks):
-        expiry = block.arrival_time + block.deadline_s
-        if bw <= 0 or (block.total_bytes - block.acked_bytes) / bw > expiry - now:
+        if bw <= 0 or (block.total_bytes - block.acked_bytes) / bw > block.expires_at - now:
             continue
-        key = (-(1 + block.priority), expiry)
+        key = (-(1 + block.priority), block.expires_at)
         if best < 0 or key < best_key:
             best, best_key = i, key
     if best < 0:
-        best = min(range(len(blocks)),
-                   key=lambda i: (blocks[i].arrival_time + blocks[i].deadline_s, i))
-        return best, blocks[best].arrival_time + blocks[best].deadline_s
+        best = min(range(len(blocks)), key=lambda i: (blocks[i].expires_at, i))
+        return best, blocks[best].expires_at
     return best, float(1 + blocks[best].priority)

@@ -23,10 +23,10 @@ from blocksched.traces import parse_csv_trace
 from conftest import CORPUS_DIR, SCENARIO_DIR, deep_queue_inputs
 
 CORPUS_TRACES = ("ramp09.csv", "sq01.csv")
-RECORDS_SHA256 = "0a8d546f5e538f4cdb5ffc6b3db084c1f857d2a9497abb3e4d8184b49baf9bd4"
+RECORDS_SHA256 = "4d38691c6fba3f0d035442164517d26ecf1fad01b1755bebc677136bcb68b4f3"
 # both sweeps' tables, scenario_1 first, concatenated
-TABLE_TEXT_SHA256 = "b35c16f53b9847b99b1bb7de41acf89ceaab422930b911e326113e6e91428be4"
-TABLE_JSONL_SHA256 = "8d171bb92e308902cce0886a21734db9fcc4b3bfdd488fb4a2f40416776db7aa"
+TABLE_TEXT_SHA256 = "5728ffe708668fe8626a93c4193465dd2523f1835e0ff660d245d23a348ce06a"
+TABLE_JSONL_SHA256 = "05634623fab119914a307a024307e05ea8b1faa66e11fcb0805a5a57d76351b2"
 # `run` report JSON of proposed on scenario_1 over sq01, seed 0, 8 s
 RUN_REPORT_SHA256 = "dc3fdcdd38f4dde223d359132bab73d49e93929c91e6da637b233c3cd6ad0f50"
 # `run --event-log` JSON lines of each policy: scenario_1 over sq01, seed 0,
@@ -34,18 +34,16 @@ RUN_REPORT_SHA256 = "dc3fdcdd38f4dde223d359132bab73d49e93929c91e6da637b233c3cd6a
 # reason, score and eligible count, so a changed choice or ranking shows.
 EVENT_LOG_SHA256 = {
     "sq01": {
-        "proposed": "9a4d202170a63907b30a501bd0d2b8e7697533913ea15ca98750004dd7d80358",
+        "proposed": "3960ae2fe6311efcb67fe9b9d5c23b5d52c114dd55ea00546107a1f04a8fcd7a",
         "fifo": "98b726cea124db88fa168bfc67560729ad456ac9494ed09699fd6a6e8c3769f5",
-        "sfra": "2f4c0fdc50613e13fe12c4efc52707becb0fa51682fb290ecc9ed1d17b21e9e9",
         "ldf": "edd82503816a6805bc32751e6b9a5bcc03eed62b5afda4d5af01db06aef6dcf3",
-        "rswn": "4eec7e2274112197d0ac8ae06acf008bcb708382339c0e7af2a30a16f38f981a",
+        "rswn": "c9ee7b1745a4d389b4c44bfdbcc84782b235769b271fab6f9a51b7883ce15f7f",
     },
     "deep_queue": {
-        "proposed": "1ecc292642e6e5398a85d33fb66bb3fb9db41945e7ffef82fda0789d03fb0fcd",
+        "proposed": "dfb3fb6fcf417a4ccc7f2ec096cc0eda45afd8457a47b227b3ebf753befa5dff",
         "fifo": "3c67d14d452edd5a278148ffd522a4ff2b6156ad20fa1b7a14ee7f42236207dd",
-        "sfra": "7e582a9e0777be2014aee2921754d1fa206b39ec640d58e65e09dc4447082a35",
         "ldf": "205519e444855e01e3f7a41270ebfb9dc1518013ee195942a95b14289d5490e0",
-        "rswn": "f09d532a1d15a464b0c872d0925ab8435efa5d59f36e5d578ca5624a89bbfa6f",
+        "rswn": "3e4e292cd144bc9dcba68a7efb1d75227239d39e8b4df90e6a3f4d87895aa7dd",
     },
 }
 

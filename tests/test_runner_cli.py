@@ -133,7 +133,7 @@ class TestRecordKeys:
 
 
 class TestSweep:
-    SCHEDULERS = ["proposed", "fifo", "sfra"]
+    SCHEDULERS = ["proposed", "fifo", "ldf"]
 
     def _sweep(self, records_dir):
         return run_sweep(small_corpus(), [small_scenario()], self.SCHEDULERS, [0],
@@ -153,7 +153,7 @@ class TestSweep:
     def test_gain_columns_follow_their_definitions(self, tmp_path):
         table = self._sweep(tmp_path / "records")
         proposed = table.row("proposed", "mini")
-        baselines = [table.row(s, "mini") for s in ("fifo", "sfra")]
+        baselines = [table.row(s, "mini") for s in ("fifo", "ldf")]
         for row in baselines:
             assert row.qoe_gain_vs_baseline_pct == pytest.approx(
                 100.0 * (proposed.qoe - row.qoe) / row.qoe)
@@ -506,6 +506,11 @@ class TestCli:
         assert main(["run", "--scenario", "x", "--trace", "y",
                      "--duration-s", "1", "--scheduler", "bogus"]) == 1
         assert main(["nope"]) == 1
+        capsys.readouterr()
+        # a removed policy's name is a usage error like any unknown one
+        assert main(["run", "--scenario", "x", "--trace", "y",
+                     "--duration-s", "1", "--scheduler", "sfra"]) == 1
+        assert "invalid choice: 'sfra'" in capsys.readouterr().err
 
     def test_config_errors_exit_1(self, tmp_path, capsys):
         trace = self._write_trace(tmp_path)
@@ -515,6 +520,15 @@ class TestCli:
                      "--scenarios", SCENARIO_1, "--duration-s", "1",
                      "--out-dir", os.path.join(str(tmp_path), "o")]) == 1
 
+    def _run_in_child(self, *args, timeout=60):
+        """`blocksched` with args in a child process under a timeout, for
+        inputs that would make an unchecked run loop forever."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(REPO_ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        return subprocess.run([sys.executable, "-m", "blocksched.cli", *args],
+                              capture_output=True, text=True, timeout=timeout, env=env)
+
     def test_nan_scenario_file_exits_1(self, tmp_path):
         # json reads NaN, and a NaN period would make block generation
         # loop forever, so the command runs in a child under a timeout
@@ -523,15 +537,26 @@ class TestCli:
         scenario = os.path.join(str(tmp_path), "nan.json")
         with open(scenario, "w") as fh:
             json.dump(data, fh)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(REPO_ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-        proc = subprocess.run(
-            [sys.executable, "-m", "blocksched.cli", "run", "--scenario", scenario,
-             "--trace", self._write_trace(tmp_path), "--duration-s", "1"],
-            capture_output=True, text=True, timeout=60, env=env)
+        proc = self._run_in_child("run", "--scenario", scenario,
+                                  "--trace", self._write_trace(tmp_path), "--duration-s", "1")
         assert proc.returncode == 1, proc.stderr
         assert "period_s must be positive and finite, got nan" in proc.stderr
+
+    # unchecked, a non-finite horizon generates blocks forever, a NaN RTT
+    # breaks the event clock and a NaN alpha scores a NaN QoE
+    @pytest.mark.parametrize("flag, message", [
+        ("--duration-s", "duration_s must be positive and finite"),
+        ("--rtt-ms", "rtt_s must be positive and finite"),
+        ("--alpha", "alpha must be non-negative and finite"),
+    ], ids=["duration", "rtt", "alpha"])
+    def test_non_finite_run_parameter_exits_1(self, tmp_path, flag, message):
+        trace = self._write_trace(tmp_path)
+        for value in ("nan", "inf"):
+            args = ["run", "--scenario", SCENARIO_1, "--trace", trace, "--duration-s", "1"]
+            args += [flag, value]  # a repeated --duration-s takes the last value
+            proc = self._run_in_child(*args, timeout=30)
+            assert proc.returncode == 1, (value, proc.stderr)
+            assert message in proc.stderr and "invariant violation" not in proc.stderr, value
 
     def test_all_zero_trace_exits_1(self, tmp_path, capsys):
         trace = os.path.join(str(tmp_path), "dead.csv")

@@ -23,11 +23,10 @@ from blocksched.schedulers import (
     select_block_fifo,
     select_block_proposed,
     select_block_rswn,
-    select_block_sfra,
 )
 from blocksched.traces import synthesize_trace
 from conftest import block_at, element, run_recorded, scenario_of, ulps_from
-from reference_selection import reference_rswn, reference_select, reference_sfra
+from reference_selection import reference_rswn, reference_select
 
 HIGH_REGIMES = {Regime.LOW: 0, Regime.MID: 1, Regime.HIGH: 2}
 
@@ -55,7 +54,9 @@ class TestBlockStats:
         block.acked_bytes = 6000
         s = compute_block_stats(block, now=0.25)
         assert s.remaining_size_ratio == 0.6
-        assert s.remaining_deadline_ratio == 0.5
+        # time left to the expiry instant, one ulp past E + D = 0.5
+        assert s.remaining_deadline_ratio == (block.expires_at - 0.25) / 0.5
+        assert s.remaining_deadline_ratio == pytest.approx(0.5)
         assert s.remaining_packets == 6
         assert s.priority == 0
 
@@ -99,7 +100,8 @@ class TestBlockStats:
         assume(not block.past_deadline(now))
         s = compute_block_stats(block, now)
         assert s.remaining_size_ratio == block.unacked_bytes / block.total_bytes
-        assert s.remaining_deadline_ratio == (block.expiry_time - now) / block.deadline_s
+        assert s.remaining_deadline_ratio == (block.expires_at - now) / block.deadline_s
+        assert s.remaining_deadline_ratio > 0
         assert s.remaining_packets == block.unacked_packets
         assert s.priority == block.priority
 
@@ -178,12 +180,20 @@ class TestExpiryRule:
         assert filter_expired(queue, now) == []
         assert compute_block_stats(block, now).remaining_packets == block.packet_count
 
+    def test_last_ulp_block_has_a_positive_deadline_ratio(self):
+        # E + D rounds to 0.952, below now, but the window closes only at
+        # expires_at = 0.9520000000000002, so time is left and Dr > 0
+        block = block_at(arrival_time=0.321, deadline_s=0.631)
+        assert compute_block_stats(block, 0.9520000000000001).remaining_deadline_ratio > 0
+
     @given(WINDOWS)
     def test_expiry_instant_is_the_first_float_past_the_window(self, window):
         arrival, deadline, _ = window
         block = block_at(arrival_time=arrival, deadline_s=deadline)
         for now in _times_in(*window, ulps=8):
             assert block.past_deadline(now) == (now - arrival > deadline), now
+            if not block.past_deadline(now):
+                assert compute_block_stats(block, now).remaining_deadline_ratio > 0, now
         assert block.past_deadline(block.expires_at)
         assert not block.past_deadline(math.nextafter(block.expires_at, -math.inf))
 
@@ -499,11 +509,7 @@ def _matches(decision, ctx, expected):
 
 
 class TestBaselineOracles:
-    """sfra and rswn equal their reference scans on random blocks."""
-
-    @given(baseline_contexts())
-    def test_sfra_matches_reference(self, ctx):
-        _matches(select_block_sfra(ctx), ctx, reference_sfra(ctx.blocks))
+    """rswn equals its reference scan on random blocks."""
 
     @given(baseline_contexts())
     def test_rswn_matches_reference(self, ctx):
@@ -517,35 +523,6 @@ class TestFifo:
 
     def test_empty(self):
         assert select_block_fifo(ctx_of([])).selected is None
-
-
-def acked_blocks(*ratios, total_bytes=3000):
-    """One block per remaining size ratio Sr, with acked_bytes set to match."""
-    blocks = [block_at(element_id=0, index=i, total_bytes=total_bytes)
-              for i in range(len(ratios))]
-    for block, sr in zip(blocks, ratios):
-        block.acked_bytes = round(total_bytes * (1 - sr))
-        assert (block.total_bytes - block.acked_bytes) / block.total_bytes == sr
-    return blocks
-
-
-class TestSfra:
-    """sfra reads Sr off the blocks; the contexts' features are the
-    defaults (every Sr 1.0), which it must ignore."""
-
-    def test_smallest_remaining_ratio(self):
-        blocks = acked_blocks(0.9, 0.2, 0.5)
-        ctx = ctx_of([stats_of()] * 3, blocks=blocks)
-        decision = select_block_sfra(ctx)
-        assert decision.selected == ctx.blocks[1].block_id
-        assert decision.score == 0.2
-
-    def test_ties_keep_earlier_arrival(self):
-        blocks = acked_blocks(0.5, 0.5)
-        ctx = ctx_of([stats_of()] * 2, blocks=blocks)
-        decision = select_block_sfra(ctx)
-        assert decision.selected == ctx.blocks[0].block_id
-        assert decision.score == 0.5
 
 
 class TestLdf:
@@ -630,7 +607,7 @@ class TestRswn:
 class TestMakeScheduler:
     def test_all_names_construct(self):
         scenario = scenario_of(element(element_id=0, priority=0, period_s=0.25))
-        for name in ("proposed", "fifo", "sfra", "ldf", "rswn"):
+        for name in ("proposed", "fifo", "ldf", "rswn"):
             sched = make_scheduler(name, scenario=scenario)
             assert sched.name == name
 
