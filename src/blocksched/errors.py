@@ -20,13 +20,5 @@ class IllegalStateError(RuntimeError):
     """An operation ran against an object in the wrong lifecycle state."""
 
 
-class DegenerateLatencyError(ValueError):
-    """Sending latency is zero or negative, no throughput sample exists."""
-
-
-class DegenerateIntervalError(ValueError):
-    """A measurement window has zero or negative width."""
-
-
 class SimulationInvariantError(RuntimeError):
     """The event loop or bookkeeping reached a provably wrong state."""

@@ -5,8 +5,8 @@ link comes from integrating the capacity trace. A depth-1 selection
 queue sits in front of the wire: while one packet transmits, the policy
 has already chosen the next one, so a packet's sending latency (time
 from entering the selection queue to leaving the sender) reflects how
-long the previous packet took, which is exactly what the instantaneous
-bandwidth estimator wants to see.
+long the previous packet took. The event log's ``thr_instant`` is a
+packet's size over that latency; nothing else reads it.
 
 Receiver feedback is modeled with a fixed round trip: a delivered packet
 reaches the client one propagation delay after it leaves the wire and
@@ -16,8 +16,16 @@ round trip after the send. Acknowledgements and loss signals are never
 lost themselves. Loss draws come from a dedicated seeded stream indexed
 by send order, so a run is a pure function of its configuration.
 
+Sends are serial and the delay is fixed, so both the client arrival and
+the response of a packet are known when it is sent. The send applies the
+delivery's bookkeeping (the packet's ``client_receive_time``, the
+delivered counters, the block's received count) and schedules the ack or
+loss signal. A block gets one delivered event, at the arrival of its last
+packet, which completes it if it is still live.
+
 Event kinds at equal timestamps process in a fixed order:
-send_opportunity, packet_delivered, ack, loss_signal, block_arrival.
+send_opportunity, packet_delivered (a block's last packet), ack,
+loss_signal, block_arrival.
 
 Recording is opt-in. Pass ``record``, a callable taking one dict, and the
 simulation hands it a JSON-ready record for every event and scheduling
@@ -165,10 +173,10 @@ class Simulation:
         self.now = time_s
         if kind == _SEND_OPPORTUNITY:
             self._on_send_opportunity(time_s)
-        elif kind == _PACKET_DELIVERED:
-            self._on_packet_delivered(time_s, payload)
         elif kind == _ACK:
             self._on_ack(time_s, payload)
+        elif kind == _PACKET_DELIVERED:
+            self._on_block_delivered(time_s, payload)
         elif kind == _LOSS_SIGNAL:
             self._on_loss_signal(time_s, payload)
         elif kind == _BLOCK_ARRIVAL:
@@ -214,11 +222,13 @@ class Simulation:
             self.record({"kind": "block_expired", "t": t, "block_id": list(block.block_id)})
         self.scheduler.note_block_resolved(block.element_id, False)
 
-    def _decide(self, t: float) -> Block | None:
+    def _fill_slot(self, t: float) -> None:
+        """Let the policy choose a block at t and put its next pending packet
+        in the selection queue; with nothing eligible, or when the policy
+        passes, the slot stays empty."""
         queue = self.queue
         eligible = queue.sendable()
         for b in eligible:
-            # has_sendable(), read off the fields
             if not b.pending or b.expired:
                 raise SimulationInvariantError(
                     "sendable index holds block %r, which has nothing to send" % (b.block_id,))
@@ -236,7 +246,7 @@ class Simulation:
                 self.record({"kind": "decision", "t": t, "selected": None,
                              "reason": "none_eligible", "regime": int(regime), "score": None,
                              "smoothed_bw": smoothed, "eligible": 0})
-            return None
+            return
         # features and retransmission flags are built only if the policy
         # reads them; features through the module global so that a wrapper
         # installed on it sees every call
@@ -251,35 +261,31 @@ class Simulation:
                          "score": decision.score, "smoothed_bw": smoothed,
                          "eligible": len(eligible)})
         if selected is None:
-            return None
+            return
         block = queue.get(selected)
-        if block is None or not block.pending or block.expired:  # has_sendable()
+        if block is None or not block.pending or block.expired:
             raise SimulationInvariantError(
                 "scheduler %s selected ineligible block %r" % (self.scheduler.name, selected)
             )
-        return block
-
-    def _fill_slot(self, t: float) -> None:
-        block = self._decide(t)
-        if block is None:
-            return
         packet = block.pending.popleft()
-        self.queue.pending_changed(block)
+        queue.pending_changed(block)
         packet.state = _IN_SELECTION_QUEUE
         packet.enqueue_time = t
         self._slot = packet
 
     def _on_send_opportunity(self, t: float) -> None:
         self._opportunity_pending = False
-        for block in filter_expired(self.queue, t):
-            self._record_expiry(block, t)
         slot = self._slot
-        if slot is not None:
-            # the queue filter above marks the slot packet's block too; a
-            # chosen-but-unsent packet of an expired block must not burn
-            # capacity
-            block = self.blocks_by_id[slot.packet_id[0]]
-            if block.expired:
+        # below the expiry watermark no queued block is past its deadline;
+        # the filter is called through the module global so that a wrapper
+        # installed on it sees every call
+        if t >= self.queue.next_expiry:
+            for block in filter_expired(self.queue, t):
+                self._record_expiry(block, t)
+            # only that filter marks blocks expired, the slot packet's block
+            # too; a chosen-but-unsent packet of an expired block must not
+            # burn capacity
+            if slot is not None and self.blocks_by_id[slot.packet_id[0]].expired:
                 slot.state = PacketState.EXPIRED_DISCARDED
                 self.counters["slot_discards"] += 1
                 if self.record is not None:
@@ -293,46 +299,68 @@ class Simulation:
         # transmit
         self._slot = None
         packet = slot
+        size = packet.size_bytes
+        counters = self.counters
         packet.send_time = t
         packet.send_count += 1
         is_retx = packet.send_count > 1
         if is_retx:
-            self.counters["retransmission_sends"] += 1
+            counters["retransmission_sends"] += 1
         packet.state = _INFLIGHT
-        thr = self.predictor.observe_send(packet.size_bytes, packet.enqueue_time, t)
-        self.ledger.add(packet.packet_id, packet.size_bytes, t)
+        self.ledger.add(packet.packet_id, size, t)
         draw = self._loss_rng.random()
         lost = (self._send_index in self.forced_loss_sends) or draw < self.loss_rate
         self._send_index += 1
-        self.counters["sends"] += 1
-        end = self.trace.time_to_send(t, packet.size_bytes)
+        counters["sends"] += 1
+        end = self.trace.time_to_send(t, size)
         # _push inlined on the per-packet path: the same tuple and seq order
         heap = self._heap
+        seq = self._seq
         if lost:
-            heappush(heap, (t + self.rtt_s, _LOSS_SIGNAL, self._seq, packet))
+            arrive = None
+            heappush(heap, (t + self.rtt_s, _LOSS_SIGNAL, seq, packet))
         else:
-            heappush(heap, (end + self.one_way_delay_s, _PACKET_DELIVERED, self._seq, packet))
-        self._seq += 1
+            # sends are serial and the delay is fixed, so the client arrival
+            # and the ack are known now; the delivery's bookkeeping is applied
+            # here, and no decision reads it before the arrival
+            if packet.client_receive_time is not None:
+                raise SimulationInvariantError("packet %r delivered twice" % (packet.packet_id,))
+            owd = self.one_way_delay_s
+            arrive = end + owd
+            packet.client_receive_time = arrive
+            counters["delivered_packets"] += 1
+            counters["delivered_bytes"] += size
+            block = self.blocks_by_id[packet.packet_id[0]]
+            block.received_packets += 1
+            heappush(heap, (arrive + owd, _ACK, seq, packet))
+            if block.received_packets == len(block.packets):
+                # the block's last packet to arrive; it alone gets an event
+                seq += 1
+                heappush(heap, (arrive, _PACKET_DELIVERED, seq, block))
+        self._seq = seq + 1
         if self.record is not None:
+            latency = t - packet.enqueue_time
             self.record({"kind": "send", "t": t, "packet_id": _packet_ref(packet),
-                         "size": packet.size_bytes, "retransmission": is_retx,
-                         "thr_instant": thr})
+                         "size": size, "retransmission": is_retx,
+                         "thr_instant": size / latency if latency > 0 else None,
+                         "arrives": arrive})
         self._fill_slot(t)
         heappush(heap, (end, _SEND_OPPORTUNITY, self._seq, None))
         self._seq += 1
         self._opportunity_pending = True
 
-    def _on_packet_delivered(self, t: float, packet: Packet) -> None:
-        if packet.client_receive_time is not None:
-            raise SimulationInvariantError("packet %r delivered twice" % (packet.packet_id,))
-        packet.client_receive_time = t
-        self.counters["delivered_packets"] += 1
-        self.counters["delivered_bytes"] += packet.size_bytes
-        if self.record is not None:
-            self.record({"kind": "delivered", "t": t, "packet_id": _packet_ref(packet),
-                         "size": packet.size_bytes})
-        block = self.blocks_by_id[packet.packet_id[0]]
-        block.received_packets += 1
+    def _on_block_delivered(self, t: float, block: Block) -> None:
+        """The block's last packet reached the client at t.
+
+        The sends booked every delivery and pushed the acks, so this event
+        exists only for completion, at the arrival instant and in its tie
+        slot. Pushing an ack at its send rather than at its arrival changes
+        no order: its instant is (end + owd) + owd and ends never decrease
+        in send order, so arrivals run in send order and would push their
+        acks in send order too. The heap orders by (time, kind), and seq
+        breaks ties only within one (time, kind), so acks at one float
+        instant run in send order either way.
+        """
         if not block.expired and block.completion_time is None and block.is_fully_received():
             finish = mark_block_complete(block, self.queue)
             on_time = not block.past_deadline(finish)
@@ -341,8 +369,6 @@ class Simulation:
                 self.record({"kind": "block_complete", "t": finish,
                              "block_id": list(block.block_id), "on_time": on_time})
             self.scheduler.note_block_resolved(block.element_id, on_time)
-        heappush(self._heap, (t + self.one_way_delay_s, _ACK, self._seq, packet))
-        self._seq += 1
 
     def _on_ack(self, t: float, packet: Packet) -> None:
         sample = self.predictor.observe_response(self.ledger, packet.send_time, t)

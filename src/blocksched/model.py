@@ -142,8 +142,9 @@ class Packet:
     send_time reflects the most recent transmission, and send_count
     counts every transmission, so a packet was retransmitted
     send_count - 1 times.
-    client_receive_time is set when the copy reaches the client, which can
-    precede the sender-side acknowledgement by one propagation delay.
+    client_receive_time is the instant the delivered copy reaches the
+    client, one propagation delay before its acknowledgement returns. The
+    sender knows it at send time and sets it then, to that future instant.
     """
 
     packet_id: PacketId
@@ -215,14 +216,6 @@ class Block:
     def packet_count(self) -> int:
         return len(self.packets)
 
-    @property
-    def unacked_bytes(self) -> int:
-        return self.total_bytes - self.acked_bytes
-
-    @property
-    def unacked_packets(self) -> int:
-        return self.packet_count - self.acked_packets
-
     def past_deadline(self, now: float) -> bool:
         """True once now is strictly past the deadline window (now - E > D).
         The one expiry rule, computed once as ``expires_at``: the queue
@@ -230,9 +223,6 @@ class Block:
         the on-time test all compare now with it, and Dr and rswn measure
         time left to it, so no two of them disagree."""
         return now >= self.expires_at
-
-    def has_sendable(self) -> bool:
-        return bool(self.pending) and not self.expired
 
     def retransmission_pending(self) -> bool:
         return bool(self.pending) and self.pending[0].state is _LOST_PENDING_RETX

@@ -1,12 +1,11 @@
 """Sender-side bandwidth estimation from packet timings.
 
-Two estimators run side by side. The instantaneous estimator divides a
-packet's size by its sending latency, the gap between entering the
-selection queue and actually leaving the sender; it reacts fast but is
-noisy. The smoothed estimator waits for a packet's acknowledgement or
-loss signal and divides the bytes of every packet sent inside the
-response window by the window width, which averages over roughly one
-round trip.
+One estimator drives the scheduler. It waits for a packet's
+acknowledgement or loss signal and divides the bytes of every packet sent
+inside the response window, from the packet's send to its response, by
+the window width, which averages over roughly one round trip. (The event
+log's per-send ``thr_instant``, a packet's size over its sending latency,
+is computed only when recording and feeds nothing.)
 
 The inflight ledger keeps a running byte total and relies on send order:
 entries are added in nondecreasing send time (a retransmission is removed
@@ -14,14 +13,13 @@ and re-added at its new send time), so the entries sent before a window
 form a prefix of the ledger's send-order queue and the window sum is the
 total minus that prefix. Every earlier packet's response is due no later
 than the current one's, so the prefix is almost always empty and the
-smoothed estimate costs O(1) per response. ``InflightLedger.add``
-rejects an out-of-order send time.
+estimate costs O(1) per response. ``InflightLedger.add`` rejects an
+out-of-order send time.
 
-The smoothed estimate drives regime classification against two
-thresholds L < H (configured in Mbps): below L the link is scarce, above
-H it is plentiful, in between it is moderate. The scheduler switches
-comparison keys per regime. The instantaneous estimate is kept for
-logging and diagnostics.
+The estimate drives regime classification against two thresholds L < H
+(configured in Mbps): below L the link is scarce, above H it is
+plentiful, in between it is moderate. The scheduler switches comparison
+keys per regime.
 """
 from __future__ import annotations
 
@@ -30,7 +28,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, DegenerateIntervalError, DegenerateLatencyError
+from .errors import ConfigurationError, SimulationInvariantError
 from .units import mbps_to_bytes_per_s
 
 
@@ -60,18 +58,6 @@ class Thresholds:
         return cls(low=mbps_to_bytes_per_s(low_mbps), high=mbps_to_bytes_per_s(high_mbps))
 
 
-def instantaneous_throughput(size_bytes: float, enqueue_time: float, send_time: float) -> float:
-    """Packet size over sending latency; zero latency carries no signal."""
-    if size_bytes < 0:
-        raise ValueError("size_bytes must be non-negative, got %r" % size_bytes)
-    latency = send_time - enqueue_time
-    if latency <= 0:
-        raise DegenerateLatencyError(
-            "sending latency %r is not positive (enqueue %r, send %r)" % (latency, enqueue_time, send_time)
-        )
-    return size_bytes / latency
-
-
 class InflightLedger:
     """Bytes currently on the wire, keyed by packet id, with send times.
 
@@ -88,6 +74,7 @@ class InflightLedger:
         # stays until every older one has left, and is live only while
         # _entries still maps its id to that very tuple
         self._order: deque = deque()
+        self._stale = 0  # entries removed out of order that are still in _order
         self._total = 0
         self._last_send = -math.inf
 
@@ -115,10 +102,20 @@ class InflightLedger:
 
     def remove(self, packet_id) -> None:
         entries = self._entries
-        self._total -= entries.pop(packet_id)[1]
+        entry = entries.pop(packet_id)
+        self._total -= entry[1]
         order = self._order
-        while order and entries.get(order[0][0]) is not order[0]:
+        if order[0] is not entry:
+            # out of order: the entry stays, stale, until every older one has
+            # left; the head of _order is always live
+            self._stale += 1
+            return
+        order.popleft()
+        # the usual case, responses in send order, leaves no stale entry, so
+        # the prefix walk (and its hashing of packet ids) is skipped
+        while self._stale and entries.get(order[0][0]) is not order[0]:
             order.popleft()
+            self._stale -= 1
 
     def bytes_sent_since(self, window_start: float) -> int:
         """Total inflight bytes whose send time falls at or after window_start."""
@@ -133,18 +130,6 @@ class InflightLedger:
         return total
 
 
-def smoothed_throughput(ledger: InflightLedger, window_start: float, window_end: float) -> float:
-    """Inflight bytes sent within [window_start, window_end] over the window
-    width. Call before removing the packet whose response defined the
-    window, so its own bytes count."""
-    width = window_end - window_start
-    if width <= 0:
-        raise DegenerateIntervalError(
-            "response window [%r, %r] has non-positive width" % (window_start, window_end)
-        )
-    return ledger.bytes_sent_since(window_start) / width
-
-
 def classify_regime(throughput: float, thresholds: Thresholds) -> Regime:
     if throughput < thresholds.low:
         return _LOW
@@ -154,35 +139,31 @@ def classify_regime(throughput: float, thresholds: Thresholds) -> Regime:
 
 
 class BandwidthPredictor:
-    """Stateful wrapper the simulation feeds send and response events.
+    """The smoothed estimate, fed every acknowledgement and loss signal.
 
-    Until the first sample each estimate defaults to the low threshold, a
-    deliberately conservative starting point. ``regime`` is the smoothed
-    estimate's class; it is an attribute that changes together with
-    ``smoothed``, classified once per response rather than at every read.
+    Until the first sample the estimate defaults to the low threshold, a
+    deliberately conservative starting point. ``regime`` is its class; it
+    is an attribute that changes together with ``smoothed``, classified
+    once per response rather than at every read.
     """
 
     def __init__(self, thresholds: Thresholds) -> None:
         self.thresholds = thresholds
-        self.instantaneous = thresholds.low
         self.smoothed = thresholds.low
         self.regime = classify_regime(self.smoothed, thresholds)
 
-    def observe_send(self, size_bytes: int, enqueue_time: float, send_time: float) -> float | None:
-        """Update the instantaneous estimate; returns the new sample, or
-        None when the latency was degenerate and the old estimate stands."""
-        try:
-            sample = instantaneous_throughput(size_bytes, enqueue_time, send_time)
-        except DegenerateLatencyError:
-            return None
-        self.instantaneous = sample
-        return sample
-
     def observe_response(self, ledger: InflightLedger, send_time: float, response_time: float) -> float:
         """Update the smoothed estimate and its regime from one
-        acknowledgement or loss signal; the measured packet must still be
-        in the ledger."""
-        sample = smoothed_throughput(ledger, send_time, response_time)
+        acknowledgement or loss signal: the inflight bytes sent within
+        [send_time, response_time] over the window width. Call before the
+        measured packet leaves the ledger, so its own bytes count."""
+        width = response_time - send_time
+        if width <= 0:
+            # a response comes a fixed round trip after its send, so only an
+            # RTT lost in rounding at a large send time leaves no width
+            raise SimulationInvariantError(
+                "response window [%r, %r] has non-positive width" % (send_time, response_time))
+        sample = ledger.bytes_sent_since(send_time) / width
         self.smoothed = sample
         self.regime = classify_regime(sample, self.thresholds)
         return sample

@@ -59,15 +59,13 @@ class RunParams:
 
 
 def execute_run(trace: LinkTrace, scenario: ScenarioConfig, scheduler_name: str,
-                params: RunParams, forced_loss_sends=(),
-                record=None) -> tuple[SimulationResult, QoEReport]:
+                params: RunParams, record=None) -> tuple[SimulationResult, QoEReport]:
     """One simulation and its report; record is the optional event sink
     (see linksim.Simulation)."""
     scheduler = make_scheduler(scheduler_name, scenario, params.literal_mid_branch)
     sim = Simulation(trace, scenario, scheduler,
                      duration_s=params.duration_s, seed=params.seed, rtt_s=params.rtt_s,
-                     loss_rate=params.loss_rate, thresholds=params.thresholds,
-                     forced_loss_sends=forced_loss_sends, record=record)
+                     loss_rate=params.loss_rate, thresholds=params.thresholds, record=record)
     result = sim.run()
     return result, build_report(result, trace, params.alpha)
 

@@ -78,9 +78,8 @@ _tuple_new = tuple.__new__
 def compute_block_stats(block: Block, now: float) -> BlockStats:
     """The block's features at now; it must still be inside its window.
 
-    Reads the block's fields directly; each expression is the one its
-    ``Block`` property spells out (``unacked_bytes``, ``unacked_packets``),
-    so the values are bit-for-bit the same, and the expiry check is
+    Reads the block's fields directly: Sr is the unacked bytes over the
+    total, Pkt the unacked packet count, and the expiry check is
     ``Block.past_deadline``'s comparison. Dr is the time left until
     ``expires_at`` over the window D, so it is positive whenever the check
     passes.
@@ -289,7 +288,7 @@ def select_block_rswn(ctx: SchedulingContext) -> SchedulerDecision:
         best_weight = best_expiry = 0
         for i, block in enumerate(blocks):
             expiry = block.expires_at
-            # the expression of unacked_bytes, without the property call
+            # the unacked bytes
             if (block.total_bytes - block.acked_bytes) / bw > expiry - now:
                 continue
             # the key (-(1 + P), expiry), compared field by field

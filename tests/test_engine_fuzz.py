@@ -14,6 +14,10 @@ and every expiry filter returns what a full scan of the queue before it
 finds (with those checks on, the records are again the same). An auditor
 rebuilds the report's session numbers from the event log, the scenario,
 the trace and alpha alone, and they must equal ``build_report``'s exactly.
+The delivery booked at each send must hold up: every delivered packet's
+client receive time is its send's ``arrives``, each completed block has
+one ``block_complete`` line, at the latest ``arrives`` of its packets,
+and the acks come in the send order of the sends that were not lost.
 
 The suite profile keeps this short; ``HYPOTHESIS_PROFILE=fuzz`` runs it at
 length.
@@ -118,7 +122,7 @@ def checked_sendable(queue):
     expiry watermark asserted a lower bound on the queued blocks'
     ``expires_at``; the engine reads both at every decision."""
     ready = _sendable(queue)
-    assert ready == [b for b in queue if b.has_sendable()]
+    assert ready == [b for b in queue if b.pending and not b.expired]
     assert queue.next_expiry <= min((b.expires_at for b in queue), default=math.inf)
     return ready
 
@@ -149,7 +153,7 @@ def audit_report(records, scenario, trace, duration_s, alpha) -> dict | None:
             arrivals[tuple(r["block_id"])] = r["t"]
         elif r["kind"] == "block_complete":
             completions[tuple(r["block_id"])] = r["t"]
-        elif r["kind"] == "delivered":
+        elif r["kind"] == "send" and r["arrives"] is not None:
             delivered += r["size"]
     if not arrivals:
         return None
@@ -170,6 +174,37 @@ def audit_report(records, scenario, trace, duration_s, alpha) -> dict | None:
     }
 
 
+def check_deliveries(result, records) -> None:
+    """The deliveries the engine books at send time, checked against the
+    log: receive times, completion lines and the order of the acks."""
+    arrives = {}  # packet id -> client arrival, from the one send that was not lost
+    delivered_order = []
+    for r in records:
+        if r["kind"] == "send" and r["arrives"] is not None:
+            pid = tuple(r["packet_id"])
+            assert pid not in arrives, r
+            arrives[pid] = r["arrives"]
+            delivered_order.append(pid)
+    completes = {}
+    for r in records:
+        if r["kind"] == "block_complete":
+            block_id = tuple(r["block_id"])
+            assert block_id not in completes, r  # one line per block
+            completes[block_id] = r["t"]
+    for block in result.blocks:
+        for packet in block.packets:
+            element_id, index = packet.packet_id[0]
+            ref = (element_id, index, packet.packet_id[1])
+            assert packet.client_receive_time == arrives.get(ref), ref
+        if block.completion_time is None:
+            assert block.block_id not in completes
+        else:
+            last = max(arrives[(*block.block_id, i)] for i in range(len(block.packets)))
+            assert completes[block.block_id] == block.completion_time == last
+    acks = [tuple(r["packet_id"]) for r in records if r["kind"] == "ack"]
+    assert acks == delivered_order
+
+
 @settings(max_examples=EXAMPLES)
 @given(draws())
 def test_engine_invariants_hold_on_generated_inputs(case):
@@ -187,6 +222,7 @@ def test_engine_invariants_hold_on_generated_inputs(case):
             elif record["kind"] == "decision":
                 regime = classify_regime(record["smoothed_bw"], case["thresholds"])
                 assert record["regime"] == regime, record
+        check_deliveries(result, records)
         offered = case["trace"].integrate_capacity(0.0, result.end_time)
         assert result.counters["delivered_bytes"] <= offered * (1 + 1e-9) + 1e-6
 

@@ -34,16 +34,16 @@ RUN_REPORT_SHA256 = "dc3fdcdd38f4dde223d359132bab73d49e93929c91e6da637b233c3cd6a
 # reason, score and eligible count, so a changed choice or ranking shows.
 EVENT_LOG_SHA256 = {
     "sq01": {
-        "proposed": "3960ae2fe6311efcb67fe9b9d5c23b5d52c114dd55ea00546107a1f04a8fcd7a",
-        "fifo": "98b726cea124db88fa168bfc67560729ad456ac9494ed09699fd6a6e8c3769f5",
-        "ldf": "edd82503816a6805bc32751e6b9a5bcc03eed62b5afda4d5af01db06aef6dcf3",
-        "rswn": "c9ee7b1745a4d389b4c44bfdbcc84782b235769b271fab6f9a51b7883ce15f7f",
+        "proposed": "cb95b6a75a0d2cd5b1f03bb46423fead85bbb6c1e063667abadbb5b026bec540",
+        "fifo": "488689d19cceb8fcf79c4aef1647df027cfe843ca72293db8d7b055c7962e79c",
+        "ldf": "d0c03187963c55617949a45196ee0c2bed87487f11ea9355894a13de220e40be",
+        "rswn": "8463f97b41ed34fd9a5ac9b198eeaa1e63281712641d00abb3111568b8b01c46",
     },
     "deep_queue": {
-        "proposed": "dfb3fb6fcf417a4ccc7f2ec096cc0eda45afd8457a47b227b3ebf753befa5dff",
-        "fifo": "3c67d14d452edd5a278148ffd522a4ff2b6156ad20fa1b7a14ee7f42236207dd",
-        "ldf": "205519e444855e01e3f7a41270ebfb9dc1518013ee195942a95b14289d5490e0",
-        "rswn": "3e4e292cd144bc9dcba68a7efb1d75227239d39e8b4df90e6a3f4d87895aa7dd",
+        "proposed": "fad0e701e08431a970b5dae7aaaa2d5709830c55d074db2dad00e75088299eb0",
+        "fifo": "7c25fc035225912f58dd1d36f645832214710f634cf2267607c0e5710d44db93",
+        "ldf": "05398d7b96a533b4691d521c1aeef662be05ecd3c23068b396e75a8cbacdb0a1",
+        "rswn": "cd67f4e140bc66d0626617a505f4c17f710a78ce640d692caf2264318923090c",
     },
 }
 

@@ -66,8 +66,12 @@ class TestSingleBlockTimeline:
     def test_delivery_and_ack_timing(self):
         result, records = self._run()
         t0 = result.blocks[0].arrival_time
-        assert [r["t"] for r in records_of(records, "delivered")] == [
-            pytest.approx(t0 + 0.052, **APPROX), pytest.approx(t0 + 0.064, **APPROX)]
+        arrivals = [r["arrives"] for r in records_of(records, "send")]
+        assert arrivals == [pytest.approx(t0 + 0.052, **APPROX),
+                            pytest.approx(t0 + 0.064, **APPROX)]
+        assert [p.client_receive_time for p in result.blocks[0].packets] == arrivals
+        # a delivery writes no line of its own
+        assert records_of(records, "delivered") == []
         acks = records_of(records, "ack")
         assert [r["t"] for r in acks] == [
             pytest.approx(t0 + 0.092, **APPROX), pytest.approx(t0 + 0.104, **APPROX)]
@@ -185,7 +189,8 @@ class TestConservation:
         assert c["blocks_completed"] + c["blocks_expired"] == len(result.blocks)
         assert c["sends"] == len(records_of(records, "send"))
         assert c["loss_signals"] == len(records_of(records, "loss"))
-        assert c["delivered_bytes"] == sum(r["size"] for r in records_of(records, "delivered"))
+        assert c["delivered_bytes"] == sum(r["size"] for r in records_of(records, "send")
+                                           if r["arrives"] is not None)
         for block in result.blocks:
             if block.completion_time is not None:
                 assert not block.expired
@@ -257,6 +262,65 @@ class TestConservation:
             assert arrival <= send["t"] < expiry
 
 
+class TestSendPath:
+    """What a send books ahead: the packet's client arrival, the delivered
+    counters and the response events."""
+
+    def test_delivery_is_booked_at_send(self):
+        scenario = one_block_scenario()
+        sim = Simulation(constant_trace(), scenario, make_scheduler("fifo"),
+                         duration_s=2.0, seed=0, loss_rate=0.0, thresholds=TH)
+        first = sim.blocks[0].packets[0]
+        while first.send_time is None:
+            sim.advance()
+        # 12 ms on the wire plus a 40 ms one-way delay, known at the send
+        assert first.client_receive_time == pytest.approx(first.send_time + 0.052, **APPROX)
+        assert sim.counters["delivered_packets"] == 1
+        assert sim.counters["delivered_bytes"] == first.size_bytes
+        assert sim.blocks[0].received_packets == 1
+        assert sim.blocks[0].completion_time is None  # completion waits for the arrival
+
+    def test_one_delivered_event_per_fully_received_block(self):
+        # a delivery is booked at its send; only a block's last arriving
+        # packet gets a heap event, and each delivered packet one ack
+        scenario, trace = TestConservation()._inputs()
+        kinds = []
+
+        def drive(sim):
+            while (step := sim.advance()) is not None:
+                kinds.append(step[1])
+            return sim
+
+        sim, _ = run_recorded(trace, scenario, make_scheduler("proposed", scenario=scenario),
+                              drive=drive, duration_s=6.0, seed=3, loss_rate=0.02,
+                              thresholds=TH)
+        received = [b for b in sim.blocks if b.is_fully_received()]
+        delivered = sim.counters["delivered_packets"]
+        assert kinds.count(linksim._PACKET_DELIVERED) == len(received) < delivered
+        assert kinds.count(linksim._ACK) == delivered
+
+    def test_expiry_filter_runs_only_at_the_watermark(self, monkeypatch):
+        # below the queue's expiry watermark no block can have expired, so
+        # the send opportunity does not call the filter at all
+        at_watermark = []
+        original = linksim.filter_expired
+
+        def recording(queue, now):
+            at_watermark.append(now >= queue.next_expiry)
+            return original(queue, now)
+
+        monkeypatch.setattr(linksim, "filter_expired", recording)
+        scenario, trace = deep_queue_inputs(duration_s=4.0)
+        sim = Simulation(trace, scenario, make_scheduler("fifo", scenario=scenario),
+                         duration_s=4.0, seed=1, thresholds=TH)
+        kinds = []
+        while (step := sim.advance()) is not None:
+            kinds.append(step[1])
+        assert sim.counters["blocks_expired"] > 0
+        assert all(at_watermark)
+        assert 0 < len(at_watermark) < kinds.count(linksim._SEND_OPPORTUNITY)
+
+
 class TestGuards:
     def test_stale_event_is_an_invariant_error(self):
         scenario = one_block_scenario()
@@ -275,6 +339,16 @@ class TestGuards:
         sim.advance()
         sim.ledger._total += 1  # add/remove accounting drifts by one byte
         with pytest.raises(SimulationInvariantError, match="1 bytes"):
+            sim.run()
+
+    def test_rtt_lost_in_rounding_is_an_invariant_error(self):
+        # t + rtt_s rounds back to t, so the loss signal's response window
+        # has no width and no estimate exists
+        sim = Simulation(constant_trace(), one_block_scenario(), make_scheduler("fifo"),
+                         duration_s=2.0, seed=0, loss_rate=0.0, thresholds=TH,
+                         rtt_s=1e-300, forced_loss_sends={0})
+        assert sim.blocks[0].arrival_time > 0
+        with pytest.raises(SimulationInvariantError, match="non-positive width"):
             sim.run()
 
     def test_run_twice_rejected(self):
@@ -357,7 +431,7 @@ class TestFeatureBuilds:
         block = sim.blocks[0]
         sim.queue.enqueue(block)  # skip the expiry filter a send opportunity runs first
         with pytest.raises(IllegalStateError, match="is expired at"):
-            sim._decide(block.arrival_time + 0.5)
+            sim._fill_slot(block.arrival_time + 0.5)
 
     @pytest.mark.parametrize("name", SCHEDULER_NAMES)
     def test_stale_sendable_index_is_an_invariant_error(self, name):
@@ -368,7 +442,7 @@ class TestFeatureBuilds:
         sim.queue.enqueue(block)
         block.pending.clear()  # without telling the queue through pending_changed
         with pytest.raises(SimulationInvariantError, match="nothing to send"):
-            sim._decide(block.arrival_time)
+            sim._fill_slot(block.arrival_time)
 
 
 class TestSerialization:
@@ -379,10 +453,11 @@ class TestSerialization:
         events = [r for r in records if r["kind"] != "decision"]
         decisions = records_of(records, "decision")
         kinds = {r["kind"] for r in events}
-        assert {"block_arrival", "send", "delivered", "ack", "loss",
-                "block_complete"} <= kinds
-        send = next(r for r in events if r["kind"] == "send")
-        assert send["packet_id"] == [0, 0, 0]
+        assert kinds == {"block_arrival", "send", "ack", "loss", "block_complete"}
+        sends = records_of(records, "send")
+        assert sends[0]["packet_id"] == [0, 0, 0]
+        assert sends[0]["arrives"] is None  # the forced loss
+        assert all(r["arrives"] > r["t"] for r in sends[1:])
         chosen = [d for d in decisions if d["selected"] is not None]
         assert chosen
         assert chosen[0]["selected"] == [0, 0]

@@ -119,7 +119,8 @@ class TestBuildReport:
         offered = trace.integrate_capacity(0.0, max(result.duration_s, result.end_time))
         assert report.offered_bytes == offered
         assert report.utilization == min(1.0, result.counters["delivered_bytes"] / offered)
-        delivered = sum(r["size"] for r in records if r["kind"] == "delivered")
+        delivered = sum(r["size"] for r in records
+                        if r["kind"] == "send" and r["arrives"] is not None)
         assert report.utilization == min(1.0, delivered / offered)
         on_time_bytes = sum(b.total_bytes for b, f in zip(result.blocks, flags) if f)
         assert report.effective_utilization == min(1.0, on_time_bytes / offered)

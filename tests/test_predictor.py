@@ -6,50 +6,22 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from blocksched.errors import (
-    ConfigurationError,
-    DegenerateIntervalError,
-    DegenerateLatencyError,
-)
+from blocksched.errors import ConfigurationError, SimulationInvariantError
 from blocksched.predictor import (
     BandwidthPredictor,
     InflightLedger,
     Regime,
     Thresholds,
     classify_regime,
-    instantaneous_throughput,
-    smoothed_throughput,
 )
 from blocksched.units import mbps_to_bytes_per_s
 
+TH = Thresholds.from_mbps(0.8, 2.3)
 
-class TestInstantaneous:
-    def test_size_over_sending_latency(self):
-        assert instantaneous_throughput(1500, enqueue_time=0.0, send_time=0.01) == 150000.0
 
-    def test_zero_size_is_zero_throughput(self):
-        assert instantaneous_throughput(0, 0.0, 0.01) == 0.0
-
-    def test_zero_latency_is_degenerate(self):
-        with pytest.raises(DegenerateLatencyError):
-            instantaneous_throughput(1500, 0.5, 0.5)
-
-    def test_negative_latency_is_degenerate(self):
-        with pytest.raises(DegenerateLatencyError):
-            instantaneous_throughput(1500, 0.5, 0.4)
-
-    @given(size=st.integers(min_value=0, max_value=10**6),
-           latency=st.floats(min_value=1e-6, max_value=10.0))
-    def test_non_negative(self, size, latency):
-        assert instantaneous_throughput(size, 1.0, 1.0 + latency) >= 0.0
-
-    @given(size=st.integers(min_value=1, max_value=10**6),
-           latency=st.floats(min_value=1e-6, max_value=10.0),
-           scale=st.sampled_from([2, 4, 8]))
-    def test_scales_with_size(self, size, latency, scale):
-        base = instantaneous_throughput(size, 0.0, latency)
-        scaled = instantaneous_throughput(size * scale, 0.0, latency)
-        assert scaled == pytest.approx(base * scale)
+def smoothed(ledger, window_start, window_end):
+    """The sample a fresh predictor takes from one response."""
+    return BandwidthPredictor(TH).observe_response(ledger, window_start, window_end)
 
 
 class TestSmoothed:
@@ -61,19 +33,26 @@ class TestSmoothed:
 
     def test_three_packets_in_window(self):
         ledger = self._ledger([("a", 1500, 0.0), ("b", 1500, 0.01), ("c", 1500, 0.02)])
-        assert smoothed_throughput(ledger, 0.0, 0.03) == 150000.0
+        assert smoothed(ledger, 0.0, 0.03) == 150000.0
 
     def test_entries_before_window_excluded(self):
         ledger = self._ledger([("old", 9000, -0.5), ("a", 1500, 0.0), ("b", 1500, 0.02)])
-        assert smoothed_throughput(ledger, 0.0, 0.03) == 3000 / 0.03
+        assert smoothed(ledger, 0.0, 0.03) == 3000 / 0.03
 
     def test_empty_ledger_is_zero(self):
-        assert smoothed_throughput(InflightLedger(), 0.0, 0.1) == 0.0
+        assert smoothed(InflightLedger(), 0.0, 0.1) == 0.0
 
     def test_zero_width_window_is_degenerate(self):
         ledger = self._ledger([("a", 1500, 0.0)])
-        with pytest.raises(DegenerateIntervalError):
-            smoothed_throughput(ledger, 0.5, 0.5)
+        with pytest.raises(SimulationInvariantError, match="non-positive width"):
+            smoothed(ledger, 0.5, 0.5)
+
+    def test_response_before_its_send_is_an_invariant_error(self):
+        ledger = self._ledger([("a", 1500, 0.0)])
+        predictor = BandwidthPredictor(TH)
+        with pytest.raises(SimulationInvariantError, match="non-positive width"):
+            predictor.observe_response(ledger, 0.5, 0.25)
+        assert predictor.smoothed == TH.low  # the estimate stands
 
     def test_duplicate_inflight_entry_rejected(self):
         ledger = self._ledger([("a", 1500, 0.0)])
@@ -86,8 +65,8 @@ class TestSmoothed:
         base = self._ledger([(i, s, 0.001 * i) for i, s in enumerate(sizes)])
         scaled = self._ledger([(i, s * scale, 0.001 * i) for i, s in enumerate(sizes)])
         window = (0.0, 0.1)
-        assert smoothed_throughput(scaled, *window) == pytest.approx(
-            smoothed_throughput(base, *window) * scale)
+        assert smoothed(scaled, *window) == pytest.approx(
+            smoothed(base, *window) * scale)
 
 
 # one ledger operation: ("add", size, gap after the previous send),
@@ -102,6 +81,17 @@ _ledger_ops = st.lists(st.one_of(
     st.tuples(st.just("stale"), st.integers(min_value=1, max_value=3000),
               st.floats(min_value=1e-9, max_value=1.0)),
 ), max_size=40)
+
+
+# the in-order fast path's operations: ("oldest",) is the response of the
+# oldest inflight packet, the engine's usual case; ("remove", index) and
+# ("readd", index, gap) act on the live ids in send order
+_fast_path_ops = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.integers(min_value=0, max_value=3000), _gaps),
+    st.tuples(st.just("oldest")),
+    st.tuples(st.just("remove"), st.integers(min_value=0, max_value=63)),
+    st.tuples(st.just("readd"), st.integers(min_value=0, max_value=63), _gaps),
+), max_size=60)
 
 
 def _probe_windows(send_times):
@@ -159,6 +149,36 @@ class TestInflightLedger:
         assert ledger.bytes_sent_since(-math.inf) == 0
         assert not ledger._order  # removed entries do not pile up
 
+    @given(ops=_fast_path_ops)
+    def test_stale_entries_come_only_from_out_of_order_removals(self, ops):
+        ledger = InflightLedger()
+        model: dict = {}  # packet id -> (size, send time), in send order
+        now = 0.0
+        next_id = 0
+        out_of_order = 0
+        for op in ops:
+            if op[0] == "add":
+                _, size, gap = op
+                now += gap
+                ledger.add(next_id, size, now)
+                model[next_id] = (size, now)
+                next_id += 1
+            elif model:
+                ids = list(model)
+                pid = ids[0] if op[0] == "oldest" else ids[op[1] % len(ids)]
+                out_of_order += pid != ids[0]
+                size, _ = model.pop(pid)
+                ledger.remove(pid)
+                if op[0] == "readd":
+                    now += op[2]
+                    ledger.add(pid, size, now)
+                    model[pid] = (size, now)  # a dict keeps it last, in send order
+            self._check(ledger, model)
+            stale = len(ledger._order) - len(ledger)
+            assert stale == ledger._stale <= out_of_order
+            if ledger._order:  # the head is always live
+                assert ledger._order[0][0] == next(iter(model))
+
 
 class TestRegimes:
     def test_thresholds_from_mbps(self):
@@ -194,16 +214,8 @@ class TestBandwidthPredictor:
         th = Thresholds.from_mbps(0.8, 2.3)
         predictor = BandwidthPredictor(th)
         assert predictor.smoothed == th.low
-        assert predictor.instantaneous == th.low
         # sitting exactly on the boundary, which classifies as mid
         assert predictor.regime is Regime.MID
-
-    def test_degenerate_send_keeps_previous_estimate(self):
-        th = Thresholds.from_mbps(0.8, 2.3)
-        predictor = BandwidthPredictor(th)
-        assert predictor.observe_send(1500, 0.0, 0.01) == 150000.0
-        assert predictor.observe_send(1500, 0.5, 0.5) is None
-        assert predictor.instantaneous == 150000.0
 
     def test_response_updates_smoothed_and_regime(self):
         th = Thresholds.from_mbps(0.8, 2.3)

@@ -36,8 +36,7 @@ RECORD_KEYS = {
     "block_arrival": {"kind", "t", "block_id"},
     "block_expired": {"kind", "t", "block_id"},
     "block_complete": {"kind", "t", "block_id", "on_time"},
-    "send": {"kind", "t", "packet_id", "size", "retransmission", "thr_instant"},
-    "delivered": {"kind", "t", "packet_id", "size"},
+    "send": {"kind", "t", "packet_id", "size", "retransmission", "thr_instant", "arrives"},
     "ack": {"kind", "t", "packet_id", "thr_smoothed"},
     "loss": {"kind", "t", "packet_id", "thr_smoothed", "requeued"},
     "slot_discard": {"kind", "t", "packet_id"},
@@ -581,6 +580,14 @@ class TestCli:
         trace = self._write_trace(tmp_path)
         assert main(["run", "--scenario", SCENARIO_1, "--trace", trace,
                      "--duration-s", "1"]) == 2
+
+    def test_rtt_lost_in_rounding_exits_2(self, tmp_path, capsys):
+        # a loss signal lands a rounded-away round trip after its send: the
+        # response window is empty, which no configuration check can see
+        trace = self._write_trace(tmp_path)
+        assert main(["run", "--scenario", SCENARIO_1, "--trace", trace, "--duration-s", "1",
+                     "--rtt-ms", "1e-297", "--loss-rate", "0.9"]) == 2
+        assert "non-positive width" in capsys.readouterr().err
 
     def test_illegal_state_during_run_exits_2(self, tmp_path, capsys, monkeypatch):
         import blocksched.cli as cli_module

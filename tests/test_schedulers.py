@@ -99,10 +99,10 @@ class TestBlockStats:
         now = arrival + data.draw(st.floats(min_value=0.0, max_value=1.0)) * deadline
         assume(not block.past_deadline(now))
         s = compute_block_stats(block, now)
-        assert s.remaining_size_ratio == block.unacked_bytes / block.total_bytes
+        assert s.remaining_size_ratio == (block.total_bytes - block.acked_bytes) / block.total_bytes
         assert s.remaining_deadline_ratio == (block.expires_at - now) / block.deadline_s
         assert s.remaining_deadline_ratio > 0
-        assert s.remaining_packets == block.unacked_packets
+        assert s.remaining_packets == block.packet_count - block.acked_packets
         assert s.priority == block.priority
 
 
@@ -153,13 +153,16 @@ def _times_in(arrival: float, deadline: float, frac: float, ulps: int = 4) -> li
 
 def _engine_on_time(arrival: float, deadline: float, finish: float) -> bool:
     """The on-time flag the engine records when a one-packet block's only
-    packet reaches the client at finish."""
+    packet reaches the client at finish: the send's delivery bookkeeping,
+    then the block's delivered event at that arrival."""
     scenario = scenario_of(element(block_size_bytes=1500))
     block = block_at(arrival_time=arrival, deadline_s=deadline, total_bytes=1500, element_id=9)
 
     def deliver(sim):
         sim.blocks_by_id[block.block_id] = block
-        sim._on_packet_delivered(finish, block.packets[0])
+        block.packets[0].client_receive_time = finish
+        block.received_packets = 1
+        sim._on_block_delivered(finish, block)
 
     _, records = run_recorded(synthesize_trace("constant", duration_s=1.0, seed=0, mbps=1.0),
                               scenario, make_scheduler("fifo"), drive=deliver, duration_s=1.0,
