@@ -288,7 +288,7 @@ def select_block_rswn(ctx: SchedulingContext) -> SchedulerDecision:
         best_weight = best_expiry = 0
         for i, block in enumerate(blocks):
             expiry = block.expires_at
-            # the unacked bytes
+            # not completable: its unacked bytes need longer than the time left
             if (block.total_bytes - block.acked_bytes) / bw > expiry - now:
                 continue
             # the key (-(1 + P), expiry), compared field by field
