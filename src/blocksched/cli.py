@@ -29,7 +29,7 @@ from .runner import (
     run_sweep,
     tune_thresholds,
 )
-from .metrics import DEFAULT_ALPHA
+from .metrics import DEFAULT_ALPHA, run_report_json
 from .predictor import Thresholds
 from .schedulers import SCHEDULER_NAMES
 from .traces import load_corpus, load_trace, split_corpus, synthesize_trace, trace_passes_filter
@@ -78,13 +78,13 @@ def _cmd_run(args) -> int:
     params = _params_from_args(args, args.seed)
     if args.event_log:
         with open(args.event_log, "w") as log:
-            _, report = execute_run(
+            result, report = execute_run(
                 trace, scenario, args.scheduler, params,
                 record=lambda rec: log.write(json.dumps(rec, sort_keys=True) + "\n"))
         _log("event log written to %s" % args.event_log)
     else:
-        _, report = execute_run(trace, scenario, args.scheduler, params)
-    text = report.to_json()
+        result, report = execute_run(trace, scenario, args.scheduler, params)
+    text = run_report_json(result, report)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

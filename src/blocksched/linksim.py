@@ -16,6 +16,12 @@ round trip after the send. Acknowledgements and loss signals are never
 lost themselves. Loss draws come from a dedicated seeded stream indexed
 by send order, so a run is a pure function of its configuration.
 
+A block's packets are built as the policy first takes them: ``_fill_slot``
+builds packet i = len(block.packets) of a block with no lost packet
+waiting, so a block that expires unsent builds none. A lost packet goes
+back into its block's ``pending`` list, and the next take of that block
+retransmits the most recently lost one first.
+
 Sends are serial and the delay is fixed, so both the client arrival and
 the response of a packet are known when it is sent. The send applies the
 delivery's bookkeeping (the packet's ``client_receive_time``, the
@@ -62,6 +68,7 @@ from .schedulers import (
     filter_expired,
 )
 from .traces import LinkTrace
+from .units import PACKET_PAYLOAD_BYTES
 
 # the one home of a run's link defaults; RunParams and the CLI take theirs
 # from here
@@ -223,13 +230,14 @@ class Simulation:
         self.scheduler.note_block_resolved(block.element_id, False)
 
     def _fill_slot(self, t: float) -> None:
-        """Let the policy choose a block at t and put its next pending packet
-        in the selection queue; with nothing eligible, or when the policy
-        passes, the slot stays empty."""
+        """Let the policy choose a block at t and put its next packet in the
+        selection queue: its most recently lost packet if one waits, else
+        its next packet, built here; with nothing eligible, or when the
+        policy passes, the slot stays empty."""
         queue = self.queue
         eligible = queue.sendable()
         for b in eligible:
-            if not b.pending or b.expired:
+            if not (b.unsent or b.pending) or b.expired:
                 raise SimulationInvariantError(
                     "sendable index holds block %r, which has nothing to send" % (b.block_id,))
         # the queue was filtered at this instant, so no eligible block can be
@@ -263,13 +271,26 @@ class Simulation:
         if selected is None:
             return
         block = queue.get(selected)
-        if block is None or not block.pending or block.expired:
+        if block is None or not (block.unsent or block.pending) or block.expired:
             raise SimulationInvariantError(
                 "scheduler %s selected ineligible block %r" % (self.scheduler.name, selected)
             )
-        packet = block.pending.popleft()
-        queue.pending_changed(block)
-        packet.state = _IN_SELECTION_QUEUE
+        pending = block.pending
+        if pending:
+            packet = pending.pop()
+            packet.state = _IN_SELECTION_QUEUE
+        else:
+            # the next fresh packet, built inline: full payloads, then the
+            # smaller tail; a new Packet starts in the selection queue
+            packets = block.packets
+            i = len(packets)
+            size = block.total_bytes - i * PACKET_PAYLOAD_BYTES
+            packet = Packet((selected, i), size if size < PACKET_PAYLOAD_BYTES
+                            else PACKET_PAYLOAD_BYTES)
+            packets.append(packet)
+            block.unsent -= 1
+        if not (block.unsent or pending):
+            queue.pending_changed(block)  # its last packet to send was taken
         packet.enqueue_time = t
         self._slot = packet
 
@@ -333,7 +354,7 @@ class Simulation:
             block = self.blocks_by_id[packet.packet_id[0]]
             block.received_packets += 1
             heappush(heap, (arrive + owd, _ACK, seq, packet))
-            if block.received_packets == len(block.packets):
+            if block.received_packets == block.packet_count:
                 # the block's last packet to arrive; it alone gets an event
                 seq += 1
                 heappush(heap, (arrive, _PACKET_DELIVERED, seq, block))
@@ -391,7 +412,7 @@ class Simulation:
             requeued = False
         else:
             packet.state = PacketState.LOST_PENDING_RETX
-            block.pending.appendleft(packet)
+            block.pending.append(packet)  # taken first: the most recently lost
             self.queue.pending_changed(block)
             requeued = True
             self._ensure_opportunity(t)
@@ -418,8 +439,14 @@ class Simulation:
                                            % self.ledger.total_bytes)
         terminal = (PacketState.DELIVERED, PacketState.EXPIRED_DISCARDED)
         for block in self.blocks:
-            resolved = block.completion_time is not None or block.expired
-            if not resolved:
+            if block.completion_time is not None:
+                # a completed block built, and got acks for, every packet
+                count = block.packet_count
+                if len(block.packets) != count or block.acked_packets != count:
+                    raise SimulationInvariantError(
+                        "block %r completed with %d of %d packets built and %d acked"
+                        % (block.block_id, len(block.packets), count, block.acked_packets))
+            elif not block.expired:
                 raise SimulationInvariantError("block %r neither complete nor expired" % (block.block_id,))
             for packet in block.packets:
                 if packet.state not in terminal:

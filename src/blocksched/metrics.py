@@ -11,8 +11,10 @@ not count. Session QoE is delivery_ratio + alpha * utilization (the
 gross one) with alpha weighting efficiency against timeliness.
 
 QoEReport is the one schema for a run's numbers: its field names are
-the keys of the `run` report and of the sweep record (runner.summary_record
-drops only blocks).
+the keys of the sweep record (runner.summary_record is its to_dict).
+build_report counts the on-time blocks and builds no per-block object.
+The `run` report is those keys plus ``blocks``, one outcome per block,
+which ``run_report_json`` adds from the run's blocks.
 """
 from __future__ import annotations
 
@@ -59,13 +61,7 @@ def session_qoe(delivery_ratio: float, utilization: float, alpha: float = DEFAUL
 
 @dataclass(frozen=True)
 class QoEReport:
-    """Per-session metrics plus the per-block outcomes they came from.
-
-    to_dict lists every field under its own name. Each entry of blocks is
-    the outcome dict the `run` report prints: block_id, element_id,
-    arrival_time, completion_time, deadline_s, total_bytes and the on_time
-    indicator.
-    """
+    """Per-session metrics; to_dict lists every field under its own name."""
 
     scenario: str
     trace: str
@@ -81,7 +77,6 @@ class QoEReport:
     delivered_bytes: int
     offered_bytes: float
     end_time: float
-    blocks: tuple
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -101,35 +96,27 @@ def build_report(result: SimulationResult, trace: LinkTrace, alpha: float = DEFA
         raise ConfigurationError("alpha must be non-negative and finite, got %r" % alpha)
     if not result.blocks:
         raise ConfigurationError("run produced no blocks; nothing to score")
-    blocks = []
     on_time_bytes = 0
     on_time_count = 0
     for block in result.blocks:
-        flag = delivery_indicator(block.arrival_time, block.completion_time, block.deadline_s)
-        if flag:
+        # a block that never completed is not on time
+        if block.completion_time is not None and delivery_indicator(
+                block.arrival_time, block.completion_time, block.deadline_s):
             on_time_bytes += block.total_bytes
             on_time_count += 1
-        blocks.append({
-            "block_id": list(block.block_id),
-            "element_id": block.element_id,
-            "arrival_time": block.arrival_time,
-            "completion_time": block.completion_time,
-            "deadline_s": block.deadline_s,
-            "total_bytes": block.total_bytes,
-            "on_time": flag,
-        })
     window_end = session_window_end(result)
     offered = trace.integrate_capacity(0.0, window_end)
     delivered = result.counters["delivered_bytes"]
     util = channel_utilization(delivered, offered)
-    ratio = on_time_count / len(blocks)
+    block_count = len(result.blocks)
+    ratio = on_time_count / block_count
     return QoEReport(
         scenario=result.scenario_name,
         trace=result.trace_tag,
         scheduler=result.scheduler_name,
         seed=result.seed,
         alpha=alpha,
-        block_count=len(blocks),
+        block_count=block_count,
         on_time_count=on_time_count,
         delivery_ratio=ratio,
         utilization=util,
@@ -138,5 +125,22 @@ def build_report(result: SimulationResult, trace: LinkTrace, alpha: float = DEFA
         delivered_bytes=delivered,
         offered_bytes=offered,
         end_time=result.end_time,
-        blocks=tuple(blocks),
     )
+
+
+def run_report_json(result: SimulationResult, report: QoEReport) -> str:
+    """The `run` report, one JSON object with sorted keys: the report's
+    fields plus ``blocks``, one outcome per block in the run's block order
+    with block_id, element_id, arrival_time, completion_time, deadline_s,
+    total_bytes and the on_time indicator."""
+    blocks = [{
+        "block_id": list(block.block_id),
+        "element_id": block.element_id,
+        "arrival_time": block.arrival_time,
+        "completion_time": block.completion_time,
+        "deadline_s": block.deadline_s,
+        "total_bytes": block.total_bytes,
+        "on_time": delivery_indicator(block.arrival_time, block.completion_time,
+                                      block.deadline_s),
+    } for block in result.blocks]
+    return json.dumps({**report.to_dict(), "blocks": blocks}, sort_keys=True)

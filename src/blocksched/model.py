@@ -6,10 +6,17 @@ E, carries a priority P (larger means more important), and must be fully
 received by the client within a deadline window D seconds after E to
 count as delivered on time.
 
-Blocks are split into MTU-sized packets. Packet state tracks the sender's
-view (a packet is "delivered" once its acknowledgement returned); the
-client-side receive time is recorded separately because block completion
-is judged at the client.
+Blocks are split into MTU-sized packets: full payloads and one smaller
+tail. A block knows its ``packet_count`` from its size, and a packet object
+is built only when the sender first takes it, so a block that expires
+before it is sent builds none. ``Block.packets`` holds the packets built so
+far, in index order, ``unsent`` counts those not built yet, and
+``pending`` holds the lost packets that wait for a retransmission, the
+most recently lost last (it is taken first). A block has something to
+send iff ``pending or unsent``. Packet state tracks the sender's view (a
+packet is "delivered" once its acknowledgement returned); the client-side
+receive time is recorded separately because block completion is judged
+at the client.
 
 A block is past its deadline once now - E > D. That rule is computed once
 per block, as ``Block.expires_at``: the least float instant at which it
@@ -18,7 +25,7 @@ and every deadline quantity (the scheduling feature Dr, rswn's keys) is
 measured to that same instant.
 
 The sender's awaiting queue keeps a sendable index beside its blocks: the
-queued blocks that have a packet pending, in queue order. A decision walks
+queued blocks that have something to send, in queue order. A decision walks
 only that index, because most queued blocks on a long round trip are just
 waiting for packets already in flight. Beside it the queue keeps an expiry
 watermark, a lower bound on its blocks' ``expires_at``, so the expiry
@@ -30,7 +37,6 @@ import enum
 import json
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError, DuplicateBlockError, IllegalStateError, SimulationInvariantError
@@ -123,7 +129,6 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 
 class PacketState(enum.Enum):
-    WAITING = "waiting"
     IN_SELECTION_QUEUE = "in_selection_queue"
     INFLIGHT = "inflight"
     DELIVERED = "delivered"
@@ -131,13 +136,10 @@ class PacketState(enum.Enum):
     EXPIRED_DISCARDED = "expired_discarded"
 
 
-# bound once: reading an enum member is several times slower than a global
-_LOST_PENDING_RETX = PacketState.LOST_PENDING_RETX
-
-
 @dataclass(slots=True)
 class Packet:
-    """One transmission unit of a block.
+    """One transmission unit of a block, built when the sender first takes
+    it into the selection queue.
 
     send_time reflects the most recent transmission, and send_count
     counts every transmission, so a packet was retransmitted
@@ -149,24 +151,11 @@ class Packet:
 
     packet_id: PacketId
     size_bytes: int
-    state: PacketState = PacketState.WAITING
+    state: PacketState = PacketState.IN_SELECTION_QUEUE
     enqueue_time: float | None = None
     send_time: float | None = None
     client_receive_time: float | None = None
     send_count: int = 0
-
-
-def build_packets(block_id: BlockId, total_bytes: int) -> list[Packet]:
-    """Split total_bytes into full payloads plus one smaller tail packet."""
-    if total_bytes < PACKET_PAYLOAD_BYTES:
-        raise ConfigurationError(
-            "block %r: %d bytes is smaller than one packet payload" % (block_id, total_bytes)
-        )
-    sizes = [PACKET_PAYLOAD_BYTES] * (total_bytes // PACKET_PAYLOAD_BYTES)
-    tail = total_bytes % PACKET_PAYLOAD_BYTES
-    if tail:
-        sizes.append(tail)
-    return [Packet((block_id, i), size) for i, size in enumerate(sizes)]
 
 
 def _expiry_instant(arrival_time: float, deadline_s: float) -> float:
@@ -189,7 +178,15 @@ def _expiry_instant(arrival_time: float, deadline_s: float) -> float:
 
 @dataclass(slots=True)
 class Block:
-    """One deadline-constrained unit of content."""
+    """One deadline-constrained unit of content.
+
+    ``packets`` holds the packets built so far, packet i at index i; the
+    sender builds packet i = len(packets) when it takes a fresh one, of
+    PACKET_PAYLOAD_BYTES or the smaller tail. ``unsent`` counts the packets
+    not built yet, so len(packets) + unsent == packet_count while the block
+    is live. ``pending`` holds the lost packets awaiting retransmission;
+    the sender takes them from its end, most recently lost first.
+    """
 
     block_id: BlockId
     element_id: int
@@ -198,23 +195,24 @@ class Block:
     deadline_s: float  # D
     priority: int  # P
     total_bytes: int
-    packets: list[Packet]
     completion_time: float | None = None  # F, client-side
     expired: bool = False
-    pending: deque[Packet] = field(default_factory=deque)
+    packets: list[Packet] = field(default_factory=list)
+    pending: list[Packet] = field(default_factory=list)
     acked_packets: int = 0
     acked_bytes: int = 0
     received_packets: int = 0
+    packet_count: int = field(init=False)
+    unsent: int = field(init=False)
     expires_at: float = field(init=False)  # the least now with now - E > D
 
     def __post_init__(self) -> None:
-        if not self.pending:
-            self.pending = deque(self.packets)
+        if self.total_bytes < PACKET_PAYLOAD_BYTES:
+            raise ConfigurationError(
+                "block %r: %d bytes is smaller than one packet payload"
+                % (self.block_id, self.total_bytes))
+        self.packet_count = self.unsent = -(-self.total_bytes // PACKET_PAYLOAD_BYTES)
         self.expires_at = _expiry_instant(self.arrival_time, self.deadline_s)
-
-    @property
-    def packet_count(self) -> int:
-        return len(self.packets)
 
     def past_deadline(self, now: float) -> bool:
         """True once now is strictly past the deadline window (now - E > D).
@@ -223,9 +221,6 @@ class Block:
         the on-time test all compare now with it, and Dr and rswn measure
         time left to it, so no two of them disagree."""
         return now >= self.expires_at
-
-    def retransmission_pending(self) -> bool:
-        return bool(self.pending) and self.pending[0].state is _LOST_PENDING_RETX
 
     def is_fully_received(self) -> bool:
         return self.received_packets == self.packet_count
@@ -241,7 +236,6 @@ def make_block(element: MediaElement, index: int, arrival_time: float) -> Block:
         deadline_s=element.deadline_s,
         priority=element.priority,
         total_bytes=element.block_size_bytes,
-        packets=build_packets(block_id, element.block_size_bytes),
     )
 
 
@@ -280,11 +274,13 @@ class BlockAwaitingQueue:
     block id, whose insertion order is the enqueue order. Enqueueing the
     same id twice is an error.
 
-    A second dict, the sendable index, holds the queued blocks whose
-    ``pending`` is non-empty, in queue order; ``sendable()`` returns it as
-    a list. ``enqueue`` and ``remove`` keep it in step on their own. Whoever
-    takes packets from a queued block's ``pending`` or puts them back calls
-    ``pending_changed(block)`` afterwards.
+    A second dict, the sendable index, holds the queued blocks that have
+    something to send (``pending or unsent``), in queue order;
+    ``sendable()`` returns it as a list. ``enqueue`` and ``remove`` keep it
+    in step on their own. Whoever takes the last packet a queued block had
+    to send, or puts a lost one back into its ``pending``, calls
+    ``pending_changed(block)`` afterwards; a take that leaves the block
+    something to send changes nothing in the index.
 
     ``next_expiry`` is the expiry watermark: a lower bound on the queued
     blocks' ``expires_at`` (infinity while none is queued), so no queued
@@ -312,7 +308,7 @@ class BlockAwaitingQueue:
         return self._ids.get(block_id)
 
     def sendable(self) -> list[Block]:
-        """The queued blocks with a packet pending, in queue order."""
+        """The queued blocks with something to send, in queue order."""
         return list(self._ready.values())
 
     def enqueue(self, block: Block) -> None:
@@ -323,7 +319,7 @@ class BlockAwaitingQueue:
         if block.expired:
             raise IllegalStateError("block %r already expired" % (block.block_id,))
         self._ids[block.block_id] = block
-        if block.pending:
+        if block.unsent or block.pending:
             self._ready[block.block_id] = block
         if block.expires_at < self.next_expiry:
             self.next_expiry = block.expires_at
@@ -335,16 +331,18 @@ class BlockAwaitingQueue:
         self._ready.pop(block.block_id, None)
 
     def pending_changed(self, block: Block) -> None:
-        """Bring the sendable index in step after block's ``pending`` changed.
+        """Bring the sendable index in step after a packet was taken from
+        block or a lost one put back.
 
-        A block whose last pending packet left drops out. A block that has
-        packets again (a loss after its last packet was sent) takes back its
+        A block with nothing left to send drops out. A block that has a
+        packet again (a loss after its last packet was sent) takes back its
         place in queue order, which needs a rebuild of the index; that is
         rare, so it costs one pass over the queue.
         """
-        if block.pending:
+        if block.unsent or block.pending:
             if block.block_id not in self._ready:
-                self._ready = {block_id: b for block_id, b in self._ids.items() if b.pending}
+                self._ready = {block_id: b for block_id, b in self._ids.items()
+                               if b.unsent or b.pending}
         else:
             self._ready.pop(block.block_id, None)
 
@@ -359,6 +357,9 @@ def mark_block_complete(block: Block, queue: BlockAwaitingQueue | None = None) -
         raise IllegalStateError("block %r already complete" % (block.block_id,))
     if block.expired:
         raise IllegalStateError("block %r expired, cannot complete" % (block.block_id,))
+    if len(block.packets) != block.packet_count:
+        raise IllegalStateError("block %r: %d of %d packets built"
+                                % (block.block_id, len(block.packets), block.packet_count))
     receive_times = []
     for packet in block.packets:
         if packet.client_receive_time is None:

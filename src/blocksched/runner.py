@@ -3,8 +3,8 @@
 A sweep runs every (scheduler, scenario, trace, seed) combination,
 persists one summary record per run, and aggregates mean metrics per
 (scheduler, scenario, trace group) into a comparison table. A record is
-the run's metrics.QoEReport as a dict without its per-block outcomes, so
-its keys are the report's field names; a table row averages the record
+the run's metrics.QoEReport as a dict, so its keys are the report's field
+names; a table row averages the record
 keys named in TABLE_METRICS. Records are
 the source of truth: a table regenerated from the record files equals
 the one produced by the sweep, and an interrupted sweep resumes by
@@ -82,11 +82,9 @@ def record_key(scheduler: str, scenario_name: str, trace_tag: str, seed: int) ->
 
 
 def summary_record(report: QoEReport) -> dict:
-    """The report's fields without blocks, which only the `run` report
-    carries; per-run files stay small and block detail lives in event logs."""
-    record = report.to_dict()
-    del record["blocks"]
-    return record
+    """The record of one run: the report's fields. Per-block outcomes are
+    in the `run` report and the event log only."""
+    return report.to_dict()
 
 
 def _write_record(path: str, record: dict) -> None:

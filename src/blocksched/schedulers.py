@@ -2,8 +2,8 @@
 
 All policies see the same view: the queue of live blocks in arrival
 order, already stripped of expired blocks, restricted to blocks that
-have a packet ready to send. They return the id of the block whose head
-packet should enter the selection queue next.
+have a packet ready to send. They return the id of the block whose next
+packet should enter the selection queue.
 
 Each stateless policy is a plain ``select_block_*`` function of that
 view, and ``Scheduler(name, policy)`` is the one class that drives any
@@ -14,19 +14,19 @@ a policy by name.
 The policies are proposed and three baselines: fifo (oldest first), ldf
 (largest deficit first) and rswn (rate-aware static weights).
 
-The features a policy may read are the four fields of ``BlockStats``:
-remaining deadline ratio Dr, remaining size ratio Sr, remaining unacked
-packet count Pkt, and priority P. ``compute_block_stats`` builds them
-from the block's fields. Every deadline quantity, Dr and rswn's keys
+The features a policy may read are one plain tuple per block, (Sr, Dr,
+Pkt, P): remaining size ratio Sr, remaining deadline ratio Dr, remaining
+unacked packet count Pkt, and priority P. ``compute_block_stats`` builds
+it from the block's fields. Every deadline quantity, Dr and rswn's keys
 alike, is measured to ``Block.expires_at``, the instant the expiry rule
 closes the window, so Dr is positive for every block a policy can see.
 
 The engine takes the eligible blocks from the queue's sendable index; it
-builds no features and asks no block whether a retransmission is
-pending. ``SchedulingContext.stats`` builds the features on its first
-read, one per eligible block, and
-``SchedulingContext.retransmission`` does the same for the
-retransmission flags; each keeps its list for the rest of the decision.
+builds no features and no retransmission flags. ``SchedulingContext.stats``
+builds the features on its first read, one per eligible block, and
+``SchedulingContext.retransmission`` does the same for the retransmission
+flags (a block's flag is ``bool(block.pending)``: its pending list holds
+only lost packets); each keeps its list for the rest of the decision.
 Only proposed reads either, so it alone pays for them, once per
 decision; fifo, ldf and rswn read the fields of the blocks themselves.
 
@@ -60,23 +60,19 @@ from .errors import ConfigurationError, IllegalStateError
 from .model import Block, BlockAwaitingQueue, BlockId, PacketState
 from .predictor import Regime
 
+# a block's scheduling features at one instant, a plain tuple built at most
+# once per eligible block per decision:
+# (Sr: unacked bytes / total bytes, Dr: time left / deadline window,
+#  Pkt: unacked packet count, P: priority)
+BlockFeatures = tuple[float, float, int, int]
 
-class BlockStats(NamedTuple):
-    """Scheduling features of one live block at one instant (an immutable
-    tuple, built at most once per eligible block per decision)."""
-
-    remaining_size_ratio: float  # Sr: unacked bytes / total bytes
-    remaining_deadline_ratio: float  # Dr: time left / deadline window
-    remaining_packets: int  # Pkt: unacked packet count
-    priority: int  # P
-
-
-# builds a BlockStats without the NamedTuple's Python-level __new__
+# builds a SchedulerDecision without the NamedTuple's Python-level __new__
 _tuple_new = tuple.__new__
 
 
-def compute_block_stats(block: Block, now: float) -> BlockStats:
-    """The block's features at now; it must still be inside its window.
+def compute_block_stats(block: Block, now: float) -> BlockFeatures:
+    """The block's features (Sr, Dr, Pkt, P) at now; it must still be inside
+    its window.
 
     Reads the block's fields directly: Sr is the unacked bytes over the
     total, Pkt the unacked packet count, and the expiry check is
@@ -88,21 +84,19 @@ def compute_block_stats(block: Block, now: float) -> BlockStats:
     if block.expired or now >= expires_at:
         raise IllegalStateError("block %r is expired at %r" % (block.block_id, now))
     total_bytes = block.total_bytes
-    deadline_s = block.deadline_s
-    return _tuple_new(BlockStats, (
-        (total_bytes - block.acked_bytes) / total_bytes,
-        (expires_at - now) / deadline_s,
-        len(block.packets) - block.acked_packets,
-        block.priority,
-    ))
+    return ((total_bytes - block.acked_bytes) / total_bytes,
+            (expires_at - now) / block.deadline_s,
+            block.packet_count - block.acked_packets,
+            block.priority)
 
 
 def filter_expired(queue: BlockAwaitingQueue, now: float) -> list[Block]:
     """Remove blocks whose deadline window has closed, as decided by
     ``Block.past_deadline``.
 
-    Unsent packets of an expired block are discarded; packets already on
-    the wire keep flying and their responses are still processed. Returns
+    An expired block's lost packets awaiting retransmission are discarded
+    and its unbuilt packets are never built; packets already on the wire
+    keep flying and their responses are still processed. Returns
     the expired blocks, in queue order, so the caller can record their
     outcomes.
 
@@ -126,6 +120,7 @@ def filter_expired(queue: BlockAwaitingQueue, now: float) -> list[Block]:
         for packet in block.pending:
             packet.state = PacketState.EXPIRED_DISCARDED
         block.pending.clear()
+        block.unsent = 0
         queue.remove(block)
     queue.next_expiry = next_expiry
     return expired
@@ -142,9 +137,10 @@ class DecisionReason(str, enum.Enum):
 
 
 class SchedulerDecision(NamedTuple):
-    """One policy's choice (an immutable tuple): the block whose head
+    """One policy's choice (an immutable tuple): the block whose next
     packet goes next, or None, and why. The policies build it with
-    ``tuple.__new__``, as ``BlockStats`` is built."""
+    ``tuple.__new__``, which skips the NamedTuple's Python-level
+    ``__new__``."""
 
     selected: BlockId | None
     reason: DecisionReason
@@ -157,13 +153,13 @@ _NONE_ELIGIBLE = SchedulerDecision(None, DecisionReason.NONE_ELIGIBLE)
 class SchedulingContext:
     """Everything a policy may look at for one decision.
 
-    ``stats`` holds one ``BlockStats`` per entry of ``blocks``, in the same
-    order, and ``retransmission`` one flag per entry, true when that
-    block's head packet is a loss retransmission. Unless the caller passes
-    them in, each list is built on its first read, ``stats`` by calling
-    ``features(block, now)`` for every block and ``retransmission`` by
-    asking every block ``retransmission_pending()``, and that list is
-    returned by every later read. So a decision builds each at most once
+    ``stats`` holds one feature tuple (Sr, Dr, Pkt, P) per entry of
+    ``blocks``, in the same order, and ``retransmission`` one flag per
+    entry, true when that block's next packet is a loss retransmission.
+    Unless the caller passes them in, each list is built on its first
+    read, ``stats`` by calling ``features(block, now)`` for every block and
+    ``retransmission`` as ``bool(block.pending)`` for every block, and that
+    list is returned by every later read. So a decision builds each at most once
     per block, and a policy that never reads one builds none of it. Only
     proposed reads them; the baselines read the blocks themselves.
     """
@@ -173,8 +169,8 @@ class SchedulingContext:
 
     def __init__(self, *, now: float, blocks: list[Block],
                  retransmission: list[bool] | None = None, regime: Regime, smoothed_bw: float,
-                 stats: list[BlockStats] | None = None,
-                 features: Callable[[Block, float], BlockStats] = compute_block_stats) -> None:
+                 stats: list[BlockFeatures] | None = None,
+                 features: Callable[[Block, float], BlockFeatures] = compute_block_stats) -> None:
         self.now = now
         self.blocks = blocks  # live, sendable, arrival order
         self.regime = regime
@@ -184,7 +180,7 @@ class SchedulingContext:
         self._retransmission = retransmission
 
     @property
-    def stats(self) -> list[BlockStats]:
+    def stats(self) -> list[BlockFeatures]:
         stats = self._stats
         if stats is None:
             features, now = self._features, self.now
@@ -195,7 +191,7 @@ class SchedulingContext:
     def retransmission(self) -> list[bool]:
         retx = self._retransmission
         if retx is None:
-            retx = self._retransmission = [b.retransmission_pending() for b in self.blocks]
+            retx = self._retransmission = [bool(b.pending) for b in self.blocks]
         return retx
 
 

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import settings
 
 from blocksched.linksim import Simulation
-from blocksched.model import Block, MediaElement, ScenarioConfig, build_packets
+from blocksched.model import Block, MediaElement, Packet, ScenarioConfig
 from blocksched.predictor import Thresholds
 from blocksched.runner import RunParams
 from blocksched.traces import synthesize_trace
+from blocksched.units import PACKET_PAYLOAD_BYTES
 
 # HYPOTHESIS_PROFILE=fuzz runs the engine fuzz property at length (see
 # test_engine_fuzz.py); every other property is cheap at either count.
@@ -44,8 +45,19 @@ def block_at(arrival_time=0.0, deadline_s=0.2, priority=0, total_bytes=3000,
         deadline_s=deadline_s,
         priority=priority,
         total_bytes=total_bytes,
-        packets=build_packets(block_id, total_bytes),
     )
+
+
+def built_block(**kw) -> Block:
+    """block_at(**kw) with every packet built, in index order and with the
+    sizes the sender gives them at first take: full payloads, then the
+    smaller tail."""
+    block = block_at(**kw)
+    for i in range(block.packet_count):
+        size = min(PACKET_PAYLOAD_BYTES, block.total_bytes - i * PACKET_PAYLOAD_BYTES)
+        block.packets.append(Packet((block.block_id, i), size))
+    block.unsent = 0
+    return block
 
 
 def ulps_from(x: float, k: int) -> float:

@@ -30,7 +30,6 @@ from blocksched.predictor import Regime, Thresholds
 from blocksched.runner import RunParams, run_sweep, tune_thresholds, load_filtered_corpus
 from blocksched.schedulers import (
     SCHEDULER_NAMES,
-    BlockStats,
     SchedulingContext,
     make_scheduler,
     select_block_proposed,
@@ -176,8 +175,7 @@ def test_criterion_04_selection_matches_reference_scan():
                     "retx": rng.random() < 0.2}
                    for _ in range(rng.randrange(0, 6))]
         blocks = [block_at(element_id=0, index=i) for i in range(len(entries))]
-        stats = [BlockStats(remaining_size_ratio=e["sr"], remaining_deadline_ratio=e["dr"],
-                            remaining_packets=e["pkt"], priority=e["p"]) for e in entries]
+        stats = [(e["sr"], e["dr"], e["pkt"], e["p"]) for e in entries]
         ctx = SchedulingContext(now=0.0, blocks=blocks, stats=stats,
                                 retransmission=[e["retx"] for e in entries],
                                 regime=regime, smoothed_bw=1.0)

@@ -11,7 +11,11 @@ decision's regime is the class of its smoothed estimate, the queue's
 sendable index equals a full scan of the queue and its expiry watermark
 is at or below every queued block's ``expires_at`` at every decision,
 and every expiry filter returns what a full scan of the queue before it
-finds (with those checks on, the records are again the same). An auditor
+finds (with those checks on, the records are again the same). Packets
+are built at first take: while a block is queued, its built packets plus
+its unsent count make its packet count, and after the run each block's
+built packets carry the indices 0..n-1 in order and each was sent at
+least once, unless it was discarded from the selection queue. An auditor
 rebuilds the report's session numbers from the event log, the scenario,
 the trace and alpha alone, and they must equal ``build_report``'s exactly.
 The delivery booked at each send must hold up: every delivered packet's
@@ -120,9 +124,12 @@ _sendable = BlockAwaitingQueue.sendable
 def checked_sendable(queue):
     """The queue's sendable index, asserted equal to a full scan, with the
     expiry watermark asserted a lower bound on the queued blocks'
-    ``expires_at``; the engine reads both at every decision."""
+    ``expires_at``; the engine reads both at every decision. Every queued
+    block's built and unsent packets add up to its packet count."""
     ready = _sendable(queue)
-    assert ready == [b for b in queue if b.pending and not b.expired]
+    assert ready == [b for b in queue if (b.pending or b.unsent) and not b.expired]
+    for b in queue:
+        assert len(b.packets) + b.unsent == b.packet_count, b.block_id
     assert queue.next_expiry <= min((b.expires_at for b in queue), default=math.inf)
     return ready
 
@@ -174,6 +181,22 @@ def audit_report(records, scenario, trace, duration_s, alpha) -> dict | None:
     }
 
 
+def check_built_packets(result, records) -> None:
+    """Packets are built at first take, in index order: each block's built
+    packets carry the ids (block_id, 0..n-1), a completed block built all
+    of them, and each built packet was sent at least once unless its one
+    stay in the selection queue ended in a slot discard."""
+    discarded = {tuple(r["packet_id"]) for r in records if r["kind"] == "slot_discard"}
+    for block in result.blocks:
+        assert [p.packet_id for p in block.packets] == [
+            (block.block_id, i) for i in range(len(block.packets))], block.block_id
+        assert len(block.packets) <= block.packet_count
+        if block.completion_time is not None:
+            assert len(block.packets) == block.packet_count
+        for p in block.packets:
+            assert p.send_count >= 1 or (*block.block_id, p.packet_id[1]) in discarded, p
+
+
 def check_deliveries(result, records) -> None:
     """The deliveries the engine books at send time, checked against the
     log: receive times, completion lines and the order of the acks."""
@@ -187,8 +210,9 @@ def check_deliveries(result, records) -> None:
             assert tuple(r["block_id"]) not in completes, r
             completes[tuple(r["block_id"])] = r["t"]
     for block in result.blocks:
-        received = [arrives.get((*block.block_id, i)) for i in range(len(block.packets))]
-        assert [p.client_receive_time for p in block.packets] == received, block.block_id
+        received = [arrives.get((*block.block_id, i)) for i in range(block.packet_count)]
+        built = [p.client_receive_time for p in block.packets]
+        assert built + [None] * (block.packet_count - len(built)) == received, block.block_id
         if block.completion_time is None:
             assert block.block_id not in completes
         else:
@@ -214,6 +238,7 @@ def test_engine_invariants_hold_on_generated_inputs(case):
             elif record["kind"] == "decision":
                 regime = classify_regime(record["smoothed_bw"], case["thresholds"])
                 assert record["regime"] == regime, record
+        check_built_packets(result, records)
         check_deliveries(result, records)
         offered = case["trace"].integrate_capacity(0.0, result.end_time)
         assert result.counters["delivered_bytes"] <= offered * (1 + 1e-9) + 1e-6

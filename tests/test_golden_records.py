@@ -16,6 +16,7 @@ import os
 
 import pytest
 
+from blocksched.metrics import run_report_json
 from blocksched.model import load_scenario
 from blocksched.runner import RunParams, execute_run, run_sweep
 from blocksched.schedulers import SCHEDULER_NAMES
@@ -97,9 +98,10 @@ def test_golden_tables_are_unchanged(golden_sweep):
 
 
 def test_golden_run_report_is_unchanged():
-    _, report = execute_run(corpus_trace("sq01.csv"), scenario_1(), "proposed",
-                            RunParams(duration_s=8.0))
-    assert sha256_text(report.to_json()) == RUN_REPORT_SHA256
+    """The report `blocksched run` prints, built by the CLI's helper."""
+    result, report = execute_run(corpus_trace("sq01.csv"), scenario_1(), "proposed",
+                                 RunParams(duration_s=8.0))
+    assert sha256_text(run_report_json(result, report)) == RUN_REPORT_SHA256
 
 
 def event_log_inputs(place):

@@ -5,10 +5,10 @@ import json
 
 import pytest
 
-from blocksched import linksim
+from blocksched import linksim, schedulers
 from blocksched.errors import ConfigurationError, IllegalStateError, SimulationInvariantError
 from blocksched.linksim import Simulation
-from blocksched.model import Block, PacketState
+from blocksched.model import PacketState
 from blocksched.predictor import Thresholds
 from blocksched.runner import RunParams, execute_run
 from blocksched.schedulers import SCHEDULER_NAMES, make_scheduler
@@ -270,9 +270,11 @@ class TestSendPath:
         scenario = one_block_scenario()
         sim = Simulation(constant_trace(), scenario, make_scheduler("fifo"),
                          duration_s=2.0, seed=0, loss_rate=0.0, thresholds=TH)
-        first = sim.blocks[0].packets[0]
-        while first.send_time is None:
+        packets = sim.blocks[0].packets
+        assert packets == []  # built at first take, not up front
+        while not packets or packets[0].send_time is None:
             sim.advance()
+        first = packets[0]
         # 12 ms on the wire plus a 40 ms one-way delay, known at the send
         assert first.client_receive_time == pytest.approx(first.send_time + 0.052, **APPROX)
         assert sim.counters["delivered_packets"] == 1
@@ -341,6 +343,22 @@ class TestGuards:
         with pytest.raises(SimulationInvariantError, match="1 bytes"):
             sim.run()
 
+    @pytest.mark.parametrize("tamper", ["unbuilt", "unacked"])
+    def test_completed_block_short_of_packets_is_an_invariant_error(self, tamper):
+        # a completed block must have built, and got acks for, every packet
+        sim = Simulation(constant_trace(), one_block_scenario(), make_scheduler("fifo"),
+                         duration_s=2.0, seed=0, loss_rate=0.0, thresholds=TH)
+        while sim.advance() is not None:
+            pass
+        block = sim.blocks[0]
+        assert block.completion_time is not None
+        if tamper == "unbuilt":
+            block.packets.pop()
+        else:
+            block.acked_packets -= 1
+        with pytest.raises(SimulationInvariantError, match="completed with"):
+            sim._finalize()
+
     def test_rtt_lost_in_rounding_is_an_invariant_error(self):
         # t + rtt_s rounds back to t, so the loss signal's response window
         # has no width and no estimate exists
@@ -372,23 +390,39 @@ class TestFeatureBuilds:
     """Features are built only for policies that read them, once per
     eligible block per decision, through the module-level
     ``compute_block_stats`` the engine calls; retransmission flags are
-    asked of the blocks only for the policy that reads them."""
+    built only for the policy that reads them."""
 
     FEATURE_READERS = ("proposed",)
     FLAG_READERS = ("proposed",)
 
-    def _calls_per_decision(self, monkeypatch, name, wrap=lambda scheduler: scheduler,
-                             owner=linksim, attr="compute_block_stats"):
-        """Run the deep-queue scenario counting calls of ``owner.attr`` (the
-        feature builder by default); returns (eligible, calls) for every
-        decision with a block to choose from."""
-        calls = [0]
-        original = getattr(owner, attr)
+    @staticmethod
+    def _count_feature_builds(monkeypatch, calls):
+        original = linksim.compute_block_stats
 
         def counting(*args):
             calls[0] += 1
             return original(*args)
 
+        monkeypatch.setattr(linksim, "compute_block_stats", counting)
+
+    @staticmethod
+    def _count_flag_builds(monkeypatch, calls):
+        """Count one per block each time a context builds its flags."""
+        original = schedulers.SchedulingContext.retransmission.fget
+
+        def counting(ctx):
+            if ctx._retransmission is None:
+                calls[0] += len(ctx.blocks)
+            return original(ctx)
+
+        monkeypatch.setattr(schedulers.SchedulingContext, "retransmission", property(counting))
+
+    def _calls_per_decision(self, monkeypatch, name, wrap=lambda scheduler: scheduler,
+                            install=_count_feature_builds):
+        """Run the deep-queue scenario counting what ``install`` counts (the
+        feature builds by default); returns (eligible, calls) for every
+        decision with a block to choose from."""
+        calls = [0]
         per_decision = []
 
         def sink(record):
@@ -396,7 +430,7 @@ class TestFeatureBuilds:
                 per_decision.append((record["eligible"], calls[0]))
                 calls[0] = 0
 
-        monkeypatch.setattr(owner, attr, counting)
+        install(monkeypatch, calls)
         scenario, trace = deep_queue_inputs(duration_s=4.0)
         scheduler = wrap(make_scheduler(name, scenario=scenario))
         Simulation(trace, scenario, scheduler, duration_s=4.0, seed=1, thresholds=TH,
@@ -420,7 +454,7 @@ class TestFeatureBuilds:
     def test_each_policy_asks_for_retransmission_flags_only_if_it_reads_them(
             self, monkeypatch, name):
         for eligible, asks in self._calls_per_decision(
-                monkeypatch, name, owner=Block, attr="retransmission_pending"):
+                monkeypatch, name, install=self._count_flag_builds):
             assert asks == (eligible if name in self.FLAG_READERS else 0)
 
     @pytest.mark.parametrize("name", SCHEDULER_NAMES)
@@ -440,7 +474,7 @@ class TestFeatureBuilds:
                          duration_s=2.0, seed=0, loss_rate=0.0, thresholds=TH)
         block = sim.blocks[0]
         sim.queue.enqueue(block)
-        block.pending.clear()  # without telling the queue through pending_changed
+        block.unsent = 0  # without telling the queue through pending_changed
         with pytest.raises(SimulationInvariantError, match="nothing to send"):
             sim._fill_slot(block.arrival_time)
 

@@ -11,6 +11,7 @@ from blocksched.metrics import (
     build_report,
     channel_utilization,
     delivery_indicator,
+    run_report_json,
     session_qoe,
     session_window_end,
 )
@@ -160,10 +161,22 @@ class TestBuildReport:
         result, trace, _ = _run()
         report = build_report(result, trace)
         data = json.loads(report.to_json())
+        assert data == report.to_dict()
         assert data["scheduler"] == "proposed"
         assert data["block_count"] == report.block_count
-        assert len(data["blocks"]) == report.block_count
+        assert "blocks" not in data
         assert data["qoe"] == report.qoe
+
+    def test_run_report_adds_one_outcome_per_block(self):
+        result, trace, _ = _run(deadline_s=0.06)  # some blocks late, some on time
+        report = build_report(result, trace)
+        data = json.loads(run_report_json(result, report))
+        outcomes = data.pop("blocks")
+        assert data == report.to_dict()
+        assert len(outcomes) == report.block_count
+        assert sum(o["on_time"] for o in outcomes) == report.on_time_count
+        assert [o["block_id"] for o in outcomes] == [list(b.block_id) for b in result.blocks]
+        assert 0 < report.on_time_count < report.block_count
 
     def test_expired_blocks_lower_the_ratio(self):
         result, trace, _ = _run(deadline_s=0.03, duration_s=2.0)

@@ -5,9 +5,10 @@ import dataclasses
 import json
 import math
 import os
+from collections import deque
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from blocksched.errors import (
     ConfigurationError,
@@ -15,19 +16,23 @@ from blocksched.errors import (
     IllegalStateError,
     SimulationInvariantError,
 )
+from blocksched.linksim import Simulation
 from blocksched.model import (
     BlockAwaitingQueue,
     MediaElement,
+    Packet,
+    PacketState,
     ScenarioConfig,
-    build_packets,
     generate_blocks,
     load_scenario,
     mark_block_complete,
 )
-from blocksched.schedulers import filter_expired
+from blocksched.predictor import Thresholds
+from blocksched.schedulers import SchedulingContext, filter_expired, make_scheduler
+from blocksched.traces import synthesize_trace
 from blocksched.units import PACKET_PAYLOAD_BYTES
 
-from conftest import SCENARIO_DIR, block_at, element, scenario_of, ulps_from
+from conftest import SCENARIO_DIR, block_at, built_block, element, scenario_of, ulps_from
 
 
 def two_element_scenario():
@@ -75,25 +80,162 @@ class TestGenerateBlocks:
             generate_blocks(ScenarioConfig(name="none", elements=[]), duration_s=1.0, seed=0)
 
 
+class OneBlockSender:
+    """A Simulation with one queued block, driven step by step through the
+    engine's own handlers: ``take`` is ``_fill_slot`` (the packet is then
+    treated as sent at that instant), ``lose`` is ``_on_loss_signal`` one
+    millisecond later, and ``expire`` is the expiry filter at the block's
+    expiry instant."""
+
+    def __init__(self, total_bytes, deadline_s=5.0):
+        scenario = scenario_of(element(block_size_bytes=total_bytes, deadline_s=deadline_s,
+                                       period_s=10.0))
+        self.sim = Simulation(synthesize_trace("constant", duration_s=1.0, seed=0, mbps=1.0),
+                              scenario, make_scheduler("fifo"), duration_s=10.0, seed=0,
+                              thresholds=Thresholds.from_mbps(0.8, 2.3))
+        (self.block,) = self.sim.blocks
+        self.t = self.block.arrival_time
+        self.sim._on_block_arrival(self.t, self.block)
+
+    def take(self) -> Packet:
+        sim = self.sim
+        sim._fill_slot(self.t)
+        packet, sim._slot = sim._slot, None
+        packet.send_time = self.t
+        sim.ledger.add(packet.packet_id, packet.size_bytes, self.t)
+        return packet
+
+    def lose(self, packet) -> None:
+        self.t += 0.001
+        self.sim._on_loss_signal(self.t, packet)
+
+    def expire(self) -> None:
+        assert filter_expired(self.sim.queue, self.block.expires_at) == [self.block]
+
+    def take_all(self) -> list[Packet]:
+        taken = []
+        while self.block in self.sim.queue.sendable():
+            taken.append(self.take())
+        return taken
+
+
+class EagerBlock:
+    """The eager packet model packets were built by: every packet exists
+    from the start, all of them in one pending deque; a loss puts the
+    packet back at the front (appendleft), a take pops the front
+    (popleft), and expiry discards everything still pending."""
+
+    def __init__(self, total_bytes):
+        full, tail = divmod(total_bytes, PACKET_PAYLOAD_BYTES)
+        self.sizes = [PACKET_PAYLOAD_BYTES] * full + ([tail] if tail else [])
+        self.states = ["waiting"] * len(self.sizes)
+        self.pending = deque(range(len(self.sizes)))
+        self.expired = False
+
+    def take(self) -> int:
+        i = self.pending.popleft()
+        self.states[i] = PacketState.IN_SELECTION_QUEUE
+        return i
+
+    def lose(self, i) -> None:
+        if self.expired:
+            self.states[i] = PacketState.EXPIRED_DISCARDED
+        else:
+            self.states[i] = PacketState.LOST_PENDING_RETX
+            self.pending.appendleft(i)
+
+    def expire(self) -> None:
+        self.expired = True
+        for i in self.pending:
+            self.states[i] = PacketState.EXPIRED_DISCARDED
+        self.pending.clear()
+
+    def retransmission_pending(self) -> bool:
+        return bool(self.pending) and self.states[self.pending[0]] is PacketState.LOST_PENDING_RETX
+
+
 class TestPackets:
+    def test_packet_count_is_the_ceiling_and_nothing_is_built_up_front(self):
+        for total, count in ((1500, 1), (1501, 2), (4500, 3), (4000, 3)):
+            block = block_at(total_bytes=total)
+            assert block.packet_count == block.unsent == count
+            assert block.packets == [] and block.pending == []
+
     def test_exact_multiple_splits_into_full_payloads(self):
-        packets = build_packets((0, 0), 4500)
+        packets = OneBlockSender(4500).take_all()
         assert [p.size_bytes for p in packets] == [1500, 1500, 1500]
 
     def test_remainder_becomes_smaller_tail(self):
-        packets = build_packets((0, 0), 4000)
+        packets = OneBlockSender(4000).take_all()
         assert [p.size_bytes for p in packets] == [1500, 1500, 1000]
 
     @given(total=st.integers(min_value=PACKET_PAYLOAD_BYTES, max_value=200000))
     def test_sizes_sum_to_total_and_indices_contiguous(self, total):
-        packets = build_packets((1, 2), total)
+        sender = OneBlockSender(total)
+        packets = sender.take_all()
+        assert packets == sender.block.packets
         assert sum(p.size_bytes for p in packets) == total
-        assert [p.packet_id[1] for p in packets] == list(range(len(packets)))
+        assert [p.packet_id for p in packets] == [(sender.block.block_id, i)
+                                                  for i in range(sender.block.packet_count)]
         assert all(0 < p.size_bytes <= PACKET_PAYLOAD_BYTES for p in packets)
+        assert sender.block.unsent == 0
 
     def test_below_one_payload_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_packets((0, 0), PACKET_PAYLOAD_BYTES - 1)
+            block_at(total_bytes=PACKET_PAYLOAD_BYTES - 1)
+
+
+# one step on a block: take its next packet, lose the i-th packet in
+# flight (taken and not lost since), or expire it
+BLOCK_STEPS = st.lists(st.one_of(
+    st.just(("take", 0)),
+    st.tuples(st.just("lose"), st.integers(0, 20)),
+    st.just(("expire", 0)),
+), max_size=40)
+
+
+class TestLazyPacketsEqualTheEagerModel:
+    @given(st.integers(PACKET_PAYLOAD_BYTES, 12 * PACKET_PAYLOAD_BYTES), BLOCK_STEPS)
+    # two losses waiting at once: the later one goes first; then expiry
+    # with a loss still pending and a packet in flight
+    @example(4500, [("take", 0), ("take", 0), ("lose", 0), ("lose", 0), ("take", 0),
+                    ("take", 0), ("take", 0), ("lose", 1), ("expire", 0), ("lose", 0)])
+    def test_same_packet_order_and_states(self, total, steps):
+        sender, eager = OneBlockSender(total), EagerBlock(total)
+        block, queue = sender.block, sender.sim.queue
+        inflight = []  # packet indices taken and not lost since
+        for op, arg in steps:
+            if op == "take" and eager.pending:
+                expected = eager.take()
+                packet = sender.take()
+                assert packet.packet_id == (block.block_id, expected)
+                assert packet.size_bytes == eager.sizes[expected]
+                inflight.append(expected)
+            elif op == "lose" and inflight:
+                i = inflight.pop(arg % len(inflight))
+                eager.lose(i)
+                sender.lose(block.packets[i])
+            elif op == "expire" and not eager.expired:
+                eager.expire()
+                sender.expire()
+            built = len(block.packets)
+            # the built packets are a prefix; the rest are the eager
+            # model's never-taken packets
+            assert [p.packet_id for p in block.packets] == [(block.block_id, i)
+                                                            for i in range(built)]
+            assert [p.state for p in block.packets] == eager.states[:built]
+            assert set(eager.states[built:]) <= {"waiting", PacketState.EXPIRED_DISCARDED}
+            # the eager deque is the lost packets, most recently lost first,
+            # then the packets not built yet
+            assert list(eager.pending) == ([p.packet_id[1] for p in reversed(block.pending)]
+                                           + list(range(built, built + block.unsent)))
+            if not eager.expired:
+                assert built + block.unsent == block.packet_count
+            sendable = bool(block.pending or block.unsent)
+            assert sendable == bool(eager.pending)
+            assert (block in queue.sendable()) == sendable
+            ctx = SchedulingContext(now=sender.t, blocks=[block], regime=None, smoothed_bw=0.0)
+            assert ctx.retransmission == [eager.retransmission_pending()]
 
 
 class TestScenarioValidation:
@@ -171,10 +313,10 @@ class TestQueue:
             q.enqueue(block_at())
 
     def test_completed_block_cannot_enter(self):
-        b = block_at()
+        b = built_block()
         for p in b.packets:
             p.client_receive_time = 0.05
-        b.received_packets = len(b.packets)
+        b.received_packets = b.packet_count
         q = BlockAwaitingQueue()
         with pytest.raises(IllegalStateError):
             q.enqueue(b)
@@ -213,27 +355,26 @@ class TestSendableIndex:
     def test_block_leaves_when_its_last_pending_packet_is_taken(self):
         q, blocks = queued_blocks(2)
         first = blocks[0]
-        while first.pending:
-            first.pending.popleft()
+        while first.unsent:
+            first.unsent -= 1  # a fresh packet taken
             q.pending_changed(first)
-            assert (first in q.sendable()) == bool(first.pending)
+            assert (first in q.sendable()) == bool(first.unsent)
         assert q.sendable() == [blocks[1]]
         assert first.block_id in q  # still queued: its packets are in flight
 
     def test_reentering_block_takes_back_its_queue_place(self):
         q, blocks = queued_blocks(3)
         middle = blocks[1]
-        packets = list(middle.pending)
-        middle.pending.clear()
+        middle.unsent = 0  # every packet taken
         q.pending_changed(middle)
         assert q.sendable() == [blocks[0], blocks[2]]
-        middle.pending.appendleft(packets[-1])  # a loss re-queues one packet
+        middle.pending.append(Packet((middle.block_id, 0), 1500))  # a loss re-queues one
         q.pending_changed(middle)
         assert q.sendable() == blocks
 
     def test_block_enqueued_with_nothing_pending_is_not_sendable(self):
         b = block_at()
-        b.pending.clear()
+        b.unsent = 0
         q = BlockAwaitingQueue()
         q.enqueue(b)
         assert b.block_id in q
@@ -250,13 +391,18 @@ class TestSendableIndex:
                 pass
             elif op == "remove":
                 q.remove(b)
-            elif op == "take" and b.pending:
-                taken[b.block_id].append(b.pending.popleft())
+            elif op == "take" and (b.pending or b.unsent):
+                if b.pending:
+                    packet = b.pending.pop()
+                else:
+                    packet = Packet((b.block_id, b.packet_count - b.unsent), 1500)
+                    b.unsent -= 1
+                taken[b.block_id].append(packet)
                 q.pending_changed(b)
             elif op == "lose" and taken[b.block_id]:
-                b.pending.appendleft(taken[b.block_id].pop())
+                b.pending.append(taken[b.block_id].pop())
                 q.pending_changed(b)
-            assert q.sendable() == [x for x in q if x.pending]
+            assert q.sendable() == [x for x in q if x.pending or x.unsent]
 
 
 DEADLINES = (0.05, 0.1, 0.3, 0.631)
@@ -320,7 +466,7 @@ class TestExpiryWatermark:
 
 class TestMarkBlockComplete:
     def test_completion_is_latest_client_receipt(self):
-        b = block_at(total_bytes=3000)  # two packets
+        b = built_block(total_bytes=3000)  # two packets
         q = BlockAwaitingQueue()
         q.enqueue(b)
         b.packets[0].client_receive_time = 0.05
@@ -332,13 +478,19 @@ class TestMarkBlockComplete:
         assert b.block_id not in q
 
     def test_unreceived_packet_blocks_completion(self):
-        b = block_at(total_bytes=3000)
+        b = built_block(total_bytes=3000)
         b.packets[0].client_receive_time = 0.05
         with pytest.raises(IllegalStateError):
             mark_block_complete(b)
 
+    def test_unbuilt_packet_blocks_completion(self):
+        b = block_at(total_bytes=3000)
+        b.received_packets = b.packet_count
+        with pytest.raises(IllegalStateError, match="0 of 2 packets built"):
+            mark_block_complete(b)
+
     def test_double_completion_rejected(self):
-        b = block_at(total_bytes=1500)
+        b = built_block(total_bytes=1500)
         b.packets[0].client_receive_time = 0.05
         b.received_packets = 1
         mark_block_complete(b)
@@ -346,7 +498,7 @@ class TestMarkBlockComplete:
             mark_block_complete(b)
 
     def test_finish_before_arrival_is_fatal(self):
-        b = block_at(arrival_time=1.0, total_bytes=1500)
+        b = built_block(arrival_time=1.0, total_bytes=1500)
         b.packets[0].client_receive_time = 0.5
         b.received_packets = 1
         with pytest.raises(SimulationInvariantError):

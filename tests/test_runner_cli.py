@@ -149,6 +149,18 @@ class TestSweep:
         assert table.rows[0].scheduler == "proposed"  # listed before baselines
         assert all(r.runs == 3 and r.trace_group == "smoke" for r in table.rows)
 
+    def test_record_is_the_report_as_a_dict(self, tmp_path):
+        records_dir = tmp_path / "records"
+        self._sweep(records_dir)
+        trace = small_corpus()[1]
+        _, report = execute_run(trace, small_scenario(), "fifo", quick_params(duration_s=2.0))
+        assert runner.summary_record(report) == report.to_dict()
+        name = record_key("fifo", "mini", trace.source_tag, 0) + ".json"
+        with open(os.path.join(str(records_dir), name)) as fh:
+            record = json.load(fh)
+        assert record == report.to_dict()
+        assert "blocks" not in record
+
     def test_gain_columns_follow_their_definitions(self, tmp_path):
         table = self._sweep(tmp_path / "records")
         proposed = table.row("proposed", "mini")

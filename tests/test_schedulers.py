@@ -9,10 +9,9 @@ from hypothesis import assume, given, strategies as st
 
 from blocksched.errors import ConfigurationError, IllegalStateError
 from blocksched.metrics import delivery_indicator
-from blocksched.model import Block, BlockAwaitingQueue, PacketState
+from blocksched.model import BlockAwaitingQueue, Packet, PacketState
 from blocksched.predictor import Regime, Thresholds
 from blocksched.schedulers import (
-    BlockStats,
     DecisionReason,
     LdfScheduler,
     SchedulerDecision,
@@ -25,15 +24,15 @@ from blocksched.schedulers import (
     select_block_rswn,
 )
 from blocksched.traces import synthesize_trace
-from conftest import block_at, element, run_recorded, scenario_of, ulps_from
+from conftest import block_at, built_block, element, run_recorded, scenario_of, ulps_from
 from reference_selection import reference_rswn, reference_select
 
 HIGH_REGIMES = {Regime.LOW: 0, Regime.MID: 1, Regime.HIGH: 2}
 
 
-def stats_of(dr=1.0, sr=1.0, pkt=1, p=0) -> BlockStats:
-    return BlockStats(remaining_size_ratio=sr, remaining_deadline_ratio=dr,
-                      remaining_packets=pkt, priority=p)
+def stats_of(dr=1.0, sr=1.0, pkt=1, p=0) -> tuple:
+    """One block's features, the (Sr, Dr, Pkt, P) tuple."""
+    return (sr, dr, pkt, p)
 
 
 def ctx_of(stats, retx=None, regime=Regime.MID, now=0.0, smoothed=125000.0,
@@ -52,20 +51,20 @@ class TestBlockStats:
         block = block_at(arrival_time=0.0, deadline_s=0.5, total_bytes=15000)
         block.acked_packets = 4
         block.acked_bytes = 6000
-        s = compute_block_stats(block, now=0.25)
-        assert s.remaining_size_ratio == 0.6
+        sr, dr, pkt, p = compute_block_stats(block, now=0.25)
+        assert sr == 0.6
         # time left to the expiry instant, one ulp past E + D = 0.5
-        assert s.remaining_deadline_ratio == (block.expires_at - 0.25) / 0.5
-        assert s.remaining_deadline_ratio == pytest.approx(0.5)
-        assert s.remaining_packets == 6
-        assert s.priority == 0
+        assert dr == (block.expires_at - 0.25) / 0.5
+        assert dr == pytest.approx(0.5)
+        assert pkt == 6
+        assert p == 0
 
     def test_fresh_block_has_unit_ratios(self):
         block = block_at(arrival_time=1.0, deadline_s=0.2, total_bytes=3000)
-        s = compute_block_stats(block, now=1.0)
-        assert s.remaining_size_ratio == 1.0
-        assert s.remaining_deadline_ratio == pytest.approx(1.0)
-        assert s.remaining_packets == 2
+        sr, dr, pkt, _ = compute_block_stats(block, now=1.0)
+        assert sr == 1.0
+        assert dr == pytest.approx(1.0)
+        assert pkt == 2
 
     def test_expired_block_rejected(self):
         block = block_at(arrival_time=0.0, deadline_s=0.2)
@@ -77,33 +76,33 @@ class TestBlockStats:
             compute_block_stats(block2, now=0.1)
 
     def test_stats_are_an_immutable_value(self):
-        s = BlockStats(remaining_size_ratio=0.5, remaining_deadline_ratio=0.25,
-                       remaining_packets=3, priority=2)
-        assert s == BlockStats(0.5, 0.25, 3, 2)
-        assert BlockStats._fields == ("remaining_size_ratio", "remaining_deadline_ratio",
-                                      "remaining_packets", "priority")
-        with pytest.raises(AttributeError):
-            s.priority = 5
-        assert s.priority == 2
+        # a plain tuple (Sr, Dr, Pkt, P), not a tuple subclass
+        block = block_at(arrival_time=0.0, deadline_s=0.5, priority=2, total_bytes=4500)
+        s = compute_block_stats(block, now=0.0)
+        assert type(s) is tuple
+        assert s == (1.0, block.expires_at / 0.5, 3, 2)
+        with pytest.raises(TypeError):
+            s[3] = 5
+        assert s[3] == 2
 
     @given(st.floats(min_value=0.0, max_value=1e4), st.floats(min_value=1e-3, max_value=1e3),
            st.integers(min_value=1500, max_value=40000), st.integers(min_value=0, max_value=15),
            st.data())
     def test_fields_equal_the_block_property_formulas(self, arrival, deadline, total, prio,
                                                       data):
-        block = block_at(arrival_time=arrival, deadline_s=deadline, priority=prio,
-                         total_bytes=total)
+        block = built_block(arrival_time=arrival, deadline_s=deadline, priority=prio,
+                            total_bytes=total)
         acked = data.draw(st.integers(min_value=0, max_value=block.packet_count))
         block.acked_packets = acked
         block.acked_bytes = sum(p.size_bytes for p in block.packets[:acked])
         now = arrival + data.draw(st.floats(min_value=0.0, max_value=1.0)) * deadline
         assume(not block.past_deadline(now))
-        s = compute_block_stats(block, now)
-        assert s.remaining_size_ratio == (block.total_bytes - block.acked_bytes) / block.total_bytes
-        assert s.remaining_deadline_ratio == (block.expires_at - now) / block.deadline_s
-        assert s.remaining_deadline_ratio > 0
-        assert s.remaining_packets == block.packet_count - block.acked_packets
-        assert s.priority == block.priority
+        sr, dr, pkt, p = compute_block_stats(block, now)
+        assert sr == (block.total_bytes - block.acked_bytes) / block.total_bytes
+        assert dr == (block.expires_at - now) / block.deadline_s
+        assert dr > 0
+        assert pkt == block.packet_count - block.acked_packets
+        assert p == block.priority
 
 
 class TestFilterExpired:
@@ -119,13 +118,19 @@ class TestFilterExpired:
         assert block.block_id not in queue
 
     def test_pending_packets_discarded(self):
+        # two packets built and lost, the third never built
         queue = BlockAwaitingQueue()
         block = block_at(arrival_time=0.0, deadline_s=0.1, total_bytes=4500)
-        packets = list(block.pending)
+        lost = [Packet((block.block_id, i), 1500, PacketState.LOST_PENDING_RETX) for i in (0, 1)]
+        block.packets.extend(lost)
+        block.pending.extend(reversed(lost))
+        block.unsent = 1
         queue.enqueue(block)
         filter_expired(queue, now=0.5)
         assert not block.pending
-        assert all(p.state is PacketState.EXPIRED_DISCARDED for p in packets)
+        assert block.unsent == 0
+        assert block.packets == lost  # the unsent packet is never built
+        assert all(p.state is PacketState.EXPIRED_DISCARDED for p in lost)
 
     def test_survivors_keep_queue_order(self):
         queue = BlockAwaitingQueue()
@@ -156,7 +161,8 @@ def _engine_on_time(arrival: float, deadline: float, finish: float) -> bool:
     packet reaches the client at finish: the send's delivery bookkeeping,
     then the block's delivered event at that arrival."""
     scenario = scenario_of(element(block_size_bytes=1500))
-    block = block_at(arrival_time=arrival, deadline_s=deadline, total_bytes=1500, element_id=9)
+    block = built_block(arrival_time=arrival, deadline_s=deadline, total_bytes=1500,
+                        element_id=9)
 
     def deliver(sim):
         sim.blocks_by_id[block.block_id] = block
@@ -181,13 +187,13 @@ class TestExpiryRule:
         queue = BlockAwaitingQueue()
         queue.enqueue(block)
         assert filter_expired(queue, now) == []
-        assert compute_block_stats(block, now).remaining_packets == block.packet_count
+        assert compute_block_stats(block, now)[2] == block.packet_count  # Pkt
 
     def test_last_ulp_block_has_a_positive_deadline_ratio(self):
         # E + D rounds to 0.952, below now, but the window closes only at
         # expires_at = 0.9520000000000002, so time is left and Dr > 0
         block = block_at(arrival_time=0.321, deadline_s=0.631)
-        assert compute_block_stats(block, 0.9520000000000001).remaining_deadline_ratio > 0
+        assert compute_block_stats(block, 0.9520000000000001)[1] > 0  # Dr
 
     @given(WINDOWS)
     def test_expiry_instant_is_the_first_float_past_the_window(self, window):
@@ -196,7 +202,7 @@ class TestExpiryRule:
         for now in _times_in(*window, ulps=8):
             assert block.past_deadline(now) == (now - arrival > deadline), now
             if not block.past_deadline(now):
-                assert compute_block_stats(block, now).remaining_deadline_ratio > 0, now
+                assert compute_block_stats(block, now)[1] > 0, now  # Dr
         assert block.past_deadline(block.expires_at)
         assert not block.past_deadline(math.nextafter(block.expires_at, -math.inf))
 
@@ -358,38 +364,25 @@ class TestRetransmissionDominance:
 
 
 class TestSchedulingContext:
-    def _asking(self, monkeypatch):
-        """Count Block.retransmission_pending calls; returns the counter."""
-        calls = [0]
-        pending = Block.retransmission_pending
-
-        def counting(block):
-            calls[0] += 1
-            return pending(block)
-
-        monkeypatch.setattr(Block, "retransmission_pending", counting)
-        return calls
-
-    def test_flags_are_built_once_on_first_read(self, monkeypatch):
-        calls = self._asking(monkeypatch)
+    def test_flags_are_built_once_on_first_read(self):
+        # a block's flag is whether a lost packet waits in its pending list
         blocks = [block_at(element_id=0, index=i) for i in range(3)]
-        blocks[1].pending[0].state = PacketState.LOST_PENDING_RETX
+        blocks[1].pending.append(Packet((blocks[1].block_id, 0), 1500,
+                                        PacketState.LOST_PENDING_RETX))
         ctx = SchedulingContext(now=0.0, blocks=blocks, regime=Regime.MID, smoothed_bw=1.0)
-        assert calls[0] == 0
+        assert ctx._retransmission is None  # nothing built before the first read
         assert ctx.retransmission == [False, True, False]
         assert ctx.retransmission is ctx.retransmission
-        assert calls[0] == 3
+        blocks[1].pending.clear()  # a later read keeps the first read's list
+        assert ctx.retransmission == [False, True, False]
         assert select_block_proposed(ctx).reason is DecisionReason.RETRANSMISSION
-        assert calls[0] == 3
 
-    def test_given_flags_are_never_recomputed(self, monkeypatch):
-        calls = self._asking(monkeypatch)
-        retx = [False, True]
+    def test_given_flags_are_never_recomputed(self):
+        retx = [False, True]  # the blocks themselves have no lost packet
         ctx = ctx_of([stats_of(), stats_of()], retx=retx)
         assert ctx.retransmission == retx
         assert ctx.retransmission is ctx.retransmission
         assert select_block_proposed(ctx).selected == ctx.blocks[1].block_id
-        assert calls[0] == 0
 
 
 class TestSchedulerDecision:
@@ -486,11 +479,11 @@ def baseline_contexts(draw):
     zero, negative or positive. The features are left unbuilt."""
     blocks = []
     for i in range(draw(st.integers(0, 10))):
-        block = block_at(arrival_time=draw(st.sampled_from([0.0, 0.1, 0.2])),
-                         deadline_s=draw(st.sampled_from([0.1, 0.2, 0.3])),
-                         priority=draw(st.integers(0, 2)),
-                         total_bytes=draw(st.sampled_from([1500, 2000, 3000, 4500])),
-                         element_id=i, index=0)
+        block = built_block(arrival_time=draw(st.sampled_from([0.0, 0.1, 0.2])),
+                            deadline_s=draw(st.sampled_from([0.1, 0.2, 0.3])),
+                            priority=draw(st.integers(0, 2)),
+                            total_bytes=draw(st.sampled_from([1500, 2000, 3000, 4500])),
+                            element_id=i, index=0)
         acked = draw(st.integers(0, len(block.packets)))
         block.acked_packets = acked
         block.acked_bytes = sum(packet.size_bytes for packet in block.packets[:acked])
