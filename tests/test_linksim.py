@@ -386,6 +386,30 @@ class TestGuards:
             Simulation(constant_trace(), one_block_scenario(), make_scheduler("fifo"), **args)
 
 
+def count_feature_builds(monkeypatch, calls):
+    """Count each call of the feature builder the engine calls."""
+    original = linksim.compute_block_stats
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(linksim, "compute_block_stats", counting)
+
+
+def count_flag_builds(monkeypatch, calls):
+    """Count one per block each time a context builds its retransmission
+    flags."""
+    original = schedulers.SchedulingContext.retransmission.fget
+
+    def counting(ctx):
+        if ctx._retransmission is None:
+            calls[0] += len(ctx.blocks)
+        return original(ctx)
+
+    monkeypatch.setattr(schedulers.SchedulingContext, "retransmission", property(counting))
+
+
 class TestFeatureBuilds:
     """Features are built only for policies that read them, once per
     eligible block per decision, through the module-level
@@ -395,30 +419,8 @@ class TestFeatureBuilds:
     FEATURE_READERS = ("proposed",)
     FLAG_READERS = ("proposed",)
 
-    @staticmethod
-    def _count_feature_builds(monkeypatch, calls):
-        original = linksim.compute_block_stats
-
-        def counting(*args):
-            calls[0] += 1
-            return original(*args)
-
-        monkeypatch.setattr(linksim, "compute_block_stats", counting)
-
-    @staticmethod
-    def _count_flag_builds(monkeypatch, calls):
-        """Count one per block each time a context builds its flags."""
-        original = schedulers.SchedulingContext.retransmission.fget
-
-        def counting(ctx):
-            if ctx._retransmission is None:
-                calls[0] += len(ctx.blocks)
-            return original(ctx)
-
-        monkeypatch.setattr(schedulers.SchedulingContext, "retransmission", property(counting))
-
     def _calls_per_decision(self, monkeypatch, name, wrap=lambda scheduler: scheduler,
-                            install=_count_feature_builds):
+                            install=count_feature_builds):
         """Run the deep-queue scenario counting what ``install`` counts (the
         feature builds by default); returns (eligible, calls) for every
         decision with a block to choose from."""
@@ -454,7 +456,7 @@ class TestFeatureBuilds:
     def test_each_policy_asks_for_retransmission_flags_only_if_it_reads_them(
             self, monkeypatch, name):
         for eligible, asks in self._calls_per_decision(
-                monkeypatch, name, install=self._count_flag_builds):
+                monkeypatch, name, install=count_flag_builds):
             assert asks == (eligible if name in self.FLAG_READERS else 0)
 
     @pytest.mark.parametrize("name", SCHEDULER_NAMES)
