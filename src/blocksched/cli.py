@@ -16,11 +16,8 @@ import os
 import sys
 
 from .errors import ConfigurationError, IllegalStateError, SimulationInvariantError
-from .linksim import DEFAULT_LOSS_RATE, DEFAULT_RTT_S
 from .model import load_scenario
 from .runner import (
-    DEFAULT_THRESHOLD_HIGH_MBPS,
-    DEFAULT_THRESHOLD_LOW_MBPS,
     RunParams,
     build_table,
     execute_run,
@@ -29,7 +26,7 @@ from .runner import (
     run_sweep,
     tune_thresholds,
 )
-from .metrics import DEFAULT_ALPHA, run_report_json
+from .metrics import run_report_json
 from .predictor import Thresholds
 from .schedulers import SCHEDULER_NAMES
 from .traces import load_corpus, load_trace, split_corpus, synthesize_trace, trace_passes_filter
@@ -42,11 +39,13 @@ def _log(message: str) -> None:
 
 def _add_run_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--duration-s", type=float, required=True, help="workload generation horizon")
-    parser.add_argument("--rtt-ms", type=float, default=DEFAULT_RTT_S * 1000.0)
-    parser.add_argument("--loss-rate", type=float, default=DEFAULT_LOSS_RATE)
-    parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="utilization weight in QoE")
-    parser.add_argument("--threshold-low-mbps", type=float, default=DEFAULT_THRESHOLD_LOW_MBPS)
-    parser.add_argument("--threshold-high-mbps", type=float, default=DEFAULT_THRESHOLD_HIGH_MBPS)
+    parser.add_argument("--rtt-ms", type=float, default=RunParams.rtt_s * 1000.0)
+    parser.add_argument("--loss-rate", type=float, default=RunParams.loss_rate)
+    parser.add_argument("--alpha", type=float, default=RunParams.alpha, help="utilization weight in QoE")
+    parser.add_argument("--threshold-low-mbps", type=float,
+                        default=bytes_per_s_to_mbps(RunParams.thresholds.low))
+    parser.add_argument("--threshold-high-mbps", type=float,
+                        default=bytes_per_s_to_mbps(RunParams.thresholds.high))
     parser.add_argument("--literal-mid-branch", action="store_true",
                         help="replay the original mid-regime no-op comparison lines")
 
@@ -59,8 +58,6 @@ def _default_group(trace_paths) -> str:
 
 
 def _params_from_args(args, seed: int = 0) -> RunParams:
-    if args.duration_s <= 0:
-        raise ConfigurationError("--duration-s must be positive")
     return RunParams(
         duration_s=args.duration_s,
         seed=seed,
@@ -73,9 +70,9 @@ def _params_from_args(args, seed: int = 0) -> RunParams:
 
 
 def _cmd_run(args) -> int:
+    params = _params_from_args(args, args.seed)
     trace = load_trace(args.trace, args.trace_format)
     scenario = load_scenario(args.scenario)
-    params = _params_from_args(args, args.seed)
     if args.event_log:
         with open(args.event_log, "w") as log:
             result, report = execute_run(
@@ -96,9 +93,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    params = _params_from_args(args)
     scenarios = [load_scenario(path) for path in args.scenarios]
     traces = load_filtered_corpus(args.corpus, args.trace_format)
-    params = _params_from_args(args)
     os.makedirs(args.out_dir, exist_ok=True)
     records_dir = args.records_dir or os.path.join(args.out_dir, "records")
     group = args.group or _default_group(t.source_tag for t in traces)
@@ -116,13 +113,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    params = _params_from_args(args)
     scenario = load_scenario(args.scenario)
     corpus = load_filtered_corpus(args.corpus, args.trace_format)
     train, _ = split_corpus(corpus, args.train_fraction, args.split_seed)
     if not train:
         raise ConfigurationError("training split is empty (corpus of %d, fraction %r)"
                                  % (len(corpus), args.train_fraction))
-    params = _params_from_args(args)
     cells_path = None
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)

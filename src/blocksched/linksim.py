@@ -8,13 +8,16 @@ from entering the selection queue to leaving the sender) reflects how
 long the previous packet took. The event log's ``thr_instant`` is a
 packet's size over that latency; nothing else reads it.
 
+A run's settings are one ``RunParams``, the one home of each setting's
+default and range check; the engine and the report read it whole.
+
 Receiver feedback is modeled with a fixed round trip: a delivered packet
 reaches the client one propagation delay after it leaves the wire and
 its acknowledgement returns one propagation delay later; a lost packet
 never reaches the client and its loss signal reaches the sender one full
 round trip after the send. Acknowledgements and loss signals are never
-lost themselves. Loss draws come from a dedicated seeded stream indexed
-by send order, so a run is a pure function of its configuration.
+lost themselves. Each send takes one draw from a dedicated seeded loss
+stream, so a run is a pure function of its configuration.
 
 A block's packets are built as the policy first takes them: ``_fill_slot``
 builds packet i = len(block.packets) of a block with no lost packet
@@ -70,10 +73,6 @@ from .schedulers import (
 from .traces import LinkTrace
 from .units import PACKET_PAYLOAD_BYTES
 
-# the one home of a run's link defaults; RunParams and the CLI take theirs
-# from here
-DEFAULT_RTT_S = 0.08
-DEFAULT_LOSS_RATE = 0.005
 _LOSS_STREAM_OFFSET = 0x1F3A9C
 
 
@@ -89,6 +88,34 @@ _INFLIGHT = PacketState.INFLIGHT
 _DELIVERED = PacketState.DELIVERED
 
 
+@dataclass(frozen=True)
+class RunParams:
+    """Every setting of a run except the trace, scenario and policy. The CLI's
+    flags default to the class attributes; every copy is range-checked,
+    ``dataclasses.replace``'s too. The report reads alpha and the horizon,
+    make_scheduler literal_mid_branch, and the engine the rest."""
+
+    duration_s: float
+    seed: int = 0
+    rtt_s: float = 0.08
+    loss_rate: float = 0.005
+    alpha: float = 0.85  # utilization weight in QoE
+    thresholds: Thresholds = Thresholds.from_mbps(0.8, 2.3)  # frozen, so shared
+    literal_mid_branch: bool = False
+
+    def __post_init__(self) -> None:
+        # unchecked, an infinite horizon generates blocks forever, a NaN RTT
+        # breaks the event clock and a NaN alpha scores a NaN QoE
+        if not math.isfinite(self.duration_s) or self.duration_s <= 0:
+            raise ConfigurationError("duration_s must be positive and finite, got %r" % self.duration_s)
+        if not math.isfinite(self.rtt_s) or self.rtt_s <= 0:
+            raise ConfigurationError("rtt_s must be positive and finite, got %r" % self.rtt_s)
+        if not 0.0 <= self.loss_rate < 1.0:
+            raise ConfigurationError("loss_rate must be in [0, 1), got %r" % self.loss_rate)
+        if not math.isfinite(self.alpha) or self.alpha < 0:
+            raise ConfigurationError("alpha must be non-negative and finite, got %r" % self.alpha)
+
+
 @dataclass
 class SimulationResult:
     """Everything one run produced, enough to recompute every metric."""
@@ -96,9 +123,8 @@ class SimulationResult:
     scenario_name: str
     trace_tag: str
     scheduler_name: str
-    duration_s: float
+    params: RunParams
     end_time: float
-    seed: int
     blocks: list[Block]
     counters: dict
 
@@ -112,41 +138,29 @@ def _packet_ref(packet: Packet) -> list:
 class Simulation:
     """One run of one scheduler over one trace and scenario."""
 
-    def __init__(self, trace: LinkTrace, scenario: ScenarioConfig, scheduler: Scheduler, *,
-                 duration_s: float, seed: int = 0, rtt_s: float = DEFAULT_RTT_S,
-                 loss_rate: float = DEFAULT_LOSS_RATE, thresholds: Thresholds,
-                 forced_loss_sends=(),
-                 record: Callable[[dict], None] | None = None) -> None:
-        if not math.isfinite(duration_s) or duration_s <= 0:
-            raise ConfigurationError("duration_s must be positive and finite, got %r" % duration_s)
-        if not math.isfinite(rtt_s) or rtt_s <= 0:
-            raise ConfigurationError("rtt_s must be positive and finite, got %r" % rtt_s)
-        if not 0.0 <= loss_rate < 1.0:
-            raise ConfigurationError("loss_rate must be in [0, 1), got %r" % loss_rate)
+    def __init__(self, trace: LinkTrace, scenario: ScenarioConfig, scheduler: Scheduler,
+                 params: RunParams, *, record: Callable[[dict], None] | None = None) -> None:
         self.trace = trace
         self.scenario = scenario
         self.scheduler = scheduler
-        self.duration_s = duration_s
-        self.seed = seed
-        self.rtt_s = rtt_s
-        self.one_way_delay_s = rtt_s / 2.0
-        self.loss_rate = loss_rate
-        self.thresholds = thresholds
-        self.forced_loss_sends = frozenset(forced_loss_sends)
+        self.params = params
+        # read on every send
+        self.rtt_s = params.rtt_s
+        self.one_way_delay_s = params.rtt_s / 2.0
+        self.loss_rate = params.loss_rate
         self.record = record
 
         self.now = 0.0
         self.queue = BlockAwaitingQueue()
-        self.predictor = BandwidthPredictor(thresholds)
+        self.predictor = BandwidthPredictor(params.thresholds)
         self.ledger = InflightLedger()
-        self.blocks = generate_blocks(scenario, duration_s, seed)
+        self.blocks = generate_blocks(scenario, params.duration_s, params.seed)
         self.blocks_by_id = {b.block_id: b for b in self.blocks}
-        self._loss_rng = random.Random(_LOSS_STREAM_OFFSET + seed)
+        self._loss_rng = random.Random(_LOSS_STREAM_OFFSET + params.seed)
         self._heap: list[tuple] = []
         self._seq = 0
         self._slot: Packet | None = None
         self._opportunity_pending = False
-        self._send_index = 0
         self.counters = {
             "sends": 0,
             "retransmission_sends": 0,
@@ -203,9 +217,8 @@ class Simulation:
             scenario_name=self.scenario.name,
             trace_tag=self.trace.source_tag,
             scheduler_name=self.scheduler.name,
-            duration_s=self.duration_s,
+            params=self.params,
             end_time=self.now,
-            seed=self.seed,
             blocks=self.blocks,
             counters=self.counters,
         )
@@ -329,9 +342,7 @@ class Simulation:
             counters["retransmission_sends"] += 1
         packet.state = _INFLIGHT
         self.ledger.add(packet.packet_id, size, t)
-        draw = self._loss_rng.random()
-        lost = (self._send_index in self.forced_loss_sends) or draw < self.loss_rate
-        self._send_index += 1
+        lost = self._loss_rng.random() < self.loss_rate
         counters["sends"] += 1
         end = self.trace.time_to_send(t, size)
         # _push inlined on the per-packet path: the same tuple and seq order

@@ -13,20 +13,18 @@ gross one) with alpha weighting efficiency against timeliness.
 QoEReport is the one schema for a run's numbers: its field names are
 the keys of the sweep record (runner.summary_record is its to_dict).
 build_report counts the on-time blocks and builds no per-block object.
+It reads alpha and the horizon from the run's (checked) RunParams.
 The `run` report is those keys plus ``blocks``, one outcome per block,
 which ``run_report_json`` adds from the run's blocks.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError
-from .linksim import SimulationResult
+from .linksim import RunParams, SimulationResult
 from .traces import LinkTrace
-
-DEFAULT_ALPHA = 0.85
 
 
 def delivery_indicator(arrival_time: float, completion_time: float | None, deadline_s: float) -> int:
@@ -49,7 +47,7 @@ def channel_utilization(received_bytes: float, offered_bytes: float) -> float:
     return min(1.0, received_bytes / offered_bytes)
 
 
-def session_qoe(delivery_ratio: float, utilization: float, alpha: float = DEFAULT_ALPHA) -> float:
+def session_qoe(delivery_ratio: float, utilization: float, alpha: float = RunParams.alpha) -> float:
     if not 0.0 <= delivery_ratio <= 1.0:
         raise ValueError("delivery_ratio must be in [0, 1], got %r" % delivery_ratio)
     if not 0.0 <= utilization <= 1.0:
@@ -88,12 +86,10 @@ class QoEReport:
 def session_window_end(result: SimulationResult) -> float:
     """The session window runs from 0 to the later of the configured
     duration and the last simulated event."""
-    return max(result.duration_s, result.end_time)
+    return max(result.params.duration_s, result.end_time)
 
 
-def build_report(result: SimulationResult, trace: LinkTrace, alpha: float = DEFAULT_ALPHA) -> QoEReport:
-    if not math.isfinite(alpha) or alpha < 0:
-        raise ConfigurationError("alpha must be non-negative and finite, got %r" % alpha)
+def build_report(result: SimulationResult, trace: LinkTrace) -> QoEReport:
     if not result.blocks:
         raise ConfigurationError("run produced no blocks; nothing to score")
     on_time_bytes = 0
@@ -110,11 +106,12 @@ def build_report(result: SimulationResult, trace: LinkTrace, alpha: float = DEFA
     util = channel_utilization(delivered, offered)
     block_count = len(result.blocks)
     ratio = on_time_count / block_count
+    alpha = result.params.alpha
     return QoEReport(
         scenario=result.scenario_name,
         trace=result.trace_tag,
         scheduler=result.scheduler_name,
-        seed=result.seed,
+        seed=result.params.seed,
         alpha=alpha,
         block_count=block_count,
         on_time_count=on_time_count,

@@ -16,6 +16,13 @@ written whole or not at all (a temp file renamed into place), so an
 interrupted write never leaves a truncated record behind. Threshold
 tuning runs each grid cell through the same sweep engine.
 
+A run's settings are one linksim.RunParams, which this module re-exports.
+Every sweep and tuning cell is a dataclasses.replace copy of it, and
+RunParams checks its ranges on every copy, so an out-of-range setting is
+refused before any record is read or any cell runs. A record names its
+seed and alpha but not the other settings, so resuming with a different
+in-range RTT or loss rate still reads the old records.
+
 Baseline rows carry qoe_gain_vs_baseline_pct = 100 * (qoe_proposed -
 qoe_baseline) / qoe_baseline for the same scenario and trace group; the
 proposed row carries its gain over the strongest baseline, so a
@@ -29,33 +36,15 @@ import math
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 from .errors import ConfigurationError
-from .linksim import DEFAULT_LOSS_RATE, DEFAULT_RTT_S, SimulationResult, Simulation
-from .metrics import DEFAULT_ALPHA, QoEReport, build_report
+from .linksim import RunParams, SimulationResult, Simulation
+from .metrics import QoEReport, build_report
 from .model import ScenarioConfig
 from .predictor import Thresholds
 from .schedulers import make_scheduler
 from .traces import LinkTrace, filter_corpus, load_corpus
-
-DEFAULT_THRESHOLD_LOW_MBPS = 0.8
-DEFAULT_THRESHOLD_HIGH_MBPS = 2.3
-
-
-@dataclass(frozen=True)
-class RunParams:
-    """Everything about a run except the trace, scenario, and policy."""
-
-    duration_s: float
-    seed: int = 0
-    rtt_s: float = DEFAULT_RTT_S
-    loss_rate: float = DEFAULT_LOSS_RATE
-    alpha: float = DEFAULT_ALPHA
-    thresholds: Thresholds = field(
-        default_factory=lambda: Thresholds.from_mbps(DEFAULT_THRESHOLD_LOW_MBPS,
-                                                     DEFAULT_THRESHOLD_HIGH_MBPS))
-    literal_mid_branch: bool = False
 
 
 def execute_run(trace: LinkTrace, scenario: ScenarioConfig, scheduler_name: str,
@@ -63,11 +52,8 @@ def execute_run(trace: LinkTrace, scenario: ScenarioConfig, scheduler_name: str,
     """One simulation and its report; record is the optional event sink
     (see linksim.Simulation)."""
     scheduler = make_scheduler(scheduler_name, scenario, params.literal_mid_branch)
-    sim = Simulation(trace, scenario, scheduler,
-                     duration_s=params.duration_s, seed=params.seed, rtt_s=params.rtt_s,
-                     loss_rate=params.loss_rate, thresholds=params.thresholds, record=record)
-    result = sim.run()
-    return result, build_report(result, trace, params.alpha)
+    result = Simulation(trace, scenario, scheduler, params, record=record).run()
+    return result, build_report(result, trace)
 
 
 # -- sweep records -----------------------------------------------------

@@ -7,10 +7,9 @@ import os
 import pytest
 from hypothesis import settings
 
-from blocksched.linksim import Simulation
+from blocksched.linksim import RunParams, Simulation
 from blocksched.model import Block, MediaElement, Packet, ScenarioConfig
 from blocksched.predictor import Thresholds
-from blocksched.runner import RunParams
 from blocksched.traces import synthesize_trace
 from blocksched.units import PACKET_PAYLOAD_BYTES
 
@@ -96,12 +95,39 @@ def quick_params(duration_s=5.0, **kw) -> RunParams:
     return RunParams(duration_s=duration_s, **kw)
 
 
-def run_recorded(trace, scenario, scheduler, drive=Simulation.run, **kw):
+class ForcedLoss:
+    """Stands in for a Simulation's loss stream: it takes the real draw for
+    every send, so no other send's fate changes, and at the forced send
+    indices (counted from 0 in send order) returns a value below any loss
+    rate, so those sends are lost."""
+
+    def __init__(self, stream, forced_sends):
+        self.stream = stream
+        self.forced_sends = frozenset(forced_sends)
+        self.sends = 0
+
+    def random(self) -> float:
+        draw = self.stream.random()
+        index = self.sends
+        self.sends += 1
+        return -1.0 if index in self.forced_sends else draw
+
+
+def force_losses(sim: Simulation, forced_sends) -> Simulation:
+    """Lose sim's sends at the given send indices; see ForcedLoss."""
+    sim._loss_rng = ForcedLoss(sim._loss_rng, forced_sends)
+    return sim
+
+
+def run_recorded(trace, scenario, scheduler, params: RunParams, drive=Simulation.run,
+                 forced_loss_sends=None):
     """Build a Simulation whose record sink is a list, drive it (a full run
     by default) and return (what drive returned, the records in engine
-    order)."""
+    order). With forced_loss_sends, those send indices are lost too."""
     records: list[dict] = []
-    sim = Simulation(trace, scenario, scheduler, record=records.append, **kw)
+    sim = Simulation(trace, scenario, scheduler, params, record=records.append)
+    if forced_loss_sends is not None:
+        force_losses(sim, forced_loss_sends)
     return drive(sim), records
 
 

@@ -35,7 +35,7 @@ from blocksched.schedulers import (
     select_block_proposed,
 )
 from blocksched.traces import filter_corpus, synthesize_trace
-from conftest import CORPUS_DIR, SCENARIO_DIR, block_at, element, scenario_of
+from conftest import CORPUS_DIR, SCENARIO_DIR, block_at, element, force_losses, scenario_of
 from reference_selection import reference_select
 
 BASELINES = ("fifo", "ldf", "rswn")
@@ -72,12 +72,12 @@ def run_and_audit(trace, scenario, scheduler_name, params, forced=(), keep=None)
             keep.append(rec)
 
     scheduler = make_scheduler(scheduler_name, scenario, params.literal_mid_branch)
-    result = Simulation(trace, scenario, scheduler, duration_s=params.duration_s,
-                        seed=params.seed, rtt_s=params.rtt_s, loss_rate=params.loss_rate,
-                        thresholds=params.thresholds, forced_loss_sends=forced,
-                        record=audit).run()
+    sim = Simulation(trace, scenario, scheduler, params, record=audit)
+    if forced:
+        force_losses(sim, forced)
+    result = sim.run()
     AUDIT["runs"] += 1
-    return result, build_report(result, trace, params.alpha)
+    return result, build_report(result, trace)
 
 
 @pytest.fixture(scope="module")
@@ -266,7 +266,7 @@ def test_criterion_09_light_load_delivers_everything():
         result, report = run_and_audit(constant, scenario, name, params, keep=records)
         delivered = sum(r["size"] for r in records
                         if r["kind"] == "send" and r["arrives"] is not None)
-        offered = constant.integrate_capacity(0.0, max(result.duration_s, result.end_time))
+        offered = constant.integrate_capacity(0.0, max(result.params.duration_s, result.end_time))
         recomputed_util = min(1.0, delivered / offered)
         exact = (report.delivery_ratio == 1.0
                  and report.utilization == recomputed_util

@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 
 from blocksched import linksim
 from blocksched.errors import ConfigurationError
+from blocksched.linksim import RunParams
 from blocksched.metrics import build_report
 from blocksched.model import BlockAwaitingQueue, MediaElement, ScenarioConfig
 from blocksched.predictor import Thresholds, classify_regime
@@ -97,25 +98,24 @@ def traces(draw):
 def draws(draw):
     rtt_s = draw(st.floats(0.01, 0.3))
     low = draw(st.floats(0.1, 3.0))
-    return {
-        "scenario": draw(scenarios(rtt_s)),
-        "trace": draw(traces()),
-        "duration_s": draw(st.floats(0.3, 3.0)),
-        "seed": draw(st.integers(0, 1 << 16)),
-        "rtt_s": rtt_s,
-        "loss_rate": draw(st.one_of(st.just(0.0), st.floats(0.0, 0.4))),
-        "thresholds": Thresholds.from_mbps(low, low + draw(st.floats(0.1, 3.0))),
-        "literal_mid_branch": draw(st.booleans()),
-        "alpha": draw(st.floats(0.0, 2.0)),
-    }
+    scenario = draw(scenarios(rtt_s))
+    trace = draw(traces())
+    params = RunParams(
+        duration_s=draw(st.floats(0.3, 3.0)),
+        seed=draw(st.integers(0, 1 << 16)),
+        rtt_s=rtt_s,
+        loss_rate=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.4))),
+        thresholds=Thresholds.from_mbps(low, low + draw(st.floats(0.1, 3.0))),
+        literal_mid_branch=draw(st.booleans()),
+        alpha=draw(st.floats(0.0, 2.0)),
+    )
+    return {"scenario": scenario, "trace": trace, "params": params}
 
 
 def run_policy(case, name, wrap=lambda scheduler: scheduler):
-    scenario, trace = case["scenario"], case["trace"]
-    scheduler = wrap(make_scheduler(name, scenario, case["literal_mid_branch"]))
-    return run_recorded(trace, scenario, scheduler, duration_s=case["duration_s"],
-                        seed=case["seed"], rtt_s=case["rtt_s"], loss_rate=case["loss_rate"],
-                        thresholds=case["thresholds"])
+    scenario, params = case["scenario"], case["params"]
+    scheduler = wrap(make_scheduler(name, scenario, params.literal_mid_branch))
+    return run_recorded(case["trace"], scenario, scheduler, params)
 
 
 _sendable = BlockAwaitingQueue.sendable
@@ -236,20 +236,20 @@ def test_engine_invariants_hold_on_generated_inputs(case):
                 in_window = record["t"] - block.arrival_time <= block.deadline_s
                 assert record["on_time"] == in_window, record
             elif record["kind"] == "decision":
-                regime = classify_regime(record["smoothed_bw"], case["thresholds"])
+                regime = classify_regime(record["smoothed_bw"], case["params"].thresholds)
                 assert record["regime"] == regime, record
         check_built_packets(result, records)
         check_deliveries(result, records)
         offered = case["trace"].integrate_capacity(0.0, result.end_time)
         assert result.counters["delivered_bytes"] <= offered * (1 + 1e-9) + 1e-6
 
-        audit = audit_report(records, case["scenario"], case["trace"], case["duration_s"],
-                             case["alpha"])
+        audit = audit_report(records, case["scenario"], case["trace"],
+                             case["params"].duration_s, case["params"].alpha)
         if audit is None:
             with pytest.raises(ConfigurationError):
-                build_report(result, case["trace"], case["alpha"])
+                build_report(result, case["trace"])
         else:
-            report = build_report(result, case["trace"], case["alpha"])
+            report = build_report(result, case["trace"])
             assert audit == {key: getattr(report, key) for key in audit}
 
         again = run_policy(case, name)

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -9,14 +11,14 @@ from blocksched import linksim, schedulers
 from blocksched.errors import ConfigurationError, IllegalStateError, SimulationInvariantError
 from blocksched.linksim import Simulation
 from blocksched.model import PacketState
-from blocksched.predictor import Thresholds
 from blocksched.runner import RunParams, execute_run
 from blocksched.schedulers import SCHEDULER_NAMES, make_scheduler
 from blocksched.traces import synthesize_trace
-from conftest import EagerFeatures, deep_queue_inputs, element, run_recorded, scenario_of
+from conftest import (EagerFeatures, deep_queue_inputs, element, force_losses, run_recorded,
+                      scenario_of)
 
-TH = Thresholds.from_mbps(0.8, 2.3)
 APPROX = dict(rel=1e-9, abs=1e-9)
+LOSSLESS = RunParams(duration_s=2.0, loss_rate=0.0)  # the one-block runs below
 
 
 def one_block_scenario(deadline_s=1.0, total_bytes=3000):
@@ -29,15 +31,14 @@ def constant_trace(mbps=1.0, duration_s=30.0):
     return synthesize_trace("constant", duration_s=duration_s, seed=0, mbps=mbps)
 
 
-def run_one(scenario, trace=None, scheduler="proposed", duration_s=2.0, seed=0,
-            loss_rate=0.0, rtt_s=0.08, forced_loss_sends=()):
-    """One full run; returns (result, records)."""
+def run_one(scenario, trace=None, scheduler="proposed", forced_loss_sends=None, **params):
+    """One full run with LOSSLESS's settings, as changed by params; returns
+    (result, records)."""
     return run_recorded(
         trace if trace is not None else constant_trace(),
         scenario,
         make_scheduler(scheduler, scenario=scenario),
-        duration_s=duration_s, seed=seed, rtt_s=rtt_s, loss_rate=loss_rate,
-        thresholds=TH, forced_loss_sends=forced_loss_sends)
+        replace(LOSSLESS, **params), forced_loss_sends=forced_loss_sends)
 
 
 def records_of(records, kind):
@@ -200,6 +201,16 @@ class TestConservation:
             else:
                 assert block.expired
 
+    def test_empty_forced_loss_set_changes_no_record(self):
+        # the forced-loss stand-in takes the real draw at every send
+        scenario, trace = self._inputs()
+        kw = dict(duration_s=6.0, seed=3, loss_rate=0.02)
+        plain, plain_records = run_one(scenario, trace=trace, **kw)
+        forced, forced_records = run_one(scenario, trace=trace, forced_loss_sends=(), **kw)
+        assert forced_records == plain_records
+        assert forced.counters == plain.counters
+        assert plain.counters["loss_signals"] > 0
+
     @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
     def test_recording_only_observes(self, scheduler):
         scenario, trace = self._inputs()
@@ -269,7 +280,7 @@ class TestSendPath:
     def test_delivery_is_booked_at_send(self):
         scenario = one_block_scenario()
         sim = Simulation(constant_trace(), scenario, make_scheduler("fifo"),
-                         duration_s=2.0, seed=0, loss_rate=0.0, thresholds=TH)
+                         LOSSLESS)
         packets = sim.blocks[0].packets
         assert packets == []  # built at first take, not up front
         while not packets or packets[0].send_time is None:
@@ -294,8 +305,7 @@ class TestSendPath:
             return sim
 
         sim, _ = run_recorded(trace, scenario, make_scheduler("proposed", scenario=scenario),
-                              drive=drive, duration_s=6.0, seed=3, loss_rate=0.02,
-                              thresholds=TH)
+                              RunParams(duration_s=6.0, seed=3, loss_rate=0.02), drive=drive)
         received = [b for b in sim.blocks if b.is_fully_received()]
         delivered = sim.counters["delivered_packets"]
         assert kinds.count(linksim._PACKET_DELIVERED) == len(received) < delivered
@@ -314,7 +324,7 @@ class TestSendPath:
         monkeypatch.setattr(linksim, "filter_expired", recording)
         scenario, trace = deep_queue_inputs(duration_s=4.0)
         sim = Simulation(trace, scenario, make_scheduler("fifo", scenario=scenario),
-                         duration_s=4.0, seed=1, thresholds=TH)
+                         RunParams(duration_s=4.0, seed=1))
         kinds = []
         while (step := sim.advance()) is not None:
             kinds.append(step[1])
@@ -327,7 +337,7 @@ class TestGuards:
     def test_stale_event_is_an_invariant_error(self):
         scenario = one_block_scenario()
         sim = Simulation(constant_trace(), scenario, make_scheduler("fifo"),
-                         duration_s=2.0, seed=0, loss_rate=0.0, thresholds=TH)
+                         LOSSLESS)
         first = sim.advance()
         assert first is not None
         sim._push(first[0] - 0.5, linksim._SEND_OPPORTUNITY, None)
@@ -337,7 +347,7 @@ class TestGuards:
 
     def test_ledger_byte_drift_is_an_invariant_error(self):
         sim = Simulation(constant_trace(), one_block_scenario(), make_scheduler("fifo"),
-                         duration_s=2.0, seed=0, loss_rate=0.0, thresholds=TH)
+                         LOSSLESS)
         sim.advance()
         sim.ledger._total += 1  # add/remove accounting drifts by one byte
         with pytest.raises(SimulationInvariantError, match="1 bytes"):
@@ -347,7 +357,7 @@ class TestGuards:
     def test_completed_block_short_of_packets_is_an_invariant_error(self, tamper):
         # a completed block must have built, and got acks for, every packet
         sim = Simulation(constant_trace(), one_block_scenario(), make_scheduler("fifo"),
-                         duration_s=2.0, seed=0, loss_rate=0.0, thresholds=TH)
+                         LOSSLESS)
         while sim.advance() is not None:
             pass
         block = sim.blocks[0]
@@ -362,28 +372,36 @@ class TestGuards:
     def test_rtt_lost_in_rounding_is_an_invariant_error(self):
         # t + rtt_s rounds back to t, so the loss signal's response window
         # has no width and no estimate exists
-        sim = Simulation(constant_trace(), one_block_scenario(), make_scheduler("fifo"),
-                         duration_s=2.0, seed=0, loss_rate=0.0, thresholds=TH,
-                         rtt_s=1e-300, forced_loss_sends={0})
+        sim = force_losses(Simulation(constant_trace(), one_block_scenario(),
+                                      make_scheduler("fifo"), replace(LOSSLESS, rtt_s=1e-300)),
+                           {0})
         assert sim.blocks[0].arrival_time > 0
         with pytest.raises(SimulationInvariantError, match="non-positive width"):
             sim.run()
 
     def test_run_twice_rejected(self):
         sim = Simulation(constant_trace(), one_block_scenario(), make_scheduler("fifo"),
-                         duration_s=2.0, seed=0, loss_rate=0.0, thresholds=TH)
+                         LOSSLESS)
         sim.run()
         with pytest.raises(SimulationInvariantError):
             sim.run()
 
     @pytest.mark.parametrize("kw", [
         {"duration_s": 0.0}, {"duration_s": -1.0}, {"rtt_s": 0.0},
-        {"loss_rate": -0.1}, {"loss_rate": 1.0}])
+        {"loss_rate": -0.1}, {"loss_rate": 1.0},
+        *({name: value} for name in ("duration_s", "rtt_s", "alpha")
+          for value in (math.nan, math.inf, -math.inf)),
+        {"loss_rate": math.nan}])
     def test_bad_parameters_rejected(self, kw):
-        args = dict(duration_s=2.0, seed=0, loss_rate=0.0, thresholds=TH)
+        args = dict(duration_s=2.0, seed=0, loss_rate=0.0)
         args.update(kw)
-        with pytest.raises(ConfigurationError):
-            Simulation(constant_trace(), one_block_scenario(), make_scheduler("fifo"), **args)
+        (name,) = kw
+        with pytest.raises(ConfigurationError, match=name):
+            RunParams(**args)
+
+    def test_replace_checks_the_copy(self):
+        with pytest.raises(ConfigurationError, match="rtt_s must be positive and finite"):
+            replace(LOSSLESS, rtt_s=math.nan)
 
 
 def count_feature_builds(monkeypatch, calls):
@@ -435,7 +453,7 @@ class TestFeatureBuilds:
         install(monkeypatch, calls)
         scenario, trace = deep_queue_inputs(duration_s=4.0)
         scheduler = wrap(make_scheduler(name, scenario=scenario))
-        Simulation(trace, scenario, scheduler, duration_s=4.0, seed=1, thresholds=TH,
+        Simulation(trace, scenario, scheduler, RunParams(duration_s=4.0, seed=1),
                    record=sink).run()
         assert calls[0] == 0  # every build happened inside a decision
         busy = [pair for pair in per_decision if pair[0] > 0]
@@ -463,7 +481,7 @@ class TestFeatureBuilds:
     def test_past_deadline_block_reaching_a_decision_is_illegal(self, name):
         scenario = one_block_scenario(deadline_s=0.1)
         sim = Simulation(constant_trace(), scenario, make_scheduler(name, scenario=scenario),
-                         duration_s=2.0, seed=0, loss_rate=0.0, thresholds=TH)
+                         LOSSLESS)
         block = sim.blocks[0]
         sim.queue.enqueue(block)  # skip the expiry filter a send opportunity runs first
         with pytest.raises(IllegalStateError, match="is expired at"):
@@ -473,7 +491,7 @@ class TestFeatureBuilds:
     def test_stale_sendable_index_is_an_invariant_error(self, name):
         scenario = one_block_scenario()
         sim = Simulation(constant_trace(), scenario, make_scheduler(name, scenario=scenario),
-                         duration_s=2.0, seed=0, loss_rate=0.0, thresholds=TH)
+                         LOSSLESS)
         block = sim.blocks[0]
         sim.queue.enqueue(block)
         block.unsent = 0  # without telling the queue through pending_changed

@@ -6,8 +6,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from blocksched.linksim import RunParams
 from blocksched.metrics import (
-    DEFAULT_ALPHA,
     build_report,
     channel_utilization,
     delivery_indicator,
@@ -15,7 +15,6 @@ from blocksched.metrics import (
     session_qoe,
     session_window_end,
 )
-from blocksched.predictor import Thresholds
 from blocksched.schedulers import make_scheduler
 from blocksched.traces import synthesize_trace
 from conftest import element, run_recorded, scenario_of
@@ -78,7 +77,7 @@ class TestSessionQoe:
 
     def test_default_alpha(self):
         assert session_qoe(0.6, 0.4) == pytest.approx(0.6 + 0.85 * 0.4)
-        assert DEFAULT_ALPHA == 0.85
+        assert RunParams.alpha == 0.85
 
     @pytest.mark.parametrize("ratio,util", [(-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.1)])
     def test_out_of_range_inputs_rejected(self, ratio, util):
@@ -102,8 +101,7 @@ def _run(loss_rate=0.0, duration_s=4.0, deadline_s=0.2, forced=()):
                 block_size_bytes=6000, period_s=0.5))
     trace = synthesize_trace("constant", duration_s=30.0, seed=0, mbps=2.0)
     result, records = run_recorded(trace, scenario, make_scheduler("proposed"),
-                                   duration_s=duration_s, seed=4, loss_rate=loss_rate,
-                                   thresholds=Thresholds.from_mbps(0.8, 2.3),
+                                   RunParams(duration_s=duration_s, seed=4, loss_rate=loss_rate),
                                    forced_loss_sends=forced)
     return result, trace, records
 
@@ -117,7 +115,7 @@ class TestBuildReport:
         assert report.block_count == len(result.blocks)
         assert report.on_time_count == sum(flags)
         assert report.delivery_ratio == sum(flags) / len(flags)
-        offered = trace.integrate_capacity(0.0, max(result.duration_s, result.end_time))
+        offered = trace.integrate_capacity(0.0, max(result.params.duration_s, result.end_time))
         assert report.offered_bytes == offered
         assert report.utilization == min(1.0, result.counters["delivered_bytes"] / offered)
         delivered = sum(r["size"] for r in records
@@ -155,7 +153,7 @@ class TestBuildReport:
 
     def test_session_window_covers_overrun(self):
         result, _, _ = _run()
-        assert session_window_end(result) == max(result.duration_s, result.end_time)
+        assert session_window_end(result) == max(result.params.duration_s, result.end_time)
 
     def test_json_round_trip(self):
         result, trace, _ = _run()

@@ -16,7 +16,7 @@ from blocksched.errors import (
     IllegalStateError,
     SimulationInvariantError,
 )
-from blocksched.linksim import Simulation
+from blocksched.linksim import RunParams, Simulation
 from blocksched.model import (
     BlockAwaitingQueue,
     MediaElement,
@@ -27,7 +27,6 @@ from blocksched.model import (
     load_scenario,
     mark_block_complete,
 )
-from blocksched.predictor import Thresholds
 from blocksched.schedulers import SchedulingContext, filter_expired, make_scheduler
 from blocksched.traces import synthesize_trace
 from blocksched.units import PACKET_PAYLOAD_BYTES
@@ -91,8 +90,7 @@ class OneBlockSender:
         scenario = scenario_of(element(block_size_bytes=total_bytes, deadline_s=deadline_s,
                                        period_s=10.0))
         self.sim = Simulation(synthesize_trace("constant", duration_s=1.0, seed=0, mbps=1.0),
-                              scenario, make_scheduler("fifo"), duration_s=10.0, seed=0,
-                              thresholds=Thresholds.from_mbps(0.8, 2.3))
+                              scenario, make_scheduler("fifo"), RunParams(duration_s=10.0))
         (self.block,) = self.sim.blocks
         self.t = self.block.arrival_time
         self.sim._on_block_arrival(self.t, self.block)

@@ -11,9 +11,8 @@ import sys
 import pytest
 
 from blocksched import runner
-from blocksched.cli import main
+from blocksched.cli import _params_from_args, build_parser, main
 from blocksched.errors import ConfigurationError, IllegalStateError, SimulationInvariantError
-from blocksched.linksim import Simulation
 from blocksched.runner import (
     RunParams,
     build_table,
@@ -25,7 +24,6 @@ from blocksched.runner import (
     tune_thresholds,
 )
 from blocksched.model import load_scenario
-from blocksched.schedulers import make_scheduler
 from blocksched.traces import load_trace, split_corpus, synthesize_trace
 from conftest import CORPUS_DIR, REPO_ROOT, SCENARIO_DIR, element, quick_params, scenario_of
 
@@ -102,22 +100,20 @@ class TestExecuteRun:
         assert lines == records
 
     def test_defaults_have_one_home(self, tmp_path, capsys):
-        # a bare Simulation, a default RunParams and the CLI's defaults all
-        # take the RTT and loss rate from linksim, so their runs are equal
+        # the CLI's flags default to RunParams' fields, so the CLI's default
+        # run is a default RunParams run
         trace_path = os.path.join(CORPUS_DIR, "sq01.csv")
-        trace, scenario = load_trace(trace_path), load_scenario(SCENARIO_1)
+        argv = ["run", "--scenario", SCENARIO_1, "--trace", trace_path, "--duration-s", "8"]
         params = RunParams(duration_s=8.0)
-        bare: list[dict] = []
-        Simulation(trace, scenario, make_scheduler("proposed", scenario), duration_s=8.0,
-                   thresholds=params.thresholds, record=bare.append).run()
+        assert _params_from_args(build_parser().parse_args(argv)) == params
         records: list[dict] = []
-        execute_run(trace, scenario, "proposed", params, record=records.append)
+        execute_run(load_trace(trace_path), load_scenario(SCENARIO_1), "proposed", params,
+                    record=records.append)
         log = os.path.join(str(tmp_path), "events.jsonl")
-        assert main(["run", "--scenario", SCENARIO_1, "--trace", trace_path,
-                     "--duration-s", "8", "--event-log", log]) == 0
+        assert main(argv + ["--event-log", log]) == 0
         with open(log) as fh:
             logged = [json.loads(line) for line in fh]
-        assert bare == records == logged
+        assert records == logged
         assert any(r["kind"] == "loss" for r in records)  # the loss rate is exercised
 
 
@@ -407,6 +403,43 @@ class TestCli:
         assert os.path.exists(os.path.join(out_dir, "table.jsonl"))
         records = os.listdir(os.path.join(out_dir, "records"))
         assert len(records) == 6  # 2 schedulers x 3 traces
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alpha", "nan", "alpha must be non-negative and finite"),
+        ("--loss-rate", "7", "loss_rate must be in [0, 1)"),
+    ], ids=["alpha", "loss"])
+    def test_resumed_sweep_checks_its_settings(self, tmp_path, capsys, flag, value, message):
+        # every record exists, so the resumed sweep would run nothing and
+        # print a table of records made with the old settings
+        corpus = write_corpus(tmp_path / "corpus")
+        out_dir = os.path.join(str(tmp_path), "out")
+        argv = ["sweep", "--corpus", corpus, "--scenarios", SCENARIO_1, "--schedulers", "fifo",
+                "--seeds", "0", "--duration-s", "1", "--out-dir", out_dir, "--jobs", "1"]
+        assert main(argv) == 0
+        with open(os.path.join(out_dir, "table.txt")) as fh:
+            table = fh.read()
+        capsys.readouterr()
+        assert main(argv + [flag, value]) == 1
+        assert message in capsys.readouterr().err
+        with open(os.path.join(out_dir, "table.txt")) as fh:
+            assert fh.read() == table
+
+    def test_tune_checks_its_settings_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return execute_run(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "execute_run", counting)
+        corpus = write_corpus(tmp_path / "corpus")
+        argv = ["tune", "--corpus", corpus, "--scenario", SCENARIO_1,
+                "--grid-low-mbps", "0.8", "--grid-high-mbps", "2.3", "--duration-s", "1"]
+        assert main(argv + ["--alpha", "nan"]) == 1
+        assert "alpha must be non-negative and finite" in capsys.readouterr().err
+        assert calls == []
+        assert main(argv) == 0  # the count sees the cells of a valid tune
+        assert len(calls) == 2  # one cell over the two traces of the training split
 
     def test_sweep_with_repeated_seeds_exits_1_and_writes_no_records(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "corpus")

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from blocksched.errors import ConfigurationError, IllegalStateError
+from blocksched.linksim import RunParams
 from blocksched.metrics import delivery_indicator
 from blocksched.model import BlockAwaitingQueue, Packet, PacketState
-from blocksched.predictor import Regime, Thresholds
+from blocksched.predictor import Regime
 from blocksched.schedulers import (
     DecisionReason,
     LdfScheduler,
@@ -171,8 +172,8 @@ def _engine_on_time(arrival: float, deadline: float, finish: float) -> bool:
         sim._on_block_delivered(finish, block)
 
     _, records = run_recorded(synthesize_trace("constant", duration_s=1.0, seed=0, mbps=1.0),
-                              scenario, make_scheduler("fifo"), drive=deliver, duration_s=1.0,
-                              thresholds=Thresholds.from_mbps(0.8, 2.3))
+                              scenario, make_scheduler("fifo"), RunParams(duration_s=1.0),
+                              drive=deliver)
     last = records[-1]
     assert (last["kind"], last["block_id"]) == ("block_complete", list(block.block_id))
     return last["on_time"]
