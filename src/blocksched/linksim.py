@@ -20,17 +20,27 @@ lost themselves. Each send takes one draw from a dedicated seeded loss
 stream, so a run is a pure function of its configuration.
 
 A block's packets are built as the policy first takes them: ``_fill_slot``
-builds packet i = len(block.packets) of a block with no lost packet
-waiting, so a block that expires unsent builds none. A lost packet goes
-back into its block's ``pending`` list, and the next take of that block
-retransmits the most recently lost one first.
+builds packet i = block.built of a block with no lost packet waiting, so a
+block that expires unsent builds none. A lost packet goes back into its
+block's ``pending`` list, and the next take of that block retransmits the
+most recently lost one first.
+
+A packet is held only while the sender needs it: by the selection slot,
+then by its response event while it is on the wire (the inflight ledger
+keeps its id, size and send time), and by its block's ``pending`` list
+after a loss. Its acknowledgement, a loss signal for an expired block, a
+slot discard or the expiry filter's discard of ``pending`` drops the last
+reference, so the live packets are the slot's, the ledger's and the
+pending lists', and a run's memory grows with what is in flight, not with
+the packets it sent. Blocks keep counts instead: built, acknowledged and
+discarded packets, and the latest client arrival booked.
 
 Sends are serial and the delay is fixed, so both the client arrival and
 the response of a packet are known when it is sent. The send applies the
 delivery's bookkeeping (the packet's ``client_receive_time``, the
-delivered counters, the block's received count) and schedules the ack or
-loss signal. A block gets one delivered event, at the arrival of its last
-packet, which completes it if it is still live.
+delivered counters, the block's received count and latest arrival) and
+schedules the ack or loss signal. A block gets one delivered event, at
+the arrival of its last packet, which completes it if it is still live.
 
 Event kinds at equal timestamps process in a fixed order:
 send_opportunity, packet_delivered (a block's last packet), ack,
@@ -295,12 +305,11 @@ class Simulation:
         else:
             # the next fresh packet, built inline: full payloads, then the
             # smaller tail; a new Packet starts in the selection queue
-            packets = block.packets
-            i = len(packets)
+            i = block.built
             size = block.total_bytes - i * PACKET_PAYLOAD_BYTES
             packet = Packet((selected, i), size if size < PACKET_PAYLOAD_BYTES
                             else PACKET_PAYLOAD_BYTES)
-            packets.append(packet)
+            block.built = i + 1
             block.unsent -= 1
         if not (block.unsent or pending):
             queue.pending_changed(block)  # its last packet to send was taken
@@ -319,8 +328,9 @@ class Simulation:
             # only that filter marks blocks expired, the slot packet's block
             # too; a chosen-but-unsent packet of an expired block must not
             # burn capacity
-            if slot is not None and self.blocks_by_id[slot.packet_id[0]].expired:
+            if slot is not None and (owner := self.blocks_by_id[slot.packet_id[0]]).expired:
                 slot.state = PacketState.EXPIRED_DISCARDED
+                owner.discarded_packets += 1
                 self.counters["slot_discards"] += 1
                 if self.record is not None:
                     self.record({"kind": "slot_discard", "t": t, "packet_id": _packet_ref(slot)})
@@ -364,6 +374,8 @@ class Simulation:
             counters["delivered_bytes"] += size
             block = self.blocks_by_id[packet.packet_id[0]]
             block.received_packets += 1
+            if arrive > block.latest_receive_time:
+                block.latest_receive_time = arrive
             heappush(heap, (arrive + owd, _ACK, seq, packet))
             if block.received_packets == block.packet_count:
                 # the block's last packet to arrive; it alone gets an event
@@ -420,6 +432,7 @@ class Simulation:
         block = self.blocks_by_id[packet.packet_id[0]]
         if block.expired:
             packet.state = PacketState.EXPIRED_DISCARDED
+            block.discarded_packets += 1
             requeued = False
         else:
             packet.state = PacketState.LOST_PENDING_RETX
@@ -448,22 +461,25 @@ class Simulation:
         if self.ledger.total_bytes != 0:
             raise SimulationInvariantError("inflight ledger still counts %r bytes after drain"
                                            % self.ledger.total_bytes)
-        terminal = (PacketState.DELIVERED, PacketState.EXPIRED_DISCARDED)
         for block in self.blocks:
+            if block.pending:
+                raise SimulationInvariantError("block %r still holds %d lost packets after drain"
+                                               % (block.block_id, len(block.pending)))
             if block.completion_time is not None:
                 # a completed block built, and got acks for, every packet
                 count = block.packet_count
-                if len(block.packets) != count or block.acked_packets != count:
+                if block.built != count or block.acked_packets != count:
                     raise SimulationInvariantError(
                         "block %r completed with %d of %d packets built and %d acked"
-                        % (block.block_id, len(block.packets), count, block.acked_packets))
+                        % (block.block_id, block.built, count, block.acked_packets))
             elif not block.expired:
                 raise SimulationInvariantError("block %r neither complete nor expired" % (block.block_id,))
-            for packet in block.packets:
-                if packet.state not in terminal:
-                    raise SimulationInvariantError(
-                        "packet %r ended in state %s" % (packet.packet_id, packet.state.value)
-                    )
+            # every packet built ended delivered or discarded, so none was
+            # dropped on the way
+            if block.acked_packets + block.discarded_packets != block.built:
+                raise SimulationInvariantError(
+                    "block %r built %d packets but %d were acked and %d discarded"
+                    % (block.block_id, block.built, block.acked_packets, block.discarded_packets))
         if self.counters["sends"] != self.counters["delivered_packets"] + self.counters["loss_signals"]:
             raise SimulationInvariantError("send/response accounting mismatch: %r" % (self.counters,))
 

@@ -9,14 +9,22 @@ count as delivered on time.
 Blocks are split into MTU-sized packets: full payloads and one smaller
 tail. A block knows its ``packet_count`` from its size, and a packet object
 is built only when the sender first takes it, so a block that expires
-before it is sent builds none. ``Block.packets`` holds the packets built so
-far, in index order, ``unsent`` counts those not built yet, and
-``pending`` holds the lost packets that wait for a retransmission, the
-most recently lost last (it is taken first). A block has something to
-send iff ``pending or unsent``. Packet state tracks the sender's view (a
-packet is "delivered" once its acknowledgement returned); the client-side
-receive time is recorded separately because block completion is judged
-at the client.
+before it is sent builds none. A block keeps counts, not packets:
+``built`` counts the packets built so far (the next one built gets index
+``built``), ``unsent`` those not built yet, and ``pending`` holds the lost
+packets that wait for a retransmission, the most recently lost last (it is
+taken first). A block has something to send iff ``pending or unsent``.
+
+A packet lives only while the sender needs it: in the selection slot, on
+the wire (the inflight ledger and its response event), or in ``pending``
+after a loss. It is dropped at its acknowledgement or when it is
+discarded, so a run's memory follows what is in flight, not what was
+sent. Packet state tracks the sender's view (a packet is "delivered" once
+its acknowledgement returned). Block completion is judged at the client,
+so the block keeps the client arrival the sender books at each send:
+``latest_receive_time``, the latest of them. ``acked_packets`` and
+``discarded_packets`` count the built packets that ended delivered or
+discarded.
 
 A block is past its deadline once now - E > D. That rule is computed once
 per block, as ``Block.expires_at``: the least float instant at which it
@@ -139,7 +147,8 @@ class PacketState(enum.Enum):
 @dataclass(slots=True)
 class Packet:
     """One transmission unit of a block, built when the sender first takes
-    it into the selection queue.
+    it into the selection queue and held by nothing once it is acknowledged
+    or discarded.
 
     send_time reflects the most recent transmission, and send_count
     counts every transmission, so a packet was retransmitted
@@ -180,12 +189,15 @@ def _expiry_instant(arrival_time: float, deadline_s: float) -> float:
 class Block:
     """One deadline-constrained unit of content.
 
-    ``packets`` holds the packets built so far, packet i at index i; the
-    sender builds packet i = len(packets) when it takes a fresh one, of
-    PACKET_PAYLOAD_BYTES or the smaller tail. ``unsent`` counts the packets
-    not built yet, so len(packets) + unsent == packet_count while the block
-    is live. ``pending`` holds the lost packets awaiting retransmission;
-    the sender takes them from its end, most recently lost first.
+    ``built`` counts the packets built so far; the sender builds packet
+    i = built when it takes a fresh one, of PACKET_PAYLOAD_BYTES or the
+    smaller tail. ``unsent`` counts the packets not built yet, so
+    built + unsent == packet_count while the block is live. ``pending``
+    holds the lost packets awaiting retransmission; the sender takes them
+    from its end, most recently lost first. Each send that is not lost
+    books its packet's client arrival, and ``latest_receive_time`` is the
+    latest one booked. A built packet ends delivered (counted in
+    ``acked_packets``) or discarded (``discarded_packets``).
     """
 
     block_id: BlockId
@@ -197,10 +209,12 @@ class Block:
     total_bytes: int
     completion_time: float | None = None  # F, client-side
     expired: bool = False
-    packets: list[Packet] = field(default_factory=list)
     pending: list[Packet] = field(default_factory=list)
+    built: int = 0
+    latest_receive_time: float = -math.inf
     acked_packets: int = 0
     acked_bytes: int = 0
+    discarded_packets: int = 0
     received_packets: int = 0
     packet_count: int = field(init=False)
     unsent: int = field(init=False)
@@ -357,17 +371,14 @@ def mark_block_complete(block: Block, queue: BlockAwaitingQueue | None = None) -
         raise IllegalStateError("block %r already complete" % (block.block_id,))
     if block.expired:
         raise IllegalStateError("block %r expired, cannot complete" % (block.block_id,))
-    if len(block.packets) != block.packet_count:
+    count = block.packet_count
+    if block.built != count:
         raise IllegalStateError("block %r: %d of %d packets built"
-                                % (block.block_id, len(block.packets), block.packet_count))
-    receive_times = []
-    for packet in block.packets:
-        if packet.client_receive_time is None:
-            raise IllegalStateError(
-                "block %r: packet %r not yet received by client" % (block.block_id, packet.packet_id)
-            )
-        receive_times.append(packet.client_receive_time)
-    finish = max(receive_times)
+                                % (block.block_id, block.built, count))
+    if block.received_packets != count:
+        raise IllegalStateError("block %r: %d of %d packets received by client"
+                                % (block.block_id, block.received_packets, count))
+    finish = block.latest_receive_time
     if finish < block.arrival_time or math.isnan(finish):
         raise SimulationInvariantError(
             "block %r finished at %r before its arrival %r" % (block.block_id, finish, block.arrival_time)
@@ -376,4 +387,3 @@ def mark_block_complete(block: Block, queue: BlockAwaitingQueue | None = None) -
     if queue is not None and block.block_id in queue:
         queue.remove(block)
     return finish
-

@@ -95,10 +95,10 @@ def filter_expired(queue: BlockAwaitingQueue, now: float) -> list[Block]:
     ``Block.past_deadline``.
 
     An expired block's lost packets awaiting retransmission are discarded
-    and its unbuilt packets are never built; packets already on the wire
-    keep flying and their responses are still processed. Returns
-    the expired blocks, in queue order, so the caller can record their
-    outcomes.
+    (and counted in its ``discarded_packets``) and its unbuilt packets are
+    never built; packets already on the wire keep flying and their
+    responses are still processed. Returns the expired blocks, in queue
+    order, so the caller can record their outcomes.
 
     The queue is scanned only once now has reached its expiry watermark
     ``next_expiry``; before that no queued block can be past its deadline
@@ -119,6 +119,7 @@ def filter_expired(queue: BlockAwaitingQueue, now: float) -> list[Block]:
         block.expired = True
         for packet in block.pending:
             packet.state = PacketState.EXPIRED_DISCARDED
+        block.discarded_packets += len(block.pending)
         block.pending.clear()
         block.unsent = 0
         queue.remove(block)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings
 
 from blocksched.linksim import RunParams, Simulation
-from blocksched.model import Block, MediaElement, Packet, ScenarioConfig
+from blocksched.model import Block, MediaElement, ScenarioConfig
 from blocksched.predictor import Thresholds
 from blocksched.traces import synthesize_trace
 from blocksched.units import PACKET_PAYLOAD_BYTES
@@ -48,15 +48,18 @@ def block_at(arrival_time=0.0, deadline_s=0.2, priority=0, total_bytes=3000,
 
 
 def built_block(**kw) -> Block:
-    """block_at(**kw) with every packet built, in index order and with the
-    sizes the sender gives them at first take: full payloads, then the
-    smaller tail."""
+    """block_at(**kw) with every packet built, as after the sender took
+    each once; a block keeps the count, not the packets."""
     block = block_at(**kw)
-    for i in range(block.packet_count):
-        size = min(PACKET_PAYLOAD_BYTES, block.total_bytes - i * PACKET_PAYLOAD_BYTES)
-        block.packets.append(Packet((block.block_id, i), size))
+    block.built = block.packet_count
     block.unsent = 0
     return block
+
+
+def acked_prefix_bytes(block: Block, acked: int) -> int:
+    """The bytes of a block's first acked packets: full payloads, then the
+    smaller tail."""
+    return min(block.total_bytes, acked * PACKET_PAYLOAD_BYTES)
 
 
 def ulps_from(x: float, k: int) -> float:

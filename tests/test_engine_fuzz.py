@@ -12,16 +12,17 @@ sendable index equals a full scan of the queue and its expiry watermark
 is at or below every queued block's ``expires_at`` at every decision,
 and every expiry filter returns what a full scan of the queue before it
 finds (with those checks on, the records are again the same). Packets
-are built at first take: while a block is queued, its built packets plus
-its unsent count make its packet count, and after the run each block's
-built packets carry the indices 0..n-1 in order and each was sent at
-least once, unless it was discarded from the selection queue. An auditor
-rebuilds the report's session numbers from the event log, the scenario,
-the trace and alpha alone, and they must equal ``build_report``'s exactly.
-The delivery booked at each send must hold up: every delivered packet's
-client receive time is its send's ``arrives``, each completed block has
-one ``block_complete`` line, at the latest ``arrives`` of its packets,
-and the acks come in the send order of the sends that were not lost.
+are built at first take: while a block is queued, its built and unsent
+counts make its packet count, and after the run the packets the log's
+sends and slot discards name for a block are its built count's indices
+0..n-1, first named in that order, and each ended acked or discarded.
+An auditor rebuilds the report's session numbers from the event log, the
+scenario, the trace and alpha alone, and they must equal
+``build_report``'s exactly. The delivery booked at each send must hold
+up: each block's received count and latest receive time are those of its
+sends' ``arrives``, each completed block has one ``block_complete``
+line, at the latest ``arrives`` of its packets, and the acks come in the
+send order of the sends that were not lost.
 
 The suite profile keeps this short; ``HYPOTHESIS_PROFILE=fuzz`` runs it at
 length.
@@ -125,11 +126,11 @@ def checked_sendable(queue):
     """The queue's sendable index, asserted equal to a full scan, with the
     expiry watermark asserted a lower bound on the queued blocks'
     ``expires_at``; the engine reads both at every decision. Every queued
-    block's built and unsent packets add up to its packet count."""
+    block's built and unsent counts add up to its packet count."""
     ready = _sendable(queue)
     assert ready == [b for b in queue if (b.pending or b.unsent) and not b.expired]
     for b in queue:
-        assert len(b.packets) + b.unsent == b.packet_count, b.block_id
+        assert b.built + b.unsent == b.packet_count, b.block_id
     assert queue.next_expiry <= min((b.expires_at for b in queue), default=math.inf)
     return ready
 
@@ -182,24 +183,33 @@ def audit_report(records, scenario, trace, duration_s, alpha) -> dict | None:
 
 
 def check_built_packets(result, records) -> None:
-    """Packets are built at first take, in index order: each block's built
-    packets carry the ids (block_id, 0..n-1), a completed block built all
-    of them, and each built packet was sent at least once unless its one
-    stay in the selection queue ended in a slot discard."""
-    discarded = {tuple(r["packet_id"]) for r in records if r["kind"] == "slot_discard"}
+    """Packets are built at first take, in index order. A built packet is
+    sent or discarded from the selection queue, so the packets a block's
+    sends and slot discards name are its built count's (block_id, 0..n-1),
+    first named in index order; a completed block built all of them, and
+    each built packet ended acked or discarded."""
+    named = {}  # block id -> packet indices, in order of first naming
+    acks = {}  # block id -> ack lines
+    for r in records:
+        if r["kind"] in ("send", "slot_discard"):
+            element_id, index, i = r["packet_id"]
+            named.setdefault((element_id, index), {})[i] = None
+        elif r["kind"] == "ack":
+            block_id = tuple(r["packet_id"][:2])
+            acks[block_id] = acks.get(block_id, 0) + 1
     for block in result.blocks:
-        assert [p.packet_id for p in block.packets] == [
-            (block.block_id, i) for i in range(len(block.packets))], block.block_id
-        assert len(block.packets) <= block.packet_count
+        assert list(named.get(block.block_id, ())) == list(range(block.built)), block.block_id
+        assert block.built <= block.packet_count
         if block.completion_time is not None:
-            assert len(block.packets) == block.packet_count
-        for p in block.packets:
-            assert p.send_count >= 1 or (*block.block_id, p.packet_id[1]) in discarded, p
+            assert block.built == block.packet_count
+        assert block.acked_packets == acks.get(block.block_id, 0), block.block_id
+        assert block.acked_packets + block.discarded_packets == block.built, block.block_id
 
 
 def check_deliveries(result, records) -> None:
     """The deliveries the engine books at send time, checked against the
-    log: receive times, completion lines and the order of the acks."""
+    log: received counts, latest receive times, completion lines and the
+    order of the acks."""
     arrives = {}  # packet id -> client arrival, from the one send that was not lost
     completes = {}  # block id -> the t of its block_complete line
     for r in records:
@@ -210,9 +220,10 @@ def check_deliveries(result, records) -> None:
             assert tuple(r["block_id"]) not in completes, r
             completes[tuple(r["block_id"])] = r["t"]
     for block in result.blocks:
-        received = [arrives.get((*block.block_id, i)) for i in range(block.packet_count)]
-        built = [p.client_receive_time for p in block.packets]
-        assert built + [None] * (block.packet_count - len(built)) == received, block.block_id
+        received = [arrives[(*block.block_id, i)] for i in range(block.packet_count)
+                    if (*block.block_id, i) in arrives]
+        assert block.received_packets == len(received), block.block_id
+        assert block.latest_receive_time == max(received, default=-math.inf), block.block_id
         if block.completion_time is None:
             assert block.block_id not in completes
         else:

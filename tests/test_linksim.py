@@ -1,6 +1,7 @@
 """End-to-end behavior of the event-driven link simulation."""
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import replace
@@ -10,7 +11,7 @@ import pytest
 from blocksched import linksim, schedulers
 from blocksched.errors import ConfigurationError, IllegalStateError, SimulationInvariantError
 from blocksched.linksim import Simulation
-from blocksched.model import PacketState
+from blocksched.model import Packet
 from blocksched.runner import RunParams, execute_run
 from blocksched.schedulers import SCHEDULER_NAMES, make_scheduler
 from blocksched.traces import synthesize_trace
@@ -62,7 +63,9 @@ class TestSingleBlockTimeline:
         # the second waited exactly one transmission time in the slot
         assert sends[0]["thr_instant"] is None
         assert sends[1]["thr_instant"] == pytest.approx(1500 / 0.012, **APPROX)
-        assert result.blocks[0].packets[1].enqueue_time == pytest.approx(t0, **APPROX)
+        # the second packet was chosen at t0, the instant the first went out
+        chosen = [d["t"] for d in records_of(records, "decision") if d["selected"] is not None]
+        assert chosen == [pytest.approx(t0, **APPROX)] * 2
 
     def test_delivery_and_ack_timing(self):
         result, records = self._run()
@@ -70,7 +73,8 @@ class TestSingleBlockTimeline:
         arrivals = [r["arrives"] for r in records_of(records, "send")]
         assert arrivals == [pytest.approx(t0 + 0.052, **APPROX),
                             pytest.approx(t0 + 0.064, **APPROX)]
-        assert [p.client_receive_time for p in result.blocks[0].packets] == arrivals
+        # the block keeps the latest arrival booked, its completion instant
+        assert result.blocks[0].latest_receive_time == arrivals[-1]
         # a delivery writes no line of its own
         assert records_of(records, "delivered") == []
         acks = records_of(records, "ack")
@@ -121,8 +125,9 @@ class TestLossAndRetransmission:
         assert result.counters["retransmission_sends"] == 1
         assert result.counters["loss_signals"] == 1
 
-        packet = result.blocks[0].packets[0]
-        assert packet.send_count == 2
+        # the lost packet went out twice, and no third packet was built
+        assert [r["packet_id"] for r in sends].count(loss["packet_id"]) == 2
+        assert result.blocks[0].built == result.blocks[0].acked_packets == 2
         assert result.blocks[0].completion_time == pytest.approx(t0 + 0.132, **APPROX)
 
     def test_loss_for_expired_block_is_dropped(self):
@@ -143,8 +148,9 @@ class TestLossAndRetransmission:
         assert records_of(records, "block_complete") == []
         assert result.counters == {**result.counters, "sends": 1,
                                    "delivered_packets": 0, "blocks_expired": 1}
-        states = {p.state for p in result.blocks[0].packets}
-        assert states == {PacketState.EXPIRED_DISCARDED}
+        # the lost packet and the slot's both ended discarded, none acked
+        block = result.blocks[0]
+        assert (block.built, block.discarded_packets, block.acked_packets) == (2, 2, 0)
 
 
 class TestDeterminism:
@@ -192,12 +198,16 @@ class TestConservation:
         assert c["loss_signals"] == len(records_of(records, "loss"))
         assert c["delivered_bytes"] == sum(r["size"] for r in records_of(records, "send")
                                            if r["arrives"] is not None)
+        arrivals = {}  # block id -> the client arrivals its sends booked
+        for r in records_of(records, "send"):
+            if r["arrives"] is not None:
+                arrivals.setdefault(tuple(r["packet_id"][:2]), []).append(r["arrives"])
         for block in result.blocks:
+            assert block.acked_packets + block.discarded_packets == block.built
             if block.completion_time is not None:
                 assert not block.expired
                 assert block.is_fully_received()
-                assert block.completion_time == max(
-                    p.client_receive_time for p in block.packets)
+                assert block.completion_time == max(arrivals[block.block_id])
             else:
                 assert block.expired
 
@@ -281,13 +291,16 @@ class TestSendPath:
         scenario = one_block_scenario()
         sim = Simulation(constant_trace(), scenario, make_scheduler("fifo"),
                          LOSSLESS)
-        packets = sim.blocks[0].packets
-        assert packets == []  # built at first take, not up front
-        while not packets or packets[0].send_time is None:
+        block = sim.blocks[0]
+        assert block.built == 0  # built at first take, not up front
+        while sim.counters["sends"] == 0:
             sim.advance()
-        first = packets[0]
+        # the sent packet is held by its ack event alone
+        (first,) = [payload for _, kind, _, payload in sim._heap if kind == linksim._ACK]
+        assert first.packet_id == (block.block_id, 0) and first.send_time is not None
         # 12 ms on the wire plus a 40 ms one-way delay, known at the send
         assert first.client_receive_time == pytest.approx(first.send_time + 0.052, **APPROX)
+        assert block.latest_receive_time == first.client_receive_time
         assert sim.counters["delivered_packets"] == 1
         assert sim.counters["delivered_bytes"] == first.size_bytes
         assert sim.blocks[0].received_packets == 1
@@ -333,6 +346,60 @@ class TestSendPath:
         assert 0 < len(at_watermark) < kinds.count(linksim._SEND_OPPORTUNITY)
 
 
+def live_packets(baseline) -> int:
+    """The Packet objects alive now that are not among baseline's."""
+    known = {id(packet) for packet in baseline}
+    return sum(1 for o in gc.get_objects() if type(o) is Packet and id(o) not in known)
+
+
+class TestPacketLifetime:
+    """A packet is held only while the sender needs it: in the selection
+    slot, on the wire or in its block's pending list."""
+
+    def test_no_packet_outlives_a_lossy_run(self):
+        # acks, losses for expired blocks, slot discards and the expiry
+        # filter's discards all drop their packets
+        baseline = [o for o in gc.get_objects() if type(o) is Packet]  # kept alive, so ids stay
+        scenario, trace = deep_queue_inputs(duration_s=4.0)
+        result, records = run_recorded(trace, scenario, make_scheduler("fifo", scenario=scenario),
+                                       RunParams(duration_s=4.0, seed=2, loss_rate=0.05))
+        c = result.counters
+        assert c["blocks_expired"] > 0 and c["slot_discards"] > 0
+        unrequeued = [r for r in records_of(records, "loss") if not r["requeued"]]
+        # some packet was discarded while it waited in a pending list
+        assert (sum(b.discarded_packets for b in result.blocks)
+                > c["slot_discards"] + len(unrequeued) > c["slot_discards"])
+        assert sum(b.built for b in result.blocks) > 0
+        gc.collect()
+        assert live_packets(baseline) == 0
+
+    @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+    def test_live_packets_are_the_slot_the_ledger_and_the_pending_lists(self, scheduler):
+        # a 600 ms round trip keeps hundreds of packets in flight
+        rate = 6e6 / 8 / 3  # bytes/s offered per element
+        scenario = scenario_of(*(
+            element(element_id=i, priority=priority, deadline_s=deadline,
+                    block_size_bytes=size, period_s=size / rate)
+            for i, (priority, deadline, size) in enumerate(
+                [(1, 0.85, 20000), (0, 1.0, 40000), (2, 0.7, 60000)])))
+        trace = synthesize_trace("square_wave", 4.0, seed=3, sample_s=0.5, low_mbps=4.0,
+                                 high_mbps=9.0, period_s=2.0, jitter_mbps=0.5)
+        baseline = [o for o in gc.get_objects() if type(o) is Packet]
+        sim = Simulation(trace, scenario, make_scheduler(scheduler, scenario=scenario),
+                         RunParams(duration_s=2.0, seed=1, rtt_s=0.6, loss_rate=0.02))
+        steps = most_inflight = 0
+        while sim.advance() is not None:
+            steps += 1
+            if steps % 101 == 0:
+                held = (len(sim.ledger) + sum(len(b.pending) for b in sim.blocks)
+                        + (sim._slot is not None))
+                assert live_packets(baseline) == held, steps
+                most_inflight = max(most_inflight, len(sim.ledger))
+        assert most_inflight > 200
+        assert sim.counters["loss_signals"] > 0
+        assert live_packets(baseline) == 0
+
+
 class TestGuards:
     def test_stale_event_is_an_invariant_error(self):
         scenario = one_block_scenario()
@@ -363,11 +430,27 @@ class TestGuards:
         block = sim.blocks[0]
         assert block.completion_time is not None
         if tamper == "unbuilt":
-            block.packets.pop()
+            block.built -= 1
         else:
             block.acked_packets -= 1
         with pytest.raises(SimulationInvariantError, match="completed with"):
             sim._finalize()
+
+    def test_lost_packet_dropped_without_discard_is_an_invariant_error(self):
+        # every built packet must end acked or discarded; one that leaves
+        # its pending list any other way fails the run. The loss signal
+        # comes at t0 + 80 ms, the window closes at t0 + 90 ms and the last
+        # ack at t0 + 104 ms, so the block ends expired
+        sim = force_losses(Simulation(constant_trace(), one_block_scenario(deadline_s=0.09),
+                                      make_scheduler("fifo"), LOSSLESS), {0})
+        block = sim.blocks[0]
+        while not block.pending:
+            sim.advance()
+        block.pending.pop()
+        sim.queue.pending_changed(block)
+        with pytest.raises(SimulationInvariantError,
+                           match=r"built 2 packets but 1 were acked and 0 discarded"):
+            sim.run()
 
     def test_rtt_lost_in_rounding_is_an_invariant_error(self):
         # t + rtt_s rounds back to t, so the loss signal's response window

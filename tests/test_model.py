@@ -157,7 +157,7 @@ class TestPackets:
         for total, count in ((1500, 1), (1501, 2), (4500, 3), (4000, 3)):
             block = block_at(total_bytes=total)
             assert block.packet_count == block.unsent == count
-            assert block.packets == [] and block.pending == []
+            assert block.built == 0 and block.pending == []
 
     def test_exact_multiple_splits_into_full_payloads(self):
         packets = OneBlockSender(4500).take_all()
@@ -171,7 +171,7 @@ class TestPackets:
     def test_sizes_sum_to_total_and_indices_contiguous(self, total):
         sender = OneBlockSender(total)
         packets = sender.take_all()
-        assert packets == sender.block.packets
+        assert len(packets) == sender.block.built == sender.block.packet_count
         assert sum(p.size_bytes for p in packets) == total
         assert [p.packet_id for p in packets] == [(sender.block.block_id, i)
                                                   for i in range(sender.block.packet_count)]
@@ -201,6 +201,7 @@ class TestLazyPacketsEqualTheEagerModel:
     def test_same_packet_order_and_states(self, total, steps):
         sender, eager = OneBlockSender(total), EagerBlock(total)
         block, queue = sender.block, sender.sim.queue
+        taken = {}  # packet index -> the packet object, once taken
         inflight = []  # packet indices taken and not lost since
         for op, arg in steps:
             if op == "take" and eager.pending:
@@ -208,21 +209,23 @@ class TestLazyPacketsEqualTheEagerModel:
                 packet = sender.take()
                 assert packet.packet_id == (block.block_id, expected)
                 assert packet.size_bytes == eager.sizes[expected]
+                assert taken.setdefault(expected, packet) is packet  # a retake is the same object
                 inflight.append(expected)
             elif op == "lose" and inflight:
                 i = inflight.pop(arg % len(inflight))
                 eager.lose(i)
-                sender.lose(block.packets[i])
+                sender.lose(taken[i])
             elif op == "expire" and not eager.expired:
                 eager.expire()
                 sender.expire()
-            built = len(block.packets)
+            built = block.built
             # the built packets are a prefix; the rest are the eager
             # model's never-taken packets
-            assert [p.packet_id for p in block.packets] == [(block.block_id, i)
-                                                            for i in range(built)]
-            assert [p.state for p in block.packets] == eager.states[:built]
+            assert sorted(taken) == list(range(built))
+            assert [taken[i].state for i in range(built)] == eager.states[:built]
             assert set(eager.states[built:]) <= {"waiting", PacketState.EXPIRED_DISCARDED}
+            assert block.discarded_packets == eager.states[:built].count(
+                PacketState.EXPIRED_DISCARDED)
             # the eager deque is the lost packets, most recently lost first,
             # then the packets not built yet
             assert list(eager.pending) == ([p.packet_id[1] for p in reversed(block.pending)]
@@ -312,8 +315,7 @@ class TestQueue:
 
     def test_completed_block_cannot_enter(self):
         b = built_block()
-        for p in b.packets:
-            p.client_receive_time = 0.05
+        b.latest_receive_time = 0.05
         b.received_packets = b.packet_count
         q = BlockAwaitingQueue()
         with pytest.raises(IllegalStateError):
@@ -467,8 +469,7 @@ class TestMarkBlockComplete:
         b = built_block(total_bytes=3000)  # two packets
         q = BlockAwaitingQueue()
         q.enqueue(b)
-        b.packets[0].client_receive_time = 0.05
-        b.packets[1].client_receive_time = 0.07
+        b.latest_receive_time = 0.07  # the later of the two booked arrivals
         b.received_packets = 2
         finish = mark_block_complete(b, q)
         assert finish == 0.07
@@ -477,8 +478,9 @@ class TestMarkBlockComplete:
 
     def test_unreceived_packet_blocks_completion(self):
         b = built_block(total_bytes=3000)
-        b.packets[0].client_receive_time = 0.05
-        with pytest.raises(IllegalStateError):
+        b.latest_receive_time = 0.05
+        b.received_packets = 1
+        with pytest.raises(IllegalStateError, match="1 of 2 packets received"):
             mark_block_complete(b)
 
     def test_unbuilt_packet_blocks_completion(self):
@@ -489,7 +491,7 @@ class TestMarkBlockComplete:
 
     def test_double_completion_rejected(self):
         b = built_block(total_bytes=1500)
-        b.packets[0].client_receive_time = 0.05
+        b.latest_receive_time = 0.05
         b.received_packets = 1
         mark_block_complete(b)
         with pytest.raises(IllegalStateError):
@@ -497,7 +499,14 @@ class TestMarkBlockComplete:
 
     def test_finish_before_arrival_is_fatal(self):
         b = built_block(arrival_time=1.0, total_bytes=1500)
-        b.packets[0].client_receive_time = 0.5
+        b.latest_receive_time = 0.5
+        b.received_packets = 1
+        with pytest.raises(SimulationInvariantError):
+            mark_block_complete(b)
+
+    def test_nan_finish_is_fatal(self):
+        b = built_block(arrival_time=1.0, total_bytes=1500)
+        b.latest_receive_time = math.nan
         b.received_packets = 1
         with pytest.raises(SimulationInvariantError):
             mark_block_complete(b)

@@ -25,7 +25,8 @@ from blocksched.schedulers import (
     select_block_rswn,
 )
 from blocksched.traces import synthesize_trace
-from conftest import block_at, built_block, element, run_recorded, scenario_of, ulps_from
+from conftest import (acked_prefix_bytes, block_at, built_block, element, run_recorded,
+                      scenario_of, ulps_from)
 from reference_selection import reference_rswn, reference_select
 
 HIGH_REGIMES = {Regime.LOW: 0, Regime.MID: 1, Regime.HIGH: 2}
@@ -95,7 +96,7 @@ class TestBlockStats:
                             total_bytes=total)
         acked = data.draw(st.integers(min_value=0, max_value=block.packet_count))
         block.acked_packets = acked
-        block.acked_bytes = sum(p.size_bytes for p in block.packets[:acked])
+        block.acked_bytes = acked_prefix_bytes(block, acked)
         now = arrival + data.draw(st.floats(min_value=0.0, max_value=1.0)) * deadline
         assume(not block.past_deadline(now))
         sr, dr, pkt, p = compute_block_stats(block, now)
@@ -123,14 +124,15 @@ class TestFilterExpired:
         queue = BlockAwaitingQueue()
         block = block_at(arrival_time=0.0, deadline_s=0.1, total_bytes=4500)
         lost = [Packet((block.block_id, i), 1500, PacketState.LOST_PENDING_RETX) for i in (0, 1)]
-        block.packets.extend(lost)
+        block.built = 2
         block.pending.extend(reversed(lost))
         block.unsent = 1
         queue.enqueue(block)
         filter_expired(queue, now=0.5)
         assert not block.pending
         assert block.unsent == 0
-        assert block.packets == lost  # the unsent packet is never built
+        assert block.built == 2  # the unsent packet is never built
+        assert block.discarded_packets == 2
         assert all(p.state is PacketState.EXPIRED_DISCARDED for p in lost)
 
     def test_survivors_keep_queue_order(self):
@@ -167,7 +169,7 @@ def _engine_on_time(arrival: float, deadline: float, finish: float) -> bool:
 
     def deliver(sim):
         sim.blocks_by_id[block.block_id] = block
-        block.packets[0].client_receive_time = finish
+        block.latest_receive_time = finish
         block.received_packets = 1
         sim._on_block_delivered(finish, block)
 
@@ -485,9 +487,9 @@ def baseline_contexts(draw):
                             priority=draw(st.integers(0, 2)),
                             total_bytes=draw(st.sampled_from([1500, 2000, 3000, 4500])),
                             element_id=i, index=0)
-        acked = draw(st.integers(0, len(block.packets)))
+        acked = draw(st.integers(0, block.built))
         block.acked_packets = acked
-        block.acked_bytes = sum(packet.size_bytes for packet in block.packets[:acked])
+        block.acked_bytes = acked_prefix_bytes(block, acked)
         blocks.append(block)
     bw = draw(st.one_of(st.just(0.0), st.floats(-1e6, -1e-3), st.floats(1e3, 1e6)))
     now = draw(st.sampled_from([0.0, 0.05, 0.15, 0.25]))
