@@ -35,7 +35,6 @@ import json
 import math
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 from .errors import ConfigurationError
@@ -79,8 +78,9 @@ def _write_record(path: str, record: dict) -> None:
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
         with open(tmp, "w") as fh:
-            json.dump(record, fh, sort_keys=True)
-            fh.write("\n")
+            # one write of the C encoder's output; json.dump would run the
+            # pure-Python encoder and write it piece by piece
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -135,6 +135,10 @@ def run_sweep(traces, scenarios, scheduler_names, seeds, params: RunParams,
     done = total - len(pending)
     tasks = [args for _, args in pending]
     parallel = jobs > 1 and len(pending) > 1
+    if parallel:
+        # imported here, so a serial sweep and every other command never
+        # load the process pool and multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     with (ProcessPoolExecutor(max_workers=jobs) if parallel else contextlib.nullcontext()) as pool:
         # results are collected lazily, in task order; each is written and
         # logged before the next is awaited

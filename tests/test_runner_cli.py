@@ -182,27 +182,43 @@ class TestSweep:
     def test_crash_mid_write_leaves_no_partial_record(self, tmp_path, monkeypatch):
         records_dir = tmp_path / "records"
         clean = self._sweep(tmp_path / "clean")
-        real_dump = json.dump
-        calls = []
+        real_open = open
+        written = []  # the paths runner opened for writing, in order
 
-        def dump_then_crash(obj, fh, **kw):
-            # the third record gets half its bytes written, then the write fails
-            calls.append(obj)
-            if len(calls) == 3:
-                text = json.dumps(obj, **kw)
-                fh.write(text[:len(text) // 2])
-                fh.flush()
+        class HalfWrite:
+            """A record file whose write puts down half its bytes, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
                 raise OSError("disk full")
-            return real_dump(obj, fh, **kw)
 
-        monkeypatch.setattr(json, "dump", dump_then_crash)
+        def open_then_crash(path, mode="r", *args, **kw):
+            # the third record written gets half its bytes, then the write fails
+            fh = real_open(path, mode, *args, **kw)
+            if "w" in mode:
+                written.append(path)
+                if len(written) == 3:
+                    return HalfWrite(fh)
+            return fh
+
+        monkeypatch.setattr(runner, "open", open_then_crash, raising=False)
         with pytest.raises(OSError, match="disk full"):
             self._sweep(records_dir)
-        monkeypatch.setattr(json, "dump", real_dump)
+        monkeypatch.delattr(runner, "open")
         names = sorted(os.listdir(records_dir))
         assert len(names) == 2 and all(n.endswith(".json") for n in names)
-        crashed = record_key(calls[2]["scheduler"], calls[2]["scenario"], calls[2]["trace"],
-                             calls[2]["seed"]) + ".json"
+        # the write went to a temp file "<record>.<pid>.tmp" beside the record
+        crashed = os.path.basename(written[2]).rsplit(".", 2)[0]
         assert crashed not in names and crashed in os.listdir(tmp_path / "clean")
         resumed = self._sweep(records_dir)
         assert resumed == clean
@@ -572,6 +588,19 @@ class TestCli:
             [os.path.join(REPO_ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
         return subprocess.run([sys.executable, "-m", "blocksched.cli", *args],
                               capture_output=True, text=True, timeout=timeout, env=env)
+
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        # only a sweep with --jobs above 1 imports the pool, so run, report,
+        # tune and a serial sweep never load multiprocessing
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(REPO_ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        code = ("import sys, blocksched.cli; print(sorted(m for m in sys.modules"
+                " if m in ('concurrent.futures.process', 'multiprocessing')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_nan_scenario_file_exits_1(self, tmp_path):
         # json reads NaN, and a NaN period would make block generation
