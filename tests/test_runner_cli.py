@@ -583,22 +583,23 @@ class TestCli:
     def _run_in_child(self, *args, timeout=60):
         """`blocksched` with args in a child process under a timeout, for
         inputs that would make an unchecked run loop forever."""
+        return self._python_in_child("-m", "blocksched.cli", *args, timeout=timeout)
+
+    def _python_in_child(self, *args, timeout=60):
+        """The interpreter with args in a child process that imports this
+        checkout's package."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [os.path.join(REPO_ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-        return subprocess.run([sys.executable, "-m", "blocksched.cli", *args],
+        return subprocess.run([sys.executable, *args],
                               capture_output=True, text=True, timeout=timeout, env=env)
 
     def test_cli_import_leaves_the_process_pool_unloaded(self):
         # only a sweep with --jobs above 1 imports the pool, so run, report,
         # tune and a serial sweep never load multiprocessing
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(REPO_ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-        code = ("import sys, blocksched.cli; print(sorted(m for m in sys.modules"
-                " if m in ('concurrent.futures.process', 'multiprocessing')))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=60, env=env)
+        proc = self._python_in_child(
+            "-c", "import sys, blocksched.cli; print(sorted(m for m in sys.modules"
+                  " if m in ('concurrent.futures.process', 'multiprocessing')))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
