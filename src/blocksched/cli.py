@@ -6,7 +6,8 @@ search on the training split), traces (parse / filter / split /
 synthesize), and report (re-render a table from records).
 
 Results go to stdout or files; progress goes to stderr. Exit codes:
-0 success, 1 configuration problem, 2 simulation invariant violation.
+0 success, 1 configuration problem or unreadable/unwritable file, 2
+simulation invariant violation.
 """
 from __future__ import annotations
 
@@ -325,7 +326,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ConfigurationError, ValueError) as exc:
+    except (ConfigurationError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except (SimulationInvariantError, IllegalStateError) as exc:

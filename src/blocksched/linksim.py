@@ -21,19 +21,21 @@ stream, so a run is a pure function of its configuration.
 
 A block's packets are built as the policy first takes them: ``_fill_slot``
 builds packet i = block.built of a block with no lost packet waiting, so a
-block that expires unsent builds none. A lost packet goes back into its
-block's ``pending`` list, and the next take of that block retransmits the
-most recently lost one first.
+block that expires unsent builds none. A packet holds its block, so every
+handler reaches the block from the packet alone. A lost packet goes back
+into its block's ``pending`` list, and the next take of that block
+retransmits the most recently lost one first.
 
 A packet is held only while the sender needs it: by the selection slot,
-then by its response event while it is on the wire (the inflight ledger
-keeps its id, size and send time), and by its block's ``pending`` list
-after a loss. Its acknowledgement, a loss signal for an expired block, a
-slot discard or the expiry filter's discard of ``pending`` drops the last
-reference, so the live packets are the slot's, the ledger's and the
-pending lists', and a run's memory grows with what is in flight, not with
-the packets it sent. Blocks keep counts instead: built, acknowledged and
-discarded packets, and the latest client arrival booked.
+then by its response event and the inflight ledger (keyed on the packet,
+with its size and send time) while it is on the wire, and by its block's
+``pending`` list after a loss. Its acknowledgement, a loss signal for an
+expired block, a slot discard or the expiry filter's discard of
+``pending`` drops the last reference, so the live packets are the slot's,
+the ledger's and the pending lists', and a run's memory grows with what is
+in flight, not with the packets it sent. Its block's counts record where
+its packets went: unbuilt, acknowledged and discarded packets, and the
+latest client arrival booked.
 
 Sends are serial and the delay is fixed, so both the client arrival and
 the response of a packet are known when it is sent. The send applies the
@@ -67,7 +69,6 @@ from .model import (
     Block,
     BlockAwaitingQueue,
     Packet,
-    PacketState,
     ScenarioConfig,
     generate_blocks,
     mark_block_complete,
@@ -92,10 +93,6 @@ _PACKET_DELIVERED = 1
 _ACK = 2
 _LOSS_SIGNAL = 3
 _BLOCK_ARRIVAL = 4
-# bound once: an enum member read is slow
-_IN_SELECTION_QUEUE = PacketState.IN_SELECTION_QUEUE
-_INFLIGHT = PacketState.INFLIGHT
-_DELIVERED = PacketState.DELIVERED
 
 
 @dataclass(frozen=True)
@@ -141,8 +138,8 @@ class SimulationResult:
 
 def _packet_ref(packet: Packet) -> list:
     """A packet id as a flat JSON list: element id, block index, packet index."""
-    block_id, index = packet.packet_id
-    return [*block_id, index]
+    element_id, block_index = packet.block.block_id
+    return [element_id, block_index, packet.index]
 
 
 class Simulation:
@@ -165,7 +162,6 @@ class Simulation:
         self.predictor = BandwidthPredictor(params.thresholds)
         self.ledger = InflightLedger()
         self.blocks = generate_blocks(scenario, params.duration_s, params.seed)
-        self.blocks_by_id = {b.block_id: b for b in self.blocks}
         self._loss_rng = random.Random(_LOSS_STREAM_OFFSET + params.seed)
         self._heap: list[tuple] = []
         self._seq = 0
@@ -301,15 +297,13 @@ class Simulation:
         pending = block.pending
         if pending:
             packet = pending.pop()
-            packet.state = _IN_SELECTION_QUEUE
         else:
             # the next fresh packet, built inline: full payloads, then the
-            # smaller tail; a new Packet starts in the selection queue
+            # smaller tail
             i = block.built
             size = block.total_bytes - i * PACKET_PAYLOAD_BYTES
-            packet = Packet((selected, i), size if size < PACKET_PAYLOAD_BYTES
+            packet = Packet(block, i, size if size < PACKET_PAYLOAD_BYTES
                             else PACKET_PAYLOAD_BYTES)
-            block.built = i + 1
             block.unsent -= 1
         if not (block.unsent or pending):
             queue.pending_changed(block)  # its last packet to send was taken
@@ -328,8 +322,7 @@ class Simulation:
             # only that filter marks blocks expired, the slot packet's block
             # too; a chosen-but-unsent packet of an expired block must not
             # burn capacity
-            if slot is not None and (owner := self.blocks_by_id[slot.packet_id[0]]).expired:
-                slot.state = PacketState.EXPIRED_DISCARDED
+            if slot is not None and (owner := slot.block).expired:
                 owner.discarded_packets += 1
                 self.counters["slot_discards"] += 1
                 if self.record is not None:
@@ -345,13 +338,11 @@ class Simulation:
         packet = slot
         size = packet.size_bytes
         counters = self.counters
+        is_retx = packet.send_time is not None
         packet.send_time = t
-        packet.send_count += 1
-        is_retx = packet.send_count > 1
         if is_retx:
             counters["retransmission_sends"] += 1
-        packet.state = _INFLIGHT
-        self.ledger.add(packet.packet_id, size, t)
+        self.ledger.add(packet, size, t)
         lost = self._loss_rng.random() < self.loss_rate
         counters["sends"] += 1
         end = self.trace.time_to_send(t, size)
@@ -372,7 +363,7 @@ class Simulation:
             packet.client_receive_time = arrive
             counters["delivered_packets"] += 1
             counters["delivered_bytes"] += size
-            block = self.blocks_by_id[packet.packet_id[0]]
+            block = packet.block
             block.received_packets += 1
             if arrive > block.latest_receive_time:
                 block.latest_receive_time = arrive
@@ -416,9 +407,8 @@ class Simulation:
 
     def _on_ack(self, t: float, packet: Packet) -> None:
         sample = self.predictor.observe_response(self.ledger, packet.send_time, t)
-        self.ledger.remove(packet.packet_id)
-        packet.state = _DELIVERED
-        block = self.blocks_by_id[packet.packet_id[0]]
+        self.ledger.remove(packet)
+        block = packet.block
         block.acked_packets += 1
         block.acked_bytes += packet.size_bytes
         if self.record is not None:
@@ -427,15 +417,13 @@ class Simulation:
 
     def _on_loss_signal(self, t: float, packet: Packet) -> None:
         sample = self.predictor.observe_response(self.ledger, packet.send_time, t)
-        self.ledger.remove(packet.packet_id)
+        self.ledger.remove(packet)
         self.counters["loss_signals"] += 1
-        block = self.blocks_by_id[packet.packet_id[0]]
+        block = packet.block
         if block.expired:
-            packet.state = PacketState.EXPIRED_DISCARDED
             block.discarded_packets += 1
             requeued = False
         else:
-            packet.state = PacketState.LOST_PENDING_RETX
             block.pending.append(packet)  # taken first: the most recently lost
             self.queue.pending_changed(block)
             requeued = True

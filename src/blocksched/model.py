@@ -10,19 +10,21 @@ Blocks are split into MTU-sized packets: full payloads and one smaller
 tail. A block knows its ``packet_count`` from its size, and a packet object
 is built only when the sender first takes it, so a block that expires
 before it is sent builds none. A block keeps counts, not packets:
-``built`` counts the packets built so far (the next one built gets index
-``built``), ``unsent`` those not built yet, and ``pending`` holds the lost
-packets that wait for a retransmission, the most recently lost last (it is
-taken first). A block has something to send iff ``pending or unsent``.
+``unsent`` counts the packets not built yet, so ``built``, derived as
+``packet_count - unsent``, is the index of the next one built; ``pending``
+holds the lost packets that wait for a retransmission, the most recently
+lost last (it is taken first). A block has something to send iff
+``pending or unsent``.
 
-A packet lives only while the sender needs it: in the selection slot, on
-the wire (the inflight ledger and its response event), or in ``pending``
-after a loss. It is dropped at its acknowledgement or when it is
-discarded, so a run's memory follows what is in flight, not what was
-sent. Packet state tracks the sender's view (a packet is "delivered" once
-its acknowledgement returned). Block completion is judged at the client,
-so the block keeps the client arrival the sender books at each send:
-``latest_receive_time``, the latest of them. ``acked_packets`` and
+A packet holds its block, its index in that block, its size and three
+instants: when it entered the selection queue, its latest send, and its
+client arrival once a send was not lost. It lives only while the sender
+needs it: in the selection slot, on the wire (the inflight ledger and its
+response event), or in ``pending`` after a loss. It is dropped at its
+acknowledgement or when it is discarded, so a run's memory follows what
+is in flight, not what was sent. Block completion is judged at the
+client, so the block keeps the client arrival the sender books at each
+send: ``latest_receive_time``, the latest of them. ``acked_packets`` and
 ``discarded_packets`` count the built packets that ended delivered or
 discarded.
 
@@ -41,7 +43,6 @@ filter scans the queue only once a block can have expired.
 """
 from __future__ import annotations
 
-import enum
 import json
 import math
 import random
@@ -136,35 +137,30 @@ def load_scenario(path: str) -> ScenarioConfig:
     return ScenarioConfig.from_dict(data)
 
 
-class PacketState(enum.Enum):
-    IN_SELECTION_QUEUE = "in_selection_queue"
-    INFLIGHT = "inflight"
-    DELIVERED = "delivered"
-    LOST_PENDING_RETX = "lost_pending_retx"
-    EXPIRED_DISCARDED = "expired_discarded"
-
-
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Packet:
-    """One transmission unit of a block, built when the sender first takes
-    it into the selection queue and held by nothing once it is acknowledged
-    or discarded.
+    """Packet ``index`` of ``block``, built when the sender first takes it
+    into the selection queue and held by nothing once it is acknowledged
+    or discarded. Packets compare and hash by identity, so the inflight
+    ledger keys on the packet itself.
 
-    send_time reflects the most recent transmission, and send_count
-    counts every transmission, so a packet was retransmitted
-    send_count - 1 times.
+    send_time is the most recent transmission, None before the first, so
+    a send that finds it set is a retransmission.
     client_receive_time is the instant the delivered copy reaches the
     client, one propagation delay before its acknowledgement returns. The
     sender knows it at send time and sets it then, to that future instant.
     """
 
-    packet_id: PacketId
+    block: Block
+    index: int
     size_bytes: int
-    state: PacketState = PacketState.IN_SELECTION_QUEUE
     enqueue_time: float | None = None
     send_time: float | None = None
     client_receive_time: float | None = None
-    send_count: int = 0
+
+    @property
+    def packet_id(self) -> PacketId:
+        return (self.block.block_id, self.index)
 
 
 def _expiry_instant(arrival_time: float, deadline_s: float) -> float:
@@ -189,20 +185,20 @@ def _expiry_instant(arrival_time: float, deadline_s: float) -> float:
 class Block:
     """One deadline-constrained unit of content.
 
-    ``built`` counts the packets built so far; the sender builds packet
-    i = built when it takes a fresh one, of PACKET_PAYLOAD_BYTES or the
-    smaller tail. ``unsent`` counts the packets not built yet, so
-    built + unsent == packet_count while the block is live. ``pending``
-    holds the lost packets awaiting retransmission; the sender takes them
-    from its end, most recently lost first. Each send that is not lost
-    books its packet's client arrival, and ``latest_receive_time`` is the
-    latest one booked. A built packet ends delivered (counted in
+    ``unsent`` counts the packets not built yet, and ``built``, the rest
+    of ``packet_count``, the packets built so far; the sender builds
+    packet i = built when it takes a fresh one, of PACKET_PAYLOAD_BYTES
+    or the smaller tail. An expired block builds no more, so its
+    ``unsent`` stays as the expiry left it. ``pending`` holds the lost
+    packets awaiting retransmission; the sender takes them from its end,
+    most recently lost first. Each send that is not lost books its
+    packet's client arrival, and ``latest_receive_time`` is the latest
+    one booked. A built packet ends delivered (counted in
     ``acked_packets``) or discarded (``discarded_packets``).
     """
 
     block_id: BlockId
     element_id: int
-    index: int
     arrival_time: float  # E
     deadline_s: float  # D
     priority: int  # P
@@ -210,7 +206,6 @@ class Block:
     completion_time: float | None = None  # F, client-side
     expired: bool = False
     pending: list[Packet] = field(default_factory=list)
-    built: int = 0
     latest_receive_time: float = -math.inf
     acked_packets: int = 0
     acked_bytes: int = 0
@@ -228,6 +223,11 @@ class Block:
         self.packet_count = self.unsent = -(-self.total_bytes // PACKET_PAYLOAD_BYTES)
         self.expires_at = _expiry_instant(self.arrival_time, self.deadline_s)
 
+    @property
+    def built(self) -> int:
+        """The packets built so far."""
+        return self.packet_count - self.unsent
+
     def past_deadline(self, now: float) -> bool:
         """True once now is strictly past the deadline window (now - E > D).
         The one expiry rule, computed once as ``expires_at``: the queue
@@ -241,11 +241,9 @@ class Block:
 
 
 def make_block(element: MediaElement, index: int, arrival_time: float) -> Block:
-    block_id: BlockId = (element.element_id, index)
     return Block(
-        block_id=block_id,
+        block_id=(element.element_id, index),
         element_id=element.element_id,
-        index=index,
         arrival_time=arrival_time,
         deadline_s=element.deadline_s,
         priority=element.priority,
@@ -277,7 +275,7 @@ def generate_blocks(scenario: ScenarioConfig, duration_s: float, seed: int) -> l
                 break
             blocks.append(make_block(element, index, arrival))
             index += 1
-    blocks.sort(key=lambda b: (b.arrival_time, b.element_id, b.index))
+    blocks.sort(key=lambda b: (b.arrival_time, b.block_id))
     return blocks
 
 

@@ -59,20 +59,22 @@ class Thresholds:
 
 
 class InflightLedger:
-    """Bytes currently on the wire, keyed by packet id, with send times.
+    """Bytes currently on the wire, keyed by packet, with send times.
 
     Entries are added when a packet leaves the sender and removed when its
-    acknowledgement or loss signal returns. Send times must be added in
-    nondecreasing order (``add`` raises ``ValueError`` otherwise), so
-    appending keeps the entries in send order; ``total_bytes`` is the
-    running sum of the inflight sizes.
+    acknowledgement or loss signal returns. A key is any hashable that
+    names one packet: the engine keys on the ``Packet`` itself, which
+    hashes by identity. Send times must be added in nondecreasing order
+    (``add`` raises ``ValueError`` otherwise), so appending keeps the
+    entries in send order; ``total_bytes`` is the running sum of the
+    inflight sizes.
     """
 
     def __init__(self) -> None:
-        self._entries: dict = {}  # packet id -> (packet id, size, send time)
+        self._entries: dict = {}  # key -> (key, size, send time)
         # the same entry tuples in send order; an entry removed out of order
         # stays until every older one has left, and is live only while
-        # _entries still maps its id to that very tuple
+        # _entries still maps its key to that very tuple
         self._order: deque = deque()
         self._stale = 0  # entries removed out of order that are still in _order
         self._total = 0
@@ -81,28 +83,28 @@ class InflightLedger:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, packet_id) -> bool:
-        return packet_id in self._entries
+    def __contains__(self, key) -> bool:
+        return key in self._entries
 
     @property
     def total_bytes(self) -> int:
         return self._total
 
-    def add(self, packet_id, size_bytes: int, send_time: float) -> None:
-        if packet_id in self._entries:
-            raise KeyError("packet %r already inflight" % (packet_id,))
+    def add(self, key, size_bytes: int, send_time: float) -> None:
+        if key in self._entries:
+            raise KeyError("packet %r already inflight" % (key,))
         if send_time < self._last_send:
             raise ValueError("send time %r is earlier than the previous send at %r"
                              % (send_time, self._last_send))
-        entry = (packet_id, size_bytes, send_time)
-        self._entries[packet_id] = entry
+        entry = (key, size_bytes, send_time)
+        self._entries[key] = entry
         self._order.append(entry)
         self._total += size_bytes
         self._last_send = send_time
 
-    def remove(self, packet_id) -> None:
+    def remove(self, key) -> None:
         entries = self._entries
-        entry = entries.pop(packet_id)
+        entry = entries.pop(key)
         self._total -= entry[1]
         order = self._order
         if order[0] is not entry:
@@ -112,7 +114,7 @@ class InflightLedger:
             return
         order.popleft()
         # the usual case, responses in send order, leaves no stale entry, so
-        # the prefix walk (and its hashing of packet ids) is skipped
+        # the prefix walk (and its hashing of keys) is skipped
         while self._stale and entries.get(order[0][0]) is not order[0]:
             order.popleft()
             self._stale -= 1
@@ -122,10 +124,10 @@ class InflightLedger:
         entries = self._entries
         total = self._total
         for entry in self._order:
-            packet_id, size, sent = entry
+            key, size, sent = entry
             if sent >= window_start:
                 break
-            if entries.get(packet_id) is entry:
+            if entries.get(key) is entry:
                 total -= size
         return total
 

@@ -88,6 +88,14 @@ def _write_record(path: str, record: dict) -> None:
         raise
 
 
+def _read_record(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        raise ConfigurationError("record %s is not valid JSON: %s" % (path, exc)) from exc
+
+
 def _sweep_worker(args) -> dict:
     trace, scenario, scheduler_name, params = args
     _, report = execute_run(trace, scenario, scheduler_name, params)
@@ -127,8 +135,7 @@ def run_sweep(traces, scenarios, scheduler_names, seeds, params: RunParams,
         if records_dir:
             path = os.path.join(records_dir, key + ".json")
             if os.path.exists(path):
-                with open(path) as fh:
-                    records.append(json.load(fh))
+                records.append(_read_record(path))
                 continue
         pending.append((path, (trace, scenario, scheduler_name, replace(params, seed=seed))))
     total = len(combos)
@@ -252,8 +259,7 @@ def load_records(records_dir: str) -> list[dict]:
     records = []
     for name in names:
         if name.endswith(".json"):
-            with open(os.path.join(records_dir, name)) as fh:
-                records.append(json.load(fh))
+            records.append(_read_record(os.path.join(records_dir, name)))
     if not records:
         raise ConfigurationError("no .json run records under %s" % records_dir)
     return records

@@ -57,7 +57,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError, IllegalStateError
-from .model import Block, BlockAwaitingQueue, BlockId, PacketState
+from .model import Block, BlockAwaitingQueue, BlockId
 from .predictor import Regime
 
 # a block's scheduling features at one instant, a plain tuple built at most
@@ -117,11 +117,8 @@ def filter_expired(queue: BlockAwaitingQueue, now: float) -> list[Block]:
             next_expiry = expires_at
     for block in expired:
         block.expired = True
-        for packet in block.pending:
-            packet.state = PacketState.EXPIRED_DISCARDED
         block.discarded_packets += len(block.pending)
         block.pending.clear()
-        block.unsent = 0
         queue.remove(block)
     queue.next_expiry = next_expiry
     return expired

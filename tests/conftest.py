@@ -35,11 +35,9 @@ def scenario_of(*elements, name="test"):
 
 def block_at(arrival_time=0.0, deadline_s=0.2, priority=0, total_bytes=3000,
              element_id=0, index=0) -> Block:
-    block_id = (element_id, index)
     return Block(
-        block_id=block_id,
+        block_id=(element_id, index),
         element_id=element_id,
-        index=index,
         arrival_time=arrival_time,
         deadline_s=deadline_s,
         priority=priority,
@@ -51,7 +49,6 @@ def built_block(**kw) -> Block:
     """block_at(**kw) with every packet built, as after the sender took
     each once; a block keeps the count, not the packets."""
     block = block_at(**kw)
-    block.built = block.packet_count
     block.unsent = 0
     return block
 

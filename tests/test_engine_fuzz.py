@@ -12,10 +12,11 @@ sendable index equals a full scan of the queue and its expiry watermark
 is at or below every queued block's ``expires_at`` at every decision,
 and every expiry filter returns what a full scan of the queue before it
 finds (with those checks on, the records are again the same). Packets
-are built at first take: while a block is queued, its built and unsent
-counts make its packet count, and after the run the packets the log's
-sends and slot discards name for a block are its built count's indices
-0..n-1, first named in that order, and each ended acked or discarded.
+are built at first take: after the run the packets the log's sends and
+slot discards name for a block are its built count's indices 0..n-1,
+first named in that order, and each ended acked or discarded. A send is
+flagged a retransmission exactly when an earlier send named the same
+packet, and the run's retransmission counter counts those flags.
 An auditor rebuilds the report's session numbers from the event log, the
 scenario, the trace and alpha alone, and they must equal
 ``build_report``'s exactly. The delivery booked at each send must hold
@@ -125,12 +126,9 @@ _sendable = BlockAwaitingQueue.sendable
 def checked_sendable(queue):
     """The queue's sendable index, asserted equal to a full scan, with the
     expiry watermark asserted a lower bound on the queued blocks'
-    ``expires_at``; the engine reads both at every decision. Every queued
-    block's built and unsent counts add up to its packet count."""
+    ``expires_at``; the engine reads both at every decision."""
     ready = _sendable(queue)
     assert ready == [b for b in queue if (b.pending or b.unsent) and not b.expired]
-    for b in queue:
-        assert b.built + b.unsent == b.packet_count, b.block_id
     assert queue.next_expiry <= min((b.expires_at for b in queue), default=math.inf)
     return ready
 
@@ -206,6 +204,20 @@ def check_built_packets(result, records) -> None:
         assert block.acked_packets + block.discarded_packets == block.built, block.block_id
 
 
+def check_retransmissions(result, records) -> None:
+    """A send's retransmission flag is true exactly when an earlier send
+    named the same packet, and the counter counts the true flags."""
+    sent = set()
+    flagged = 0
+    for r in records:
+        if r["kind"] == "send":
+            packet_id = tuple(r["packet_id"])
+            assert r["retransmission"] == (packet_id in sent), r
+            sent.add(packet_id)
+            flagged += r["retransmission"]
+    assert result.counters["retransmission_sends"] == flagged
+
+
 def check_deliveries(result, records) -> None:
     """The deliveries the engine books at send time, checked against the
     log: received counts, latest receive times, completion lines and the
@@ -250,6 +262,7 @@ def test_engine_invariants_hold_on_generated_inputs(case):
                 regime = classify_regime(record["smoothed_bw"], case["params"].thresholds)
                 assert record["regime"] == regime, record
         check_built_packets(result, records)
+        check_retransmissions(result, records)
         check_deliveries(result, records)
         offered = case["trace"].integrate_capacity(0.0, result.end_time)
         assert result.counters["delivered_bytes"] <= offered * (1 + 1e-9) + 1e-6

@@ -430,7 +430,7 @@ class TestGuards:
         block = sim.blocks[0]
         assert block.completion_time is not None
         if tamper == "unbuilt":
-            block.built -= 1
+            block.unsent += 1
         else:
             block.acked_packets -= 1
         with pytest.raises(SimulationInvariantError, match="completed with"):

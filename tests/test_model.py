@@ -21,7 +21,6 @@ from blocksched.model import (
     BlockAwaitingQueue,
     MediaElement,
     Packet,
-    PacketState,
     ScenarioConfig,
     generate_blocks,
     load_scenario,
@@ -65,13 +64,13 @@ class TestGenerateBlocks:
     def test_arrivals_inside_horizon_and_sorted(self):
         blocks = generate_blocks(two_element_scenario(), duration_s=3.0, seed=7)
         assert all(0.0 <= b.arrival_time < 3.0 for b in blocks)
-        arrivals = [(b.arrival_time, b.element_id, b.index) for b in blocks]
+        arrivals = [(b.arrival_time, b.element_id, b.block_id[1]) for b in blocks]
         assert arrivals == sorted(arrivals)
 
     def test_indices_per_element_are_consecutive(self):
         blocks = generate_blocks(two_element_scenario(), duration_s=4.0, seed=1)
         for eid in (0, 1):
-            idx = [b.index for b in blocks if b.element_id == eid]
+            idx = [b.block_id[1] for b in blocks if b.element_id == eid]
             assert idx == list(range(len(idx)))
 
     def test_empty_scenario_rejected(self):
@@ -100,7 +99,7 @@ class OneBlockSender:
         sim._fill_slot(self.t)
         packet, sim._slot = sim._slot, None
         packet.send_time = self.t
-        sim.ledger.add(packet.packet_id, packet.size_bytes, self.t)
+        sim.ledger.add(packet, packet.size_bytes, self.t)
         return packet
 
     def lose(self, packet) -> None:
@@ -121,7 +120,9 @@ class EagerBlock:
     """The eager packet model packets were built by: every packet exists
     from the start, all of them in one pending deque; a loss puts the
     packet back at the front (appendleft), a take pops the front
-    (popleft), and expiry discards everything still pending."""
+    (popleft), and expiry discards everything still pending. Each packet
+    carries one of the labels "waiting" (never taken), "taken", "lost" and
+    "discarded"."""
 
     def __init__(self, total_bytes):
         full, tail = divmod(total_bytes, PACKET_PAYLOAD_BYTES)
@@ -132,24 +133,24 @@ class EagerBlock:
 
     def take(self) -> int:
         i = self.pending.popleft()
-        self.states[i] = PacketState.IN_SELECTION_QUEUE
+        self.states[i] = "taken"
         return i
 
     def lose(self, i) -> None:
         if self.expired:
-            self.states[i] = PacketState.EXPIRED_DISCARDED
+            self.states[i] = "discarded"
         else:
-            self.states[i] = PacketState.LOST_PENDING_RETX
+            self.states[i] = "lost"
             self.pending.appendleft(i)
 
     def expire(self) -> None:
         self.expired = True
         for i in self.pending:
-            self.states[i] = PacketState.EXPIRED_DISCARDED
+            self.states[i] = "discarded"
         self.pending.clear()
 
     def retransmission_pending(self) -> bool:
-        return bool(self.pending) and self.states[self.pending[0]] is PacketState.LOST_PENDING_RETX
+        return bool(self.pending) and self.states[self.pending[0]] == "lost"
 
 
 class TestPackets:
@@ -222,17 +223,19 @@ class TestLazyPacketsEqualTheEagerModel:
             # the built packets are a prefix; the rest are the eager
             # model's never-taken packets
             assert sorted(taken) == list(range(built))
-            assert [taken[i].state for i in range(built)] == eager.states[:built]
-            assert set(eager.states[built:]) <= {"waiting", PacketState.EXPIRED_DISCARDED}
-            assert block.discarded_packets == eager.states[:built].count(
-                PacketState.EXPIRED_DISCARDED)
+            # a built packet is where the sender holds it: taken and not
+            # lost since, lost in pending, or else discarded
+            lost = {p.index for p in block.pending}
+            where = ["taken" if i in inflight else "lost" if i in lost else "discarded"
+                     for i in range(built)]
+            assert where == eager.states[:built]
+            assert set(eager.states[built:]) <= {"waiting", "discarded"}
+            assert block.discarded_packets == where.count("discarded")
             # the eager deque is the lost packets, most recently lost first,
-            # then the packets not built yet
-            assert list(eager.pending) == ([p.packet_id[1] for p in reversed(block.pending)]
-                                           + list(range(built, built + block.unsent)))
-            if not eager.expired:
-                assert built + block.unsent == block.packet_count
-            sendable = bool(block.pending or block.unsent)
+            # then, while the block is live, the packets not built yet
+            unbuilt = [] if block.expired else list(range(built, block.packet_count))
+            assert list(eager.pending) == [p.index for p in reversed(block.pending)] + unbuilt
+            sendable = not block.expired and bool(block.pending or block.unsent)
             assert sendable == bool(eager.pending)
             assert (block in queue.sendable()) == sendable
             ctx = SchedulingContext(now=sender.t, blocks=[block], regime=None, smoothed_bw=0.0)
@@ -368,7 +371,7 @@ class TestSendableIndex:
         middle.unsent = 0  # every packet taken
         q.pending_changed(middle)
         assert q.sendable() == [blocks[0], blocks[2]]
-        middle.pending.append(Packet((middle.block_id, 0), 1500))  # a loss re-queues one
+        middle.pending.append(Packet(middle, 0, 1500))  # a loss re-queues one
         q.pending_changed(middle)
         assert q.sendable() == blocks
 
@@ -395,7 +398,7 @@ class TestSendableIndex:
                 if b.pending:
                     packet = b.pending.pop()
                 else:
-                    packet = Packet((b.block_id, b.packet_count - b.unsent), 1500)
+                    packet = Packet(b, b.built, 1500)
                     b.unsent -= 1
                 taken[b.block_id].append(packet)
                 q.pending_changed(b)

@@ -572,6 +572,33 @@ class TestCli:
                      "--duration-s", "1", "--scheduler", "sfra"]) == 1
         assert "invalid choice: 'sfra'" in capsys.readouterr().err
 
+    def test_unwritable_output_path_exits_1_with_one_line(self, tmp_path, capsys):
+        trace = self._write_trace(tmp_path)
+        out = os.path.join(str(tmp_path), "missing", "r.json")
+        code = main(["run", "--scenario", SCENARIO_1, "--trace", trace,
+                     "--duration-s", "1.5", "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: ") and out in err[-1]
+        assert "Traceback" not in "\n".join(err)
+
+    @pytest.mark.parametrize("command", ["report", "sweep"])
+    def test_corrupt_record_exits_1_naming_the_file(self, tmp_path, capsys, command):
+        out_dir = os.path.join(str(tmp_path), "o")
+        sweep = ["sweep", "--corpus", write_corpus(tmp_path / "corpus"),
+                 "--scenarios", SCENARIO_1, "--schedulers", "fifo", "--seeds", "0",
+                 "--duration-s", "1", "--out-dir", out_dir]
+        assert main(sweep) == 0
+        records_dir = os.path.join(out_dir, "records")
+        bad = os.path.join(records_dir, sorted(os.listdir(records_dir))[0])
+        with open(bad, "w") as fh:
+            fh.write("{truncated")
+        capsys.readouterr()
+        argv = sweep if command == "sweep" else ["report", "--records", records_dir]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: record %s is not valid JSON" % bad)
+
     def test_config_errors_exit_1(self, tmp_path, capsys):
         trace = self._write_trace(tmp_path)
         assert main(["run", "--scenario", SCENARIO_1, "--trace", trace,

@@ -10,7 +10,7 @@ from hypothesis import assume, given, strategies as st
 from blocksched.errors import ConfigurationError, IllegalStateError
 from blocksched.linksim import RunParams
 from blocksched.metrics import delivery_indicator
-from blocksched.model import BlockAwaitingQueue, Packet, PacketState
+from blocksched.model import BlockAwaitingQueue, Packet
 from blocksched.predictor import Regime
 from blocksched.schedulers import (
     DecisionReason,
@@ -123,17 +123,13 @@ class TestFilterExpired:
         # two packets built and lost, the third never built
         queue = BlockAwaitingQueue()
         block = block_at(arrival_time=0.0, deadline_s=0.1, total_bytes=4500)
-        lost = [Packet((block.block_id, i), 1500, PacketState.LOST_PENDING_RETX) for i in (0, 1)]
-        block.built = 2
-        block.pending.extend(reversed(lost))
         block.unsent = 1
+        block.pending.extend(Packet(block, i, 1500) for i in (1, 0))
         queue.enqueue(block)
         filter_expired(queue, now=0.5)
-        assert not block.pending
-        assert block.unsent == 0
+        assert block.pending == []
         assert block.built == 2  # the unsent packet is never built
         assert block.discarded_packets == 2
-        assert all(p.state is PacketState.EXPIRED_DISCARDED for p in lost)
 
     def test_survivors_keep_queue_order(self):
         queue = BlockAwaitingQueue()
@@ -168,7 +164,6 @@ def _engine_on_time(arrival: float, deadline: float, finish: float) -> bool:
                         element_id=9)
 
     def deliver(sim):
-        sim.blocks_by_id[block.block_id] = block
         block.latest_receive_time = finish
         block.received_packets = 1
         sim._on_block_delivered(finish, block)
@@ -370,8 +365,7 @@ class TestSchedulingContext:
     def test_flags_are_built_once_on_first_read(self):
         # a block's flag is whether a lost packet waits in its pending list
         blocks = [block_at(element_id=0, index=i) for i in range(3)]
-        blocks[1].pending.append(Packet((blocks[1].block_id, 0), 1500,
-                                        PacketState.LOST_PENDING_RETX))
+        blocks[1].pending.append(Packet(blocks[1], 0, 1500))
         ctx = SchedulingContext(now=0.0, blocks=blocks, regime=Regime.MID, smoothed_bw=1.0)
         assert ctx._retransmission is None  # nothing built before the first read
         assert ctx.retransmission == [False, True, False]
