@@ -89,6 +89,8 @@ def _write_record(path: str, record: dict) -> None:
 
 
 def _read_record(path: str) -> dict:
+    """One record file, parsed; a file that is not valid JSON is a
+    ConfigurationError naming it."""
     try:
         with open(path) as fh:
             return json.load(fh)
