@@ -1,6 +1,7 @@
 """Exception types. Configuration problems exit the CLI with code 1;
 simulation invariant violations, and IllegalStateError raised during a
-run (an object reached in the wrong lifecycle state), exit with code 2."""
+run (an object reached in the wrong lifecycle state, such as a block
+enqueued twice), exit with code 2."""
 from __future__ import annotations
 
 
@@ -10,10 +11,6 @@ class ConfigurationError(Exception):
 
 class TraceParseError(ConfigurationError):
     """Malformed trace input; message names the offending line."""
-
-
-class DuplicateBlockError(ConfigurationError):
-    """A block id was enqueued twice."""
 
 
 class IllegalStateError(RuntimeError):

@@ -274,8 +274,8 @@ class Simulation:
                              "reason": "none_eligible", "regime": int(regime), "score": None,
                              "smoothed_bw": smoothed, "eligible": 0})
             return
-        # features and retransmission flags are built only if the policy
-        # reads them; features through the module global so that a wrapper
+        # proposed builds its features through ctx.features, the baselines
+        # read block fields; the module global is passed so that a wrapper
         # installed on it sees every call
         ctx = SchedulingContext(now=t, blocks=eligible, regime=regime, smoothed_bw=smoothed,
                                 features=compute_block_stats)

@@ -79,9 +79,6 @@ class QoEReport:
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def session_window_end(result: SimulationResult) -> float:
     """The session window runs from 0 to the later of the configured

@@ -48,7 +48,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError, DuplicateBlockError, IllegalStateError, SimulationInvariantError
+from .errors import ConfigurationError, IllegalStateError, SimulationInvariantError
 from .units import PACKET_PAYLOAD_BYTES
 
 # Block ids are (element_id, block_index); packet ids add a packet index.
@@ -325,7 +325,7 @@ class BlockAwaitingQueue:
 
     def enqueue(self, block: Block) -> None:
         if block.block_id in self._ids:
-            raise DuplicateBlockError("block %r already enqueued" % (block.block_id,))
+            raise IllegalStateError("block %r already enqueued" % (block.block_id,))
         if block.completion_time is not None or block.is_fully_received():
             raise IllegalStateError("block %r has no undelivered packets" % (block.block_id,))
         if block.expired:

@@ -89,13 +89,20 @@ def _write_record(path: str, record: dict) -> None:
 
 
 def _read_record(path: str) -> dict:
-    """One record file, parsed; a file that is not valid JSON is a
-    ConfigurationError naming it."""
+    """One record file, parsed; a file that is not valid JSON, or not an
+    object holding the keys a table reads, is a ConfigurationError naming
+    it."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            record = json.load(fh)
     except ValueError as exc:
         raise ConfigurationError("record %s is not valid JSON: %s" % (path, exc)) from exc
+    if not isinstance(record, dict):
+        raise ConfigurationError("record %s is not a JSON object" % path)
+    missing = [key for key in (*_RECORD_KEYS, *TABLE_METRICS) if key not in record]
+    if missing:
+        raise ConfigurationError("record %s lacks %s" % (path, ", ".join(missing)))
+    return record
 
 
 def _sweep_worker(args) -> dict:
@@ -166,6 +173,8 @@ def run_sweep(traces, scenarios, scheduler_names, seeds, params: RunParams,
 # the per-run metrics a table row averages, in column order; each is a
 # QoEReport field and a ComparisonRow field of the same name
 TABLE_METRICS = ("delivery_ratio", "utilization", "effective_utilization", "qoe")
+# the record keys a table groups and orders by
+_RECORD_KEYS = ("scheduler", "scenario", "trace", "seed")
 _TEXT_LABELS = {"effective_utilization": "effective_util"}
 
 

@@ -21,14 +21,12 @@ it from the block's fields. Every deadline quantity, Dr and rswn's keys
 alike, is measured to ``Block.expires_at``, the instant the expiry rule
 closes the window, so Dr is positive for every block a policy can see.
 
-The engine takes the eligible blocks from the queue's sendable index; it
-builds no features and no retransmission flags. ``SchedulingContext.stats``
-builds the features on its first read, one per eligible block, and
-``SchedulingContext.retransmission`` does the same for the retransmission
-flags (a block's flag is ``bool(block.pending)``: its pending list holds
-only lost packets); each keeps its list for the rest of the decision.
-Only proposed reads either, so it alone pays for them, once per
-decision; fifo, ldf and rswn read the fields of the blocks themselves.
+The engine takes the eligible blocks from the queue's sendable index and
+builds no features. Proposed builds them itself through
+``SchedulingContext.features``, once per eligible block, and only on a
+decision that no retransmission settles (a block has a lost packet to
+resend when its ``pending`` list is non-empty: it holds only lost
+packets). fifo, ldf and rswn read the fields of the blocks themselves.
 
 The proposed policy is regime-switched. A lost packet awaiting
 retransmission always preempts fresh data. Otherwise:
@@ -149,57 +147,28 @@ _NONE_ELIGIBLE = SchedulerDecision(None, DecisionReason.NONE_ELIGIBLE)
 
 
 class SchedulingContext:
-    """Everything a policy may look at for one decision.
+    """Everything a policy may look at for one decision. ``features(block,
+    now)`` builds a block's feature tuple (Sr, Dr, Pkt, P); only proposed
+    calls it, the baselines read the blocks themselves."""
 
-    ``stats`` holds one feature tuple (Sr, Dr, Pkt, P) per entry of
-    ``blocks``, in the same order, and ``retransmission`` one flag per
-    entry, true when that block's next packet is a loss retransmission.
-    Unless the caller passes them in, each list is built on its first
-    read, ``stats`` by calling ``features(block, now)`` for every block and
-    ``retransmission`` as ``bool(block.pending)`` for every block, and that
-    list is returned by every later read. So a decision builds each at most once
-    per block, and a policy that never reads one builds none of it. Only
-    proposed reads them; the baselines read the blocks themselves.
-    """
+    __slots__ = ("now", "blocks", "regime", "smoothed_bw", "features")
 
-    __slots__ = ("now", "blocks", "regime", "smoothed_bw", "_features", "_stats",
-                 "_retransmission")
-
-    def __init__(self, *, now: float, blocks: list[Block],
-                 retransmission: list[bool] | None = None, regime: Regime, smoothed_bw: float,
-                 stats: list[BlockFeatures] | None = None,
+    def __init__(self, *, now: float, blocks: list[Block], regime: Regime, smoothed_bw: float,
                  features: Callable[[Block, float], BlockFeatures] = compute_block_stats) -> None:
         self.now = now
         self.blocks = blocks  # live, sendable, arrival order
         self.regime = regime
         self.smoothed_bw = smoothed_bw  # bytes/s
-        self._features = features
-        self._stats = stats
-        self._retransmission = retransmission
-
-    @property
-    def stats(self) -> list[BlockFeatures]:
-        stats = self._stats
-        if stats is None:
-            features, now = self._features, self.now
-            stats = self._stats = [features(block, now) for block in self.blocks]
-        return stats
-
-    @property
-    def retransmission(self) -> list[bool]:
-        retx = self._retransmission
-        if retx is None:
-            retx = self._retransmission = [bool(b.pending) for b in self.blocks]
-        return retx
+        self.features = features
 
 
 def select_block_proposed(ctx: SchedulingContext, literal_mid_branch: bool = False) -> SchedulerDecision:
     """Regime-switched champion scan, one pass over the queue.
 
     A retransmission always takes the championship and nothing else
-    outranks one, so when any flag is set the last flagged block wins and
-    no key is compared. Otherwise one loop serves the low regime and one
-    the high and mid regimes.
+    outranks one, so when any block has a lost packet pending the last
+    such block wins and no feature is built. Otherwise one loop serves the
+    low regime and one the high and mid regimes.
 
     literal_mid_branch replays a quirk of the policy's original
     pseudocode in which the mid-regime update lines compare but never
@@ -210,14 +179,12 @@ def select_block_proposed(ctx: SchedulingContext, literal_mid_branch: bool = Fal
     n = len(blocks)
     if n == 0:
         return _NONE_ELIGIBLE
-    stats = ctx.stats
-    retx = ctx.retransmission
-    if any(retx):
-        champ = n - 1
-        while not retx[champ]:
-            champ -= 1
-        return _tuple_new(SchedulerDecision,
-                          (blocks[champ].block_id, DecisionReason.RETRANSMISSION, None))
+    for block in reversed(blocks):
+        if block.pending:
+            return _tuple_new(SchedulerDecision,
+                              (block.block_id, DecisionReason.RETRANSMISSION, None))
+    features, now = ctx.features, ctx.now
+    stats = [features(block, now) for block in blocks]
     champ = 0
     reason = DecisionReason.FIRST_BLOCK
     regime = ctx.regime

@@ -131,26 +131,6 @@ def run_recorded(trace, scenario, scheduler, params: RunParams, drive=Simulation
     return drive(sim), records
 
 
-class EagerFeatures:
-    """Wraps a policy so that every decision reads ``ctx.stats`` and
-    ``ctx.retransmission`` (twice each) before the policy sees the context,
-    forcing the features and the retransmission flags to be built whether
-    or not the policy reads them. It is a plain wrapper around a built
-    scheduler, not a ``Scheduler`` subclass."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.name = inner.name
-
-    def select(self, ctx):
-        assert ctx.stats is ctx.stats
-        assert ctx.retransmission is ctx.retransmission
-        return self.inner.select(ctx)
-
-    def note_block_resolved(self, element_id, on_time):
-        self.inner.note_block_resolved(element_id, on_time)
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Repeat the acceptance-criteria verdict lines after the test run, so
     they are visible even when pytest captured the tests' stdout."""

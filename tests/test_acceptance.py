@@ -25,7 +25,7 @@ import pytest
 
 from blocksched.linksim import Simulation
 from blocksched.metrics import build_report, delivery_indicator
-from blocksched.model import load_scenario
+from blocksched.model import Packet, load_scenario
 from blocksched.predictor import Regime, Thresholds
 from blocksched.runner import RunParams, run_sweep, tune_thresholds, load_filtered_corpus
 from blocksched.schedulers import (
@@ -175,10 +175,12 @@ def test_criterion_04_selection_matches_reference_scan():
                     "retx": rng.random() < 0.2}
                    for _ in range(rng.randrange(0, 6))]
         blocks = [block_at(element_id=0, index=i) for i in range(len(entries))]
+        for block, e in zip(blocks, entries):
+            if e["retx"]:  # a lost packet waits for retransmission
+                block.pending.append(Packet(block, 0, 1500))
         stats = [(e["sr"], e["dr"], e["pkt"], e["p"]) for e in entries]
-        ctx = SchedulingContext(now=0.0, blocks=blocks, stats=stats,
-                                retransmission=[e["retx"] for e in entries],
-                                regime=regime, smoothed_bw=1.0)
+        ctx = SchedulingContext(now=0.0, blocks=blocks, regime=regime, smoothed_bw=1.0,
+                                features=lambda block, _now: stats[block.block_id[1]])
         decision = select_block_proposed(ctx)
         idx, reason = reference_select(entries, int(regime))
         selected = None if idx is None else blocks[idx].block_id

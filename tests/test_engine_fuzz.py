@@ -5,11 +5,9 @@ Each draw is run under every policy. A run must finish, which means every
 inflight ledger drained, sends matched by responses). On top of that:
 nothing is sent after its block's deadline, a block reported on time
 finished inside its window, the link never delivers more than the trace
-offered, a second run gives the same records, forcing the scheduling
-features to be built for every decision changes no record, every
-decision's regime is the class of its smoothed estimate, the queue's
-sendable index equals a full scan of the queue and its expiry watermark
-is at or below every queued block's ``expires_at`` at every decision,
+offered, a second run gives the same records, every decision's regime
+is the class of its smoothed estimate, the queue's sendable index equals
+a full scan of the queue and its expiry watermark is at or below every queued block's ``expires_at`` at every decision,
 and every expiry filter returns what a full scan of the queue before it
 finds (with those checks on, the records are again the same). Packets
 are built at first take: after the run the packets the log's sends and
@@ -45,9 +43,9 @@ from blocksched.predictor import Thresholds, classify_regime
 from blocksched.schedulers import SCHEDULER_NAMES, make_scheduler
 from blocksched.traces import synthesize_trace
 from blocksched.units import PACKET_PAYLOAD_BYTES
-from conftest import EagerFeatures, run_recorded
+from conftest import run_recorded
 
-# one draw runs every policy four times, so it gets a fifth of the
+# one draw runs every policy three times, so it gets a fifth of the
 # profile's example count
 EXAMPLES = max(1, settings.default.max_examples // 5)
 
@@ -114,9 +112,9 @@ def draws(draw):
     return {"scenario": scenario, "trace": trace, "params": params}
 
 
-def run_policy(case, name, wrap=lambda scheduler: scheduler):
+def run_policy(case, name):
     scenario, params = case["scenario"], case["params"]
-    scheduler = wrap(make_scheduler(name, scenario, params.literal_mid_branch))
+    scheduler = make_scheduler(name, scenario, params.literal_mid_branch)
     return run_recorded(case["trace"], scenario, scheduler, params)
 
 
@@ -278,8 +276,6 @@ def test_engine_invariants_hold_on_generated_inputs(case):
 
         again = run_policy(case, name)
         assert again[1] == records
-        eager = run_policy(case, name, wrap=EagerFeatures)
-        assert eager[1] == records
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(BlockAwaitingQueue, "sendable", checked_sendable)
             patch.setattr(linksim, "filter_expired", checked_filter_expired)

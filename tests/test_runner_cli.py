@@ -71,7 +71,7 @@ class TestExecuteRun:
         params = quick_params(duration_s=2.0, seed=5)
         _, a = execute_run(trace, small_scenario(), "proposed", params)
         _, b = execute_run(trace, small_scenario(), "proposed", params)
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
 
     def test_block_live_to_the_last_ulp_does_not_abort_the_run(self):
         # a block of this run is checked one ulp inside its window, where
@@ -598,6 +598,19 @@ class TestCli:
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("error: record %s is not valid JSON" % bad)
+
+    @pytest.mark.parametrize("content, problem", [
+        ("{}", "lacks scheduler, scenario, trace, seed, delivery_ratio, utilization, "
+               "effective_utilization, qoe"),
+        ("[]", "is not a JSON object")])
+    def test_record_without_its_keys_exits_1_naming_the_file(self, tmp_path, capsys, content,
+                                                             problem):
+        records_dir = tmp_path / "records"
+        records_dir.mkdir()
+        bad = records_dir / "bad.json"
+        bad.write_text(content)
+        assert main(["report", "--records", str(records_dir)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: record %s %s" % (bad, problem)]
 
     def test_config_errors_exit_1(self, tmp_path, capsys):
         trace = self._write_trace(tmp_path)

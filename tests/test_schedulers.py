@@ -37,15 +37,17 @@ def stats_of(dr=1.0, sr=1.0, pkt=1, p=0) -> tuple:
     return (sr, dr, pkt, p)
 
 
-def ctx_of(stats, retx=None, regime=Regime.MID, now=0.0, smoothed=125000.0,
-           blocks=None):
+def ctx_of(rows=(), retx=(), regime=Regime.MID, now=0.0, smoothed=125000.0, blocks=None):
+    """A context over blocks (element 0, index i) whose features are
+    rows[i]; a true retx[i] puts a lost packet in block i's pending list."""
     if blocks is None:
-        blocks = [block_at(element_id=0, index=i) for i in range(len(stats))]
-    if retx is None:
-        retx = [False] * len(stats)
-    return SchedulingContext(now=now, blocks=list(blocks), stats=list(stats),
-                             retransmission=list(retx), regime=regime,
-                             smoothed_bw=smoothed)
+        blocks = [block_at(element_id=0, index=i) for i in range(len(rows))]
+    for block, lost in zip(blocks, retx):
+        if lost:
+            block.pending.append(Packet(block, 0, 1500))
+    rows = list(rows)
+    return SchedulingContext(now=now, blocks=list(blocks), regime=regime, smoothed_bw=smoothed,
+                             features=lambda block, _now: rows[block.block_id[1]])
 
 
 class TestBlockStats:
@@ -355,31 +357,20 @@ class TestRetransmissionDominance:
         assert decision.selected == ctx.blocks[0].block_id
         assert decision.reason is DecisionReason.RETRANSMISSION
 
-    def test_empty_queue(self):
-        decision = select_block_proposed(ctx_of([]))
-        assert decision.selected is None
-        assert decision.reason is DecisionReason.NONE_ELIGIBLE
+    def test_retransmission_builds_no_features(self):
+        def refuse(block, now):
+            raise AssertionError("features built for %r" % (block.block_id,))
 
-
-class TestSchedulingContext:
-    def test_flags_are_built_once_on_first_read(self):
-        # a block's flag is whether a lost packet waits in its pending list
         blocks = [block_at(element_id=0, index=i) for i in range(3)]
         blocks[1].pending.append(Packet(blocks[1], 0, 1500))
-        ctx = SchedulingContext(now=0.0, blocks=blocks, regime=Regime.MID, smoothed_bw=1.0)
-        assert ctx._retransmission is None  # nothing built before the first read
-        assert ctx.retransmission == [False, True, False]
-        assert ctx.retransmission is ctx.retransmission
-        blocks[1].pending.clear()  # a later read keeps the first read's list
-        assert ctx.retransmission == [False, True, False]
-        assert select_block_proposed(ctx).reason is DecisionReason.RETRANSMISSION
+        ctx = SchedulingContext(now=0.0, blocks=blocks, regime=Regime.LOW, smoothed_bw=1.0,
+                                features=refuse)
+        assert select_block_proposed(ctx).selected == blocks[1].block_id
 
-    def test_given_flags_are_never_recomputed(self):
-        retx = [False, True]  # the blocks themselves have no lost packet
-        ctx = ctx_of([stats_of(), stats_of()], retx=retx)
-        assert ctx.retransmission == retx
-        assert ctx.retransmission is ctx.retransmission
-        assert select_block_proposed(ctx).selected == ctx.blocks[1].block_id
+    def test_empty_queue(self):
+        decision = select_block_proposed(ctx_of())
+        assert decision.selected is None
+        assert decision.reason is DecisionReason.NONE_ELIGIBLE
 
 
 class TestSchedulerDecision:
@@ -511,17 +502,17 @@ class TestBaselineOracles:
 
 class TestFifo:
     def test_oldest_first(self):
-        ctx = ctx_of([stats_of(), stats_of(), stats_of()])
+        ctx = ctx_of(blocks=[block_at(element_id=0, index=i) for i in range(3)])
         assert select_block_fifo(ctx).selected == ctx.blocks[0].block_id
 
     def test_empty(self):
-        assert select_block_fifo(ctx_of([])).selected is None
+        assert select_block_fifo(ctx_of()).selected is None
 
 
 class TestLdf:
     def test_deficits_accrue_at_arrival_rate(self):
         sched = LdfScheduler({0: 2.0, 1: 1.0})
-        ctx = ctx_of([stats_of(), stats_of()], now=1.5,
+        ctx = ctx_of(now=1.5,
                      blocks=[block_at(element_id=0, index=0, arrival_time=0.0, deadline_s=9.0),
                              block_at(element_id=1, index=0, arrival_time=0.0, deadline_s=9.0)])
         decision = sched.select(ctx)
@@ -546,7 +537,7 @@ class TestLdf:
 
     def test_ties_keep_earlier_arrival(self):
         sched = LdfScheduler({0: 1.0, 1: 1.0})
-        ctx = ctx_of([stats_of(), stats_of()], now=1.0,
+        ctx = ctx_of(now=1.0,
                      blocks=[block_at(element_id=0, index=0, deadline_s=9.0),
                              block_at(element_id=1, index=0, deadline_s=9.0)])
         assert sched.select(ctx).selected == (0, 0)
@@ -569,8 +560,7 @@ class TestRswn:
 
     def test_heaviest_completable_block_wins(self):
         blocks = self._blocks()
-        stats = [compute_block_stats(b, 0.0) for b in blocks]
-        ctx = ctx_of(stats, blocks=blocks, now=0.0, smoothed=10000.0)
+        ctx = ctx_of(blocks=blocks, now=0.0, smoothed=10000.0)
         decision = select_block_rswn(ctx)
         assert decision.selected == (2, 0)
         assert decision.score == 2.0  # weight 1 + P of the winner
@@ -578,22 +568,29 @@ class TestRswn:
     def test_weight_ties_prefer_earlier_deadline(self):
         blocks = [block_at(element_id=0, index=0, total_bytes=1500, deadline_s=0.4, priority=1),
                   block_at(element_id=1, index=0, total_bytes=1500, deadline_s=0.3, priority=1)]
-        stats = [compute_block_stats(b, 0.0) for b in blocks]
-        ctx = ctx_of(stats, blocks=blocks, now=0.0, smoothed=10000.0)
+        ctx = ctx_of(blocks=blocks, now=0.0, smoothed=10000.0)
         assert select_block_rswn(ctx).selected == (1, 0)
+
+    def test_full_tie_keeps_the_earlier_block(self):
+        # equal weight and equal expiry instant: the earlier block in queue
+        # order wins, as in the reference scan; a non-strict expiry
+        # comparison would hand the slot to the later one
+        blocks = [block_at(element_id=i, index=0, total_bytes=1500, deadline_s=0.2, priority=1)
+                  for i in (0, 1)]
+        ctx = ctx_of(blocks=blocks, now=0.0, smoothed=1e6)
+        assert reference_rswn(blocks, 0.0, 1e6) == (0, 2.0)
+        _matches(select_block_rswn(ctx), ctx, (0, 2.0))
 
     def test_falls_back_to_earliest_deadline(self):
         blocks = self._blocks()
-        stats = [compute_block_stats(b, 0.0) for b in blocks]
-        ctx = ctx_of(stats, blocks=blocks, now=0.0, smoothed=1.0)
+        ctx = ctx_of(blocks=blocks, now=0.0, smoothed=1.0)
         decision = select_block_rswn(ctx)
         # two blocks share the earliest expiry; queue order breaks the tie
         assert decision.selected == (0, 0)
 
     def test_zero_bandwidth_uses_fallback(self):
         blocks = self._blocks()
-        stats = [compute_block_stats(b, 0.0) for b in blocks]
-        ctx = ctx_of(stats, blocks=blocks, now=0.0, smoothed=0.0)
+        ctx = ctx_of(blocks=blocks, now=0.0, smoothed=0.0)
         assert select_block_rswn(ctx).selected == (0, 0)
 
 

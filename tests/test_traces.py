@@ -197,6 +197,12 @@ class TestCapacityLookupAndIntegration:
         # 600 bytes starting at 0: 500 by t=0.5, stall, finish at 1.1
         assert trace.time_to_send(0.0, 600) == pytest.approx(1.1)
 
+    def test_time_to_send_ending_exactly_on_a_loop_boundary(self):
+        # 500 B is the whole loop's bytes, all carried by t = 0.5, so the
+        # send ends there and not at the start of the next loop (t = 1.0)
+        trace = mk([(0.0, 1000.0), (0.5, 0.0)], 1.0)
+        assert trace.time_to_send(0.0, 500) == 0.5
+
     def test_time_to_send_when_rounding_leaves_more_than_a_loop(self):
         # floor(target / base) undercounts by one loop here, so the bytes
         # left for the last loop exceed one loop's bytes by about 2e-5 B;
