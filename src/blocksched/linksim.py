@@ -19,23 +19,17 @@ round trip after the send. Acknowledgements and loss signals are never
 lost themselves. Each send takes one draw from a dedicated seeded loss
 stream, so a run is a pure function of its configuration.
 
-A block's packets are built as the policy first takes them: ``_fill_slot``
-builds packet i = block.built of a block with no lost packet waiting, so a
-block that expires unsent builds none. A packet holds its block, so every
-handler reaches the block from the packet alone. A lost packet goes back
-into its block's ``pending`` list, and the next take of that block
-retransmits the most recently lost one first.
+The engine schedules events; the awaiting queue (``model``) owns each
+queued block's packets. ``_fill_slot`` has it ``take`` the chosen block's
+next packet, built then, so a block that expires unsent builds none, and a
+loss signal hands the packet to its ``lost``, which requeues it or, for an
+expired block, discards it. A packet holds its block, so every handler
+reaches the block from the packet alone.
 
 A packet is held only while the sender needs it: by the selection slot,
-then by its response event and the inflight ledger (keyed on the packet,
-with its size and send time) while it is on the wire, and by its block's
-``pending`` list after a loss. Its acknowledgement, a loss signal for an
-expired block, a slot discard or the expiry filter's discard of
-``pending`` drops the last reference, so the live packets are the slot's,
-the ledger's and the pending lists', and a run's memory grows with what is
-in flight, not with the packets it sent. Its block's counts record where
-its packets went: unbuilt, acknowledged and discarded packets, and the
-latest client arrival booked.
+by its response event and the inflight ledger (keyed on the packet, with
+its size and send time) while on the wire, and by its block's ``pending``
+list after a loss, so a run's memory grows with what is in flight.
 
 Sends are serial and the delay is fixed, so both the client arrival and
 the response of a packet are known when it is sent. The send applies the
@@ -70,19 +64,13 @@ from .model import (
     BlockAwaitingQueue,
     Packet,
     ScenarioConfig,
+    filter_expired,
     generate_blocks,
     mark_block_complete,
 )
 from .predictor import BandwidthPredictor, InflightLedger, Thresholds
-from .schedulers import (
-    Scheduler,
-    SchedulerDecision,
-    SchedulingContext,
-    compute_block_stats,
-    filter_expired,
-)
+from .schedulers import Scheduler, SchedulerDecision, SchedulingContext, compute_block_stats
 from .traces import LinkTrace
-from .units import PACKET_PAYLOAD_BYTES
 
 _LOSS_STREAM_OFFSET = 0x1F3A9C
 
@@ -249,10 +237,9 @@ class Simulation:
         self.scheduler.note_block_resolved(block.element_id, False)
 
     def _fill_slot(self, t: float) -> None:
-        """Let the policy choose a block at t and put its next packet in the
-        selection queue: its most recently lost packet if one waits, else
-        its next packet, built here; with nothing eligible, or when the
-        policy passes, the slot stays empty."""
+        """Let the policy choose a block at t and put the packet the queue's
+        ``take`` gives for it in the selection queue; with nothing eligible,
+        or when the policy passes, the slot stays empty."""
         queue = self.queue
         eligible = queue.sendable()
         for b in eligible:
@@ -294,19 +281,7 @@ class Simulation:
             raise SimulationInvariantError(
                 "scheduler %s selected ineligible block %r" % (self.scheduler.name, selected)
             )
-        pending = block.pending
-        if pending:
-            packet = pending.pop()
-        else:
-            # the next fresh packet, built inline: full payloads, then the
-            # smaller tail
-            i = block.built
-            size = block.total_bytes - i * PACKET_PAYLOAD_BYTES
-            packet = Packet(block, i, size if size < PACKET_PAYLOAD_BYTES
-                            else PACKET_PAYLOAD_BYTES)
-            block.unsent -= 1
-        if not (block.unsent or pending):
-            queue.pending_changed(block)  # its last packet to send was taken
+        packet = queue.take(block)
         packet.enqueue_time = t
         self._slot = packet
 
@@ -419,14 +394,7 @@ class Simulation:
         sample = self.predictor.observe_response(self.ledger, packet.send_time, t)
         self.ledger.remove(packet)
         self.counters["loss_signals"] += 1
-        block = packet.block
-        if block.expired:
-            block.discarded_packets += 1
-            requeued = False
-        else:
-            block.pending.append(packet)  # taken first: the most recently lost
-            self.queue.pending_changed(block)
-            requeued = True
+        if requeued := self.queue.lost(packet):
             self._ensure_opportunity(t)
         if self.record is not None:
             self.record({"kind": "loss", "t": t, "packet_id": _packet_ref(packet),

@@ -34,12 +34,13 @@ holds, so every expiry check is one comparison, ``now >= expires_at``,
 and every deadline quantity (the scheduling feature Dr, rswn's keys) is
 measured to that same instant.
 
-The sender's awaiting queue keeps a sendable index beside its blocks: the
-queued blocks that have something to send, in queue order. A decision walks
-only that index, because most queued blocks on a long round trip are just
-waiting for packets already in flight. Beside it the queue keeps an expiry
-watermark, a lower bound on its blocks' ``expires_at``, so the expiry
-filter scans the queue only once a block can have expired.
+The sender's awaiting queue owns its blocks' packet life cycle (``take``,
+``lost`` and ``filter_expired``) and keeps a sendable index in step: the
+queued blocks that have something to send, in queue order. A decision
+walks only that index, because most queued blocks on a long round trip
+wait for packets already in flight. An expiry watermark, a lower bound
+on the queued blocks' ``expires_at``, lets the expiry filter scan the
+queue only once a block can have expired.
 """
 from __future__ import annotations
 
@@ -120,7 +121,7 @@ class ScenarioConfig:
                 for item in data["elements"]
             ]
             cfg = cls(name=str(data["name"]), elements=elements)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(1e400)
             raise ConfigurationError("malformed scenario config: %s" % exc) from exc
         cfg.validate()
         return cfg
@@ -134,7 +135,10 @@ def load_scenario(path: str) -> ScenarioConfig:
         raise ConfigurationError("cannot read scenario file %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError("scenario file %s is not valid JSON: %s" % (path, exc)) from exc
-    return ScenarioConfig.from_dict(data)
+    try:
+        return ScenarioConfig.from_dict(data)
+    except ConfigurationError as exc:
+        raise ConfigurationError("scenario file %s: %s" % (path, exc)) from exc
 
 
 @dataclass(slots=True, eq=False)
@@ -186,12 +190,11 @@ class Block:
     """One deadline-constrained unit of content.
 
     ``unsent`` counts the packets not built yet, and ``built``, the rest
-    of ``packet_count``, the packets built so far; the sender builds
-    packet i = built when it takes a fresh one, of PACKET_PAYLOAD_BYTES
-    or the smaller tail. An expired block builds no more, so its
+    of ``packet_count``, the packets built so far (the queue's ``take``
+    builds packet i = built). An expired block builds no more, so its
     ``unsent`` stays as the expiry left it. ``pending`` holds the lost
-    packets awaiting retransmission; the sender takes them from its end,
-    most recently lost first. Each send that is not lost books its
+    packets awaiting retransmission, most recently lost last; ``take``
+    takes that one first. Each send that is not lost books its
     packet's client arrival, and ``latest_receive_time`` is the latest
     one booked. A built packet ends delivered (counted in
     ``acked_packets``) or discarded (``discarded_packets``).
@@ -288,18 +291,16 @@ class BlockAwaitingQueue:
 
     A second dict, the sendable index, holds the queued blocks that have
     something to send (``pending or unsent``), in queue order;
-    ``sendable()`` returns it as a list. ``enqueue`` and ``remove`` keep it
-    in step on their own. Whoever takes the last packet a queued block had
-    to send, or puts a lost one back into its ``pending``, calls
-    ``pending_changed(block)`` afterwards; a take that leaves the block
-    something to send changes nothing in the index.
+    ``sendable()`` returns it as a list. Only the queue's own methods and
+    ``filter_expired`` change a queued block's packets, and each keeps the
+    index in step.
 
     ``next_expiry`` is the expiry watermark: a lower bound on the queued
     blocks' ``expires_at`` (infinity while none is queued), so no queued
     block is past its deadline before that instant. ``enqueue`` lowers it;
-    ``remove`` leaves it, since a lower bound stays one when a block goes.
-    Whoever scans the queue for expired blocks may raise it to the least
-    ``expires_at`` among the blocks that stay.
+    ``remove`` leaves it, since a lower bound stays one when a block goes;
+    ``filter_expired`` raises it to the least ``expires_at`` among the
+    blocks that stay.
     """
 
     def __init__(self) -> None:
@@ -342,28 +343,79 @@ class BlockAwaitingQueue:
         del self._ids[block.block_id]
         self._ready.pop(block.block_id, None)
 
-    def pending_changed(self, block: Block) -> None:
-        """Bring the sendable index in step after a packet was taken from
-        block or a lost one put back.
-
-        A block with nothing left to send drops out. A block that has a
-        packet again (a loss after its last packet was sent) takes back its
-        place in queue order, which needs a rebuild of the index; that is
-        rare, so it costs one pass over the queue.
-        """
-        if block.unsent or block.pending:
-            if block.block_id not in self._ready:
-                self._ready = {block_id: b for block_id, b in self._ids.items()
-                               if b.unsent or b.pending}
+    def take(self, block: Block) -> Packet:
+        """The next packet of block, which must be sendable: its most recently
+        lost packet if one waits, else one built here (full payloads, then
+        the smaller tail). A block left with nothing to send is unindexed."""
+        pending = block.pending
+        if pending:
+            packet = pending.pop()
         else:
-            self._ready.pop(block.block_id, None)
+            i = block.built
+            size = block.total_bytes - i * PACKET_PAYLOAD_BYTES
+            packet = Packet(block, i, size if size < PACKET_PAYLOAD_BYTES
+                            else PACKET_PAYLOAD_BYTES)
+            block.unsent -= 1
+        if not (block.unsent or pending):
+            del self._ready[block.block_id]
+        return packet
+
+    def lost(self, packet: Packet) -> bool:
+        """A send of packet was lost: False when its block has expired and
+        the packet is discarded, else True, and it waits in ``pending``. A
+        block that had nothing left to send takes back its index place, a
+        rare rebuild that costs one pass over the queue."""
+        block = packet.block
+        if block.expired:
+            block.discarded_packets += 1
+            return False
+        block.pending.append(packet)
+        if block.block_id not in self._ready:
+            self._ready = {block_id: b for block_id, b in self._ids.items()
+                           if b.unsent or b.pending}
+        return True
+
+
+def filter_expired(queue: BlockAwaitingQueue, now: float) -> list[Block]:
+    """Remove blocks whose deadline window has closed, as decided by
+    ``Block.past_deadline``.
+
+    An expired block's lost packets awaiting retransmission are discarded
+    (and counted in its ``discarded_packets``) and its unbuilt packets are
+    never built; packets already on the wire keep flying and their
+    responses are still processed. Returns the expired blocks, in queue
+    order, so the caller can record their outcomes.
+
+    The queue is scanned only once now has reached its expiry watermark
+    ``next_expiry``; before that no queued block can be past its deadline
+    and the result is empty. A scan raises the watermark to the least
+    ``expires_at`` among the blocks that stay.
+    """
+    if now < queue.next_expiry:
+        return []
+    expired = []
+    next_expiry = math.inf
+    for block in queue:
+        expires_at = block.expires_at
+        if now >= expires_at:
+            expired.append(block)
+        elif expires_at < next_expiry:
+            next_expiry = expires_at
+    for block in expired:
+        block.expired = True
+        block.discarded_packets += len(block.pending)
+        block.pending.clear()
+        queue.remove(block)
+    queue.next_expiry = next_expiry
+    return expired
 
 
 def mark_block_complete(block: Block, queue: BlockAwaitingQueue | None = None) -> float:
     """Finalize a block whose packets have all reached the client.
 
     Sets the completion time F to the latest client receive time, removes
-    the block from the queue when one is given, and returns F.
+    the block from the queue when one is given (a live block is always
+    queued, so an absent one is an error), and returns F.
     """
     if block.completion_time is not None:
         raise IllegalStateError("block %r already complete" % (block.block_id,))
@@ -382,6 +434,6 @@ def mark_block_complete(block: Block, queue: BlockAwaitingQueue | None = None) -
             "block %r finished at %r before its arrival %r" % (block.block_id, finish, block.arrival_time)
         )
     block.completion_time = finish
-    if queue is not None and block.block_id in queue:
+    if queue is not None:
         queue.remove(block)
     return finish

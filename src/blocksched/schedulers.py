@@ -1,9 +1,11 @@
 """Block selection policies.
 
 All policies see the same view: the queue of live blocks in arrival
-order, already stripped of expired blocks, restricted to blocks that
-have a packet ready to send. They return the id of the block whose next
-packet should enter the selection queue.
+order, already stripped of expired blocks by ``model.filter_expired``,
+restricted to blocks that have a packet ready to send. They return the
+id of the block whose next packet should enter the selection queue, and
+change no block and no queue: the awaiting queue in ``model`` owns every
+change to a queued block's packets.
 
 Each stateless policy is a plain ``select_block_*`` function of that
 view, and ``Scheduler(name, policy)`` is the one class that drives any
@@ -51,11 +53,10 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError, IllegalStateError
-from .model import Block, BlockAwaitingQueue, BlockId
+from .model import Block, BlockId
 from .predictor import Regime
 
 # a block's scheduling features at one instant, a plain tuple built at most
@@ -86,40 +87,6 @@ def compute_block_stats(block: Block, now: float) -> BlockFeatures:
             (expires_at - now) / block.deadline_s,
             block.packet_count - block.acked_packets,
             block.priority)
-
-
-def filter_expired(queue: BlockAwaitingQueue, now: float) -> list[Block]:
-    """Remove blocks whose deadline window has closed, as decided by
-    ``Block.past_deadline``.
-
-    An expired block's lost packets awaiting retransmission are discarded
-    (and counted in its ``discarded_packets``) and its unbuilt packets are
-    never built; packets already on the wire keep flying and their
-    responses are still processed. Returns the expired blocks, in queue
-    order, so the caller can record their outcomes.
-
-    The queue is scanned only once now has reached its expiry watermark
-    ``next_expiry``; before that no queued block can be past its deadline
-    and the result is empty. A scan raises the watermark to the least
-    ``expires_at`` among the blocks that stay.
-    """
-    if now < queue.next_expiry:
-        return []
-    expired = []
-    next_expiry = math.inf
-    for block in queue:
-        expires_at = block.expires_at
-        if now >= expires_at:
-            expired.append(block)
-        elif expires_at < next_expiry:
-            next_expiry = expires_at
-    for block in expired:
-        block.expired = True
-        block.discarded_packets += len(block.pending)
-        block.pending.clear()
-        queue.remove(block)
-    queue.next_expiry = next_expiry
-    return expired
 
 
 class DecisionReason(str, enum.Enum):

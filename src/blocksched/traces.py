@@ -225,6 +225,11 @@ def parse_packet_opportunity_trace(lines, bucket_s: float = 1.0,
                                   % (source_tag, lineno, line)) from None
         if ms < 0:
             raise TraceParseError("%s line %d: negative timestamp %d" % (source_tag, lineno, ms))
+        try:
+            float(ms)  # bucketing divides by a float bucket width
+        except OverflowError:
+            raise TraceParseError("%s line %d: a %d-digit timestamp is out of range"
+                                  % (source_tag, lineno, len(line))) from None
         if last is not None and ms < last:
             raise TraceParseError("%s line %d: timestamp %d decreases below %d"
                                   % (source_tag, lineno, ms, last))

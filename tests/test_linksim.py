@@ -445,8 +445,7 @@ class TestGuards:
         block = sim.blocks[0]
         while not block.pending:
             sim.advance()
-        block.pending.pop()
-        sim.queue.pending_changed(block)
+        sim.queue.take(block)  # taken, then neither sent nor discarded
         with pytest.raises(SimulationInvariantError,
                            match=r"built 2 packets but 1 were acked and 0 discarded"):
             sim.run()
@@ -542,7 +541,7 @@ class TestFeatureBuilds:
                          LOSSLESS)
         block = sim.blocks[0]
         sim.queue.enqueue(block)
-        block.unsent = 0  # without telling the queue through pending_changed
+        block.unsent = 0  # behind the queue's back: only its take counts a packet out
         with pytest.raises(SimulationInvariantError, match="nothing to send"):
             sim._fill_slot(block.arrival_time)
 

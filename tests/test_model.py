@@ -15,18 +15,16 @@ from blocksched.errors import (
     IllegalStateError,
     SimulationInvariantError,
 )
-from blocksched.linksim import RunParams, Simulation
 from blocksched.model import (
     BlockAwaitingQueue,
     MediaElement,
     Packet,
     ScenarioConfig,
+    filter_expired,
     generate_blocks,
     load_scenario,
     mark_block_complete,
 )
-from blocksched.schedulers import filter_expired, make_scheduler
-from blocksched.traces import synthesize_trace
 from blocksched.units import PACKET_PAYLOAD_BYTES
 
 from conftest import SCENARIO_DIR, block_at, built_block, element, scenario_of, ulps_from
@@ -78,39 +76,31 @@ class TestGenerateBlocks:
 
 
 class OneBlockSender:
-    """A Simulation with one queued block, driven step by step through the
-    engine's own handlers: ``take`` is ``_fill_slot`` (the packet is then
-    treated as sent at that instant), ``lose`` is ``_on_loss_signal`` one
-    millisecond later, and ``expire`` is the expiry filter at the block's
-    expiry instant."""
+    """One block in a bare awaiting queue, driven step by step through the
+    queue's packet life cycle: ``take`` is the queue's ``take`` (the packet
+    is then on the wire), ``lose`` is its ``lost``, and ``expire`` is the
+    expiry filter at the block's expiry instant."""
 
-    def __init__(self, total_bytes, deadline_s=5.0):
-        scenario = scenario_of(element(block_size_bytes=total_bytes, deadline_s=deadline_s,
-                                       period_s=10.0))
-        self.sim = Simulation(synthesize_trace("constant", duration_s=1.0, seed=0, mbps=1.0),
-                              scenario, make_scheduler("fifo"), RunParams(duration_s=10.0))
-        (self.block,) = self.sim.blocks
-        self.t = self.block.arrival_time
-        self.sim._on_block_arrival(self.t, self.block)
+    def __init__(self, total_bytes):
+        self.block = block_at(total_bytes=total_bytes, deadline_s=5.0)
+        self.queue = BlockAwaitingQueue()
+        self.queue.enqueue(self.block)
 
     def take(self) -> Packet:
-        sim = self.sim
-        sim._fill_slot(self.t)
-        packet, sim._slot = sim._slot, None
-        packet.send_time = self.t
-        sim.ledger.add(packet, packet.size_bytes, self.t)
-        return packet
+        return self.queue.take(self.block)
 
     def lose(self, packet) -> None:
-        self.t += 0.001
-        self.sim._on_loss_signal(self.t, packet)
+        # an expired block's packet is discarded, a live one's requeued
+        assert self.queue.lost(packet) == (not self.block.expired)
 
     def expire(self) -> None:
-        assert filter_expired(self.sim.queue, self.block.expires_at) == [self.block]
+        assert filter_expired(self.queue, self.block.expires_at) == [self.block]
 
     def take_all(self) -> list[Packet]:
+        """Take until the block leaves the sendable index, and at most one
+        packet more than it has."""
         taken = []
-        while self.block in self.sim.queue.sendable():
+        while self.block in self.queue.sendable() and len(taken) <= self.block.packet_count:
             taken.append(self.take())
         return taken
 
@@ -200,7 +190,7 @@ class TestLazyPacketsEqualTheEagerModel:
                     ("take", 0), ("take", 0), ("lose", 1), ("expire", 0), ("lose", 0)])
     def test_same_packet_order_and_states(self, total, steps):
         sender, eager = OneBlockSender(total), EagerBlock(total)
-        block, queue = sender.block, sender.sim.queue
+        block, queue = sender.block, sender.queue
         taken = {}  # packet index -> the packet object, once taken
         inflight = []  # packet indices taken and not lost since
         for op, arg in steps:
@@ -357,8 +347,7 @@ class TestSendableIndex:
         q, blocks = queued_blocks(2)
         first = blocks[0]
         while first.unsent:
-            first.unsent -= 1  # a fresh packet taken
-            q.pending_changed(first)
+            q.take(first)
             assert (first in q.sendable()) == bool(first.unsent)
         assert q.sendable() == [blocks[1]]
         assert first.block_id in q  # still queued: its packets are in flight
@@ -366,12 +355,21 @@ class TestSendableIndex:
     def test_reentering_block_takes_back_its_queue_place(self):
         q, blocks = queued_blocks(3)
         middle = blocks[1]
-        middle.unsent = 0  # every packet taken
-        q.pending_changed(middle)
+        taken = [q.take(middle) for _ in range(middle.packet_count)]  # every packet taken
         assert q.sendable() == [blocks[0], blocks[2]]
-        middle.pending.append(Packet(middle, 0, 1500))  # a loss re-queues one
-        q.pending_changed(middle)
+        assert q.lost(taken[0])  # a loss re-queues one
         assert q.sendable() == blocks
+        assert q.take(middle) is taken[0]  # the lost packet is sent again
+        assert q.sendable() == [blocks[0], blocks[2]]
+
+    def test_lost_packet_of_an_expired_block_is_discarded(self):
+        q, blocks = queued_blocks(2)
+        first = blocks[0]
+        packet = q.take(first)
+        assert filter_expired(q, first.expires_at) == [first]
+        assert not q.lost(packet)
+        assert first.pending == [] and first.discarded_packets == 1
+        assert q.sendable() == [blocks[1]]
 
     def test_block_enqueued_with_nothing_pending_is_not_sendable(self):
         b = block_at()
@@ -381,28 +379,25 @@ class TestSendableIndex:
         assert b.block_id in q
         assert q.sendable() == []
 
-    @given(st.lists(st.tuples(st.sampled_from(["take", "lose", "remove"]), st.integers(0, 3)),
-                    max_size=40))
+    @given(st.lists(st.tuples(st.sampled_from(["take", "lose", "remove", "expire"]),
+                              st.integers(0, 3)), max_size=40))
     def test_equals_the_queued_blocks_with_packets_pending(self, ops):
+        # block i's window closes after block i - 1's, so expiring block i
+        # expires every queued block before it too
         q, blocks = queued_blocks(4)
-        taken = {b.block_id: [] for b in blocks}
+        inflight = {b.block_id: [] for b in blocks}  # taken and not lost since
         for op, i in ops:
             b = blocks[i]
-            if b.block_id not in q:
-                pass
+            if op == "lose" and inflight[b.block_id] and (b.block_id in q or b.expired):
+                assert q.lost(inflight[b.block_id].pop()) == (not b.expired)
+            elif b.block_id not in q:
+                pass  # completed or expired
             elif op == "remove":
                 q.remove(b)
+            elif op == "expire":
+                assert b in filter_expired(q, b.expires_at)
             elif op == "take" and (b.pending or b.unsent):
-                if b.pending:
-                    packet = b.pending.pop()
-                else:
-                    packet = Packet(b, b.built, 1500)
-                    b.unsent -= 1
-                taken[b.block_id].append(packet)
-                q.pending_changed(b)
-            elif op == "lose" and taken[b.block_id]:
-                b.pending.append(taken[b.block_id].pop())
-                q.pending_changed(b)
+                inflight[b.block_id].append(q.take(b))
             assert q.sendable() == [x for x in q if x.pending or x.unsent]
 
 
@@ -476,6 +471,14 @@ class TestMarkBlockComplete:
         assert finish == 0.07
         assert b.completion_time == 0.07
         assert b.block_id not in q
+
+    def test_completing_a_block_absent_from_the_queue_is_illegal(self):
+        # a live block is always queued, so an absent one is an engine fault
+        b = built_block(total_bytes=1500)
+        b.latest_receive_time = 0.05
+        b.received_packets = 1
+        with pytest.raises(IllegalStateError, match="not in queue"):
+            mark_block_complete(b, BlockAwaitingQueue())
 
     def test_unreceived_packet_blocks_completion(self):
         b = built_block(total_bytes=3000)

@@ -612,6 +612,25 @@ class TestCli:
         assert main(["report", "--records", str(records_dir)]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: record %s %s" % (bad, problem)]
 
+    def test_out_of_range_scenario_number_exits_1_with_one_line(self, tmp_path, capsys):
+        # json reads 1e400 as infinity, which no byte count can be
+        data = dataclasses.asdict(load_scenario(SCENARIO_1))
+        data["elements"][0]["block_size_bytes"] = "@"
+        scenario = tmp_path / "huge.json"
+        scenario.write_text(json.dumps(data).replace('"@"', "1e400"))
+        assert main(["run", "--scenario", str(scenario), "--trace", self._write_trace(tmp_path),
+                     "--duration-s", "1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: scenario file %s: malformed scenario config: "
+            "cannot convert float infinity to integer" % scenario]
+
+    def test_out_of_range_opportunity_stamp_exits_1_with_one_line(self, tmp_path, capsys):
+        trace = tmp_path / "huge.txt"
+        trace.write_text("5\n%s\n" % ("1" * 401))
+        assert main(["traces", "parse", "--input", str(trace)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: %s line 2: a 401-digit timestamp is out of range" % trace]
+
     def test_config_errors_exit_1(self, tmp_path, capsys):
         trace = self._write_trace(tmp_path)
         assert main(["run", "--scenario", SCENARIO_1, "--trace", trace,

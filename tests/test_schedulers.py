@@ -10,7 +10,7 @@ from hypothesis import assume, given, strategies as st
 from blocksched.errors import ConfigurationError, IllegalStateError
 from blocksched.linksim import RunParams
 from blocksched.metrics import delivery_indicator
-from blocksched.model import BlockAwaitingQueue, Packet
+from blocksched.model import BlockAwaitingQueue, Packet, filter_expired
 from blocksched.predictor import Regime
 from blocksched.schedulers import (
     DecisionReason,
@@ -18,7 +18,6 @@ from blocksched.schedulers import (
     SchedulerDecision,
     SchedulingContext,
     compute_block_stats,
-    filter_expired,
     make_scheduler,
     select_block_fifo,
     select_block_proposed,
@@ -166,6 +165,7 @@ def _engine_on_time(arrival: float, deadline: float, finish: float) -> bool:
                         element_id=9)
 
     def deliver(sim):
+        sim.queue.enqueue(block)  # a live block is queued until it completes
         block.latest_receive_time = finish
         block.received_packets = 1
         sim._on_block_delivered(finish, block)
