@@ -25,7 +25,6 @@ run. Run it by hand from the repository root:
 
     python3 scripts/mutants.py                       # this checkout
     python3 scripts/mutants.py --repo ../parent      # another checkout
-    python3 scripts/mutants.py --only oldest-loss-first ldf-no-deficit-clamp
 
 Exit status: 0 when every present mutant is killed, 2 when one survived,
 1 when the unmutated suite fails or a fragment occurs more than once.
@@ -73,7 +72,9 @@ MUTANTS = (
     ("loss-signal-after-the-wire", "(t + self.rtt_s, _LOSS_SIGNAL,", "(end + self.rtt_s, _LOSS_SIGNAL,"),
     # the awaiting queue's packet life cycle and expiry
     ("take-keeps-exhausted-block", "if not (block.unsent or pending):", "if False:"),
-    ("lost-skips-rebuild", "if block.block_id not in self._ready:", "if False:"),
+    # the rebuild scans only the sendable blocks, so the re-entering one is left out
+    ("lost-skips-rebuild", "for block_id, b in self._ids.items()",
+     "for block_id, b in self._ready.items()"),
     ("lost-requeues-expired", "if block.expired:\n            block.discarded_packets += 1",
      "if False:\n            block.discarded_packets += 1"),
     ("expiry-inclusive-window", "if now >= expires_at:", "if now > expires_at:"),
@@ -131,12 +132,7 @@ def run_suite(repo: str) -> tuple[bool, list[str]]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repo", default=".", help="checkout to test (default: .)")
-    parser.add_argument("--only", nargs="+", metavar="ID", help="run only these mutants")
     args = parser.parse_args(argv)
-    mutants = [m for m in MUTANTS if not args.only or m[0] in args.only]
-    unknown = set(args.only or ()) - {m[0] for m in MUTANTS}
-    if unknown:
-        parser.error("unknown mutant ids: %s" % ", ".join(sorted(unknown)))
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         copy = os.path.join(scratch, "repo")
         shutil.copytree(args.repo, copy, ignore=IGNORED)
@@ -146,7 +142,7 @@ def main(argv=None) -> int:
             print("unmutated Tier-1 fails (%s); no verdict" % (", ".join(failing) or "?"))
             return 1
         survived = ambiguous = 0
-        for mutant_id, fragment, replacement in mutants:
+        for mutant_id, fragment, replacement in MUTANTS:
             hits = locate(src_dir, fragment)
             if len(hits) != 1:
                 verdict = "absent" if not hits else "ambiguous (%d hits)" % len(hits)

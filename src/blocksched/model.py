@@ -347,6 +347,8 @@ class BlockAwaitingQueue:
         """The next packet of block, which must be sendable: its most recently
         lost packet if one waits, else one built here (full payloads, then
         the smaller tail). A block left with nothing to send is unindexed."""
+        if block.block_id not in self._ready:
+            raise IllegalStateError("block %r has nothing to send" % (block.block_id,))
         pending = block.pending
         if pending:
             packet = pending.pop()

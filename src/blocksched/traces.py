@@ -29,6 +29,8 @@ from .units import BYTES_PER_S_PER_MBPS, PACKET_PAYLOAD_BYTES, mbps_to_bytes_per
 FILTER_MEAN_MBPS_MAX = 3.0
 FILTER_MIN_MBPS_FLOOR = 0.2
 
+MAX_OPPORTUNITY_BUCKETS = 1_000_000  # one sample each; 11.6 days of 1 s buckets
+
 
 @dataclass
 class LinkTrace:
@@ -209,9 +211,10 @@ def parse_csv_trace(lines, source_tag: str = "csv") -> LinkTrace:
 def parse_packet_opportunity_trace(lines, bucket_s: float = 1.0,
                                    source_tag: str = "opportunity") -> LinkTrace:
     """Bucket millisecond delivery opportunities, one full packet payload
-    each, into a capacity trace."""
+    each, into a capacity trace of at most ``MAX_OPPORTUNITY_BUCKETS`` buckets."""
     if bucket_s <= 0:
         raise ConfigurationError("bucket_s must be positive, got %r" % bucket_s)
+    bucket_ms = bucket_s * 1000.0
     stamps_ms: list[int] = []
     last = None
     for lineno, raw in enumerate(lines, start=1):
@@ -225,11 +228,9 @@ def parse_packet_opportunity_trace(lines, bucket_s: float = 1.0,
                                   % (source_tag, lineno, line)) from None
         if ms < 0:
             raise TraceParseError("%s line %d: negative timestamp %d" % (source_tag, lineno, ms))
-        try:
-            float(ms)  # bucketing divides by a float bucket width
-        except OverflowError:
-            raise TraceParseError("%s line %d: a %d-digit timestamp is out of range"
-                                  % (source_tag, lineno, len(line))) from None
+        if ms >= MAX_OPPORTUNITY_BUCKETS * bucket_ms:  # refused before any bucket is made
+            raise TraceParseError("%s line %d: timestamp past the limit of %d buckets of %g s"
+                                  % (source_tag, lineno, MAX_OPPORTUNITY_BUCKETS, bucket_s))
         if last is not None and ms < last:
             raise TraceParseError("%s line %d: timestamp %d decreases below %d"
                                   % (source_tag, lineno, ms, last))
@@ -237,7 +238,6 @@ def parse_packet_opportunity_trace(lines, bucket_s: float = 1.0,
         last = ms
     if not stamps_ms:
         raise TraceParseError("%s: no opportunities found" % source_tag)
-    bucket_ms = bucket_s * 1000.0
     nbuckets = int(stamps_ms[-1] // bucket_ms) + 1
     counts = [0] * nbuckets
     for ms in stamps_ms:

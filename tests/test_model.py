@@ -371,6 +371,15 @@ class TestSendableIndex:
         assert first.pending == [] and first.discarded_packets == 1
         assert q.sendable() == [blocks[1]]
 
+    def test_take_from_a_block_with_nothing_to_send_is_an_illegal_state(self):
+        q, blocks = queued_blocks(2)
+        first = blocks[0]
+        for _ in range(first.packet_count):
+            q.take(first)
+        with pytest.raises(IllegalStateError, match="nothing to send"):
+            q.take(first)
+        assert first.unsent == 0 and first.pending == []
+
     def test_block_enqueued_with_nothing_pending_is_not_sendable(self):
         b = block_at()
         b.unsent = 0

@@ -624,12 +624,15 @@ class TestCli:
             "error: scenario file %s: malformed scenario config: "
             "cannot convert float infinity to integer" % scenario]
 
-    def test_out_of_range_opportunity_stamp_exits_1_with_one_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("digits", [25, 401])
+    def test_out_of_range_opportunity_stamp_exits_1_with_one_line(self, tmp_path, capsys,
+                                                                  digits):
+        # 25 digits would ask for 10**22 buckets; 401 are past any float
         trace = tmp_path / "huge.txt"
-        trace.write_text("5\n%s\n" % ("1" * 401))
+        trace.write_text("5\n%s\n" % ("1" * digits))
         assert main(["traces", "parse", "--input", str(trace)]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: %s line 2: a 401-digit timestamp is out of range" % trace]
+            "error: %s line 2: timestamp past the limit of 1000000 buckets of 1 s" % trace]
 
     def test_config_errors_exit_1(self, tmp_path, capsys):
         trace = self._write_trace(tmp_path)

@@ -13,6 +13,7 @@ from blocksched.traces import (
     filter_corpus,
     load_trace,
     parse_csv_trace,
+    MAX_OPPORTUNITY_BUCKETS,
     parse_packet_opportunity_trace,
     split_corpus,
     synthesize_trace,
@@ -81,6 +82,13 @@ class TestOpportunityParsing:
     def test_empty_input_rejected(self):
         with pytest.raises(TraceParseError):
             parse_packet_opportunity_trace([])
+
+    @pytest.mark.parametrize("bucket_s", [1.0, 0.25])
+    def test_stamp_needing_more_buckets_than_the_limit_rejected(self, bucket_s):
+        # the first stamp past the limit is refused before any bucket is made
+        limit_ms = int(MAX_OPPORTUNITY_BUCKETS * bucket_s * 1000)
+        with pytest.raises(TraceParseError, match="line 2: timestamp past the limit"):
+            parse_packet_opportunity_trace(["0", str(limit_ms)], bucket_s=bucket_s)
 
     def test_blank_lines_skipped(self):
         trace = parse_packet_opportunity_trace(["0", "", "  ", "500"])
