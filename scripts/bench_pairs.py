@@ -5,10 +5,18 @@ change checkout, one pair per seed (seeds seed_base, seed_base + 1, ...),
 alternating which side runs first, then one ``--trace 1`` run per side on
 the first seed for the per-layer metrics. Each side runs its own
 benchmark from its own directory. The output JSON holds, per workload and
-end-to-end metric, each side's median and quartiles over its runs and the
-pairs the change won (ties count for neither side), the traced per-layer
-metrics, every seed and record digest, the failed-run counts, and the
-host's CPU count and Python version.
+end-to-end metric, each side's median and quartiles over its runs, the
+pairs the change won (ties count for neither side) and two verdicts:
+``resolved`` (a gain that the parent's own spread cannot explain) and
+``within_bound`` (no worse than the metric's ``BENCHMARK.json`` bound).
+Per workload it also holds each side's CPU seconds (user + sys of the
+benchmark process) as minimum, median and quartiles, since the minimum is
+the reading least moved by a busy host. A benchmark run spends a fixed
+budget of host time, so its CPU seconds follow the budget; the CPU
+milliseconds per simulation run (``cpu_ms_per_run``, CPU seconds over the
+runs attempted) are the figure to compare. Last come the traced
+per-layer metrics, every seed and record digest, the failed-run counts,
+and the host's CPU count and Python version.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workloads deep_queue headline --pairs 10 --seed-base 71 --out BENCH_14.json
@@ -19,9 +27,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -39,10 +49,15 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize_metric(parent: list[float], change: list[float], better: str) -> dict:
+def summarize_metric(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     """One end-to-end metric over paired runs: parent[i] and change[i] ran on
     the same seed. A pair is won when the change reads better, lost when it
-    reads worse; equal readings count for neither."""
+    reads worse; equal readings count for neither.
+
+    The gain is ``resolved`` when the change won at least nine pairs in ten
+    and its median gain exceeds the parent's interquartile range. It is
+    ``within_bound`` when the change's median is worse than the parent's by
+    no more than bound, a fraction of the parent's median."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same, non-zero number of runs per side")
     if better not in ("higher", "lower"):
@@ -52,6 +67,7 @@ def summarize_metric(parent: list[float], change: list[float], better: str) -> d
     lost = sum(1 for p, c in zip(parent, change) if sign * (c - p) < 0)
     sides = {"parent": quartiles(parent), "change": quartiles(change)}
     gap = sign * (sides["change"]["median"] - sides["parent"]["median"])
+    iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
     return {
         "better": better,
         "parent": sides["parent"],
@@ -62,17 +78,28 @@ def summarize_metric(parent: list[float], change: list[float], better: str) -> d
         # the median gain in the better direction, and the parent's spread
         # it is held against
         "median_gain": gap,
-        "parent_iqr": sides["parent"]["q3"] - sides["parent"]["q1"],
+        "parent_iqr": iqr,
+        "resolved": won >= math.ceil(0.9 * len(parent)) and gap > iqr,
+        "bound": bound,
+        "within_bound": gap >= -bound * abs(sides["parent"]["median"]),
     }
+
+
+def summarize_cpu(seconds: list[float]) -> dict:
+    """One side's CPU seconds over its runs: the minimum beside the median
+    and quartiles."""
+    return {"min": min(seconds), **quartiles(seconds)}
 
 
 def run_bench(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark run in checkout; returns its result line plus the
-    record digest it printed."""
+    record digest it printed and the run's CPU seconds (user + sys)."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=False)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError("benchmark in %s exited %d: %s"
@@ -80,11 +107,14 @@ def run_bench(checkout: str, workload: str, seed: int, seconds: float, trace: in
     result = json.loads(lines[-1])
     match = DIGEST.search(proc.stdout)
     result["digest"] = match.group(1) if match else None
+    result["cpu_s"] = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     return result
 
 
 def bench_workload(checkouts: dict, workload: str, seeds: list[int], seconds: float,
-                   directions: dict) -> dict:
+                   metrics: dict) -> dict:
+    """Paired runs of one workload; metrics maps each end-to-end metric's
+    name to its ``better`` direction and its bound."""
     runs = {side: [] for side in SIDES}
     for k, seed in enumerate(seeds):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
@@ -95,16 +125,19 @@ def bench_workload(checkouts: dict, workload: str, seeds: list[int], seconds: fl
             for side in SIDES)), file=sys.stderr, flush=True)
     traced = {side: run_bench(checkouts[side], workload, seeds[0], seconds, 1) for side in SIDES}
     end_to_end = {}
-    for name, better in directions.items():
+    for name, (better, bound) in metrics.items():
         values = {side: [run["metrics"][name]["value"] for run in runs[side]] for side in SIDES}
-        end_to_end[name] = summarize_metric(values["parent"], values["change"], better)
+        end_to_end[name] = summarize_metric(values["parent"], values["change"], better, bound)
         end_to_end[name]["unit"] = runs["parent"][0]["metrics"][name]["unit"]
     return {
         "seeds": seeds,
         "first": ["parent" if k % 2 == 0 else "change" for k in range(len(seeds))],
         "end_to_end": end_to_end,
-        "runs": {side: [{name: m["value"] for name, m in run["metrics"].items()}
-                        for run in runs[side]] for side in SIDES},
+        "cpu_s": {side: summarize_cpu([run["cpu_s"] for run in runs[side]]) for side in SIDES},
+        "cpu_ms_per_run": {side: summarize_cpu([1e3 * run["cpu_s"] / run["attempted"]
+                                                for run in runs[side]]) for side in SIDES},
+        "runs": {side: [{**{name: m["value"] for name, m in run["metrics"].items()},
+                         "cpu_s": run["cpu_s"]} for run in runs[side]] for side in SIDES},
         "failed": {side: sum(run["failed"] for run in runs[side]) for side in SIDES},
         "attempted": {side: sum(run["attempted"] for run in runs[side]) for side in SIDES},
         "digests": {side: sorted({run["digest"] for run in runs[side]}) for side in SIDES},
@@ -132,13 +165,13 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(checkouts["change"], "BENCHMARK.json")) as fh:
-        directions = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
     seeds = list(range(args.seed_base, args.seed_base + args.pairs))
     out = {
         "host": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
                  "machine": platform.machine()},
         "seconds": args.seconds,
-        "workloads": {w: bench_workload(checkouts, w, seeds, args.seconds, directions)
+        "workloads": {w: bench_workload(checkouts, w, seeds, args.seconds, metrics)
                       for w in args.workloads},
     }
     with open(args.out, "w") as fh:

@@ -81,6 +81,9 @@ MUTANTS = (
     ("watermark-survivors-max", "elif expires_at < next_expiry:",
      "elif next_expiry == math.inf or expires_at > next_expiry:"),
     ("enqueue-keeps-watermark", "if block.expires_at < self.next_expiry:", "if False:"),
+    # the engine passes a decision's inputs by position
+    ("engine-swaps-regime-and-bw", "select(t, eligible, regime, smoothed,",
+     "select(t, eligible, smoothed, regime,"),
 )
 
 # a mutant can make a test allocate without end; past this much address

@@ -69,7 +69,7 @@ from .model import (
     mark_block_complete,
 )
 from .predictor import BandwidthPredictor, InflightLedger, Thresholds
-from .schedulers import Scheduler, SchedulerDecision, SchedulingContext, compute_block_stats
+from .schedulers import Scheduler, SchedulerDecision, compute_block_stats
 from .traces import LinkTrace
 
 _LOSS_STREAM_OFFSET = 0x1F3A9C
@@ -261,12 +261,11 @@ class Simulation:
                              "reason": "none_eligible", "regime": int(regime), "score": None,
                              "smoothed_bw": smoothed, "eligible": 0})
             return
-        # proposed builds its features through ctx.features, the baselines
-        # read block fields; the module global is passed so that a wrapper
-        # installed on it sees every call
-        ctx = SchedulingContext(now=t, blocks=eligible, regime=regime, smoothed_bw=smoothed,
-                                features=compute_block_stats)
-        decision: SchedulerDecision = self.scheduler.select(ctx)
+        # proposed builds its features through its features argument, the
+        # baselines read block fields; the module global is passed so that a
+        # wrapper installed on it sees every call
+        decision: SchedulerDecision = self.scheduler.select(t, eligible, regime, smoothed,
+                                                            compute_block_stats)
         selected = decision.selected
         if self.record is not None:
             self.record({"kind": "decision", "t": t,

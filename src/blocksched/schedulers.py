@@ -23,9 +23,11 @@ it from the block's fields. Every deadline quantity, Dr and rswn's keys
 alike, is measured to ``Block.expires_at``, the instant the expiry rule
 closes the window, so Dr is positive for every block a policy can see.
 
-The engine takes the eligible blocks from the queue's sendable index and
-builds no features. Proposed builds them itself through
-``SchedulingContext.features``, once per eligible block, and only on a
+A decision is one call, ``select(now, blocks, regime, smoothed_bw,
+features)``: smoothed_bw is in bytes/s, and ``features(block, now)``
+builds a block's feature tuple. The engine takes the blocks from the
+queue's sendable index and builds no features. Proposed builds them
+through its ``features`` argument, once per eligible block, and only on a
 decision that no retransmission settles (a block has a lost packet to
 resend when its ``pending`` list is non-empty: it holds only lost
 packets). fifo, ldf and rswn read the fields of the blocks themselves.
@@ -64,6 +66,7 @@ from .predictor import Regime
 # (Sr: unacked bytes / total bytes, Dr: time left / deadline window,
 #  Pkt: unacked packet count, P: priority)
 BlockFeatures = tuple[float, float, int, int]
+# annotations naming Block stay unevaluated: typing's alias cache would pin every re-import
 
 # builds a SchedulerDecision without the NamedTuple's Python-level __new__
 _tuple_new = tuple.__new__
@@ -113,23 +116,9 @@ class SchedulerDecision(NamedTuple):
 _NONE_ELIGIBLE = SchedulerDecision(None, DecisionReason.NONE_ELIGIBLE)
 
 
-class SchedulingContext:
-    """Everything a policy may look at for one decision. ``features(block,
-    now)`` builds a block's feature tuple (Sr, Dr, Pkt, P); only proposed
-    calls it, the baselines read the blocks themselves."""
-
-    __slots__ = ("now", "blocks", "regime", "smoothed_bw", "features")
-
-    def __init__(self, *, now: float, blocks: list[Block], regime: Regime, smoothed_bw: float,
-                 features: Callable[[Block, float], BlockFeatures] = compute_block_stats) -> None:
-        self.now = now
-        self.blocks = blocks  # live, sendable, arrival order
-        self.regime = regime
-        self.smoothed_bw = smoothed_bw  # bytes/s
-        self.features = features
-
-
-def select_block_proposed(ctx: SchedulingContext, literal_mid_branch: bool = False) -> SchedulerDecision:
+def select_block_proposed(now: float, blocks: list[Block], regime: Regime, smoothed_bw: float,
+                          features: Callable[[Block, float], BlockFeatures],
+                          literal_mid_branch: bool = False) -> SchedulerDecision:
     """Regime-switched champion scan, one pass over the queue.
 
     A retransmission always takes the championship and nothing else
@@ -142,7 +131,6 @@ def select_block_proposed(ctx: SchedulingContext, literal_mid_branch: bool = Fal
     reassign the champion; the default closes that gap with the intended
     smallest remaining work rule.
     """
-    blocks = ctx.blocks
     n = len(blocks)
     if n == 0:
         return _NONE_ELIGIBLE
@@ -150,11 +138,9 @@ def select_block_proposed(ctx: SchedulingContext, literal_mid_branch: bool = Fal
         if block.pending:
             return _tuple_new(SchedulerDecision,
                               (block.block_id, DecisionReason.RETRANSMISSION, None))
-    features, now = ctx.features, ctx.now
     stats = [features(block, now) for block in blocks]
     champ = 0
     reason = DecisionReason.FIRST_BLOCK
-    regime = ctx.regime
     if regime is Regime.LOW:
         _, dr, pkt, p = stats[0]
         champ_key = dr / pkt * (1.0 + p)
@@ -194,30 +180,30 @@ def select_block_proposed(ctx: SchedulingContext, literal_mid_branch: bool = Fal
     return _tuple_new(SchedulerDecision, (blocks[champ].block_id, reason, champ_key))
 
 
-def select_block_fifo(ctx: SchedulingContext) -> SchedulerDecision:
+def select_block_fifo(now: float, blocks: list[Block], regime: Regime, smoothed_bw: float,
+                      features: Callable[[Block, float], BlockFeatures]) -> SchedulerDecision:
     """Oldest block first."""
-    if not ctx.blocks:
+    if not blocks:
         return _NONE_ELIGIBLE
-    return _tuple_new(SchedulerDecision, (ctx.blocks[0].block_id, DecisionReason.FIRST_BLOCK, None))
+    return _tuple_new(SchedulerDecision, (blocks[0].block_id, DecisionReason.FIRST_BLOCK, None))
 
 
-def select_block_rswn(ctx: SchedulingContext) -> SchedulerDecision:
+def select_block_rswn(now: float, blocks: list[Block], regime: Regime, smoothed_bw: float,
+                      features: Callable[[Block, float], BlockFeatures]) -> SchedulerDecision:
     """Rate-aware static weights: the highest weight (1 + P) among blocks
     the current bandwidth estimate says can still finish inside their
     windows; ties keep the earlier expiry instant, then the earlier block.
     Falls back to the earliest expiry instant when nothing looks
     completable. The expiry instant is ``Block.expires_at``."""
-    blocks = ctx.blocks
     if not blocks:
         return _NONE_ELIGIBLE
-    now, bw = ctx.now, ctx.smoothed_bw
     best = -1
-    if bw > 0:
+    if smoothed_bw > 0:
         best_weight = best_expiry = 0
         for i, block in enumerate(blocks):
             expiry = block.expires_at
             # not completable: its unacked bytes need longer than the time left
-            if (block.total_bytes - block.acked_bytes) / bw > expiry - now:
+            if (block.total_bytes - block.acked_bytes) / smoothed_bw > expiry - now:
                 continue
             # the key (-(1 + P), expiry), compared field by field
             weight = 1 + block.priority
@@ -234,17 +220,17 @@ def select_block_rswn(ctx: SchedulingContext) -> SchedulerDecision:
 
 class Scheduler:
     """A named policy driven by the simulation: ``select`` applies the
-    policy function to each decision's context. A policy that keeps state
-    across decisions subclasses it and overrides ``select`` and
-    ``note_block_resolved``."""
+    policy function to each decision's five arguments. A policy that
+    keeps state across decisions subclasses it and overrides ``select``
+    and ``note_block_resolved``."""
 
-    def __init__(self, name: str,
-                 policy: Callable[[SchedulingContext], SchedulerDecision]) -> None:
+    def __init__(self, name: str, policy: Callable[..., SchedulerDecision]) -> None:
         self.name = name
         self.policy = policy
 
-    def select(self, ctx: SchedulingContext) -> SchedulerDecision:
-        return self.policy(ctx)
+    def select(self, now: float, blocks: list[Block], regime: Regime, smoothed_bw: float,
+               features: Callable[[Block, float], BlockFeatures]) -> SchedulerDecision:
+        return self.policy(now, blocks, regime, smoothed_bw, features)
 
     def note_block_resolved(self, element_id: int, on_time: bool) -> None:
         """Called once per block when it completes or expires."""
@@ -274,9 +260,9 @@ class LdfScheduler(Scheduler):
                 deficits[k] += rate * dt
         self._last_tick = max(self._last_tick, now)
 
-    def select(self, ctx: SchedulingContext) -> SchedulerDecision:
-        self._tick(ctx.now)
-        blocks = ctx.blocks
+    def select(self, now: float, blocks: list[Block], regime: Regime, smoothed_bw: float,
+               features: Callable[[Block, float], BlockFeatures]) -> SchedulerDecision:
+        self._tick(now)
         if not blocks:
             return _NONE_ELIGIBLE
         deficit_of = self.deficits.get

@@ -30,7 +30,6 @@ from blocksched.predictor import Regime, Thresholds
 from blocksched.runner import RunParams, run_sweep, tune_thresholds, load_filtered_corpus
 from blocksched.schedulers import (
     SCHEDULER_NAMES,
-    SchedulingContext,
     make_scheduler,
     select_block_proposed,
 )
@@ -179,9 +178,8 @@ def test_criterion_04_selection_matches_reference_scan():
             if e["retx"]:  # a lost packet waits for retransmission
                 block.pending.append(Packet(block, 0, 1500))
         stats = [(e["sr"], e["dr"], e["pkt"], e["p"]) for e in entries]
-        ctx = SchedulingContext(now=0.0, blocks=blocks, regime=regime, smoothed_bw=1.0,
-                                features=lambda block, _now: stats[block.block_id[1]])
-        decision = select_block_proposed(ctx)
+        decision = select_block_proposed(0.0, blocks, regime, 1.0,
+                                         lambda block, _now: stats[block.block_id[1]])
         idx, reason = reference_select(entries, int(regime))
         selected = None if idx is None else blocks[idx].block_id
         if decision.selected != selected or decision.reason.value != reason:

@@ -12,8 +12,9 @@ from blocksched import linksim
 from blocksched.errors import ConfigurationError, IllegalStateError, SimulationInvariantError
 from blocksched.linksim import Simulation
 from blocksched.model import Packet
+from blocksched.predictor import Regime
 from blocksched.runner import RunParams, execute_run
-from blocksched.schedulers import SCHEDULER_NAMES, make_scheduler
+from blocksched.schedulers import SCHEDULER_NAMES, Scheduler, make_scheduler, select_block_fifo
 from blocksched.traces import synthesize_trace
 from conftest import deep_queue_inputs, element, force_losses, run_recorded, scenario_of
 
@@ -173,6 +174,34 @@ class TestDeterminism:
         _, b_records = run_one(self._scenario(), trace=trace, duration_s=3.0, seed=2)
         assert ([r for r in a_records if r["kind"] != "decision"]
                 != [r for r in b_records if r["kind"] != "decision"])
+
+
+def test_each_decision_gets_the_predictor_readings_in_order():
+    # the engine passes a decision's five inputs by position; each call must
+    # see the regime and smoothed estimate the decision record logs, and the
+    # module's feature builder, which the benchmark probe wraps
+    seen = []
+
+    def spy(now, blocks, regime, smoothed_bw, features):
+        seen.append((now, regime, smoothed_bw, len(blocks), features))
+        return select_block_fifo(now, blocks, regime, smoothed_bw, features)
+
+    # about 3.6 Mbps offered over a 0.5/4 Mbps square wave, so the estimate
+    # visits all three regimes
+    scenario = scenario_of(
+        element(element_id=0, priority=0, deadline_s=0.1, block_size_bytes=3000, period_s=0.02),
+        element(element_id=1, priority=1, deadline_s=0.2, block_size_bytes=15000, period_s=0.05))
+    trace = synthesize_trace("square_wave", duration_s=20.0, seed=0,
+                             low_mbps=0.5, high_mbps=4.0, period_s=4.0)
+    _, records = run_recorded(trace, scenario, Scheduler("spy", spy),
+                              replace(LOSSLESS, duration_s=10.0))
+    logged = [(r["t"], r["regime"], r["smoothed_bw"], r["eligible"])
+              for r in records_of(records, "decision") if r["eligible"]]
+    assert [(t, int(regime), bw, n) for t, regime, bw, n, _ in seen] == logged
+    assert {regime for _, regime, _, _, _ in seen} == set(Regime)
+    for _, regime, bw, _, features in seen:
+        assert type(regime) is Regime and type(bw) is float
+        assert features is linksim.compute_block_stats
 
 
 class TestConservation:

@@ -1,8 +1,14 @@
 """Selection policies: regime-switched scan and the baseline set."""
 from __future__ import annotations
 
+import gc
+import importlib
+import inspect
 import math
 import random
+import sys
+import weakref
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -15,8 +21,8 @@ from blocksched.predictor import Regime
 from blocksched.schedulers import (
     DecisionReason,
     LdfScheduler,
+    Scheduler,
     SchedulerDecision,
-    SchedulingContext,
     compute_block_stats,
     make_scheduler,
     select_block_fifo,
@@ -36,17 +42,28 @@ def stats_of(dr=1.0, sr=1.0, pkt=1, p=0) -> tuple:
     return (sr, dr, pkt, p)
 
 
+class Inputs(NamedTuple):
+    """A decision's five arguments in the policies' order: call
+    ``policy(*inputs)``."""
+
+    now: float
+    blocks: list
+    regime: Regime
+    smoothed_bw: float
+    features: Callable = compute_block_stats
+
+
 def ctx_of(rows=(), retx=(), regime=Regime.MID, now=0.0, smoothed=125000.0, blocks=None):
-    """A context over blocks (element 0, index i) whose features are
-    rows[i]; a true retx[i] puts a lost packet in block i's pending list."""
+    """A decision's inputs over blocks (element 0, index i) whose features
+    are rows[i]; a true retx[i] puts a lost packet in block i's pending
+    list."""
     if blocks is None:
         blocks = [block_at(element_id=0, index=i) for i in range(len(rows))]
     for block, lost in zip(blocks, retx):
         if lost:
             block.pending.append(Packet(block, 0, 1500))
     rows = list(rows)
-    return SchedulingContext(now=now, blocks=list(blocks), regime=regime, smoothed_bw=smoothed,
-                             features=lambda block, _now: rows[block.block_id[1]])
+    return Inputs(now, list(blocks), regime, smoothed, lambda block, _now: rows[block.block_id[1]])
 
 
 class TestBlockStats:
@@ -232,7 +249,7 @@ class TestProposedLowRegime:
         # keys Dr/Pkt*(1+P): 0.6 for the first block, 0.25 for the second
         ctx = ctx_of([stats_of(dr=0.6, pkt=1, p=0), stats_of(dr=0.25, pkt=1, p=0)],
                      regime=Regime.LOW)
-        decision = select_block_proposed(ctx)
+        decision = select_block_proposed(*ctx)
         assert decision.selected == ctx.blocks[0].block_id
         assert decision.reason is DecisionReason.FIRST_BLOCK
         assert decision.score == 0.6
@@ -240,7 +257,7 @@ class TestProposedLowRegime:
     def test_swaps_to_larger_key(self):
         ctx = ctx_of([stats_of(dr=0.25, pkt=1, p=0), stats_of(dr=0.6, pkt=1, p=0)],
                      regime=Regime.LOW)
-        decision = select_block_proposed(ctx)
+        decision = select_block_proposed(*ctx)
         assert decision.selected == ctx.blocks[1].block_id
         assert decision.reason is DecisionReason.LOW_REGIME
 
@@ -248,12 +265,12 @@ class TestProposedLowRegime:
         # same slack per packet, higher rank wins: 0.5*(1+2)=1.5 beats 0.5
         ctx = ctx_of([stats_of(dr=0.5, pkt=1, p=0), stats_of(dr=0.5, pkt=1, p=2)],
                      regime=Regime.LOW)
-        assert select_block_proposed(ctx).selected == ctx.blocks[1].block_id
+        assert select_block_proposed(*ctx).selected == ctx.blocks[1].block_id
 
     def test_equal_keys_pick_later_block(self):
         ctx = ctx_of([stats_of(dr=0.5, pkt=2), stats_of(dr=0.25, pkt=1)],
                      regime=Regime.LOW)
-        decision = select_block_proposed(ctx)
+        decision = select_block_proposed(*ctx)
         assert decision.selected == ctx.blocks[1].block_id
         assert decision.reason is DecisionReason.LOW_REGIME
 
@@ -263,7 +280,7 @@ class TestProposedMidRegime:
         # Sr*Pkt products 4.0 and 1.0
         ctx = ctx_of([stats_of(sr=1.0, pkt=4), stats_of(sr=0.5, pkt=2)],
                      regime=Regime.MID)
-        decision = select_block_proposed(ctx)
+        decision = select_block_proposed(*ctx)
         assert decision.selected == ctx.blocks[1].block_id
         assert decision.reason is DecisionReason.MID_SIZE
         assert decision.score == 1.0
@@ -271,7 +288,7 @@ class TestProposedMidRegime:
     def test_first_block_kept_when_already_smallest(self):
         ctx = ctx_of([stats_of(sr=0.5, pkt=2), stats_of(sr=1.0, pkt=4)],
                      regime=Regime.MID)
-        decision = select_block_proposed(ctx)
+        decision = select_block_proposed(*ctx)
         assert decision.selected == ctx.blocks[0].block_id
         assert decision.reason is DecisionReason.FIRST_BLOCK
 
@@ -279,21 +296,21 @@ class TestProposedMidRegime:
         # equal Sr*Pkt, the more urgent block (smaller Dr/Pkt) wins
         ctx = ctx_of([stats_of(sr=0.5, pkt=2, dr=0.8), stats_of(sr=1.0, pkt=1, dr=0.3)],
                      regime=Regime.MID)
-        decision = select_block_proposed(ctx)
+        decision = select_block_proposed(*ctx)
         assert decision.selected == ctx.blocks[1].block_id
         assert decision.reason is DecisionReason.MID_DEADLINE
 
     def test_full_tie_picks_later_block(self):
         ctx = ctx_of([stats_of(sr=0.5, pkt=2, dr=0.4), stats_of(sr=0.5, pkt=2, dr=0.4)],
                      regime=Regime.MID)
-        decision = select_block_proposed(ctx)
+        decision = select_block_proposed(*ctx)
         assert decision.selected == ctx.blocks[1].block_id
         assert decision.reason is DecisionReason.MID_DEADLINE
 
     def test_literal_branch_never_swaps(self):
         ctx = ctx_of([stats_of(sr=1.0, pkt=4), stats_of(sr=0.5, pkt=2)],
                      regime=Regime.MID)
-        decision = select_block_proposed(ctx, literal_mid_branch=True)
+        decision = select_block_proposed(*ctx, literal_mid_branch=True)
         assert decision.selected == ctx.blocks[0].block_id
         assert decision.reason is DecisionReason.FIRST_BLOCK
 
@@ -304,7 +321,7 @@ class TestProposedHighRegime:
         # champion replaced because its key is >= the candidate's
         ctx = ctx_of([stats_of(dr=1.0, p=1, sr=1.0), stats_of(dr=0.5, p=0, sr=1.0)],
                      regime=Regime.HIGH)
-        decision = select_block_proposed(ctx)
+        decision = select_block_proposed(*ctx)
         assert decision.selected == ctx.blocks[1].block_id
         assert decision.reason is DecisionReason.HIGH_REGIME
         assert decision.score == 0.5
@@ -315,7 +332,7 @@ class TestProposedHighRegime:
         ctx = ctx_of([stats_of(dr=0.5, p=0, sr=1.0, pkt=4),
                       stats_of(dr=1.0, p=1, sr=1.0, pkt=2)],
                      regime=Regime.HIGH)
-        decision = select_block_proposed(ctx)
+        decision = select_block_proposed(*ctx)
         assert decision.selected == ctx.blocks[1].block_id
         assert decision.reason is DecisionReason.MID_SIZE
         assert decision.score == 2.0  # reported in the active regime's key
@@ -324,14 +341,14 @@ class TestProposedHighRegime:
         ctx = ctx_of([stats_of(dr=0.5, p=0, sr=1.0, pkt=4),
                       stats_of(dr=1.0, p=1, sr=1.0, pkt=2)],
                      regime=Regime.HIGH)
-        decision = select_block_proposed(ctx, literal_mid_branch=True)
+        decision = select_block_proposed(*ctx, literal_mid_branch=True)
         assert decision.selected == ctx.blocks[0].block_id
         assert decision.reason is DecisionReason.FIRST_BLOCK
 
     def test_equal_keys_pick_later_block(self):
         ctx = ctx_of([stats_of(dr=0.5, p=1, sr=1.0), stats_of(dr=1.0, p=0, sr=1.0)],
                      regime=Regime.HIGH)
-        decision = select_block_proposed(ctx)
+        decision = select_block_proposed(*ctx)
         assert decision.selected == ctx.blocks[1].block_id
         assert decision.reason is DecisionReason.HIGH_REGIME
 
@@ -340,7 +357,7 @@ class TestRetransmissionDominance:
     def test_retransmission_preempts_better_keys(self):
         ctx = ctx_of([stats_of(dr=1.0, pkt=1, p=2), stats_of(dr=0.01, pkt=8, p=0)],
                      retx=[False, True], regime=Regime.LOW)
-        decision = select_block_proposed(ctx)
+        decision = select_block_proposed(*ctx)
         assert decision.selected == ctx.blocks[1].block_id
         assert decision.reason is DecisionReason.RETRANSMISSION
         assert decision.score is None
@@ -348,12 +365,12 @@ class TestRetransmissionDominance:
     def test_later_retransmission_wins(self):
         ctx = ctx_of([stats_of(), stats_of(), stats_of()],
                      retx=[True, False, True], regime=Regime.MID)
-        assert select_block_proposed(ctx).selected == ctx.blocks[2].block_id
+        assert select_block_proposed(*ctx).selected == ctx.blocks[2].block_id
 
     def test_fresh_data_cannot_take_back_the_slot(self):
         ctx = ctx_of([stats_of(dr=0.5), stats_of(sr=0.01, pkt=1, dr=0.9, p=2)],
                      retx=[True, False], regime=Regime.MID)
-        decision = select_block_proposed(ctx)
+        decision = select_block_proposed(*ctx)
         assert decision.selected == ctx.blocks[0].block_id
         assert decision.reason is DecisionReason.RETRANSMISSION
 
@@ -363,14 +380,55 @@ class TestRetransmissionDominance:
 
         blocks = [block_at(element_id=0, index=i) for i in range(3)]
         blocks[1].pending.append(Packet(blocks[1], 0, 1500))
-        ctx = SchedulingContext(now=0.0, blocks=blocks, regime=Regime.LOW, smoothed_bw=1.0,
-                                features=refuse)
-        assert select_block_proposed(ctx).selected == blocks[1].block_id
+        decision = select_block_proposed(0.0, blocks, Regime.LOW, 1.0, refuse)
+        assert decision.selected == blocks[1].block_id
 
     def test_empty_queue(self):
-        decision = select_block_proposed(ctx_of())
+        decision = select_block_proposed(*ctx_of())
         assert decision.selected is None
         assert decision.reason is DecisionReason.NONE_ELIGIBLE
+
+
+def test_policies_take_the_five_inputs_in_order():
+    # the engine passes a decision's inputs by position, so two swapped
+    # parameters would bind silently
+    for policy in (Scheduler.select, LdfScheduler.select, select_block_fifo, select_block_rswn,
+                   select_block_proposed):
+        params = list(inspect.signature(policy).parameters.values())
+        if params[0].name == "self":
+            params = params[1:]
+        expected = ["now", "blocks", "regime", "smoothed_bw", "features"]
+        if policy is select_block_proposed:
+            expected.append("literal_mid_branch")
+        assert [p.name for p in params] == expected, policy.__qualname__
+        for p in params[:5]:
+            assert p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty, (
+                policy.__qualname__, p.name)
+
+
+def test_a_dropped_fresh_import_is_freed():
+    # the benchmark imports the package afresh after each pass to time its
+    # set-up, then drops that copy; anything that pins a dropped copy (a
+    # module-level typing alias over Block sits in typing's cache) makes
+    # the benchmark's peak RSS grow with its run length
+    def ours(name):
+        return name == "blocksched" or name.startswith("blocksched.")
+
+    kept = {name: module for name, module in sys.modules.items() if ours(name)}
+    try:
+        for name in kept:
+            del sys.modules[name]
+        importlib.import_module("blocksched.runner")
+        fresh_block = sys.modules["blocksched.model"].Block
+        assert fresh_block is not kept["blocksched.model"].Block
+        block_class = weakref.ref(fresh_block)
+        del fresh_block
+    finally:
+        for name in [name for name in sys.modules if ours(name)]:
+            del sys.modules[name]
+        sys.modules.update(kept)
+    gc.collect()
+    assert block_class() is None
 
 
 class TestSchedulerDecision:
@@ -418,7 +476,7 @@ class TestOracleEquivalence:
            literal=st.booleans())
     def test_matches_reference_scan(self, entries, regime, literal):
         ctx = _ctx_from_entries(entries, regime)
-        decision = select_block_proposed(ctx, literal_mid_branch=literal)
+        decision = select_block_proposed(*ctx, literal_mid_branch=literal)
         expected_idx, expected_reason = reference_select(
             entries, HIGH_REGIMES[regime], literal_mid=literal)
         if expected_idx is None:
@@ -449,7 +507,7 @@ class TestOracleEquivalence:
                                     "retx": rng.random() < retx_rate}
                                    for _ in range(rng.randrange(shortest, longest + 1))]
                         ctx = _ctx_from_entries(entries, regime)
-                        decision = select_block_proposed(ctx, literal_mid_branch=literal)
+                        decision = select_block_proposed(*ctx, literal_mid_branch=literal)
                         idx, reason = reference_select(entries, HIGH_REGIMES[regime],
                                                        literal_mid=literal)
                         assert decision.selected == ctx.blocks[idx].block_id
@@ -461,7 +519,7 @@ class TestOracleEquivalence:
 
 @st.composite
 def baseline_contexts(draw):
-    """A context over random blocks for the baselines that read the blocks
+    """A decision's inputs over random blocks for the baselines that read the blocks
     themselves: acked prefixes of the packets, few priorities and few
     absolute deadlines (so keys tie), and a bandwidth estimate that is
     zero, negative or positive. The features are left unbuilt."""
@@ -478,7 +536,7 @@ def baseline_contexts(draw):
         blocks.append(block)
     bw = draw(st.one_of(st.just(0.0), st.floats(-1e6, -1e-3), st.floats(1e3, 1e6)))
     now = draw(st.sampled_from([0.0, 0.05, 0.15, 0.25]))
-    return SchedulingContext(now=now, blocks=blocks, regime=Regime.MID, smoothed_bw=bw)
+    return Inputs(now, blocks, Regime.MID, bw)
 
 
 def _matches(decision, ctx, expected):
@@ -497,16 +555,16 @@ class TestBaselineOracles:
 
     @given(baseline_contexts())
     def test_rswn_matches_reference(self, ctx):
-        _matches(select_block_rswn(ctx), ctx, reference_rswn(ctx.blocks, ctx.now, ctx.smoothed_bw))
+        _matches(select_block_rswn(*ctx), ctx, reference_rswn(ctx.blocks, ctx.now, ctx.smoothed_bw))
 
 
 class TestFifo:
     def test_oldest_first(self):
         ctx = ctx_of(blocks=[block_at(element_id=0, index=i) for i in range(3)])
-        assert select_block_fifo(ctx).selected == ctx.blocks[0].block_id
+        assert select_block_fifo(*ctx).selected == ctx.blocks[0].block_id
 
     def test_empty(self):
-        assert select_block_fifo(ctx_of()).selected is None
+        assert select_block_fifo(*ctx_of()).selected is None
 
 
 class TestLdf:
@@ -515,7 +573,7 @@ class TestLdf:
         ctx = ctx_of(now=1.5,
                      blocks=[block_at(element_id=0, index=0, arrival_time=0.0, deadline_s=9.0),
                              block_at(element_id=1, index=0, arrival_time=0.0, deadline_s=9.0)])
-        decision = sched.select(ctx)
+        decision = sched.select(*ctx)
         assert sched.deficits == {0: 3.0, 1: 1.5}
         assert decision.selected == (0, 0)
         assert decision.score == 3.0
@@ -540,7 +598,7 @@ class TestLdf:
         ctx = ctx_of(now=1.0,
                      blocks=[block_at(element_id=0, index=0, deadline_s=9.0),
                              block_at(element_id=1, index=0, deadline_s=9.0)])
-        assert sched.select(ctx).selected == (0, 0)
+        assert sched.select(*ctx).selected == (0, 0)
 
     def test_clock_never_runs_backwards(self):
         sched = LdfScheduler({0: 1.0})
@@ -561,7 +619,7 @@ class TestRswn:
     def test_heaviest_completable_block_wins(self):
         blocks = self._blocks()
         ctx = ctx_of(blocks=blocks, now=0.0, smoothed=10000.0)
-        decision = select_block_rswn(ctx)
+        decision = select_block_rswn(*ctx)
         assert decision.selected == (2, 0)
         assert decision.score == 2.0  # weight 1 + P of the winner
 
@@ -569,7 +627,7 @@ class TestRswn:
         blocks = [block_at(element_id=0, index=0, total_bytes=1500, deadline_s=0.4, priority=1),
                   block_at(element_id=1, index=0, total_bytes=1500, deadline_s=0.3, priority=1)]
         ctx = ctx_of(blocks=blocks, now=0.0, smoothed=10000.0)
-        assert select_block_rswn(ctx).selected == (1, 0)
+        assert select_block_rswn(*ctx).selected == (1, 0)
 
     def test_full_tie_keeps_the_earlier_block(self):
         # equal weight and equal expiry instant: the earlier block in queue
@@ -579,19 +637,19 @@ class TestRswn:
                   for i in (0, 1)]
         ctx = ctx_of(blocks=blocks, now=0.0, smoothed=1e6)
         assert reference_rswn(blocks, 0.0, 1e6) == (0, 2.0)
-        _matches(select_block_rswn(ctx), ctx, (0, 2.0))
+        _matches(select_block_rswn(*ctx), ctx, (0, 2.0))
 
     def test_falls_back_to_earliest_deadline(self):
         blocks = self._blocks()
         ctx = ctx_of(blocks=blocks, now=0.0, smoothed=1.0)
-        decision = select_block_rswn(ctx)
+        decision = select_block_rswn(*ctx)
         # two blocks share the earliest expiry; queue order breaks the tie
         assert decision.selected == (0, 0)
 
     def test_zero_bandwidth_uses_fallback(self):
         blocks = self._blocks()
         ctx = ctx_of(blocks=blocks, now=0.0, smoothed=0.0)
-        assert select_block_rswn(ctx).selected == (0, 0)
+        assert select_block_rswn(*ctx).selected == (0, 0)
 
 
 class TestMakeScheduler:
