@@ -66,6 +66,9 @@ MUTANTS = (
     ("loop-boundary-exclusive", "if rem <= 0:", "if rem < 0:"),
     # the predictor's window holds the measured packet's own send
     ("window-start-exclusive", "if sent >= window_start:", "if sent > window_start:"),
+    ("response-leaves-before-sample",
+     "sample = self.ledger.bytes_sent_since(send_time) / width\n        self.ledger.remove(packet)",
+     "self.ledger.remove(packet)\n        sample = self.ledger.bytes_sent_since(send_time) / width"),
     # event order and loss timing
     ("acks-before-sends", "_SEND_OPPORTUNITY = 0\n_PACKET_DELIVERED = 1\n_ACK = 2",
      "_SEND_OPPORTUNITY = 2\n_PACKET_DELIVERED = 1\n_ACK = 0"),

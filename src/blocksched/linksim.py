@@ -27,9 +27,9 @@ expired block, discards it. A packet holds its block, so every handler
 reaches the block from the packet alone.
 
 A packet is held only while the sender needs it: by the selection slot,
-by its response event and the inflight ledger (keyed on the packet, with
-its size and send time) while on the wire, and by its block's ``pending``
-list after a loss, so a run's memory grows with what is in flight.
+on the wire by its response event and the predictor's inflight ledger,
+and by its block's ``pending`` list after a loss, so a run's memory grows
+with what is in flight.
 
 Sends are serial and the delay is fixed, so both the client arrival and
 the response of a packet are known when it is sent. The send applies the
@@ -68,7 +68,7 @@ from .model import (
     generate_blocks,
     mark_block_complete,
 )
-from .predictor import BandwidthPredictor, InflightLedger, Thresholds
+from .predictor import BandwidthPredictor, Thresholds
 from .schedulers import Scheduler, SchedulerDecision, compute_block_stats
 from .traces import LinkTrace
 
@@ -148,7 +148,6 @@ class Simulation:
         self.now = 0.0
         self.queue = BlockAwaitingQueue()
         self.predictor = BandwidthPredictor(params.thresholds)
-        self.ledger = InflightLedger()
         self.blocks = generate_blocks(scenario, params.duration_s, params.seed)
         self._loss_rng = random.Random(_LOSS_STREAM_OFFSET + params.seed)
         self._heap: list[tuple] = []
@@ -316,7 +315,7 @@ class Simulation:
         packet.send_time = t
         if is_retx:
             counters["retransmission_sends"] += 1
-        self.ledger.add(packet, size, t)
+        self.predictor.on_send(packet, size, t)
         lost = self._loss_rng.random() < self.loss_rate
         counters["sends"] += 1
         end = self.trace.time_to_send(t, size)
@@ -380,8 +379,7 @@ class Simulation:
             self.scheduler.note_block_resolved(block.element_id, on_time)
 
     def _on_ack(self, t: float, packet: Packet) -> None:
-        sample = self.predictor.observe_response(self.ledger, packet.send_time, t)
-        self.ledger.remove(packet)
+        sample = self.predictor.on_response(packet, t)
         block = packet.block
         block.acked_packets += 1
         block.acked_bytes += packet.size_bytes
@@ -390,8 +388,7 @@ class Simulation:
                          "thr_smoothed": sample})
 
     def _on_loss_signal(self, t: float, packet: Packet) -> None:
-        sample = self.predictor.observe_response(self.ledger, packet.send_time, t)
-        self.ledger.remove(packet)
+        sample = self.predictor.on_response(packet, t)
         self.counters["loss_signals"] += 1
         if requeued := self.queue.lost(packet):
             self._ensure_opportunity(t)
@@ -411,11 +408,10 @@ class Simulation:
         unresolved = [block.block_id for block in self.queue]
         if unresolved:
             raise SimulationInvariantError("blocks %r unresolved after drain at %r" % (unresolved, now))
-        if len(self.ledger) != 0:
+        if len(self.predictor.ledger) != 0:
             raise SimulationInvariantError("inflight ledger not empty after drain")
-        if self.ledger.total_bytes != 0:
-            raise SimulationInvariantError("inflight ledger still counts %r bytes after drain"
-                                           % self.ledger.total_bytes)
+        if (drift := self.predictor.ledger.total_bytes) != 0:
+            raise SimulationInvariantError("inflight ledger still counts %r bytes after drain" % drift)
         for block in self.blocks:
             if block.pending:
                 raise SimulationInvariantError("block %r still holds %d lost packets after drain"

@@ -1,11 +1,11 @@
 """Sender-side bandwidth estimation from packet timings.
 
-One estimator drives the scheduler. It waits for a packet's
-acknowledgement or loss signal and divides the bytes of every packet sent
-inside the response window, from the packet's send to its response, by
-the window width, which averages over roughly one round trip. (The event
-log's per-send ``thr_instant``, a packet's size over its sending latency,
-is computed only when recording and feeds nothing.)
+One estimator drives the scheduler. The engine tells it of every send
+and of every acknowledgement or loss signal, and it holds each packet in
+its inflight ledger from send to response. A response's sample is the
+bytes of every packet sent inside the response window, from the packet's
+send to its response and its own bytes included, over the window width,
+which averages over roughly one round trip.
 
 The inflight ledger keeps a running byte total and relies on send order:
 entries are added in nondecreasing send time (a retransmission is removed
@@ -13,8 +13,7 @@ and re-added at its new send time), so the entries sent before a window
 form a prefix of the ledger's send-order queue and the window sum is the
 total minus that prefix. Every earlier packet's response is due no later
 than the current one's, so the prefix is almost always empty and the
-estimate costs O(1) per response. ``InflightLedger.add`` rejects an
-out-of-order send time.
+estimate costs O(1) per response.
 
 The estimate drives regime classification against two thresholds L < H
 (configured in Mbps): below L the link is scarce, above H it is
@@ -61,13 +60,10 @@ class Thresholds:
 class InflightLedger:
     """Bytes currently on the wire, keyed by packet, with send times.
 
-    Entries are added when a packet leaves the sender and removed when its
-    acknowledgement or loss signal returns. A key is any hashable that
-    names one packet: the engine keys on the ``Packet`` itself, which
-    hashes by identity. Send times must be added in nondecreasing order
-    (``add`` raises ``ValueError`` otherwise), so appending keeps the
-    entries in send order; ``total_bytes`` is the running sum of the
-    inflight sizes.
+    A key is any hashable that names one packet: the engine's packets hash
+    by identity. Send times must be added in nondecreasing order (``add``
+    raises ``ValueError`` otherwise), so appending keeps the entries in
+    send order; ``total_bytes`` is the running sum of the inflight sizes.
     """
 
     def __init__(self) -> None:
@@ -119,6 +115,9 @@ class InflightLedger:
             order.popleft()
             self._stale -= 1
 
+    def send_time(self, key) -> float:
+        return self._entries[key][2]
+
     def bytes_sent_since(self, window_start: float) -> int:
         """Total inflight bytes whose send time falls at or after window_start."""
         entries = self._entries
@@ -141,7 +140,7 @@ def classify_regime(throughput: float, thresholds: Thresholds) -> Regime:
 
 
 class BandwidthPredictor:
-    """The smoothed estimate, fed every acknowledgement and loss signal.
+    """The smoothed estimate, taken from its own inflight ledger.
 
     Until the first sample the estimate defaults to the low threshold, a
     deliberately conservative starting point. ``regime`` is its class; it
@@ -151,21 +150,25 @@ class BandwidthPredictor:
 
     def __init__(self, thresholds: Thresholds) -> None:
         self.thresholds = thresholds
+        self.ledger = InflightLedger()
         self.smoothed = thresholds.low
         self.regime = classify_regime(self.smoothed, thresholds)
 
-    def observe_response(self, ledger: InflightLedger, send_time: float, response_time: float) -> float:
-        """Update the smoothed estimate and its regime from one
-        acknowledgement or loss signal: the inflight bytes sent within
-        [send_time, response_time] over the window width. Call before the
-        measured packet leaves the ledger, so its own bytes count."""
+    def on_send(self, packet, size_bytes: int, send_time: float) -> None:
+        self.ledger.add(packet, size_bytes, send_time)
+
+    def on_response(self, packet, response_time: float) -> float:
+        """Sample packet's response window, its own bytes counted, into the
+        estimate and its regime, then take packet off the ledger."""
+        send_time = self.ledger.send_time(packet)
         width = response_time - send_time
         if width <= 0:
             # a response comes a fixed round trip after its send, so only an
             # RTT lost in rounding at a large send time leaves no width
             raise SimulationInvariantError(
                 "response window [%r, %r] has non-positive width" % (send_time, response_time))
-        sample = ledger.bytes_sent_since(send_time) / width
+        sample = self.ledger.bytes_sent_since(send_time) / width
+        self.ledger.remove(packet)
         self.smoothed = sample
         self.regime = classify_regime(sample, self.thresholds)
         return sample

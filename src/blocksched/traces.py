@@ -307,19 +307,24 @@ def synthesize_trace(kind: str, duration_s: float, seed: int = 0, sample_s: floa
       ramp:        start_mbps, end_mbps (linear over the duration)
     Optional jitter_mbps adds seeded uniform noise, clamped at zero.
     """
-    if sample_s <= 0 or duration_s < sample_s:
-        raise ConfigurationError("need duration_s >= sample_s > 0, got %r, %r" % (duration_s, sample_s))
+    # each input is checked before any sample is made: a NaN passes every
+    # comparison, an infinity overflows, and a huge count fills memory
+    if not 0 < sample_s <= duration_s < math.inf:
+        raise ConfigurationError("need finite duration_s >= sample_s > 0, got %r, %r" % (duration_s, sample_s))
+    asked = duration_s / sample_s  # inf when the quotient overflows
+    if not asked <= MAX_OPPORTUNITY_BUCKETS:
+        raise ConfigurationError("duration_s / sample_s asks for %g samples, past the limit of %d"
+                                 % (asked, MAX_OPPORTUNITY_BUCKETS))
+    n = int(round(asked))
     jitter = float(params.pop("jitter_mbps", 0.0))
-    if jitter < 0:
-        raise ConfigurationError("jitter_mbps must be non-negative")
-    n = int(round(duration_s / sample_s))
-    times = [i * sample_s for i in range(n)]
+    if not 0 <= jitter < math.inf:
+        raise ConfigurationError("jitter_mbps must be non-negative and finite, got %r" % jitter)
     if kind == "constant":
         try:
             mbps = float(params.pop("mbps"))
         except KeyError:
             raise ConfigurationError("constant trace needs mbps=") from None
-        values = [mbps] * n
+        level = lambda t: mbps
     elif kind == "square_wave":
         try:
             low = float(params.pop("low_mbps"))
@@ -327,9 +332,9 @@ def synthesize_trace(kind: str, duration_s: float, seed: int = 0, sample_s: floa
             period = float(params.pop("period_s"))
         except KeyError as exc:
             raise ConfigurationError("square_wave trace needs low_mbps=, high_mbps=, period_s= (%s missing)" % exc) from None
-        if period <= 0:
-            raise ConfigurationError("period_s must be positive")
-        values = [low if (t % period) < period / 2 else high for t in times]
+        if not 0 < period < math.inf:
+            raise ConfigurationError("period_s must be positive and finite, got %r" % period)
+        level = lambda t: low if (t % period) < period / 2 else high
     elif kind == "ramp":
         try:
             start = float(params.pop("start_mbps"))
@@ -337,11 +342,13 @@ def synthesize_trace(kind: str, duration_s: float, seed: int = 0, sample_s: floa
         except KeyError as exc:
             raise ConfigurationError("ramp trace needs start_mbps=, end_mbps= (%s missing)" % exc) from None
         span = duration_s - sample_s
-        values = [start + (end - start) * (t / span if span > 0 else 0.0) for t in times]
+        level = lambda t: start + (end - start) * (t / span if span > 0 else 0.0)
     else:
         raise ConfigurationError("unknown trace kind %r" % kind)
     if params:
         raise ConfigurationError("unused parameters for kind %r: %s" % (kind, sorted(params)))
+    times = [i * sample_s for i in range(n)]
+    values = [level(t) for t in times]
     if any(v < 0 for v in values):
         raise ConfigurationError("synthesized rates must be non-negative")
     if jitter:

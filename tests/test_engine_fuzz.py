@@ -21,7 +21,13 @@ scenario, the trace and alpha alone, and they must equal
 up: each block's received count and latest receive time are those of its
 sends' ``arrives``, each completed block has one ``block_complete``
 line, at the latest ``arrives`` of its packets, and the acks come in the
-send order of the sends that were not lost.
+send order of the sends that were not lost. The estimate is rebuilt from
+the log alone, with nothing from ``predictor``: the packets in flight are
+the sends not yet matched by an ``ack`` or ``loss`` line, each response's
+``thr_smoothed`` is exactly the bytes of the inflight sends made at or
+after its packet's send over ``t`` minus that send, and each decision's
+``smoothed_bw`` is the latest such sample, or the low threshold before
+the first.
 
 The suite profile keeps this short; ``HYPOTHESIS_PROFILE=fuzz`` runs it at
 length.
@@ -242,6 +248,28 @@ def check_deliveries(result, records) -> None:
     assert acks == list(arrives)  # a dict keeps the sends' order
 
 
+def check_estimate(records, low) -> None:
+    """Each response's sample and each decision's estimate, rebuilt from
+    the log's sends and responses in log order; low is the estimate
+    before the first sample."""
+    inflight = {}  # packet id -> (size, send time) of the sends not yet answered
+    latest = low
+    for r in records:
+        if r["kind"] == "send":
+            inflight[tuple(r["packet_id"])] = (r["size"], r["t"])
+        elif r["kind"] in ("ack", "loss"):
+            packet_id = tuple(r["packet_id"])
+            sent_at = inflight[packet_id][1]
+            # the measured packet's own bytes count: it is still in flight
+            window_bytes = sum(size for size, t in inflight.values() if t >= sent_at)
+            assert r["thr_smoothed"] == window_bytes / (r["t"] - sent_at), r
+            del inflight[packet_id]
+            latest = r["thr_smoothed"]
+        elif r["kind"] == "decision":
+            assert r["smoothed_bw"] == latest, r
+    assert not inflight
+
+
 @settings(max_examples=EXAMPLES)
 @given(draws())
 def test_engine_invariants_hold_on_generated_inputs(case):
@@ -262,6 +290,7 @@ def test_engine_invariants_hold_on_generated_inputs(case):
         check_built_packets(result, records)
         check_retransmissions(result, records)
         check_deliveries(result, records)
+        check_estimate(records, case["params"].thresholds.low)
         offered = case["trace"].integrate_capacity(0.0, result.end_time)
         assert result.counters["delivered_bytes"] <= offered * (1 + 1e-9) + 1e-6
 

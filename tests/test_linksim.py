@@ -419,10 +419,10 @@ class TestPacketLifetime:
         while sim.advance() is not None:
             steps += 1
             if steps % 101 == 0:
-                held = (len(sim.ledger) + sum(len(b.pending) for b in sim.blocks)
+                held = (len(sim.predictor.ledger) + sum(len(b.pending) for b in sim.blocks)
                         + (sim._slot is not None))
                 assert live_packets(baseline) == held, steps
-                most_inflight = max(most_inflight, len(sim.ledger))
+                most_inflight = max(most_inflight, len(sim.predictor.ledger))
         assert most_inflight > 200
         assert sim.counters["loss_signals"] > 0
         assert live_packets(baseline) == 0
@@ -444,7 +444,7 @@ class TestGuards:
         sim = Simulation(constant_trace(), one_block_scenario(), make_scheduler("fifo"),
                          LOSSLESS)
         sim.advance()
-        sim.ledger._total += 1  # add/remove accounting drifts by one byte
+        sim.predictor.ledger._total += 1  # add/remove accounting drifts by one byte
         with pytest.raises(SimulationInvariantError, match="1 bytes"):
             sim.run()
 

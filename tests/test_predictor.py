@@ -19,54 +19,62 @@ from blocksched.units import mbps_to_bytes_per_s
 TH = Thresholds.from_mbps(0.8, 2.3)
 
 
-def smoothed(ledger, window_start, window_end):
-    """The sample a fresh predictor takes from one response."""
-    return BandwidthPredictor(TH).observe_response(ledger, window_start, window_end)
+def sent(entries, thresholds=TH):
+    """A fresh predictor told of each (key, size, send time) send."""
+    predictor = BandwidthPredictor(thresholds)
+    for key, size, send_time in entries:
+        predictor.on_send(key, size, send_time)
+    return predictor
+
+
+def smoothed(entries, measured, response_time):
+    """The sample a fresh predictor takes from the response to measured,
+    with entries sent."""
+    return sent(entries).on_response(measured, response_time)
 
 
 class TestSmoothed:
-    def _ledger(self, entries):
-        ledger = InflightLedger()
-        for pid, size, sent in entries:
-            ledger.add(pid, size, sent)
-        return ledger
-
     def test_three_packets_in_window(self):
-        ledger = self._ledger([("a", 1500, 0.0), ("b", 1500, 0.01), ("c", 1500, 0.02)])
-        assert smoothed(ledger, 0.0, 0.03) == 150000.0
+        entries = [("a", 1500, 0.0), ("b", 1500, 0.01), ("c", 1500, 0.02)]
+        assert smoothed(entries, "a", 0.03) == 150000.0
 
     def test_entries_before_window_excluded(self):
-        ledger = self._ledger([("old", 9000, -0.5), ("a", 1500, 0.0), ("b", 1500, 0.02)])
-        assert smoothed(ledger, 0.0, 0.03) == 3000 / 0.03
+        entries = [("old", 9000, -0.5), ("a", 1500, 0.0), ("b", 1500, 0.02)]
+        assert smoothed(entries, "a", 0.03) == 3000 / 0.03
 
     def test_empty_ledger_is_zero(self):
-        assert smoothed(InflightLedger(), 0.0, 0.1) == 0.0
+        # a response's window holds its own packet, so only the ledger can
+        # sum an empty window
+        assert sent([]).ledger.bytes_sent_since(0.0) == 0
+
+    def test_lone_packet_samples_its_own_size_and_leaves(self):
+        predictor = sent([("a", 1500, 0.25)])
+        assert predictor.on_response("a", 0.75) == 1500 / 0.5
+        assert len(predictor.ledger) == 0
+        assert predictor.ledger.total_bytes == 0
+        assert "a" not in predictor.ledger
 
     def test_zero_width_window_is_degenerate(self):
-        ledger = self._ledger([("a", 1500, 0.0)])
         with pytest.raises(SimulationInvariantError, match="non-positive width"):
-            smoothed(ledger, 0.5, 0.5)
+            smoothed([("a", 1500, 0.5)], "a", 0.5)
 
     def test_response_before_its_send_is_an_invariant_error(self):
-        ledger = self._ledger([("a", 1500, 0.0)])
-        predictor = BandwidthPredictor(TH)
+        predictor = sent([("a", 1500, 0.5)])
         with pytest.raises(SimulationInvariantError, match="non-positive width"):
-            predictor.observe_response(ledger, 0.5, 0.25)
+            predictor.on_response("a", 0.25)
         assert predictor.smoothed == TH.low  # the estimate stands
 
     def test_duplicate_inflight_entry_rejected(self):
-        ledger = self._ledger([("a", 1500, 0.0)])
+        predictor = sent([("a", 1500, 0.0)])
         with pytest.raises(KeyError):
-            ledger.add("a", 1500, 0.1)
+            predictor.on_send("a", 1500, 0.1)
 
     @given(sizes=st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=20),
            scale=st.sampled_from([2, 3, 5]))
     def test_scales_with_bytes(self, sizes, scale):
-        base = self._ledger([(i, s, 0.001 * i) for i, s in enumerate(sizes)])
-        scaled = self._ledger([(i, s * scale, 0.001 * i) for i, s in enumerate(sizes)])
-        window = (0.0, 0.1)
-        assert smoothed(scaled, *window) == pytest.approx(
-            smoothed(base, *window) * scale)
+        base = [(i, s, 0.001 * i) for i, s in enumerate(sizes)]
+        scaled = [(i, s * scale, 0.001 * i) for i, s in enumerate(sizes)]
+        assert smoothed(scaled, 0, 0.1) == pytest.approx(smoothed(base, 0, 0.1) * scale)
 
 
 # one ledger operation: ("add", size, gap after the previous send),
@@ -219,11 +227,8 @@ class TestBandwidthPredictor:
 
     def test_response_updates_smoothed_and_regime(self):
         th = Thresholds.from_mbps(0.8, 2.3)
-        predictor = BandwidthPredictor(th)
-        ledger = InflightLedger()
-        for i in range(4):
-            ledger.add(i, 1500, 0.005 * i)
-        sample = predictor.observe_response(ledger, 0.0, 0.02)
+        predictor = sent([(i, 1500, 0.005 * i) for i in range(4)], th)
+        sample = predictor.on_response(0, 0.02)
         assert sample == 6000 / 0.02
         assert predictor.smoothed == sample
         assert predictor.regime is Regime.HIGH

@@ -582,6 +582,20 @@ class TestCli:
         assert err[-1].startswith("error: ") and out in err[-1]
         assert "Traceback" not in "\n".join(err)
 
+    @pytest.mark.parametrize("flag, value", [("--duration-s", "inf"), ("--period-s", "nan")])
+    def test_traces_synthesize_non_finite_input_exits_1_with_one_line(self, tmp_path, capsys,
+                                                                      flag, value):
+        # an infinite duration used to end in a traceback, and a NaN period
+        # wrote an all-high wave and exited 0
+        out = os.path.join(str(tmp_path), "wave.csv")
+        argv = ["traces", "synthesize", "--kind", "square_wave", "--duration-s", "8",
+                "--low-mbps", "0.5", "--high-mbps", "2.5", "--period-s", "4", "--out", out]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "finite" in err[0]
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("command", ["report", "sweep"])
     def test_corrupt_record_exits_1_naming_the_file(self, tmp_path, capsys, command):
         out_dir = os.path.join(str(tmp_path), "o")

@@ -355,6 +355,32 @@ class TestSynthesize:
         with pytest.raises(ConfigurationError):
             synthesize_trace(kind, 5.0, **params)
 
+    @pytest.mark.parametrize("duration_s, sample_s, params", [
+        (math.inf, 1.0, {"mbps": 1.0}),
+        (math.nan, 1.0, {"mbps": 1.0}),
+        (5.0, math.nan, {"mbps": 1.0}),
+        (5.0, math.inf, {"mbps": 1.0}),
+        (8.0, 1.0, {"low_mbps": 0.5, "high_mbps": 2.5, "period_s": math.nan}),
+        (8.0, 1.0, {"low_mbps": 0.5, "high_mbps": 2.5, "period_s": math.inf}),
+        (5.0, 1.0, {"mbps": 1.0, "jitter_mbps": math.nan}),
+        (5.0, 1.0, {"mbps": 1.0, "jitter_mbps": math.inf}),
+    ])
+    def test_non_finite_inputs_rejected(self, duration_s, sample_s, params):
+        # a NaN period used to pass every comparison and write an all-high
+        # wave, and an infinite duration overflowed
+        with pytest.raises(ConfigurationError, match="finite"):
+            synthesize_trace("square_wave" if "period_s" in params else "constant",
+                             duration_s, sample_s=sample_s, **params)
+
+    @pytest.mark.parametrize("duration_s, sample_s", [
+        (MAX_OPPORTUNITY_BUCKETS + 1.0, 1.0),
+        (1e12, 1e-3),  # 10^15 samples, which would never finish
+        (1e300, 1e-10),  # the quotient overflows to inf
+    ])
+    def test_sample_count_past_the_cap_refused_before_any_sample(self, duration_s, sample_s):
+        with pytest.raises(ConfigurationError, match="past the limit of %d" % MAX_OPPORTUNITY_BUCKETS):
+            synthesize_trace("constant", duration_s, sample_s=sample_s, mbps=1.0)
+
 
 class TestLoadTrace:
     def test_extension_sniffing(self, tmp_path):
