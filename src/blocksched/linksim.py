@@ -131,7 +131,14 @@ def _packet_ref(packet: Packet) -> list:
 
 
 class Simulation:
-    """One run of one scheduler over one trace and scenario."""
+    """One run of one scheduler over one trace and scenario.
+
+    A run refuses an RTT that float addition loses at its latest send
+    instant, the latest block's ``expires_at``: there a loss signal at
+    ``t + rtt_s`` would land on ``t`` itself, an empty response window.
+    RunParams cannot check this, since the instant depends on the
+    scenario's deadlines, so the check follows block generation.
+    """
 
     def __init__(self, trace: LinkTrace, scenario: ScenarioConfig, scheduler: Scheduler,
                  params: RunParams, *, record: Callable[[dict], None] | None = None) -> None:
@@ -149,6 +156,14 @@ class Simulation:
         self.queue = BlockAwaitingQueue()
         self.predictor = BandwidthPredictor(params.thresholds)
         self.blocks = generate_blocks(scenario, params.duration_s, params.seed)
+        if self.blocks:
+            # half the RTT must survive too: the one-way delay is added to
+            # a send's end and again to its arrival
+            last = max(block.expires_at for block in self.blocks)
+            if not last + self.one_way_delay_s > last:
+                raise ConfigurationError(
+                    "rtt_s %r is lost to float rounding at the run's latest send instant %r"
+                    % (params.rtt_s, last))
         self._loss_rng = random.Random(_LOSS_STREAM_OFFSET + params.seed)
         self._heap: list[tuple] = []
         self._seq = 0
@@ -311,8 +326,8 @@ class Simulation:
         packet = slot
         size = packet.size_bytes
         counters = self.counters
-        is_retx = packet.send_time is not None
-        packet.send_time = t
+        is_retx = packet.sent
+        packet.sent = True
         if is_retx:
             counters["retransmission_sends"] += 1
         self.predictor.on_send(packet, size, t)

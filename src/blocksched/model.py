@@ -148,8 +148,9 @@ class Packet:
     or discarded. Packets compare and hash by identity, so the inflight
     ledger keys on the packet itself.
 
-    send_time is the most recent transmission, None before the first, so
-    a send that finds it set is a retransmission.
+    sent is set by the first transmission, so a send that finds it set is
+    a retransmission; the instant of each send is held by the predictor's
+    inflight ledger alone.
     client_receive_time is the instant the delivered copy reaches the
     client, one propagation delay before its acknowledgement returns. The
     sender knows it at send time and sets it then, to that future instant.
@@ -159,7 +160,7 @@ class Packet:
     index: int
     size_bytes: int
     enqueue_time: float | None = None
-    send_time: float | None = None
+    sent: bool = False
     client_receive_time: float | None = None
 
     @property

@@ -163,8 +163,9 @@ class BandwidthPredictor:
         send_time = self.ledger.send_time(packet)
         width = response_time - send_time
         if width <= 0:
-            # a response comes a fixed round trip after its send, so only an
-            # RTT lost in rounding at a large send time leaves no width
+            # a response comes a fixed round trip after its send, and
+            # linksim.Simulation refuses an RTT lost in rounding at its
+            # latest send, so no run reaches this
             raise SimulationInvariantError(
                 "response window [%r, %r] has non-positive width" % (send_time, response_time))
         sample = self.ledger.bytes_sent_since(send_time) / width

@@ -8,12 +8,15 @@ names; a table row averages the record
 keys named in TABLE_METRICS. Records are
 the source of truth: a table regenerated from the record files equals
 the one produced by the sweep, and an interrupted sweep resumes by
-skipping combinations whose record file already exists. Each record is
-written, and logged, as soon as its run's result is collected (in grid
-order, serially and with a process pool alike), so an interrupt or a
-failing run keeps every record collected before it. A record file is
-written whole or not at all (a temp file renamed into place), so an
-interrupted write never leaves a truncated record behind. Threshold
+skipping combinations whose record file already exists. A process pool
+gets the pending cells in contiguous chunks, in grid order, and returns
+each chunk's records together, up to the chunk's first failing cell;
+serially each chunk is one cell. Each record is written, and logged, as
+soon as its chunk is collected (in grid order, serially and with a
+process pool alike), so an interrupt or a failing run keeps every record
+collected before it, the failing cell's chunk-mates included. A record
+file is written whole or not at all (a temp file renamed into place), so
+an interrupted write never leaves a truncated record behind. Threshold
 tuning runs each grid cell through the same sweep engine.
 
 A run's settings are one linksim.RunParams, which this module re-exports.
@@ -111,13 +114,52 @@ def _sweep_worker(args) -> dict:
     return summary_record(report)
 
 
+def _sweep_chunk(tasks) -> tuple[list[dict], Exception | None, str | None]:
+    """Run a chunk of cells in order. Returns the records of the cells that
+    finished, the first failure (None when every cell finished) and its
+    formatted traceback; the cells after a failure are not run. A failure
+    comes back as a value, so a worker returns its chunk-mates' records
+    with it, and as text, since a pickled exception drops its traceback;
+    run_sweep raises it. An interrupt is not a cell's failure and
+    propagates."""
+    records = []
+    for args in tasks:
+        try:
+            records.append(_sweep_worker(args))
+        except Exception as exc:
+            import traceback  # on failure only, so no sweep loads it otherwise
+
+            return records, exc, "".join(traceback.format_exception(exc))
+    return records, None, None
+
+
+class _WorkerTraceback(Exception):
+    """A worker's formatted traceback, chained as the __cause__ of the
+    failure it returned, as concurrent.futures chains a task's own raise."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __str__(self) -> str:
+        return '\n"""\n%s"""' % self.text
+
+
+def _chunk_size(cells: int, jobs: int) -> int:
+    """Cells per pool task: about four tasks per worker, so the last
+    chunks leave no worker idle for long, and at most ten cells, past
+    which larger chunks measured no faster on the headline grid."""
+    return max(1, min(10, cells // (4 * jobs)))
+
+
 def run_sweep(traces, scenarios, scheduler_names, seeds, params: RunParams,
               records_dir: str | None = None, trace_group: str = "corpus",
               jobs: int = 1, log=None) -> "ComparisonTable":
     """Run the full grid and aggregate. traces/scenarios are parsed objects;
     seeds is the list of per-run seeds. params.seed is ignored. Two grid
     cells with the same record_key are a ConfigurationError, raised before
-    any run."""
+    any run. A failing cell's exception is raised once the records before
+    it are written; from a worker, its __cause__ holds the worker's
+    traceback."""
     traces = list(traces)
     scenarios = list(scenarios)
     if not traces:
@@ -149,24 +191,34 @@ def run_sweep(traces, scenarios, scheduler_names, seeds, params: RunParams,
         pending.append((path, (trace, scenario, scheduler_name, replace(params, seed=seed))))
     total = len(combos)
     done = total - len(pending)
-    tasks = [args for _, args in pending]
     parallel = jobs > 1 and len(pending) > 1
+    size = _chunk_size(len(pending), jobs) if parallel else 1
+    chunks = ([args for _, args in pending[i:i + size]] for i in range(0, len(pending), size))
     if parallel:
         # imported here, so a serial sweep and every other command never
         # load the process pool and multiprocessing
         from concurrent.futures import ProcessPoolExecutor
     with (ProcessPoolExecutor(max_workers=jobs) if parallel else contextlib.nullcontext()) as pool:
-        # results are collected lazily, in task order; each is written and
-        # logged before the next is awaited
-        fresh = pool.map(_sweep_worker, tasks, chunksize=1) if parallel else map(_sweep_worker, tasks)
-        for (path, args), record in zip(pending, fresh):
-            if path:
-                _write_record(path, record)
-            records.append(record)
-            done += 1
-            if log:
-                log("run %d/%d %s/%s/%s seed=%d" % (done, total, args[2], args[1].name,
-                                                    args[0].source_tag, args[3].seed))
+        # chunks are collected lazily, in grid order; each record is written
+        # and logged before the next chunk is awaited
+        fresh = pool.map(_sweep_chunk, chunks) if parallel else map(_sweep_chunk, chunks)
+        cells = iter(pending)
+        for chunk_records, failure, worker_traceback in fresh:
+            # the records first: zip stops on them without taking a cell
+            for record, (path, args) in zip(chunk_records, cells):
+                if path:
+                    _write_record(path, record)
+                records.append(record)
+                done += 1
+                if log:
+                    log("run %d/%d %s/%s/%s seed=%d" % (done, total, args[2], args[1].name,
+                                                        args[0].source_tag, args[3].seed))
+            if failure is not None:
+                if parallel:
+                    # the chunks not started yet are dropped, not run
+                    pool.shutdown(cancel_futures=True)
+                    raise failure from _WorkerTraceback(worker_traceback)
+                raise failure
     return build_table(records, trace_group)
 
 

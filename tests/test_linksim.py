@@ -325,9 +325,11 @@ class TestSendPath:
             sim.advance()
         # the sent packet is held by its ack event alone
         (first,) = [payload for _, kind, _, payload in sim._heap if kind == linksim._ACK]
-        assert first.packet_id == (block.block_id, 0) and first.send_time is not None
-        # 12 ms on the wire plus a 40 ms one-way delay, known at the send
-        assert first.client_receive_time == pytest.approx(first.send_time + 0.052, **APPROX)
+        assert first.packet_id == (block.block_id, 0) and first.sent
+        # 12 ms on the wire plus a 40 ms one-way delay, known at the send,
+        # whose instant the predictor's ledger holds
+        sent_at = sim.predictor.ledger.send_time(first)
+        assert first.client_receive_time == pytest.approx(sent_at + 0.052, **APPROX)
         assert block.latest_receive_time == first.client_receive_time
         assert sim.counters["delivered_packets"] == 1
         assert sim.counters["delivered_bytes"] == first.size_bytes
@@ -479,15 +481,22 @@ class TestGuards:
                            match=r"built 2 packets but 1 were acked and 0 discarded"):
             sim.run()
 
-    def test_rtt_lost_in_rounding_is_an_invariant_error(self):
-        # t + rtt_s rounds back to t, so the loss signal's response window
-        # has no width and no estimate exists
-        sim = force_losses(Simulation(constant_trace(), one_block_scenario(),
-                                      make_scheduler("fifo"), replace(LOSSLESS, rtt_s=1e-300)),
-                           {0})
-        assert sim.blocks[0].arrival_time > 0
-        with pytest.raises(SimulationInvariantError, match="non-positive width"):
-            sim.run()
+    def test_rtt_lost_in_rounding_is_refused_before_the_run(self):
+        # a loss signal at t + rtt_s must land after t at the latest send
+        # instant, the latest expiry, so half the RTT, the one-way delay,
+        # must survive the addition there; a 1e-300 s RTT used to leave a
+        # loss signal's response window without width, mid-run
+        scenario = one_block_scenario()
+        sim = Simulation(constant_trace(), scenario, make_scheduler("fifo"), LOSSLESS)
+        last = max(block.expires_at for block in sim.blocks)
+        least = 2 * math.ulp(last)  # last + ulp(last) is the next float
+        for rtt_s in (1e-300, least / 2):
+            with pytest.raises(ConfigurationError, match="lost to float rounding"):
+                Simulation(constant_trace(), scenario, make_scheduler("fifo"),
+                           replace(LOSSLESS, rtt_s=rtt_s))
+        # the least accepted RTT runs, its loss signals included
+        result, _ = run_one(scenario, scheduler="fifo", rtt_s=least, loss_rate=0.5)
+        assert result.counters["loss_signals"] > 0
 
     def test_run_twice_rejected(self):
         sim = Simulation(constant_trace(), one_block_scenario(), make_scheduler("fifo"),

@@ -272,6 +272,62 @@ class TestSweep:
         assert len(logs[1]) == 9 and logs[1][-1].startswith("run 9/9 ")
         assert logs[2] == logs[1]
 
+    def test_failing_cell_mid_chunk_keeps_its_chunk_mates(self, tmp_path):
+        # 14 good cells, then 14 broken ones; at 2 jobs the 28 cells go in
+        # chunks of 3, so the first broken cell (index 14) ends the chunk
+        # [12, 13, 14] and the worker must return cells 12 and 13 with it
+        traces = small_corpus()[:2]
+        seeds = list(range(7))
+        broken = scenario_of(element(deadline_s=-1.0), name="broken")
+        assert runner._chunk_size(28, 2) == 3
+        records_dir = tmp_path / "records"
+        log = []
+        with pytest.raises(ConfigurationError, match="deadline_s must be positive") as info:
+            run_sweep(traces, [small_scenario(), broken], ["fifo"], seeds,
+                      quick_params(duration_s=1.0), records_dir=str(records_dir), jobs=2,
+                      log=log.append)
+        # the worker's traceback rides along as the cause
+        assert "in validate" in str(info.value.__cause__)
+        good = [(trace.source_tag, seed) for trace in traces for seed in seeds]
+        assert sorted(os.listdir(records_dir)) == sorted(
+            record_key("fifo", "mini", tag, seed) + ".json" for tag, seed in good)
+        assert log == ["run %d/28 fifo/mini/%s seed=%d" % (i, tag, seed)
+                       for i, (tag, seed) in enumerate(good, 1)]
+
+    # cell counts on, just past and just short of a chunk boundary; the
+    # chunk size is cells // (4 * jobs), clamped to [1, 10]
+    @pytest.mark.parametrize("jobs, cells, size", [
+        (1, 5, 1), (2, 2, 1), (2, 15, 1), (2, 16, 2), (2, 17, 2), (2, 23, 2),
+        (2, 24, 3), (2, 26, 3), (3, 24, 2), (3, 25, 2), (3, 35, 2), (3, 36, 3),
+        (2, 95, 10)])
+    def test_every_cell_runs_once_in_grid_order(self, tmp_path, monkeypatch, jobs, cells, size):
+        from concurrent.futures import ProcessPoolExecutor
+        dispatched = []
+        real_map = ProcessPoolExecutor.map
+
+        def spy(pool, fn, chunks, **kw):
+            dispatched.extend(chunks)
+            return real_map(pool, fn, dispatched, **kw)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "map", spy)
+        trace = small_corpus()[0]
+        records_dir = tmp_path / "records"
+        log = []
+        run_sweep([trace], [small_scenario()], ["fifo"], range(cells),
+                  quick_params(duration_s=0.5), records_dir=str(records_dir), jobs=jobs,
+                  log=log.append)
+        if jobs > 1:
+            assert [len(chunk) for chunk in dispatched] == (
+                [size] * (cells // size) + [cells % size] * bool(cells % size))
+            assert [args[3].seed for chunk in dispatched for args in chunk] == list(range(cells))
+        assert log == ["run %d/%d fifo/mini/%s seed=%d" % (seed + 1, cells, trace.source_tag, seed)
+                       for seed in range(cells)]
+        assert len(os.listdir(records_dir)) == cells
+        for seed in range(cells):
+            key = record_key("fifo", "mini", trace.source_tag, seed)
+            with open(records_dir / (key + ".json")) as fh:
+                assert json.load(fh)["seed"] == seed
+
     def test_table_regenerates_from_records_alone(self, tmp_path):
         records_dir = tmp_path / "records"
         table = self._sweep(records_dir)
@@ -732,13 +788,15 @@ class TestCli:
         assert main(["run", "--scenario", SCENARIO_1, "--trace", trace,
                      "--duration-s", "1"]) == 2
 
-    def test_rtt_lost_in_rounding_exits_2(self, tmp_path, capsys):
-        # a loss signal lands a rounded-away round trip after its send: the
-        # response window is empty, which no configuration check can see
-        trace = self._write_trace(tmp_path)
-        assert main(["run", "--scenario", SCENARIO_1, "--trace", trace, "--duration-s", "1",
-                     "--rtt-ms", "1e-297", "--loss-rate", "0.9"]) == 2
-        assert "non-positive width" in capsys.readouterr().err
+    def test_rtt_lost_in_rounding_exits_1_with_one_line(self, capsys):
+        # a 1e-17 s RTT is positive and finite, but at the run's latest send
+        # instant a loss signal would land on its own send; the run is
+        # refused before it starts, where it used to break mid-run (exit 2)
+        argv = ["run", "--scenario", SCENARIO_1, "--trace", os.path.join(CORPUS_DIR, "sq01.csv"),
+                "--duration-s", "2", "--rtt-ms", "1e-14", "--loss-rate", "0.3"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: rtt_s 1e-17 is lost to float rounding")
 
     def test_illegal_state_during_run_exits_2(self, tmp_path, capsys, monkeypatch):
         import blocksched.cli as cli_module
