@@ -84,6 +84,10 @@ MUTANTS = (
     ("watermark-survivors-max", "elif expires_at < next_expiry:",
      "elif next_expiry == math.inf or expires_at > next_expiry:"),
     ("enqueue-keeps-watermark", "if block.expires_at < self.next_expiry:", "if False:"),
+    # a completed block stays queued; ldf hears of a late completion
+    ("complete-leaves-block-queued", "self.remove(block)\n        block.completion_time = t",
+     "block.completion_time = t"),
+    ("late-completion-repays-ldf", "if on_time:", "if True:"),
     # the engine passes a decision's inputs by position
     ("engine-swaps-regime-and-bw", "select(t, eligible, regime, smoothed,",
      "select(t, eligible, smoothed, regime,"),

@@ -38,6 +38,21 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _write_or_print(text: str, path: str | None, what: str) -> None:
+    """Write text and a newline to path and log "<what> written to <path>",
+    or print text when no path is given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+        _log("%s written to %s" % (what, path))
+    else:
+        print(text)
+
+
+def _add_trace_format(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--trace-format", choices=("csv", "opportunity"), default=None)
+
+
 def _add_run_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--duration-s", type=float, required=True, help="workload generation horizon")
     parser.add_argument("--rtt-ms", type=float, default=RunParams.rtt_s * 1000.0)
@@ -82,14 +97,7 @@ def _cmd_run(args) -> int:
         _log("event log written to %s" % args.event_log)
     else:
         result, report = execute_run(trace, scenario, args.scheduler, params)
-    text = run_report_json(result, report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
-        _log("report written to %s" % args.out)
-    else:
-        print(text)
+    _write_or_print(run_report_json(result, report), args.out, "report")
     return 0
 
 
@@ -162,12 +170,7 @@ def _cmd_traces_filter(args) -> int:
         stats = _trace_stats(trace)
         kept += 1 if stats["passes_filter"] else 0
         lines.append(json.dumps(stats, sort_keys=True))
-    if args.manifest:
-        with open(args.manifest, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        _log("manifest written to %s" % args.manifest)
-    else:
-        print("\n".join(lines))
+    _write_or_print("\n".join(lines), args.manifest, "manifest")
     _log("kept %d trace(s)" % kept)
     return 0
 
@@ -180,12 +183,7 @@ def _cmd_traces_split(args) -> int:
                          "split": "train" if t.source_tag in train_tags else "test"},
                         sort_keys=True)
              for t in sorted(traces, key=lambda t: t.source_tag)]
-    if args.manifest:
-        with open(args.manifest, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        _log("manifest written to %s" % args.manifest)
-    else:
-        print("\n".join(lines))
+    _write_or_print("\n".join(lines), args.manifest, "manifest")
     return 0
 
 
@@ -230,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trace", required=True)
     p_run.add_argument("--scheduler", default="proposed", choices=SCHEDULER_NAMES)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--trace-format", choices=("csv", "opportunity"), default=None)
+    _add_trace_format(p_run)
     p_run.add_argument("--out", default=None, help="report JSON path (default: stdout)")
     p_run.add_argument("--event-log", default=None, help="optional JSONL event log path")
     _add_run_params(p_run)
@@ -242,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--schedulers", nargs="+", default=list(SCHEDULER_NAMES),
                          choices=SCHEDULER_NAMES)
     p_sweep.add_argument("--seeds", nargs="+", type=int, default=[0])
-    p_sweep.add_argument("--trace-format", choices=("csv", "opportunity"), default=None)
+    _add_trace_format(p_sweep)
     p_sweep.add_argument("--out-dir", required=True)
     p_sweep.add_argument("--records-dir", default=None,
                          help="per-run record files (default: OUT_DIR/records)")
@@ -259,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--seeds", nargs="+", type=int, default=[0])
     p_tune.add_argument("--train-fraction", type=float, default=0.8)
     p_tune.add_argument("--split-seed", type=int, default=0)
-    p_tune.add_argument("--trace-format", choices=("csv", "opportunity"), default=None)
+    _add_trace_format(p_tune)
     p_tune.add_argument("--out-dir", default=None)
     _add_run_params(p_tune)
     p_tune.set_defaults(func=_cmd_tune)
@@ -269,21 +267,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     tp = tsub.add_parser("parse", help="parse one trace and report stats")
     tp.add_argument("--input", required=True)
-    tp.add_argument("--trace-format", choices=("csv", "opportunity"), default=None)
+    _add_trace_format(tp)
     tp.add_argument("--bucket-s", type=float, default=1.0)
     tp.add_argument("--out", default=None, help="write normalized csv here")
     tp.set_defaults(func=_cmd_traces_parse)
 
     tf = tsub.add_parser("filter", help="apply corpus eligibility filters")
     tf.add_argument("--corpus", required=True)
-    tf.add_argument("--trace-format", choices=("csv", "opportunity"), default=None)
+    _add_trace_format(tf)
     tf.add_argument("--manifest", default=None)
     tf.set_defaults(func=_cmd_traces_filter)
 
     ts = tsub.add_parser("split", help="deterministic train/test split of the filtered "
                                       "corpus, the split tune uses")
     ts.add_argument("--corpus", required=True)
-    ts.add_argument("--trace-format", choices=("csv", "opportunity"), default=None)
+    _add_trace_format(ts)
     ts.add_argument("--train-fraction", type=float, default=0.8)
     ts.add_argument("--seed", type=int, default=0)
     ts.add_argument("--manifest", default=None)

@@ -34,9 +34,15 @@ with what is in flight.
 Sends are serial and the delay is fixed, so both the client arrival and
 the response of a packet are known when it is sent. The send applies the
 delivery's bookkeeping (the packet's ``client_receive_time``, the
-delivered counters, the block's received count and latest arrival) and
-schedules the ack or loss signal. A block gets one delivered event, at
-the arrival of its last packet, which completes it if it is still live.
+delivered counters and the block's received count) and schedules the ack
+or loss signal. A block gets one delivered event, at the arrival of its
+last packet. Each send ends strictly after the one before it, so
+arrivals never decrease in send order, and that event's instant is the
+block's latest arrival: the queue's ``complete`` takes it as the
+completion time if the block is still live. The engine's
+``block_complete`` flag is ``Block.on_time``, the rule every report
+reads, and only an on-time completion is told to the policy
+(``note_on_time``).
 
 Event kinds at equal timestamps process in a fixed order:
 send_opportunity, packet_delivered (a block's last packet), ack,
@@ -66,7 +72,6 @@ from .model import (
     ScenarioConfig,
     filter_expired,
     generate_blocks,
-    mark_block_complete,
 )
 from .predictor import BandwidthPredictor, Thresholds
 from .schedulers import Scheduler, SchedulerDecision, compute_block_stats
@@ -248,7 +253,6 @@ class Simulation:
         self.counters["blocks_expired"] += 1
         if self.record is not None:
             self.record({"kind": "block_expired", "t": t, "block_id": list(block.block_id)})
-        self.scheduler.note_block_resolved(block.element_id, False)
 
     def _fill_slot(self, t: float) -> None:
         """Let the policy choose a block at t and put the packet the queue's
@@ -353,8 +357,6 @@ class Simulation:
             counters["delivered_bytes"] += size
             block = packet.block
             block.received_packets += 1
-            if arrive > block.latest_receive_time:
-                block.latest_receive_time = arrive
             heappush(heap, (arrive + owd, _ACK, seq, packet))
             if block.received_packets == block.packet_count:
                 # the block's last packet to arrive; it alone gets an event
@@ -373,7 +375,8 @@ class Simulation:
         self._opportunity_pending = True
 
     def _on_block_delivered(self, t: float, block: Block) -> None:
-        """The block's last packet reached the client at t.
+        """The block's last packet reached the client at t, its completion
+        instant unless it has expired.
 
         The sends booked every delivery and pushed the acks, so this event
         exists only for completion, at the arrival instant and in its tie
@@ -384,14 +387,15 @@ class Simulation:
         breaks ties only within one (time, kind), so acks at one float
         instant run in send order either way.
         """
-        if not block.expired and block.completion_time is None and block.is_fully_received():
-            finish = mark_block_complete(block, self.queue)
-            on_time = not block.past_deadline(finish)
+        if not block.expired:
+            self.queue.complete(block, t)
+            on_time = block.on_time
             self.counters["blocks_completed"] += 1
             if self.record is not None:
-                self.record({"kind": "block_complete", "t": finish,
+                self.record({"kind": "block_complete", "t": t,
                              "block_id": list(block.block_id), "on_time": on_time})
-            self.scheduler.note_block_resolved(block.element_id, on_time)
+            if on_time:
+                self.scheduler.note_on_time(block.element_id)
 
     def _on_ack(self, t: float, packet: Packet) -> None:
         sample = self.predictor.on_response(packet, t)
@@ -432,12 +436,19 @@ class Simulation:
                 raise SimulationInvariantError("block %r still holds %d lost packets after drain"
                                                % (block.block_id, len(block.pending)))
             if block.completion_time is not None:
-                # a completed block built, and got acks for, every packet
+                # a completed block built, delivered and got acks for every
+                # packet, and finished after it arrived
                 count = block.packet_count
-                if block.built != count or block.acked_packets != count:
+                if (block.built != count or block.received_packets != count
+                        or block.acked_packets != count):
                     raise SimulationInvariantError(
-                        "block %r completed with %d of %d packets built and %d acked"
-                        % (block.block_id, block.built, count, block.acked_packets))
+                        "block %r completed with %d of %d packets built, %d received and %d acked"
+                        % (block.block_id, block.built, count, block.received_packets,
+                           block.acked_packets))
+                if not block.completion_time > block.arrival_time:  # NaN fails too
+                    raise SimulationInvariantError(
+                        "block %r completed at %r, not after its arrival %r"
+                        % (block.block_id, block.completion_time, block.arrival_time))
             elif not block.expired:
                 raise SimulationInvariantError("block %r neither complete nor expired" % (block.block_id,))
             # every packet built ended delivered or discarded, so none was

@@ -2,13 +2,17 @@
 
 A block counts as delivered on time when its client-side completion
 time F satisfies F - E <= D, with E its arrival at the sender and D its
-deadline window. The session delivery ratio averages that indicator
-over all blocks. Channel utilization divides bytes the client actually
-received by the bytes the capacity trace offered over the session
-window; effective utilization is the same ratio over the original bytes
-of on-time blocks only, so retransmitted copies and late stragglers do
-not count. Session QoE is delivery_ratio + alpha * utilization (the
-gross one) with alpha weighting efficiency against timeliness.
+deadline window. That is ``Block.on_time``, the expiry rule
+``Block.past_deadline`` read at F, so the engine's ``block_complete``
+flag, ``build_report``'s counts and the `run` report's per-block
+``on_time`` are one rule. The session delivery ratio averages that
+indicator over all blocks. Channel utilization divides bytes the client
+actually received by the bytes the capacity trace offered over the
+session window; effective utilization is the same ratio over the
+original bytes of on-time blocks only, so retransmitted copies and late
+stragglers do not count. Session QoE is delivery_ratio + alpha *
+utilization (the gross one) with alpha weighting efficiency against
+timeliness.
 
 QoEReport is the one schema for a run's numbers: its field names are
 the keys of the sweep record (runner.summary_record is its to_dict).
@@ -25,17 +29,6 @@ from dataclasses import dataclass, fields
 from .errors import ConfigurationError
 from .linksim import RunParams, SimulationResult
 from .traces import LinkTrace
-
-
-def delivery_indicator(arrival_time: float, completion_time: float | None, deadline_s: float) -> int:
-    """1 when the block finished inside its window, else 0."""
-    if deadline_s <= 0:
-        raise ValueError("deadline_s must be positive, got %r" % deadline_s)
-    if completion_time is None:
-        return 0
-    if completion_time < arrival_time:
-        raise ValueError("completion %r precedes arrival %r" % (completion_time, arrival_time))
-    return 1 if completion_time - arrival_time <= deadline_s else 0
 
 
 def channel_utilization(received_bytes: float, offered_bytes: float) -> float:
@@ -92,9 +85,7 @@ def build_report(result: SimulationResult, trace: LinkTrace) -> QoEReport:
     on_time_bytes = 0
     on_time_count = 0
     for block in result.blocks:
-        # a block that never completed is not on time
-        if block.completion_time is not None and delivery_indicator(
-                block.arrival_time, block.completion_time, block.deadline_s):
+        if block.on_time:
             on_time_bytes += block.total_bytes
             on_time_count += 1
     window_end = session_window_end(result)
@@ -126,7 +117,7 @@ def run_report_json(result: SimulationResult, report: QoEReport) -> str:
     """The `run` report, one JSON object with sorted keys: the report's
     fields plus ``blocks``, one outcome per block in the run's block order
     with block_id, element_id, arrival_time, completion_time, deadline_s,
-    total_bytes and the on_time indicator."""
+    total_bytes and the on_time indicator, 0 or 1."""
     blocks = [{
         "block_id": list(block.block_id),
         "element_id": block.element_id,
@@ -134,7 +125,6 @@ def run_report_json(result: SimulationResult, report: QoEReport) -> str:
         "completion_time": block.completion_time,
         "deadline_s": block.deadline_s,
         "total_bytes": block.total_bytes,
-        "on_time": delivery_indicator(block.arrival_time, block.completion_time,
-                                      block.deadline_s),
+        "on_time": int(block.on_time),
     } for block in result.blocks]
     return json.dumps({**report.to_dict(), "blocks": blocks}, sort_keys=True)

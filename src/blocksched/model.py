@@ -16,29 +16,32 @@ holds the lost packets that wait for a retransmission, the most recently
 lost last (it is taken first). A block has something to send iff
 ``pending or unsent``.
 
-A packet holds its block, its index in that block, its size and three
-instants: when it entered the selection queue, its latest send, and its
+A packet holds its block, its index in that block, its size, whether it
+was sent, and two instants: when it entered the selection queue and its
 client arrival once a send was not lost. It lives only while the sender
 needs it: in the selection slot, on the wire (the inflight ledger and its
 response event), or in ``pending`` after a loss. It is dropped at its
 acknowledgement or when it is discarded, so a run's memory follows what
-is in flight, not what was sent. Block completion is judged at the
-client, so the block keeps the client arrival the sender books at each
-send: ``latest_receive_time``, the latest of them. ``acked_packets`` and
-``discarded_packets`` count the built packets that ended delivered or
-discarded.
+is in flight, not what was sent. ``received_packets``, ``acked_packets``
+and ``discarded_packets`` count the packets that reached the client and
+the built packets that ended delivered or discarded.
 
 A block is past its deadline once now - E > D. That rule is computed once
 per block, as ``Block.expires_at``: the least float instant at which it
 holds, so every expiry check is one comparison, ``now >= expires_at``,
 and every deadline quantity (the scheduling feature Dr, rswn's keys) is
-measured to that same instant.
+measured to that same instant. The same rule judges a completed block:
+``Block.on_time`` holds when its completion time F, the client arrival
+of its last packet, is not past the deadline (F - E <= D).
 
-The sender's awaiting queue owns its blocks' packet life cycle (``take``,
-``lost`` and ``filter_expired``) and keeps a sendable index in step: the
-queued blocks that have something to send, in queue order. A decision
-walks only that index, because most queued blocks on a long round trip
-wait for packets already in flight. An expiry watermark, a lower bound
+A block's outcome is set in two places only: ``filter_expired`` expires
+it, and the queue's ``complete`` completes it at the instant its last
+packet reaches the client. The sender's awaiting queue owns its blocks'
+packet life cycle (``take``, ``lost``, ``complete`` and
+``filter_expired``) and keeps a sendable index in step: the queued
+blocks that have something to send, in queue order. A decision walks
+only that index, because most queued blocks on a long round trip wait
+for packets already in flight. An expiry watermark, a lower bound
 on the queued blocks' ``expires_at``, lets the expiry filter scan the
 queue only once a block can have expired.
 """
@@ -49,7 +52,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError, IllegalStateError, SimulationInvariantError
+from .errors import ConfigurationError, IllegalStateError
 from .units import PACKET_PAYLOAD_BYTES
 
 # Block ids are (element_id, block_index); packet ids add a packet index.
@@ -195,9 +198,8 @@ class Block:
     builds packet i = built). An expired block builds no more, so its
     ``unsent`` stays as the expiry left it. ``pending`` holds the lost
     packets awaiting retransmission, most recently lost last; ``take``
-    takes that one first. Each send that is not lost books its
-    packet's client arrival, and ``latest_receive_time`` is the latest
-    one booked. A built packet ends delivered (counted in
+    takes that one first. Each send that is not lost counts in
+    ``received_packets``. A built packet ends delivered (counted in
     ``acked_packets``) or discarded (``discarded_packets``).
     """
 
@@ -210,7 +212,6 @@ class Block:
     completion_time: float | None = None  # F, client-side
     expired: bool = False
     pending: list[Packet] = field(default_factory=list)
-    latest_receive_time: float = -math.inf
     acked_packets: int = 0
     acked_bytes: int = 0
     discarded_packets: int = 0
@@ -236,12 +237,16 @@ class Block:
         """True once now is strictly past the deadline window (now - E > D).
         The one expiry rule, computed once as ``expires_at``: the queue
         filter, the scheduling features, the engine's decision guard and
-        the on-time test all compare now with it, and Dr and rswn measure
+        ``on_time`` all compare an instant with it, and Dr and rswn measure
         time left to it, so no two of them disagree."""
         return now >= self.expires_at
 
-    def is_fully_received(self) -> bool:
-        return self.received_packets == self.packet_count
+    @property
+    def on_time(self) -> bool:
+        """True when the block completed inside its window: its completion
+        time is not past the deadline. The one on-time rule, which the
+        engine's ``block_complete`` flag and every report read."""
+        return self.completion_time is not None and not self.past_deadline(self.completion_time)
 
 
 def make_block(element: MediaElement, index: int, arrival_time: float) -> Block:
@@ -299,7 +304,8 @@ class BlockAwaitingQueue:
     ``next_expiry`` is the expiry watermark: a lower bound on the queued
     blocks' ``expires_at`` (infinity while none is queued), so no queued
     block is past its deadline before that instant. ``enqueue`` lowers it;
-    ``remove`` leaves it, since a lower bound stays one when a block goes;
+    ``remove`` and ``complete`` leave it, since a lower bound stays one
+    when a block goes;
     ``filter_expired`` raises it to the least ``expires_at`` among the
     blocks that stay.
     """
@@ -328,7 +334,7 @@ class BlockAwaitingQueue:
     def enqueue(self, block: Block) -> None:
         if block.block_id in self._ids:
             raise IllegalStateError("block %r already enqueued" % (block.block_id,))
-        if block.completion_time is not None or block.is_fully_received():
+        if block.completion_time is not None or block.received_packets == block.packet_count:
             raise IllegalStateError("block %r has no undelivered packets" % (block.block_id,))
         if block.expired:
             raise IllegalStateError("block %r already expired" % (block.block_id,))
@@ -343,6 +349,13 @@ class BlockAwaitingQueue:
             raise IllegalStateError("block %r not in queue" % (block.block_id,))
         del self._ids[block.block_id]
         self._ready.pop(block.block_id, None)
+
+    def complete(self, block: Block, t: float) -> None:
+        """Complete block at t, the instant its last packet reaches the
+        client: unqueue it and set its completion time. Only a queued block
+        completes, so completing one twice, or an expired one, raises."""
+        self.remove(block)
+        block.completion_time = t
 
     def take(self, block: Block) -> Packet:
         """The next packet of block, which must be sendable: its most recently
@@ -412,31 +425,3 @@ def filter_expired(queue: BlockAwaitingQueue, now: float) -> list[Block]:
     queue.next_expiry = next_expiry
     return expired
 
-
-def mark_block_complete(block: Block, queue: BlockAwaitingQueue | None = None) -> float:
-    """Finalize a block whose packets have all reached the client.
-
-    Sets the completion time F to the latest client receive time, removes
-    the block from the queue when one is given (a live block is always
-    queued, so an absent one is an error), and returns F.
-    """
-    if block.completion_time is not None:
-        raise IllegalStateError("block %r already complete" % (block.block_id,))
-    if block.expired:
-        raise IllegalStateError("block %r expired, cannot complete" % (block.block_id,))
-    count = block.packet_count
-    if block.built != count:
-        raise IllegalStateError("block %r: %d of %d packets built"
-                                % (block.block_id, block.built, count))
-    if block.received_packets != count:
-        raise IllegalStateError("block %r: %d of %d packets received by client"
-                                % (block.block_id, block.received_packets, count))
-    finish = block.latest_receive_time
-    if finish < block.arrival_time or math.isnan(finish):
-        raise SimulationInvariantError(
-            "block %r finished at %r before its arrival %r" % (block.block_id, finish, block.arrival_time)
-        )
-    block.completion_time = finish
-    if queue is not None:
-        queue.remove(block)
-    return finish

@@ -10,8 +10,9 @@ change to a queued block's packets.
 Each stateless policy is a plain ``select_block_*`` function of that
 view, and ``Scheduler(name, policy)`` is the one class that drives any
 of them. ldf keeps per-element deficits between decisions, so it alone
-is a ``Scheduler`` subclass (``LdfScheduler``). ``make_scheduler`` builds
-a policy by name.
+is a ``Scheduler`` subclass (``LdfScheduler``). The engine tells a policy
+of each on-time completion through ``note_on_time``, and of no other
+outcome; only ldf acts on it. ``make_scheduler`` builds a policy by name.
 
 The policies are proposed and three baselines: fifo (oldest first), ldf
 (largest deficit first) and rswn (rate-aware static weights).
@@ -222,7 +223,7 @@ class Scheduler:
     """A named policy driven by the simulation: ``select`` applies the
     policy function to each decision's five arguments. A policy that
     keeps state across decisions subclasses it and overrides ``select``
-    and ``note_block_resolved``."""
+    and ``note_on_time``."""
 
     def __init__(self, name: str, policy: Callable[..., SchedulerDecision]) -> None:
         self.name = name
@@ -232,8 +233,9 @@ class Scheduler:
                features: Callable[[Block, float], BlockFeatures]) -> SchedulerDecision:
         return self.policy(now, blocks, regime, smoothed_bw, features)
 
-    def note_block_resolved(self, element_id: int, on_time: bool) -> None:
-        """Called once per block when it completes or expires."""
+    def note_on_time(self, element_id: int) -> None:
+        """Called once per block that completes on time; a late completion
+        or an expiry is not reported."""
 
 
 class LdfScheduler(Scheduler):
@@ -275,8 +277,8 @@ class LdfScheduler(Scheduler):
         return _tuple_new(SchedulerDecision,
                           (blocks[best].block_id, DecisionReason.FIRST_BLOCK, best_deficit))
 
-    def note_block_resolved(self, element_id: int, on_time: bool) -> None:
-        if on_time and element_id in self.deficits:
+    def note_on_time(self, element_id: int) -> None:
+        if element_id in self.deficits:
             self.deficits[element_id] = max(0.0, self.deficits[element_id] - 1.0)
 
 

@@ -24,8 +24,8 @@ import time
 import pytest
 
 from blocksched.linksim import Simulation
-from blocksched.metrics import build_report, delivery_indicator
-from blocksched.model import Packet, load_scenario
+from blocksched.metrics import build_report
+from blocksched.model import BlockAwaitingQueue, Packet, load_scenario
 from blocksched.predictor import Regime, Thresholds
 from blocksched.runner import RunParams, run_sweep, tune_thresholds, load_filtered_corpus
 from blocksched.schedulers import (
@@ -121,9 +121,19 @@ def test_criterion_01_mean_qoe_beats_every_baseline(headline, corpus):
 
 def test_criterion_02_deadline_indicator_boundary():
     d = 0.1
-    at_deadline = delivery_indicator(0.0, d, d)
-    just_late = delivery_indicator(0.0, d + 0.001, d)
-    check(2, at_deadline == 1 and just_late == 0,
+
+    def indicator(finish):
+        """Block.on_time of a block (E=0) the queue completed at finish, and
+        the paper's F - E <= D computed here, each as 0 or 1."""
+        block = block_at(arrival_time=0.0, deadline_s=d)
+        queue = BlockAwaitingQueue()
+        queue.enqueue(block)
+        queue.complete(block, finish)
+        return int(block.on_time), int(finish - 0.0 <= d)
+
+    at_deadline, at_deadline_literal = indicator(d)
+    just_late, just_late_literal = indicator(d + 0.001)
+    check(2, at_deadline == at_deadline_literal == 1 and just_late == just_late_literal == 0,
           "indicator(E=0, F=D)=%d, indicator(E=0, F=D+1ms)=%d for D=100ms"
           % (at_deadline, just_late))
 

@@ -18,8 +18,8 @@ packet, and the run's retransmission counter counts those flags.
 An auditor rebuilds the report's session numbers from the event log, the
 scenario, the trace and alpha alone, and they must equal
 ``build_report``'s exactly. The delivery booked at each send must hold
-up: each block's received count and latest receive time are those of its
-sends' ``arrives``, each completed block has one ``block_complete``
+up: each block's received count is that of its sends' ``arrives``, each
+completed block received every packet and has one ``block_complete``
 line, at the latest ``arrives`` of its packets, and the acks come in the
 send order of the sends that were not lost. The estimate is rebuilt from
 the log alone, with nothing from ``predictor``: the packets in flight are
@@ -224,8 +224,8 @@ def check_retransmissions(result, records) -> None:
 
 def check_deliveries(result, records) -> None:
     """The deliveries the engine books at send time, checked against the
-    log: received counts, latest receive times, completion lines and the
-    order of the acks."""
+    log: received counts, completion lines and instants, and the order of
+    the acks."""
     arrives = {}  # packet id -> client arrival, from the one send that was not lost
     completes = {}  # block id -> the t of its block_complete line
     for r in records:
@@ -239,10 +239,10 @@ def check_deliveries(result, records) -> None:
         received = [arrives[(*block.block_id, i)] for i in range(block.packet_count)
                     if (*block.block_id, i) in arrives]
         assert block.received_packets == len(received), block.block_id
-        assert block.latest_receive_time == max(received, default=-math.inf), block.block_id
         if block.completion_time is None:
             assert block.block_id not in completes
         else:
+            assert len(received) == block.packet_count, block.block_id
             assert completes[block.block_id] == block.completion_time == max(received)
     acks = [tuple(r["packet_id"]) for r in records if r["kind"] == "ack"]
     assert acks == list(arrives)  # a dict keeps the sends' order

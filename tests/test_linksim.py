@@ -73,8 +73,8 @@ class TestSingleBlockTimeline:
         arrivals = [r["arrives"] for r in records_of(records, "send")]
         assert arrivals == [pytest.approx(t0 + 0.052, **APPROX),
                             pytest.approx(t0 + 0.064, **APPROX)]
-        # the block keeps the latest arrival booked, its completion instant
-        assert result.blocks[0].latest_receive_time == arrivals[-1]
+        # the block completes at the latest arrival booked, its last packet's
+        assert result.blocks[0].completion_time == arrivals[-1]
         # a delivery writes no line of its own
         assert records_of(records, "delivered") == []
         acks = records_of(records, "ack")
@@ -234,7 +234,7 @@ class TestConservation:
             assert block.acked_packets + block.discarded_packets == block.built
             if block.completion_time is not None:
                 assert not block.expired
-                assert block.is_fully_received()
+                assert block.received_packets == block.packet_count
                 assert block.completion_time == max(arrivals[block.block_id])
             else:
                 assert block.expired
@@ -330,7 +330,8 @@ class TestSendPath:
         # whose instant the predictor's ledger holds
         sent_at = sim.predictor.ledger.send_time(first)
         assert first.client_receive_time == pytest.approx(sent_at + 0.052, **APPROX)
-        assert block.latest_receive_time == first.client_receive_time
+        # only the block's last packet gets a delivered event
+        assert not [kind for _, kind, _, _ in sim._heap if kind == linksim._PACKET_DELIVERED]
         assert sim.counters["delivered_packets"] == 1
         assert sim.counters["delivered_bytes"] == first.size_bytes
         assert sim.blocks[0].received_packets == 1
@@ -349,7 +350,7 @@ class TestSendPath:
 
         sim, _ = run_recorded(trace, scenario, make_scheduler("proposed", scenario=scenario),
                               RunParams(duration_s=6.0, seed=3, loss_rate=0.02), drive=drive)
-        received = [b for b in sim.blocks if b.is_fully_received()]
+        received = [b for b in sim.blocks if b.received_packets == b.packet_count]
         delivered = sim.counters["delivered_packets"]
         assert kinds.count(linksim._PACKET_DELIVERED) == len(received) < delivered
         assert kinds.count(linksim._ACK) == delivered
@@ -450,20 +451,40 @@ class TestGuards:
         with pytest.raises(SimulationInvariantError, match="1 bytes"):
             sim.run()
 
-    @pytest.mark.parametrize("tamper", ["unbuilt", "unacked"])
-    def test_completed_block_short_of_packets_is_an_invariant_error(self, tamper):
-        # a completed block must have built, and got acks for, every packet
+    @staticmethod
+    def _drained():
+        """A lossless one-block run drained of events, before its audit."""
         sim = Simulation(constant_trace(), one_block_scenario(), make_scheduler("fifo"),
                          LOSSLESS)
         while sim.advance() is not None:
             pass
+        assert sim.blocks[0].completion_time is not None
+        return sim
+
+    @pytest.mark.parametrize("tamper", ["unbuilt", "unacked", "unreceived"])
+    def test_completed_block_short_of_packets_is_an_invariant_error(self, tamper):
+        # a completed block must have built, delivered, and got acks for,
+        # every packet
+        sim = self._drained()
         block = sim.blocks[0]
-        assert block.completion_time is not None
         if tamper == "unbuilt":
             block.unsent += 1
-        else:
+        elif tamper == "unacked":
             block.acked_packets -= 1
+        else:
+            block.received_packets -= 1
         with pytest.raises(SimulationInvariantError, match="completed with"):
+            sim._finalize()
+
+    @pytest.mark.parametrize("offset", [0.0, -0.5, math.nan], ids=["at", "before", "nan"])
+    def test_completion_at_or_before_arrival_is_an_invariant_error(self, offset):
+        # a block's last packet leaves the wire after the block arrived and
+        # reaches the client later still, so it completes strictly after
+        # its arrival; NaN fails that comparison too
+        sim = self._drained()
+        block = sim.blocks[0]
+        block.completion_time = block.arrival_time + offset
+        with pytest.raises(SimulationInvariantError, match="not after its arrival"):
             sim._finalize()
 
     def test_lost_packet_dropped_without_discard_is_an_invariant_error(self):

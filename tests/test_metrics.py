@@ -7,47 +7,51 @@ import pytest
 from hypothesis import given, strategies as st
 
 from blocksched.linksim import RunParams
+from blocksched.model import BlockAwaitingQueue
 from blocksched.metrics import (
     build_report,
     channel_utilization,
-    delivery_indicator,
     run_report_json,
     session_qoe,
     session_window_end,
 )
 from blocksched.schedulers import make_scheduler
 from blocksched.traces import synthesize_trace
-from conftest import element, run_recorded, scenario_of
+from conftest import block_at, element, run_recorded, scenario_of
+
+
+def completed_on_time(arrival: float, completion: float, deadline: float) -> bool:
+    """``Block.on_time`` of a block the queue completed at completion."""
+    block = block_at(arrival_time=arrival, deadline_s=deadline)
+    queue = BlockAwaitingQueue()
+    queue.enqueue(block)
+    queue.complete(block, completion)
+    return block.on_time
 
 
 class TestDeliveryIndicator:
+    """The one on-time rule, ``Block.on_time``, against the paper's
+    F - E <= D."""
+
     def test_on_time_inside_window(self):
-        assert delivery_indicator(1.0, 1.05, 0.1) == 1
+        assert completed_on_time(1.0, 1.05, 0.1) is True
 
     def test_exactly_at_deadline_counts(self):
-        assert delivery_indicator(0.0, 0.1, 0.1) == 1
+        assert completed_on_time(0.0, 0.1, 0.1) is True
 
     def test_one_millisecond_late_does_not(self):
-        assert delivery_indicator(0.0, 0.101, 0.1) == 0
+        assert completed_on_time(0.0, 0.101, 0.1) is False
 
     def test_never_completed_is_late(self):
-        assert delivery_indicator(1.0, None, 0.1) == 0
-
-    def test_completion_before_arrival_rejected(self):
-        with pytest.raises(ValueError):
-            delivery_indicator(1.0, 0.9, 0.1)
-
-    def test_non_positive_deadline_rejected(self):
-        with pytest.raises(ValueError):
-            delivery_indicator(1.0, 1.05, 0.0)
+        assert block_at(arrival_time=1.0, deadline_s=0.1).on_time is False
 
     @given(arrival=st.floats(min_value=0, max_value=100),
            lateness=st.floats(min_value=0, max_value=10),
            deadline=st.floats(min_value=1e-3, max_value=10))
     def test_indicator_matches_inequality(self, arrival, lateness, deadline):
         completion = arrival + lateness
-        expected = 1 if completion - arrival <= deadline else 0
-        assert delivery_indicator(arrival, completion, deadline) == expected
+        expected = completion - arrival <= deadline
+        assert completed_on_time(arrival, completion, deadline) == expected
 
 
 class TestUtilization:
@@ -110,7 +114,9 @@ class TestBuildReport:
     def test_matches_independent_recomputation(self):
         result, trace, records = _run(loss_rate=0.05)
         report = build_report(result, trace)
-        flags = [delivery_indicator(b.arrival_time, b.completion_time, b.deadline_s)
+        # the paper's indicator, F - E <= D, for every block that completed
+        flags = [b.completion_time is not None
+                 and b.completion_time - b.arrival_time <= b.deadline_s
                  for b in result.blocks]
         assert report.block_count == len(result.blocks)
         assert report.on_time_count == sum(flags)
@@ -173,6 +179,11 @@ class TestBuildReport:
         assert data == report.to_dict()
         assert len(outcomes) == report.block_count
         assert sum(o["on_time"] for o in outcomes) == report.on_time_count
+        for o in outcomes:  # an int 0/1, F - E <= D for a completed block
+            completion = o["completion_time"]
+            assert o["on_time"] == int(completion is not None and
+                                       completion - o["arrival_time"] <= o["deadline_s"])
+            assert type(o["on_time"]) is int
         assert [o["block_id"] for o in outcomes] == [list(b.block_id) for b in result.blocks]
         assert 0 < report.on_time_count < report.block_count
 

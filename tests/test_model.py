@@ -10,11 +10,7 @@ from collections import deque
 import pytest
 from hypothesis import example, given, strategies as st
 
-from blocksched.errors import (
-    ConfigurationError,
-    IllegalStateError,
-    SimulationInvariantError,
-)
+from blocksched.errors import ConfigurationError, IllegalStateError
 from blocksched.model import (
     BlockAwaitingQueue,
     MediaElement,
@@ -23,7 +19,6 @@ from blocksched.model import (
     filter_expired,
     generate_blocks,
     load_scenario,
-    mark_block_complete,
 )
 from blocksched.units import PACKET_PAYLOAD_BYTES
 
@@ -306,7 +301,6 @@ class TestQueue:
 
     def test_completed_block_cannot_enter(self):
         b = built_block()
-        b.latest_receive_time = 0.05
         b.received_packets = b.packet_count
         q = BlockAwaitingQueue()
         with pytest.raises(IllegalStateError):
@@ -470,53 +464,51 @@ class TestExpiryWatermark:
 
 
 class TestMarkBlockComplete:
+    """The queue's ``complete``: it unqueues a live block and sets its
+    completion time. The engine's run audit checks what a completed block
+    must have built, received and acked (``test_linksim.TestGuards``)."""
+
     def test_completion_is_latest_client_receipt(self):
-        b = built_block(total_bytes=3000)  # two packets
+        # the engine completes a block at its delivered event, the arrival
+        # of its last packet; a two-packet block whose later arrival is 0.07
+        b = built_block(total_bytes=3000)
         q = BlockAwaitingQueue()
         q.enqueue(b)
-        b.latest_receive_time = 0.07  # the later of the two booked arrivals
         b.received_packets = 2
-        finish = mark_block_complete(b, q)
-        assert finish == 0.07
+        q.complete(b, 0.07)
         assert b.completion_time == 0.07
         assert b.block_id not in q
+        assert len(q) == 0 and q.sendable() == []
 
     def test_completing_a_block_absent_from_the_queue_is_illegal(self):
         # a live block is always queued, so an absent one is an engine fault
         b = built_block(total_bytes=1500)
-        b.latest_receive_time = 0.05
         b.received_packets = 1
         with pytest.raises(IllegalStateError, match="not in queue"):
-            mark_block_complete(b, BlockAwaitingQueue())
-
-    def test_unreceived_packet_blocks_completion(self):
-        b = built_block(total_bytes=3000)
-        b.latest_receive_time = 0.05
-        b.received_packets = 1
-        with pytest.raises(IllegalStateError, match="1 of 2 packets received"):
-            mark_block_complete(b)
-
-    def test_unbuilt_packet_blocks_completion(self):
-        b = block_at(total_bytes=3000)
-        b.received_packets = b.packet_count
-        with pytest.raises(IllegalStateError, match="0 of 2 packets built"):
-            mark_block_complete(b)
+            BlockAwaitingQueue().complete(b, 0.05)
+        assert b.completion_time is None
 
     def test_double_completion_rejected(self):
         b = built_block(total_bytes=1500)
-        b.latest_receive_time = 0.05
+        q = BlockAwaitingQueue()
+        q.enqueue(b)
         b.received_packets = 1
-        mark_block_complete(b)
-        with pytest.raises(IllegalStateError):
-            mark_block_complete(b)
+        q.complete(b, 0.05)
+        with pytest.raises(IllegalStateError, match="not in queue"):
+            q.complete(b, 0.06)
+        assert b.completion_time == 0.05
 
-    def test_finish_before_arrival_is_fatal(self):
-        for finish in (0.5, math.nan):  # NaN compares false with the arrival
-            b = built_block(arrival_time=1.0, total_bytes=1500)
-            b.latest_receive_time = finish
-            b.received_packets = 1
-            with pytest.raises(SimulationInvariantError):
-                mark_block_complete(b)
+    def test_expired_block_cannot_complete(self):
+        # the expiry filter unqueues a block, so its last packet's arrival
+        # cannot complete it
+        b = built_block(total_bytes=1500, deadline_s=0.1)
+        q = BlockAwaitingQueue()
+        q.enqueue(b)
+        assert filter_expired(q, 0.2) == [b]
+        b.received_packets = 1
+        with pytest.raises(IllegalStateError, match="not in queue"):
+            q.complete(b, 0.25)
+        assert b.completion_time is None and b.expired
 
 
 class TestMediaElement:

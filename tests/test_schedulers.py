@@ -15,7 +15,6 @@ from hypothesis import assume, given, strategies as st
 
 from blocksched.errors import ConfigurationError, IllegalStateError
 from blocksched.linksim import RunParams
-from blocksched.metrics import delivery_indicator
 from blocksched.model import BlockAwaitingQueue, Packet, filter_expired
 from blocksched.predictor import Regime
 from blocksched.schedulers import (
@@ -183,7 +182,6 @@ def _engine_on_time(arrival: float, deadline: float, finish: float) -> bool:
 
     def deliver(sim):
         sim.queue.enqueue(block)  # a live block is queued until it completes
-        block.latest_receive_time = finish
         block.received_packets = 1
         sim._on_block_delivered(finish, block)
 
@@ -237,11 +235,11 @@ class TestExpiryRule:
             assert raised == (filter_expired(queue, now) == [block]), now
 
     @given(WINDOWS)
-    def test_engine_on_time_flag_matches_delivery_indicator(self, window):
+    def test_engine_on_time_flag_matches_the_inequality(self, window):
         arrival, deadline, _ = window
         for finish in _times_in(*window):
-            assert _engine_on_time(arrival, deadline, finish) == bool(
-                delivery_indicator(arrival, finish, deadline)), finish
+            assert _engine_on_time(arrival, deadline, finish) == (
+                finish - arrival <= deadline), finish
 
 
 class TestProposedLowRegime:
@@ -581,17 +579,52 @@ class TestLdf:
     def test_on_time_completion_repays_one_unit(self):
         sched = LdfScheduler({0: 1.0})
         sched._tick(2.5)
-        sched.note_block_resolved(0, on_time=True)
+        sched.note_on_time(0)
         assert sched.deficits[0] == 1.5
-        sched.note_block_resolved(0, on_time=True)
-        sched.note_block_resolved(0, on_time=True)
+        sched.note_on_time(0)
+        sched.note_on_time(0)
         assert sched.deficits[0] == 0.0  # floored, never negative
 
     def test_late_or_expired_blocks_do_not_repay(self):
-        sched = LdfScheduler({0: 1.0})
-        sched._tick(2.0)
-        sched.note_block_resolved(0, on_time=False)
-        assert sched.deficits[0] == 2.0
+        # on a 1 Mbps link with a 40 ms one-way delay, element 0's one-packet
+        # blocks reach the client 52 ms after arrival, past a 30 ms window, so
+        # they complete late; element 1's three-packet blocks expire at the
+        # opportunity after their last send. Elements 2 and 3 complete on
+        # time, 2 with its deficit above one unit and 3 below it
+        scenario = scenario_of(
+            element(element_id=0, priority=0, deadline_s=0.03, block_size_bytes=1500, period_s=1.0),
+            element(element_id=1, priority=1, deadline_s=0.03, block_size_bytes=4500, period_s=1.0),
+            element(element_id=2, priority=2, deadline_s=1.0, block_size_bytes=1500, period_s=1.0),
+            element(element_id=3, priority=3, deadline_s=1.0, block_size_bytes=1500, period_s=1.0))
+        rates = {0: 1.0, 1: 1.0, 2: 10.0, 3: 0.1}
+        sched = LdfScheduler(rates)
+        _, records = run_recorded(synthesize_trace("constant", duration_s=30.0, seed=0, mbps=1.0),
+                                  scenario, sched, RunParams(duration_s=3.0, loss_rate=0.0))
+        # the deficits replayed from the log: each decision with an eligible
+        # block accrues every rate over the time since the last, and only an
+        # on-time completion repays one unit, floored at 0
+        expected = dict.fromkeys(rates, 0.0)
+        last = 0.0
+        outcomes = set()
+        full_units = []  # per repayment, whether a whole unit was repaid
+        for r in records:
+            if r["kind"] == "decision" and r["eligible"]:
+                if r["t"] > last:
+                    for k, rate in rates.items():
+                        expected[k] += rate * (r["t"] - last)
+                    last = r["t"]
+            elif r["kind"] == "block_complete":
+                element_id = r["block_id"][0]
+                outcomes.add((element_id, r["on_time"]))
+                if r["on_time"]:
+                    full_units.append(expected[element_id] >= 1.0)
+                    expected[element_id] = max(0.0, expected[element_id] - 1.0)
+            elif r["kind"] == "block_expired":
+                outcomes.add((r["block_id"][0], "expired"))
+        assert outcomes == {(0, False), (1, "expired"), (2, True), (3, True)}
+        assert True in full_units and False in full_units
+        assert sched.deficits == expected
+        assert sched.deficits[0] == sched.deficits[1] > 2.0  # accrued, never repaid
 
     def test_ties_keep_earlier_arrival(self):
         sched = LdfScheduler({0: 1.0, 1: 1.0})
