@@ -88,6 +88,12 @@ MUTANTS = (
     ("complete-leaves-block-queued", "self.remove(block)\n        block.completion_time = t",
      "block.completion_time = t"),
     ("late-completion-repays-ldf", "if on_time:", "if True:"),
+    # a drained block's received count is audited against its acks, and
+    # the report's delivered bytes are what the blocks' acks counted
+    ("finalize-skips-received-acked-check",
+     "if block.received_packets != block.acked_packets:", "if False:"),
+    ("delivered-bytes-of-completed-blocks", "delivered += block.acked_bytes",
+     "delivered += block.total_bytes if block.completion_time is not None else 0"),
     # the engine passes a decision's inputs by position
     ("engine-swaps-regime-and-bw", "select(t, eligible, regime, smoothed,",
      "select(t, eligible, smoothed, regime,"),

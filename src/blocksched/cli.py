@@ -91,13 +91,13 @@ def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.event_log:
         with open(args.event_log, "w") as log:
-            result, report = execute_run(
+            sim, report = execute_run(
                 trace, scenario, args.scheduler, params,
                 record=lambda rec: log.write(json.dumps(rec, sort_keys=True) + "\n"))
         _log("event log written to %s" % args.event_log)
     else:
-        result, report = execute_run(trace, scenario, args.scheduler, params)
-    _write_or_print(run_report_json(result, report), args.out, "report")
+        sim, report = execute_run(trace, scenario, args.scheduler, params)
+    _write_or_print(run_report_json(sim, report), args.out, "report")
     return 0
 
 

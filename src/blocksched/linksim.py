@@ -33,16 +33,19 @@ with what is in flight.
 
 Sends are serial and the delay is fixed, so both the client arrival and
 the response of a packet are known when it is sent. The send applies the
-delivery's bookkeeping (the packet's ``client_receive_time``, the
-delivered counters and the block's received count) and schedules the ack
-or loss signal. A block gets one delivered event, at the arrival of its
-last packet. Each send ends strictly after the one before it, so
-arrivals never decrease in send order, and that event's instant is the
-block's latest arrival: the queue's ``complete`` takes it as the
-completion time if the block is still live. The engine's
-``block_complete`` flag is ``Block.on_time``, the rule every report
-reads, and only an on-time completion is told to the policy
-(``note_on_time``).
+delivery's bookkeeping (the packet's ``client_receive_time`` and the
+block's received count) and schedules the ack or loss signal. A block
+gets one delivered event, at the arrival of its last packet. Each send
+ends strictly after the one before it, so arrivals never decrease in
+send order, and that event's instant is the block's latest arrival: the
+queue's ``complete`` takes it as the completion time if the block is
+still live. The engine's ``block_complete`` flag is ``Block.on_time``,
+the rule every report reads, and only an on-time completion is told to
+the policy (``note_on_time``).
+
+A finished ``Simulation`` is the run's result. Its outcome lives in its
+blocks; ``counters`` keeps what no block holds: ``sends``,
+``retransmission_sends``, ``loss_signals`` and ``slot_discards``.
 
 Event kinds at equal timestamps process in a fixed order:
 send_opportunity, packet_delivered (a block's last packet), ack,
@@ -116,19 +119,6 @@ class RunParams:
             raise ConfigurationError("alpha must be non-negative and finite, got %r" % self.alpha)
 
 
-@dataclass
-class SimulationResult:
-    """Everything one run produced, enough to recompute every metric."""
-
-    scenario_name: str
-    trace_tag: str
-    scheduler_name: str
-    params: RunParams
-    end_time: float
-    blocks: list[Block]
-    counters: dict
-
-
 def _packet_ref(packet: Packet) -> list:
     """A packet id as a flat JSON list: element id, block index, packet index."""
     element_id, block_index = packet.block.block_id
@@ -178,13 +168,9 @@ class Simulation:
             "sends": 0,
             "retransmission_sends": 0,
             "loss_signals": 0,
-            "delivered_packets": 0,
-            "delivered_bytes": 0,
-            "blocks_completed": 0,
-            "blocks_expired": 0,
             "slot_discards": 0,
         }
-        self._finished = False
+        self.finished = False
         for block in self.blocks:
             self._push(block.arrival_time, _BLOCK_ARRIVAL, block)
 
@@ -219,22 +205,14 @@ class Simulation:
             raise SimulationInvariantError("unknown event kind %r" % kind)
         return time_s, kind
 
-    def run(self) -> SimulationResult:
-        if self._finished:
+    def run(self) -> None:
+        """Process every event, then audit the drained run."""
+        if self.finished:
             raise SimulationInvariantError("simulation already ran")
         while self.advance() is not None:
             pass
         self._finalize()
-        self._finished = True
-        return SimulationResult(
-            scenario_name=self.scenario.name,
-            trace_tag=self.trace.source_tag,
-            scheduler_name=self.scheduler.name,
-            params=self.params,
-            end_time=self.now,
-            blocks=self.blocks,
-            counters=self.counters,
-        )
+        self.finished = True
 
     def _ensure_opportunity(self, time_s: float) -> None:
         if not self._opportunity_pending:
@@ -250,7 +228,6 @@ class Simulation:
         self._ensure_opportunity(t)
 
     def _record_expiry(self, block: Block, t: float) -> None:
-        self.counters["blocks_expired"] += 1
         if self.record is not None:
             self.record({"kind": "block_expired", "t": t, "block_id": list(block.block_id)})
 
@@ -353,8 +330,6 @@ class Simulation:
             owd = self.one_way_delay_s
             arrive = end + owd
             packet.client_receive_time = arrive
-            counters["delivered_packets"] += 1
-            counters["delivered_bytes"] += size
             block = packet.block
             block.received_packets += 1
             heappush(heap, (arrive + owd, _ACK, seq, packet))
@@ -390,7 +365,6 @@ class Simulation:
         if not block.expired:
             self.queue.complete(block, t)
             on_time = block.on_time
-            self.counters["blocks_completed"] += 1
             if self.record is not None:
                 self.record({"kind": "block_complete", "t": t,
                              "block_id": list(block.block_id), "on_time": on_time})
@@ -431,6 +405,7 @@ class Simulation:
             raise SimulationInvariantError("inflight ledger not empty after drain")
         if (drift := self.predictor.ledger.total_bytes) != 0:
             raise SimulationInvariantError("inflight ledger still counts %r bytes after drain" % drift)
+        received = 0
         for block in self.blocks:
             if block.pending:
                 raise SimulationInvariantError("block %r still holds %d lost packets after drain"
@@ -457,6 +432,14 @@ class Simulation:
                 raise SimulationInvariantError(
                     "block %r built %d packets but %d were acked and %d discarded"
                     % (block.block_id, block.built, block.acked_packets, block.discarded_packets))
-        if self.counters["sends"] != self.counters["delivered_packets"] + self.counters["loss_signals"]:
-            raise SimulationInvariantError("send/response accounting mismatch: %r" % (self.counters,))
+            # every delivered packet was acked, so acked bytes are received bytes
+            if block.received_packets != block.acked_packets:
+                raise SimulationInvariantError(
+                    "block %r received %d packets but %d were acked"
+                    % (block.block_id, block.received_packets, block.acked_packets))
+            received += block.received_packets
+        # each send ended received or lost
+        if self.counters["sends"] != received + self.counters["loss_signals"]:
+            raise SimulationInvariantError("send/response accounting mismatch: %d received, %r"
+                                           % (received, self.counters))
 

@@ -7,8 +7,9 @@ deadline window. That is ``Block.on_time``, the expiry rule
 flag, ``build_report``'s counts and the `run` report's per-block
 ``on_time`` are one rule. The session delivery ratio averages that
 indicator over all blocks. Channel utilization divides bytes the client
-actually received by the bytes the capacity trace offered over the
-session window; effective utilization is the same ratio over the
+actually received (the blocks' ``acked_bytes``, since a finished run
+acked every delivered packet) by the bytes the capacity trace offered
+over the session window; effective utilization is the same ratio over the
 original bytes of on-time blocks only, so retransmitted copies and late
 stragglers do not count. Session QoE is delivery_ratio + alpha *
 utilization (the gross one) with alpha weighting efficiency against
@@ -16,7 +17,9 @@ timeliness.
 
 QoEReport is the one schema for a run's numbers: its field names are
 the keys of the sweep record (runner.summary_record is its to_dict).
-build_report counts the on-time blocks and builds no per-block object.
+build_report scores a finished linksim.Simulation against the trace it
+replayed and refuses an unfinished one. One pass over the blocks counts
+the on-time ones and the delivered bytes; no per-block object is built.
 It reads alpha and the horizon from the run's (checked) RunParams.
 The `run` report is those keys plus ``blocks``, one outcome per block,
 which ``run_report_json`` adds from the run's blocks.
@@ -26,9 +29,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
-from .errors import ConfigurationError
-from .linksim import RunParams, SimulationResult
-from .traces import LinkTrace
+from .errors import ConfigurationError, IllegalStateError
+from .linksim import RunParams, Simulation
 
 
 def channel_utilization(received_bytes: float, offered_bytes: float) -> float:
@@ -73,33 +75,36 @@ class QoEReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def session_window_end(result: SimulationResult) -> float:
+def session_window_end(sim: Simulation) -> float:
     """The session window runs from 0 to the later of the configured
     duration and the last simulated event."""
-    return max(result.params.duration_s, result.end_time)
+    return max(sim.params.duration_s, sim.now)
 
 
-def build_report(result: SimulationResult, trace: LinkTrace) -> QoEReport:
-    if not result.blocks:
+def build_report(sim: Simulation) -> QoEReport:
+    """Score a finished run against the trace it replayed."""
+    if not sim.finished:
+        raise IllegalStateError("simulation has not finished; nothing to score")
+    if not sim.blocks:
         raise ConfigurationError("run produced no blocks; nothing to score")
+    delivered = 0
     on_time_bytes = 0
     on_time_count = 0
-    for block in result.blocks:
+    for block in sim.blocks:
+        delivered += block.acked_bytes
         if block.on_time:
             on_time_bytes += block.total_bytes
             on_time_count += 1
-    window_end = session_window_end(result)
-    offered = trace.integrate_capacity(0.0, window_end)
-    delivered = result.counters["delivered_bytes"]
+    offered = sim.trace.integrate_capacity(0.0, session_window_end(sim))
     util = channel_utilization(delivered, offered)
-    block_count = len(result.blocks)
+    block_count = len(sim.blocks)
     ratio = on_time_count / block_count
-    alpha = result.params.alpha
+    alpha = sim.params.alpha
     return QoEReport(
-        scenario=result.scenario_name,
-        trace=result.trace_tag,
-        scheduler=result.scheduler_name,
-        seed=result.params.seed,
+        scenario=sim.scenario.name,
+        trace=sim.trace.source_tag,
+        scheduler=sim.scheduler.name,
+        seed=sim.params.seed,
         alpha=alpha,
         block_count=block_count,
         on_time_count=on_time_count,
@@ -109,11 +114,11 @@ def build_report(result: SimulationResult, trace: LinkTrace) -> QoEReport:
         qoe=session_qoe(ratio, util, alpha),
         delivered_bytes=delivered,
         offered_bytes=offered,
-        end_time=result.end_time,
+        end_time=sim.now,
     )
 
 
-def run_report_json(result: SimulationResult, report: QoEReport) -> str:
+def run_report_json(sim: Simulation, report: QoEReport) -> str:
     """The `run` report, one JSON object with sorted keys: the report's
     fields plus ``blocks``, one outcome per block in the run's block order
     with block_id, element_id, arrival_time, completion_time, deadline_s,
@@ -126,5 +131,5 @@ def run_report_json(result: SimulationResult, report: QoEReport) -> str:
         "deadline_s": block.deadline_s,
         "total_bytes": block.total_bytes,
         "on_time": int(block.on_time),
-    } for block in result.blocks]
+    } for block in sim.blocks]
     return json.dumps({**report.to_dict(), "blocks": blocks}, sort_keys=True)

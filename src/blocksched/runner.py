@@ -41,7 +41,7 @@ import re
 from dataclasses import asdict, dataclass, replace
 
 from .errors import ConfigurationError
-from .linksim import RunParams, SimulationResult, Simulation
+from .linksim import RunParams, Simulation
 from .metrics import QoEReport, build_report
 from .model import ScenarioConfig
 from .predictor import Thresholds
@@ -50,12 +50,13 @@ from .traces import LinkTrace, filter_corpus, load_corpus
 
 
 def execute_run(trace: LinkTrace, scenario: ScenarioConfig, scheduler_name: str,
-                params: RunParams, record=None) -> tuple[SimulationResult, QoEReport]:
-    """One simulation and its report; record is the optional event sink
-    (see linksim.Simulation)."""
+                params: RunParams, record=None) -> tuple[Simulation, QoEReport]:
+    """One simulation, finished, and its report; record is the optional
+    event sink (see linksim.Simulation)."""
     scheduler = make_scheduler(scheduler_name, scenario, params.literal_mid_branch)
-    result = Simulation(trace, scenario, scheduler, params, record=record).run()
-    return result, build_report(result, trace)
+    sim = Simulation(trace, scenario, scheduler, params, record=record)
+    sim.run()
+    return sim, build_report(sim)
 
 
 # -- sweep records -----------------------------------------------------
@@ -193,12 +194,14 @@ def run_sweep(traces, scenarios, scheduler_names, seeds, params: RunParams,
     done = total - len(pending)
     parallel = jobs > 1 and len(pending) > 1
     size = _chunk_size(len(pending), jobs) if parallel else 1
-    chunks = ([args for _, args in pending[i:i + size]] for i in range(0, len(pending), size))
+    chunks = [[args for _, args in pending[i:i + size]] for i in range(0, len(pending), size)]
     if parallel:
         # imported here, so a serial sweep and every other command never
         # load the process pool and multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-    with (ProcessPoolExecutor(max_workers=jobs) if parallel else contextlib.nullcontext()) as pool:
+    # a forking pool starts every worker at the first submit: ask for no idle ones
+    with (ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) if parallel
+          else contextlib.nullcontext()) as pool:
         # chunks are collected lazily, in grid order; each record is written
         # and logged before the next chunk is awaited
         fresh = pool.map(_sweep_chunk, chunks) if parallel else map(_sweep_chunk, chunks)

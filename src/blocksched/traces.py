@@ -212,8 +212,9 @@ def parse_packet_opportunity_trace(lines, bucket_s: float = 1.0,
                                    source_tag: str = "opportunity") -> LinkTrace:
     """Bucket millisecond delivery opportunities, one full packet payload
     each, into a capacity trace of at most ``MAX_OPPORTUNITY_BUCKETS`` buckets."""
-    if bucket_s <= 0:
-        raise ConfigurationError("bucket_s must be positive, got %r" % bucket_s)
+    # unchecked, NaN or inf fails later with an error that does not name it
+    if not 0 < bucket_s < math.inf:
+        raise ConfigurationError("bucket_s must be positive and finite, got %r" % bucket_s)
     bucket_ms = bucket_s * 1000.0
     stamps_ms: list[int] = []
     last = None

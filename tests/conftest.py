@@ -122,13 +122,14 @@ def force_losses(sim: Simulation, forced_sends) -> Simulation:
 def run_recorded(trace, scenario, scheduler, params: RunParams, drive=Simulation.run,
                  forced_loss_sends=None):
     """Build a Simulation whose record sink is a list, drive it (a full run
-    by default) and return (what drive returned, the records in engine
-    order). With forced_loss_sends, those send indices are lost too."""
+    by default) and return (the simulation, the records in engine order).
+    With forced_loss_sends, those send indices are lost too."""
     records: list[dict] = []
     sim = Simulation(trace, scenario, scheduler, params, record=records.append)
     if forced_loss_sends is not None:
         force_losses(sim, forced_loss_sends)
-    return drive(sim), records
+    drive(sim)
+    return sim, records
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -74,9 +74,9 @@ def run_and_audit(trace, scenario, scheduler_name, params, forced=(), keep=None)
     sim = Simulation(trace, scenario, scheduler, params, record=audit)
     if forced:
         force_losses(sim, forced)
-    result = sim.run()
+    sim.run()
     AUDIT["runs"] += 1
-    return result, build_report(result, trace)
+    return sim, build_report(sim)
 
 
 @pytest.fixture(scope="module")
@@ -273,10 +273,10 @@ def test_criterion_09_light_load_delivers_everything():
     details = []
     for name in SCHEDULER_NAMES:
         records = []
-        result, report = run_and_audit(constant, scenario, name, params, keep=records)
+        sim, report = run_and_audit(constant, scenario, name, params, keep=records)
         delivered = sum(r["size"] for r in records
                         if r["kind"] == "send" and r["arrives"] is not None)
-        offered = constant.integrate_capacity(0.0, max(result.params.duration_s, result.end_time))
+        offered = constant.integrate_capacity(0.0, max(sim.params.duration_s, sim.now))
         recomputed_util = min(1.0, delivered / offered)
         exact = (report.delivery_ratio == 1.0
                  and report.utilization == recomputed_util

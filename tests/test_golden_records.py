@@ -99,9 +99,9 @@ def test_golden_tables_are_unchanged(golden_sweep):
 
 def test_golden_run_report_is_unchanged():
     """The report `blocksched run` prints, built by the CLI's helper."""
-    result, report = execute_run(corpus_trace("sq01.csv"), scenario_1(), "proposed",
+    sim, report = execute_run(corpus_trace("sq01.csv"), scenario_1(), "proposed",
                                  RunParams(duration_s=8.0))
-    assert sha256_text(run_report_json(result, report)) == RUN_REPORT_SHA256
+    assert sha256_text(run_report_json(sim, report)) == RUN_REPORT_SHA256
 
 
 def event_log_inputs(place):

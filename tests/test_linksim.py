@@ -34,7 +34,7 @@ def constant_trace(mbps=1.0, duration_s=30.0):
 
 def run_one(scenario, trace=None, scheduler="proposed", forced_loss_sends=None, **params):
     """One full run with LOSSLESS's settings, as changed by params; returns
-    (result, records)."""
+    (sim, records)."""
     return run_recorded(
         trace if trace is not None else constant_trace(),
         scenario,
@@ -54,9 +54,9 @@ class TestSingleBlockTimeline:
         return run_one(one_block_scenario())
 
     def test_sends_pipeline_at_transmission_cadence(self):
-        result, records = self._run()
+        sim, records = self._run()
         sends = records_of(records, "send")
-        t0 = result.blocks[0].arrival_time
+        t0 = sim.blocks[0].arrival_time
         assert [r["t"] for r in sends] == [pytest.approx(t0, **APPROX),
                                            pytest.approx(t0 + 0.012, **APPROX)]
         # first send leaves the instant it was chosen, so no latency sample;
@@ -68,13 +68,13 @@ class TestSingleBlockTimeline:
         assert chosen == [pytest.approx(t0, **APPROX)] * 2
 
     def test_delivery_and_ack_timing(self):
-        result, records = self._run()
-        t0 = result.blocks[0].arrival_time
+        sim, records = self._run()
+        t0 = sim.blocks[0].arrival_time
         arrivals = [r["arrives"] for r in records_of(records, "send")]
         assert arrivals == [pytest.approx(t0 + 0.052, **APPROX),
                             pytest.approx(t0 + 0.064, **APPROX)]
         # the block completes at the latest arrival booked, its last packet's
-        assert result.blocks[0].completion_time == arrivals[-1]
+        assert sim.blocks[0].completion_time == arrivals[-1]
         # a delivery writes no line of its own
         assert records_of(records, "delivered") == []
         acks = records_of(records, "ack")
@@ -84,25 +84,25 @@ class TestSingleBlockTimeline:
         # including the measured one; the second only the later packet
         assert acks[0]["thr_smoothed"] == pytest.approx(3000 / 0.092, **APPROX)
         assert acks[1]["thr_smoothed"] == pytest.approx(1500 / 0.092, **APPROX)
-        assert result.end_time == pytest.approx(t0 + 0.104, **APPROX)
+        assert sim.now == pytest.approx(t0 + 0.104, **APPROX)
 
     def test_block_completes_on_time(self):
-        result, records = self._run()
-        t0 = result.blocks[0].arrival_time
+        sim, records = self._run()
+        t0 = sim.blocks[0].arrival_time
         completes = records_of(records, "block_complete")
         assert len(completes) == 1
         assert completes[0]["t"] == pytest.approx(t0 + 0.064, **APPROX)
         assert completes[0]["on_time"] is True
-        assert result.blocks[0].completion_time == pytest.approx(t0 + 0.064, **APPROX)
-        assert result.counters["blocks_completed"] == 1
-        assert result.counters["blocks_expired"] == 0
-        assert result.counters["delivered_bytes"] == 3000
+        (block,) = sim.blocks
+        assert block.completion_time == pytest.approx(t0 + 0.064, **APPROX)
+        assert not block.expired
+        assert block.acked_bytes == 3000
 
 
 class TestLossAndRetransmission:
     def test_forced_loss_requeues_and_preempts(self):
-        result, records = run_one(one_block_scenario(), forced_loss_sends={0})
-        t0 = result.blocks[0].arrival_time
+        sim, records = run_one(one_block_scenario(), forced_loss_sends={0})
+        t0 = sim.blocks[0].arrival_time
         losses = records_of(records, "loss")
         assert len(losses) == 1
         loss = losses[0]
@@ -114,7 +114,7 @@ class TestLossAndRetransmission:
 
         after = [d for d in records_of(records, "decision")
                  if d["t"] >= loss_t and d["selected"] is not None]
-        assert after[0]["selected"] == list(result.blocks[0].block_id)
+        assert after[0]["selected"] == list(sim.blocks[0].block_id)
         assert after[0]["reason"] == "retransmission"
 
         sends = records_of(records, "send")
@@ -122,34 +122,35 @@ class TestLossAndRetransmission:
         assert sends[2]["packet_id"] == loss["packet_id"]  # the lost packet goes out again
         assert sends[2]["retransmission"] is True
         assert sends[2]["t"] == pytest.approx(t0 + 0.08, **APPROX)
-        assert result.counters["retransmission_sends"] == 1
-        assert result.counters["loss_signals"] == 1
+        assert sim.counters["retransmission_sends"] == 1
+        assert sim.counters["loss_signals"] == 1
 
         # the lost packet went out twice, and no third packet was built
         assert [r["packet_id"] for r in sends].count(loss["packet_id"]) == 2
-        assert result.blocks[0].built == result.blocks[0].acked_packets == 2
-        assert result.blocks[0].completion_time == pytest.approx(t0 + 0.132, **APPROX)
+        assert sim.blocks[0].built == sim.blocks[0].acked_packets == 2
+        assert sim.blocks[0].completion_time == pytest.approx(t0 + 0.132, **APPROX)
 
     def test_loss_for_expired_block_is_dropped(self):
         # deadline shorter than one transmission: the block expires at the
         # second opportunity, its slot packet is discarded unsent, and the
         # eventual loss signal must not requeue anything
-        result, records = run_one(one_block_scenario(deadline_s=0.01), forced_loss_sends={0})
-        t0 = result.blocks[0].arrival_time
+        sim, records = run_one(one_block_scenario(deadline_s=0.01), forced_loss_sends={0})
+        t0 = sim.blocks[0].arrival_time
         discards = records_of(records, "slot_discard")
         assert len(discards) == 1
         assert discards[0]["t"] == pytest.approx(t0 + 0.012, **APPROX)
-        assert result.counters["slot_discards"] == 1
+        assert sim.counters["slot_discards"] == 1
 
         losses = records_of(records, "loss")
         assert len(losses) == 1
         assert losses[0]["requeued"] is False
         assert records_of(records, "block_expired") != []
         assert records_of(records, "block_complete") == []
-        assert result.counters == {**result.counters, "sends": 1,
-                                   "delivered_packets": 0, "blocks_expired": 1}
-        # the lost packet and the slot's both ended discarded, none acked
-        block = result.blocks[0]
+        assert sim.counters["sends"] == 1
+        # the lost packet and the slot's both ended discarded, none received
+        # or acked
+        (block,) = sim.blocks
+        assert block.expired and block.received_packets == 0
         assert (block.built, block.discarded_packets, block.acked_packets) == (2, 2, 0)
 
 
@@ -218,19 +219,18 @@ class TestConservation:
     @pytest.mark.parametrize("scheduler", ["proposed", "fifo", "ldf", "rswn"])
     def test_every_block_and_packet_resolves(self, scheduler):
         scenario, trace = self._inputs()
-        result, records = run_one(scenario, trace=trace, scheduler=scheduler,
+        sim, records = run_one(scenario, trace=trace, scheduler=scheduler,
                                   duration_s=6.0, seed=3, loss_rate=0.02)
-        c = result.counters
-        assert c["blocks_completed"] + c["blocks_expired"] == len(result.blocks)
+        c = sim.counters
         assert c["sends"] == len(records_of(records, "send"))
         assert c["loss_signals"] == len(records_of(records, "loss"))
-        assert c["delivered_bytes"] == sum(r["size"] for r in records_of(records, "send")
-                                           if r["arrives"] is not None)
+        assert sum(b.acked_bytes for b in sim.blocks) == sum(
+            r["size"] for r in records_of(records, "send") if r["arrives"] is not None)
         arrivals = {}  # block id -> the client arrivals its sends booked
         for r in records_of(records, "send"):
             if r["arrives"] is not None:
                 arrivals.setdefault(tuple(r["packet_id"][:2]), []).append(r["arrives"])
-        for block in result.blocks:
+        for block in sim.blocks:
             assert block.acked_packets + block.discarded_packets == block.built
             if block.completion_time is not None:
                 assert not block.expired
@@ -269,7 +269,7 @@ class TestConservation:
             element(element_id=0, priority=0, deadline_s=1.2, block_size_bytes=15000, period_s=0.2),
             element(element_id=1, priority=1, deadline_s=2.0, block_size_bytes=30000, period_s=0.25))
         _, trace = self._inputs()
-        result, records = run_one(scenario, trace=trace, scheduler=scheduler,
+        sim, records = run_one(scenario, trace=trace, scheduler=scheduler,
                                   duration_s=6.0, seed=3, rtt_s=0.6, loss_rate=0.05)
         inflight: dict = {}  # packet id -> (size, send time)
         responses = 0
@@ -284,16 +284,16 @@ class TestConservation:
                 del inflight[pid]
                 responses += 1
         assert inflight == {}
-        assert responses == result.counters["sends"]
-        assert result.counters["retransmission_sends"] > 0
+        assert responses == sim.counters["sends"]
+        assert sim.counters["retransmission_sends"] > 0
 
     def test_delivered_bytes_bounded_by_link_capacity(self):
         scenario = scenario_of(element(element_id=0, priority=0, deadline_s=0.5,
                                        block_size_bytes=15000, period_s=0.1))
         trace = constant_trace(mbps=1.0)
-        result, _ = run_one(scenario, trace=trace, duration_s=5.0, seed=2)
-        offered = trace.integrate_capacity(0.0, result.end_time)
-        assert result.counters["delivered_bytes"] <= offered + 1e-6
+        sim, _ = run_one(scenario, trace=trace, duration_s=5.0, seed=2)
+        offered = trace.integrate_capacity(0.0, sim.now)
+        assert sum(b.acked_bytes for b in sim.blocks) <= offered + 1e-6
 
     def test_sends_stay_inside_block_windows(self):
         scenario = scenario_of(
@@ -301,8 +301,8 @@ class TestConservation:
             element(element_id=1, priority=1, deadline_s=0.2, block_size_bytes=7500, period_s=0.2))
         trace = synthesize_trace("square_wave", duration_s=20.0, seed=0,
                                  low_mbps=0.4, high_mbps=2.0, period_s=3.0)
-        result, records = run_one(scenario, trace=trace, duration_s=6.0, seed=5, loss_rate=0.05)
-        windows = {b.block_id: (b.arrival_time, b.expires_at) for b in result.blocks}
+        sim, records = run_one(scenario, trace=trace, duration_s=6.0, seed=5, loss_rate=0.05)
+        windows = {b.block_id: (b.arrival_time, b.expires_at) for b in sim.blocks}
         sends = records_of(records, "send")
         assert sends
         for send in sends:
@@ -332,9 +332,8 @@ class TestSendPath:
         assert first.client_receive_time == pytest.approx(sent_at + 0.052, **APPROX)
         # only the block's last packet gets a delivered event
         assert not [kind for _, kind, _, _ in sim._heap if kind == linksim._PACKET_DELIVERED]
-        assert sim.counters["delivered_packets"] == 1
-        assert sim.counters["delivered_bytes"] == first.size_bytes
         assert sim.blocks[0].received_packets == 1
+        assert sim.blocks[0].acked_bytes == 0  # counted at the ack
         assert sim.blocks[0].completion_time is None  # completion waits for the arrival
 
     def test_one_delivered_event_per_fully_received_block(self):
@@ -346,12 +345,11 @@ class TestSendPath:
         def drive(sim):
             while (step := sim.advance()) is not None:
                 kinds.append(step[1])
-            return sim
 
         sim, _ = run_recorded(trace, scenario, make_scheduler("proposed", scenario=scenario),
                               RunParams(duration_s=6.0, seed=3, loss_rate=0.02), drive=drive)
         received = [b for b in sim.blocks if b.received_packets == b.packet_count]
-        delivered = sim.counters["delivered_packets"]
+        delivered = sum(b.received_packets for b in sim.blocks)
         assert kinds.count(linksim._PACKET_DELIVERED) == len(received) < delivered
         assert kinds.count(linksim._ACK) == delivered
 
@@ -372,7 +370,7 @@ class TestSendPath:
         kinds = []
         while (step := sim.advance()) is not None:
             kinds.append(step[1])
-        assert sim.counters["blocks_expired"] > 0
+        assert any(b.expired for b in sim.blocks)
         assert all(at_watermark)
         assert 0 < len(at_watermark) < kinds.count(linksim._SEND_OPPORTUNITY)
 
@@ -392,15 +390,15 @@ class TestPacketLifetime:
         # filter's discards all drop their packets
         baseline = [o for o in gc.get_objects() if type(o) is Packet]  # kept alive, so ids stay
         scenario, trace = deep_queue_inputs(duration_s=4.0)
-        result, records = run_recorded(trace, scenario, make_scheduler("fifo", scenario=scenario),
+        sim, records = run_recorded(trace, scenario, make_scheduler("fifo", scenario=scenario),
                                        RunParams(duration_s=4.0, seed=2, loss_rate=0.05))
-        c = result.counters
-        assert c["blocks_expired"] > 0 and c["slot_discards"] > 0
+        c = sim.counters
+        assert any(b.expired for b in sim.blocks) and c["slot_discards"] > 0
         unrequeued = [r for r in records_of(records, "loss") if not r["requeued"]]
         # some packet was discarded while it waited in a pending list
-        assert (sum(b.discarded_packets for b in result.blocks)
+        assert (sum(b.discarded_packets for b in sim.blocks)
                 > c["slot_discards"] + len(unrequeued) > c["slot_discards"])
-        assert sum(b.built for b in result.blocks) > 0
+        assert sum(b.built for b in sim.blocks) > 0
         gc.collect()
         assert live_packets(baseline) == 0
 
@@ -476,6 +474,24 @@ class TestGuards:
         with pytest.raises(SimulationInvariantError, match="completed with"):
             sim._finalize()
 
+    @pytest.mark.parametrize("step", [-1, 1], ids=["fewer", "more"])
+    def test_received_count_off_the_ack_count_is_an_invariant_error(self, step):
+        # every packet that reached the client got its ack, so a drained
+        # block's received and acked counts agree. This block expired with
+        # both packets delivered (the loss signal comes at t0 + 80 ms, the
+        # window closes at t0 + 90 ms), so the completed-block audit above
+        # does not read its counts
+        sim = force_losses(Simulation(constant_trace(), one_block_scenario(deadline_s=0.09),
+                                      make_scheduler("fifo"), LOSSLESS), {0})
+        while sim.advance() is not None:
+            pass
+        (block,) = sim.blocks
+        assert block.expired and block.received_packets == block.acked_packets == 2
+        block.received_packets += step
+        with pytest.raises(SimulationInvariantError,
+                           match="received %d packets but 2 were acked" % (2 + step)):
+            sim._finalize()
+
     @pytest.mark.parametrize("offset", [0.0, -0.5, math.nan], ids=["at", "before", "nan"])
     def test_completion_at_or_before_arrival_is_an_invariant_error(self, offset):
         # a block's last packet leaves the wire after the block arrived and
@@ -516,8 +532,8 @@ class TestGuards:
                 Simulation(constant_trace(), scenario, make_scheduler("fifo"),
                            replace(LOSSLESS, rtt_s=rtt_s))
         # the least accepted RTT runs, its loss signals included
-        result, _ = run_one(scenario, scheduler="fifo", rtt_s=least, loss_rate=0.5)
-        assert result.counters["loss_signals"] > 0
+        sim, _ = run_one(scenario, scheduler="fifo", rtt_s=least, loss_rate=0.5)
+        assert sim.counters["loss_signals"] > 0
 
     def test_run_twice_rejected(self):
         sim = Simulation(constant_trace(), one_block_scenario(), make_scheduler("fifo"),

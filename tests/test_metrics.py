@@ -6,7 +6,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from blocksched.linksim import RunParams
+from blocksched.errors import IllegalStateError
+from blocksched.linksim import RunParams, Simulation
 from blocksched.model import BlockAwaitingQueue
 from blocksched.metrics import (
     build_report,
@@ -104,41 +105,40 @@ def _run(loss_rate=0.0, duration_s=4.0, deadline_s=0.2, forced=()):
         element(element_id=1, priority=1, deadline_s=deadline_s,
                 block_size_bytes=6000, period_s=0.5))
     trace = synthesize_trace("constant", duration_s=30.0, seed=0, mbps=2.0)
-    result, records = run_recorded(trace, scenario, make_scheduler("proposed"),
+    sim, records = run_recorded(trace, scenario, make_scheduler("proposed"),
                                    RunParams(duration_s=duration_s, seed=4, loss_rate=loss_rate),
                                    forced_loss_sends=forced)
-    return result, trace, records
+    return sim, trace, records
 
 
 class TestBuildReport:
     def test_matches_independent_recomputation(self):
-        result, trace, records = _run(loss_rate=0.05)
-        report = build_report(result, trace)
+        sim, trace, records = _run(loss_rate=0.05)
+        report = build_report(sim)
         # the paper's indicator, F - E <= D, for every block that completed
         flags = [b.completion_time is not None
                  and b.completion_time - b.arrival_time <= b.deadline_s
-                 for b in result.blocks]
-        assert report.block_count == len(result.blocks)
+                 for b in sim.blocks]
+        assert report.block_count == len(sim.blocks)
         assert report.on_time_count == sum(flags)
         assert report.delivery_ratio == sum(flags) / len(flags)
-        offered = trace.integrate_capacity(0.0, max(result.params.duration_s, result.end_time))
+        offered = trace.integrate_capacity(0.0, max(sim.params.duration_s, sim.now))
         assert report.offered_bytes == offered
-        assert report.utilization == min(1.0, result.counters["delivered_bytes"] / offered)
         delivered = sum(r["size"] for r in records
                         if r["kind"] == "send" and r["arrives"] is not None)
         assert report.utilization == min(1.0, delivered / offered)
-        on_time_bytes = sum(b.total_bytes for b, f in zip(result.blocks, flags) if f)
+        on_time_bytes = sum(b.total_bytes for b, f in zip(sim.blocks, flags) if f)
         assert report.effective_utilization == min(1.0, on_time_bytes / offered)
         assert report.qoe == report.delivery_ratio + 0.85 * report.utilization
 
     def test_retransmissions_never_double_count_received_bytes(self):
-        result, trace, _ = _run(forced=(0, 4))
-        assert result.counters["retransmission_sends"] >= 2
-        report = build_report(result, trace)
+        sim, trace, _ = _run(forced=(0, 4))
+        assert sim.counters["retransmission_sends"] >= 2
+        report = build_report(sim)
         # a lost copy burns capacity without delivering, so sends outnumber
         # deliveries, but each packet reaches the client at most once and
         # the two utilizations stay equal while everything is on time
-        assert result.counters["sends"] > result.counters["delivered_packets"]
+        assert sim.counters["sends"] > sum(b.received_packets for b in sim.blocks)
         assert report.delivery_ratio == 1.0
         assert report.utilization == pytest.approx(report.effective_utilization)
 
@@ -146,24 +146,35 @@ class TestBuildReport:
         # deadlines shorter than one delivery round trip: packets still
         # reach the client and count as received, but no block finishes
         # inside its window, so effective utilization collapses to zero
-        result, trace, _ = _run(deadline_s=0.03, duration_s=2.0)
-        report = build_report(result, trace)
+        sim, trace, _ = _run(deadline_s=0.03, duration_s=2.0)
+        report = build_report(sim)
         assert report.effective_utilization == 0.0
         assert report.utilization > 0.0
 
     def test_lossless_run_keeps_both_utilizations_equal(self):
-        result, trace, _ = _run()
-        report = build_report(result, trace)
+        sim, trace, _ = _run()
+        report = build_report(sim)
         assert report.delivery_ratio == 1.0
         assert report.utilization == pytest.approx(report.effective_utilization)
 
+    @pytest.mark.parametrize("steps", [0, 5])
+    def test_unfinished_simulation_is_refused(self, steps):
+        # a run is scored only once it drained and passed its audit
+        scenario = scenario_of(element())
+        sim = Simulation(synthesize_trace("constant", duration_s=30.0, seed=0, mbps=2.0),
+                         scenario, make_scheduler("proposed"), RunParams(duration_s=2.0))
+        for _ in range(steps):
+            sim.advance()
+        with pytest.raises(IllegalStateError, match="has not finished"):
+            build_report(sim)
+
     def test_session_window_covers_overrun(self):
-        result, _, _ = _run()
-        assert session_window_end(result) == max(result.params.duration_s, result.end_time)
+        sim, _, _ = _run()
+        assert session_window_end(sim) == max(sim.params.duration_s, sim.now)
 
     def test_json_round_trip(self):
-        result, trace, _ = _run()
-        report = build_report(result, trace)
+        sim, trace, _ = _run()
+        report = build_report(sim)
         data = json.loads(json.dumps(report.to_dict()))
         assert data == report.to_dict()
         assert data["scheduler"] == "proposed"
@@ -172,9 +183,9 @@ class TestBuildReport:
         assert data["qoe"] == report.qoe
 
     def test_run_report_adds_one_outcome_per_block(self):
-        result, trace, _ = _run(deadline_s=0.06)  # some blocks late, some on time
-        report = build_report(result, trace)
-        data = json.loads(run_report_json(result, report))
+        sim, trace, _ = _run(deadline_s=0.06)  # some blocks late, some on time
+        report = build_report(sim)
+        data = json.loads(run_report_json(sim, report))
         outcomes = data.pop("blocks")
         assert data == report.to_dict()
         assert len(outcomes) == report.block_count
@@ -184,11 +195,11 @@ class TestBuildReport:
             assert o["on_time"] == int(completion is not None and
                                        completion - o["arrival_time"] <= o["deadline_s"])
             assert type(o["on_time"]) is int
-        assert [o["block_id"] for o in outcomes] == [list(b.block_id) for b in result.blocks]
+        assert [o["block_id"] for o in outcomes] == [list(b.block_id) for b in sim.blocks]
         assert 0 < report.on_time_count < report.block_count
 
     def test_expired_blocks_lower_the_ratio(self):
-        result, trace, _ = _run(deadline_s=0.03, duration_s=2.0)
-        report = build_report(result, trace)
+        sim, trace, _ = _run(deadline_s=0.03, duration_s=2.0)
+        report = build_report(sim)
         assert report.on_time_count < report.block_count
         assert report.delivery_ratio < 1.0

@@ -78,8 +78,8 @@ class TestExecuteRun:
         # now > E + D and now - E > D used to disagree
         trace = load_trace(os.path.join(CORPUS_DIR, "ramp09.csv"))
         params = RunParams(duration_s=8.0, seed=449071)
-        result, report = execute_run(trace, load_scenario(SCENARIO_1), "proposed", params)
-        assert report.block_count == len(result.blocks) > 0
+        sim, report = execute_run(trace, load_scenario(SCENARIO_1), "proposed", params)
+        assert report.block_count == len(sim.blocks) > 0
 
     def test_event_log_is_json_lines(self, tmp_path, capsys):
         trace = os.path.join(str(tmp_path), "trace.csv")
@@ -293,6 +293,26 @@ class TestSweep:
             record_key("fifo", "mini", tag, seed) + ".json" for tag, seed in good)
         assert log == ["run %d/28 fifo/mini/%s seed=%d" % (i, tag, seed)
                        for i, (tag, seed) in enumerate(good, 1)]
+
+    def test_pool_starts_no_more_workers_than_chunks(self, tmp_path, monkeypatch):
+        # a forking pool starts every worker it was asked for at the first
+        # submit; the spy records the request and starts at most two
+        import concurrent.futures
+
+        real = concurrent.futures.ProcessPoolExecutor
+        asked = []
+
+        def spy(max_workers):
+            asked.append(max_workers)
+            return real(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+        trace = small_corpus()[0]
+        table = run_sweep([trace], [small_scenario()], ["fifo"], [0, 1, 2],
+                          quick_params(duration_s=0.5), records_dir=str(tmp_path / "records"),
+                          jobs=64)
+        assert asked == [3]  # one cell per chunk at this size
+        assert table.row("fifo", "mini").runs == 3
 
     # cell counts on, just past and just short of a chunk boundary; the
     # chunk size is cells // (4 * jobs), clamped to [1, 10]
@@ -703,6 +723,14 @@ class TestCli:
         assert main(["traces", "parse", "--input", str(trace)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: %s line 2: timestamp past the limit of 1000000 buckets of 1 s" % trace]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_bucket_width_exits_1_with_one_line(self, tmp_path, capsys, value):
+        trace = tmp_path / "stamps.txt"
+        trace.write_text("0\n500\n")
+        assert main(["traces", "parse", "--input", str(trace), "--bucket-s", value]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bucket_s must be positive and finite, got %s" % value]
 
     def test_config_errors_exit_1(self, tmp_path, capsys):
         trace = self._write_trace(tmp_path)

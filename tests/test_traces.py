@@ -90,6 +90,14 @@ class TestOpportunityParsing:
         with pytest.raises(TraceParseError, match="line 2: timestamp past the limit"):
             parse_packet_opportunity_trace(["0", str(limit_ms)], bucket_s=bucket_s)
 
+    @pytest.mark.parametrize("bucket_s", [math.nan, math.inf, 0.0, -1.0])
+    def test_bucket_width_must_be_positive_and_finite(self, bucket_s):
+        # NaN and inf pass a plain `<= 0` check, then fail later with an
+        # error that does not name the width
+        with pytest.raises(ConfigurationError,
+                           match="bucket_s must be positive and finite, got %r" % bucket_s):
+            parse_packet_opportunity_trace(["0", "500"], bucket_s=bucket_s)
+
     def test_blank_lines_skipped(self):
         trace = parse_packet_opportunity_trace(["0", "", "  ", "500"])
         assert trace.samples[0][1] == 3000.0
