@@ -97,11 +97,17 @@ MUTANTS = (
     # the engine passes a decision's inputs by position
     ("engine-swaps-regime-and-bw", "select(t, eligible, regime, smoothed,",
      "select(t, eligible, smoothed, regime,"),
+    # a policy's choice outside the sendable index fails the run
+    ("fill-slot-trusts-the-policy",
+     "if block is None or not (block.unsent or block.pending) or block.expired:", "if False:"),
     # a sweep pairs each chunk's records with its cells: zipping the cells
     # first takes one cell too many per chunk; overlapping chunks run a cell twice
     ("sweep-zip-takes-a-cell-first", "for record, (path, args) in zip(chunk_records, cells):",
      "for (path, args), record in zip(cells, chunk_records):"),
     ("sweep-chunks-overlap", "pending[i:i + size]", "pending[i:i + size + 1]"),
+    # a failing chunk's finished cells ride on its failure to be written
+    ("sweep-drops-carried-records", "exc.finished_records = records",
+     "exc.finished_records = []"),
 )
 
 # a mutant can make a test allocate without end; past this much address

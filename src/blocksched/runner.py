@@ -10,14 +10,16 @@ the source of truth: a table regenerated from the record files equals
 the one produced by the sweep, and an interrupted sweep resumes by
 skipping combinations whose record file already exists. A process pool
 gets the pending cells in contiguous chunks, in grid order, and returns
-each chunk's records together, up to the chunk's first failing cell;
-serially each chunk is one cell. Each record is written, and logged, as
-soon as its chunk is collected (in grid order, serially and with a
-process pool alike), so an interrupt or a failing run keeps every record
-collected before it, the failing cell's chunk-mates included. A record
-file is written whole or not at all (a temp file renamed into place), so
-an interrupted write never leaves a truncated record behind. Threshold
-tuning runs each grid cell through the same sweep engine.
+each chunk's records together; serially each chunk is one cell. A cell
+that fails raises out of its chunk carrying the records of the cells
+before it, and the pool cancels the chunks not yet started. Each record
+is written, and logged, as soon as its chunk is collected (in grid
+order, serially and with a process pool alike), so an interrupt or a
+failing run keeps every record collected before it, the failing cell's
+chunk-mates included. A record file is written whole or not at all (a
+temp file renamed into place), so an interrupted write never leaves a
+truncated record behind. Threshold tuning runs each grid cell through
+the same sweep engine.
 
 A run's settings are one linksim.RunParams, which this module re-exports.
 Every sweep and tuning cell is a dataclasses.replace copy of it, and
@@ -115,34 +117,30 @@ def _sweep_worker(args) -> dict:
     return summary_record(report)
 
 
-def _sweep_chunk(tasks) -> tuple[list[dict], Exception | None, str | None]:
-    """Run a chunk of cells in order. Returns the records of the cells that
-    finished, the first failure (None when every cell finished) and its
-    formatted traceback; the cells after a failure are not run. A failure
-    comes back as a value, so a worker returns its chunk-mates' records
-    with it, and as text, since a pickled exception drops its traceback;
-    run_sweep raises it. An interrupt is not a cell's failure and
-    propagates."""
+def _sweep_chunk(tasks) -> list[dict]:
+    """Run a chunk of cells in order and return their records. A failing
+    cell's exception is raised with the records of the cells before it as
+    its ``finished_records``, so a worker's chunk-mates reach run_sweep
+    with the failure; the cells after it are not run. An interrupt is not
+    a cell's failure and propagates as it is."""
     records = []
     for args in tasks:
         try:
             records.append(_sweep_worker(args))
         except Exception as exc:
-            import traceback  # on failure only, so no sweep loads it otherwise
+            exc.finished_records = records
+            raise
+    return records
 
-            return records, exc, "".join(traceback.format_exception(exc))
-    return records, None, None
 
-
-class _WorkerTraceback(Exception):
-    """A worker's formatted traceback, chained as the __cause__ of the
-    failure it returned, as concurrent.futures chains a task's own raise."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-
-    def __str__(self) -> str:
-        return '\n"""\n%s"""' % self.text
+def _collected(results):
+    """Each chunk's records from results, in order; a failed chunk's are
+    the ones its failure carries, and the failure is raised after them."""
+    try:
+        yield from results
+    except Exception as exc:
+        yield getattr(exc, "finished_records", [])
+        raise
 
 
 def _chunk_size(cells: int, jobs: int) -> int:
@@ -203,10 +201,11 @@ def run_sweep(traces, scenarios, scheduler_names, seeds, params: RunParams,
     with (ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) if parallel
           else contextlib.nullcontext()) as pool:
         # chunks are collected lazily, in grid order; each record is written
-        # and logged before the next chunk is awaited
+        # and logged before the next chunk is awaited. A failing chunk's
+        # raise ends the pool's map, which cancels the chunks not started
         fresh = pool.map(_sweep_chunk, chunks) if parallel else map(_sweep_chunk, chunks)
         cells = iter(pending)
-        for chunk_records, failure, worker_traceback in fresh:
+        for chunk_records in _collected(fresh):
             # the records first: zip stops on them without taking a cell
             for record, (path, args) in zip(chunk_records, cells):
                 if path:
@@ -216,12 +215,6 @@ def run_sweep(traces, scenarios, scheduler_names, seeds, params: RunParams,
                 if log:
                     log("run %d/%d %s/%s/%s seed=%d" % (done, total, args[2], args[1].name,
                                                         args[0].source_tag, args[3].seed))
-            if failure is not None:
-                if parallel:
-                    # the chunks not started yet are dropped, not run
-                    pool.shutdown(cancel_futures=True)
-                    raise failure from _WorkerTraceback(worker_traceback)
-                raise failure
     return build_table(records, trace_group)
 
 

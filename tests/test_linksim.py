@@ -14,7 +14,14 @@ from blocksched.linksim import Simulation
 from blocksched.model import Packet
 from blocksched.predictor import Regime
 from blocksched.runner import RunParams, execute_run
-from blocksched.schedulers import SCHEDULER_NAMES, Scheduler, make_scheduler, select_block_fifo
+from blocksched.schedulers import (
+    SCHEDULER_NAMES,
+    DecisionReason,
+    Scheduler,
+    SchedulerDecision,
+    make_scheduler,
+    select_block_fifo,
+)
 from blocksched.traces import synthesize_trace
 from conftest import deep_queue_inputs, element, force_losses, run_recorded, scenario_of
 
@@ -619,6 +626,27 @@ class TestFeatureBuilds:
         block.unsent = 0  # behind the queue's back: only its take counts a packet out
         with pytest.raises(SimulationInvariantError, match="nothing to send"):
             sim._fill_slot(block.arrival_time)
+
+    @pytest.mark.parametrize("case", ["not_queued", "nothing_to_send"])
+    def test_policy_selecting_outside_the_sendable_index_is_an_invariant_error(self, case):
+        # the policy sees only sendable blocks, so naming any other block is
+        # its fault: a block never queued, or one queued with every packet
+        # out. The other block is sendable, so the policy is asked
+        scenario = scenario_of(*(element(element_id=i, priority=i, deadline_s=5.0,
+                                         block_size_bytes=3000, period_s=2.0) for i in (0, 1)))
+        stubborn = Scheduler("stubborn", lambda *args: SchedulerDecision(
+            (0, 0), DecisionReason.FIRST_BLOCK))
+        sim = Simulation(constant_trace(), scenario, stubborn, LOSSLESS)
+        chosen, other = sorted(sim.blocks, key=lambda b: b.block_id)
+        sim.queue.enqueue(other)
+        if case == "nothing_to_send":
+            sim.queue.enqueue(chosen)
+            while chosen.unsent:
+                sim.queue.take(chosen)
+        assert sim.queue.sendable() == [other]
+        with pytest.raises(SimulationInvariantError,
+                           match=r"scheduler stubborn selected ineligible block \(0, 0\)"):
+            sim._fill_slot(other.arrival_time)
 
 
 class TestSerialization:

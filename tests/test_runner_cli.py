@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -293,6 +294,33 @@ class TestSweep:
             record_key("fifo", "mini", tag, seed) + ".json" for tag, seed in good)
         assert log == ["run %d/28 fifo/mini/%s seed=%d" % (i, tag, seed)
                        for i, (tag, seed) in enumerate(good, 1)]
+
+    def test_failing_first_cell_cancels_the_chunks_not_started(self, tmp_path, monkeypatch):
+        # 200 cells in chunks of 10; the first cell fails. The chunks the
+        # workers had taken still run and the rest are dropped, so well
+        # under half the cells run; without the cancel, all but the first
+        # chunk's 9 do. The forked workers count their cells in a shared
+        # file; each cell takes 10 ms, so the cancel has time to land
+        ran = tmp_path / "ran.txt"
+        real_worker = runner._sweep_worker
+
+        def counting(args):
+            with open(ran, "a") as fh:
+                fh.write("%d\n" % args[3].seed)
+            if args[3].seed == 0:
+                raise ValueError("first cell fails")
+            time.sleep(0.01)
+            return real_worker(args)
+
+        monkeypatch.setattr(runner, "_sweep_worker", counting)
+        assert runner._chunk_size(200, 2) == 10
+        with pytest.raises(ValueError, match="first cell fails") as info:
+            run_sweep([small_corpus()[0]], [small_scenario()], ["fifo"], range(200),
+                      quick_params(duration_s=0.5), records_dir=str(tmp_path / "records"),
+                      jobs=2)
+        assert "in counting" in str(info.value.__cause__)
+        assert os.listdir(tmp_path / "records") == []
+        assert len(ran.read_text().splitlines()) < 100
 
     def test_pool_starts_no_more_workers_than_chunks(self, tmp_path, monkeypatch):
         # a forking pool starts every worker it was asked for at the first
@@ -825,6 +853,21 @@ class TestCli:
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: rtt_s 1e-17 is lost to float rounding")
+
+    def test_sweep_failing_in_its_workers_exits_1_with_one_line(self, tmp_path, capsys):
+        # the same RTT, refused per cell inside the pool's workers: the
+        # failure reaches the CLI as the worker raised it, its traceback
+        # chained on but not printed
+        out_dir = os.path.join(str(tmp_path), "out")
+        argv = ["sweep", "--corpus", CORPUS_DIR, "--scenarios", SCENARIO_1, "--seeds", "0",
+                "--duration-s", "2", "--out-dir", out_dir, "--jobs", "2",
+                "--rtt-ms", "1e-14", "--loss-rate", "0.3"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: rtt_s 1e-17 is lost to float rounding")
+        assert "Traceback" not in captured.err + captured.out
+        assert os.listdir(os.path.join(out_dir, "records")) == []
 
     def test_illegal_state_during_run_exits_2(self, tmp_path, capsys, monkeypatch):
         import blocksched.cli as cli_module
