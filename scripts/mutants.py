@@ -108,6 +108,8 @@ MUTANTS = (
     # a failing chunk's finished cells ride on its failure to be written
     ("sweep-drops-carried-records", "exc.finished_records = records",
      "exc.finished_records = []"),
+    # a scenario is checked once, when it is built; nothing downstream checks it again
+    ("scenario-unchecked-at-construction", "self.validate()", "pass"),
 )
 
 # a mutant can make a test allocate without end; past this much address

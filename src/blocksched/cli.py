@@ -49,10 +49,6 @@ def _write_or_print(text: str, path: str | None, what: str) -> None:
         print(text)
 
 
-def _add_trace_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trace-format", choices=("csv", "opportunity"), default=None)
-
-
 def _add_run_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--duration-s", type=float, required=True, help="workload generation horizon")
     parser.add_argument("--rtt-ms", type=float, default=RunParams.rtt_s * 1000.0)
@@ -87,7 +83,7 @@ def _params_from_args(args, seed: int = 0) -> RunParams:
 
 def _cmd_run(args) -> int:
     params = _params_from_args(args, args.seed)
-    trace = load_trace(args.trace, args.trace_format)
+    trace = load_trace(args.trace)
     scenario = load_scenario(args.scenario)
     if args.event_log:
         with open(args.event_log, "w") as log:
@@ -104,7 +100,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     params = _params_from_args(args)
     scenarios = [load_scenario(path) for path in args.scenarios]
-    traces = load_filtered_corpus(args.corpus, args.trace_format)
+    traces = load_filtered_corpus(args.corpus)
     os.makedirs(args.out_dir, exist_ok=True)
     records_dir = args.records_dir or os.path.join(args.out_dir, "records")
     group = args.group or _default_group(t.source_tag for t in traces)
@@ -124,7 +120,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_tune(args) -> int:
     params = _params_from_args(args)
     scenario = load_scenario(args.scenario)
-    corpus = load_filtered_corpus(args.corpus, args.trace_format)
+    corpus = load_filtered_corpus(args.corpus)
     train, _ = split_corpus(corpus, args.train_fraction, args.split_seed)
     if not train:
         raise ConfigurationError("training split is empty (corpus of %d, fraction %r)"
@@ -155,7 +151,7 @@ def _trace_stats(trace) -> dict:
 
 
 def _cmd_traces_parse(args) -> int:
-    trace = load_trace(args.input, args.trace_format, bucket_s=args.bucket_s)
+    trace = load_trace(args.input, bucket_s=args.bucket_s)
     if args.out:
         trace.write_csv(args.out)
         _log("csv written to %s" % args.out)
@@ -166,7 +162,7 @@ def _cmd_traces_parse(args) -> int:
 def _cmd_traces_filter(args) -> int:
     lines = []
     kept = 0
-    for trace in load_corpus(args.corpus, args.trace_format):
+    for trace in load_corpus(args.corpus):
         stats = _trace_stats(trace)
         kept += 1 if stats["passes_filter"] else 0
         lines.append(json.dumps(stats, sort_keys=True))
@@ -176,7 +172,7 @@ def _cmd_traces_filter(args) -> int:
 
 
 def _cmd_traces_split(args) -> int:
-    traces = load_filtered_corpus(args.corpus, args.trace_format)
+    traces = load_filtered_corpus(args.corpus)
     train, test = split_corpus(traces, args.train_fraction, args.seed)
     train_tags = {t.source_tag for t in train}
     lines = [json.dumps({"source": t.source_tag,
@@ -228,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trace", required=True)
     p_run.add_argument("--scheduler", default="proposed", choices=SCHEDULER_NAMES)
     p_run.add_argument("--seed", type=int, default=0)
-    _add_trace_format(p_run)
     p_run.add_argument("--out", default=None, help="report JSON path (default: stdout)")
     p_run.add_argument("--event-log", default=None, help="optional JSONL event log path")
     _add_run_params(p_run)
@@ -240,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--schedulers", nargs="+", default=list(SCHEDULER_NAMES),
                          choices=SCHEDULER_NAMES)
     p_sweep.add_argument("--seeds", nargs="+", type=int, default=[0])
-    _add_trace_format(p_sweep)
     p_sweep.add_argument("--out-dir", required=True)
     p_sweep.add_argument("--records-dir", default=None,
                          help="per-run record files (default: OUT_DIR/records)")
@@ -257,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--seeds", nargs="+", type=int, default=[0])
     p_tune.add_argument("--train-fraction", type=float, default=0.8)
     p_tune.add_argument("--split-seed", type=int, default=0)
-    _add_trace_format(p_tune)
     p_tune.add_argument("--out-dir", default=None)
     _add_run_params(p_tune)
     p_tune.set_defaults(func=_cmd_tune)
@@ -267,21 +260,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     tp = tsub.add_parser("parse", help="parse one trace and report stats")
     tp.add_argument("--input", required=True)
-    _add_trace_format(tp)
     tp.add_argument("--bucket-s", type=float, default=1.0)
     tp.add_argument("--out", default=None, help="write normalized csv here")
     tp.set_defaults(func=_cmd_traces_parse)
 
     tf = tsub.add_parser("filter", help="apply corpus eligibility filters")
     tf.add_argument("--corpus", required=True)
-    _add_trace_format(tf)
     tf.add_argument("--manifest", default=None)
     tf.set_defaults(func=_cmd_traces_filter)
 
     ts = tsub.add_parser("split", help="deterministic train/test split of the filtered "
                                       "corpus, the split tune uses")
     ts.add_argument("--corpus", required=True)
-    _add_trace_format(ts)
     ts.add_argument("--train-fraction", type=float, default=0.8)
     ts.add_argument("--seed", type=int, default=0)
     ts.add_argument("--manifest", default=None)

@@ -6,6 +6,9 @@ E, carries a priority P (larger means more important), and must be fully
 received by the client within a deadline window D seconds after E to
 count as delivered on time.
 
+A ``ScenarioConfig`` checks its elements when it is built, so
+``generate_blocks`` and ``Block`` trust it and check nothing again.
+
 Blocks are split into MTU-sized packets: full payloads and one smaller
 tail. A block knows its ``packet_count`` from its size, and a packet object
 is built only when the sender first takes it, so a block that expires
@@ -73,10 +76,14 @@ class MediaElement:
 
 @dataclass
 class ScenarioConfig:
-    """A named set of media elements describing one workload."""
+    """A named set of media elements describing one workload, checked when
+    it is built (``dataclasses.replace``'s copies too)."""
 
     name: str
     elements: list[MediaElement]
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if not self.elements:
@@ -123,11 +130,9 @@ class ScenarioConfig:
                 )
                 for item in data["elements"]
             ]
-            cfg = cls(name=str(data["name"]), elements=elements)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(1e400)
             raise ConfigurationError("malformed scenario config: %s" % exc) from exc
-        cfg.validate()
-        return cfg
+        return cls(name=str(data["name"]), elements=elements)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -221,10 +226,6 @@ class Block:
     expires_at: float = field(init=False)  # the least now with now - E > D
 
     def __post_init__(self) -> None:
-        if self.total_bytes < PACKET_PAYLOAD_BYTES:
-            raise ConfigurationError(
-                "block %r: %d bytes is smaller than one packet payload"
-                % (self.block_id, self.total_bytes))
         self.packet_count = self.unsent = -(-self.total_bytes // PACKET_PAYLOAD_BYTES)
         self.expires_at = _expiry_instant(self.arrival_time, self.deadline_s)
 
@@ -266,11 +267,9 @@ def generate_blocks(scenario: ScenarioConfig, duration_s: float, seed: int) -> l
     Each element emits blocks periodically starting from a seeded phase
     offset in [0, period). Arrivals strictly before duration_s are kept.
     The result is sorted by (arrival time, element id, block index) and is
-    a pure function of (scenario, duration_s, seed).
+    a pure function of (scenario, duration_s, seed). duration_s is a run's
+    horizon, which RunParams has checked finite.
     """
-    scenario.validate()
-    if not math.isfinite(duration_s) or duration_s < 0:
-        raise ConfigurationError("duration_s must be non-negative and finite, got %r" % duration_s)
     rng = random.Random(seed)
     blocks: list[Block] = []
     for element in scenario.elements:

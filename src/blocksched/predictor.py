@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, SimulationInvariantError
-from .units import mbps_to_bytes_per_s
+from .units import bytes_per_s_to_mbps, mbps_to_bytes_per_s
 
 
 class Regime(enum.IntEnum):
@@ -50,7 +50,8 @@ class Thresholds:
 
     def __post_init__(self) -> None:
         if not 0 < self.low < self.high:
-            raise ConfigurationError("need 0 < low < high, got %r, %r" % (self.low, self.high))
+            raise ConfigurationError("need 0 < low < high, got %g, %g Mbps"
+                                     % (bytes_per_s_to_mbps(self.low), bytes_per_s_to_mbps(self.high)))
 
     @classmethod
     def from_mbps(cls, low_mbps: float, high_mbps: float) -> "Thresholds":

@@ -24,9 +24,12 @@ the same sweep engine.
 A run's settings are one linksim.RunParams, which this module re-exports.
 Every sweep and tuning cell is a dataclasses.replace copy of it, and
 RunParams checks its ranges on every copy, so an out-of-range setting is
-refused before any record is read or any cell runs. A record names its
-seed and alpha but not the other settings, so resuming with a different
-in-range RTT or loss rate still reads the old records.
+refused before any record is read or any cell runs. A ScenarioConfig
+checks itself when it is built, the same way, and tuning builds every
+cell's Thresholds before the first cell runs, so neither is checked
+again here or in a worker. A record names its seed and alpha but not the
+other settings, so resuming with a different in-range RTT or loss rate
+still reads the old records.
 
 Baseline rows carry qoe_gain_vs_baseline_pct = 100 * (qoe_proposed -
 qoe_baseline) / qoe_baseline for the same scenario and trace group; the
@@ -339,18 +342,15 @@ def tune_thresholds(grid_low_mbps, grid_high_mbps, traces, scenario: ScenarioCon
     """Grid-search (L, H) by mean proposed-scheduler QoE over the given
     traces; ties prefer the smallest (L, H). Every cell is persisted when
     cells_path is given."""
-    pairs = [(lo, hi) for lo in grid_low_mbps for hi in grid_high_mbps]
-    if not pairs:
+    # every cell's Thresholds is built, and so checked, before any cell runs
+    grid = [(lo, hi, Thresholds.from_mbps(lo, hi))
+            for lo, hi in sorted((lo, hi) for lo in grid_low_mbps for hi in grid_high_mbps)]
+    if not grid:
         raise ConfigurationError("empty threshold grid")
-    for lo, hi in pairs:
-        if not 0 < lo < hi:
-            raise ConfigurationError("grid pair (%r, %r) violates 0 < L < H" % (lo, hi))
     traces = list(traces)
-    if not traces:
-        raise ConfigurationError("threshold tuning has no traces to run")
     cells = []
-    for lo, hi in sorted(pairs):
-        cell_params = replace(params, thresholds=Thresholds.from_mbps(lo, hi))
+    for lo, hi, thresholds in grid:
+        cell_params = replace(params, thresholds=thresholds)
         (row,) = run_sweep(traces, [scenario], ["proposed"], seeds, cell_params).rows
         cells.append({"low_mbps": lo, "high_mbps": hi, "mean_qoe": row.qoe, "runs": row.runs})
         if log:
@@ -365,9 +365,9 @@ def tune_thresholds(grid_low_mbps, grid_high_mbps, traces, scenario: ScenarioCon
                       cells=tuple(cells))
 
 
-def load_filtered_corpus(corpus_dir: str, fmt: str | None = None) -> list[LinkTrace]:
+def load_filtered_corpus(corpus_dir: str) -> list[LinkTrace]:
     """Load every trace file in a directory and apply the corpus filter."""
-    kept = filter_corpus(load_corpus(corpus_dir, fmt))
+    kept = filter_corpus(load_corpus(corpus_dir))
     if not kept:
         raise ConfigurationError(
             "corpus %s is empty after filtering (keep: mean < 3 Mbps and min > 0.2 Mbps)"

@@ -285,12 +285,10 @@ class LdfScheduler(Scheduler):
 SCHEDULER_NAMES = ("proposed", "fifo", "ldf", "rswn")
 
 
-def make_scheduler(name: str, scenario=None, literal_mid_branch: bool = False) -> Scheduler:
+def make_scheduler(name: str, scenario, literal_mid_branch: bool = False) -> Scheduler:
     """Build a policy by name; ldf derives its per-element rates from the
     scenario's block periods."""
     if name == "ldf":
-        if scenario is None:
-            raise IllegalStateError("ldf needs a scenario to derive arrival rates")
         return LdfScheduler({e.element_id: 1.0 / e.period_s for e in scenario.elements})
     policies = {
         "proposed": functools.partial(select_block_proposed, literal_mid_branch=literal_mid_branch),

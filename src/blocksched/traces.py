@@ -22,7 +22,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError, SimulationInvariantError, TraceParseError
+from .errors import ConfigurationError, TraceParseError
 from .units import BYTES_PER_S_PER_MBPS, PACKET_PAYLOAD_BYTES, mbps_to_bytes_per_s
 
 # Corpus eligibility: keep challenged-but-usable links only.
@@ -105,17 +105,12 @@ class LinkTrace:
     def time_to_send(self, start_s: float, nbytes: float) -> float:
         """Earliest time by which nbytes fit onto the link starting at
         start_s, with the trace looping. Construction rejects a trace whose
-        whole loop carries zero bytes; one that got here anyway could never
-        make progress, which is a fatal simulation state."""
+        whole loop carries zero bytes, so every transmission finishes."""
         if nbytes <= 0:
             raise ValueError("nbytes must be positive, got %r" % nbytes)
         if start_s < 0:
             raise ValueError("start_s must be non-negative, got %r" % start_s)
-        base = self._prefix[-1]  # bytes_per_loop
-        if base <= 0:
-            raise SimulationInvariantError(
-                "trace %r carries zero bytes per loop, transmission cannot finish" % self.source_tag
-            )
+        base = self._prefix[-1]  # bytes_per_loop, positive
         target = self._absolute_prefix(start_s) + nbytes
         loops = math.floor(target / base)
         rem = target - loops * base
@@ -247,31 +242,28 @@ def parse_packet_opportunity_trace(lines, bucket_s: float = 1.0,
     return LinkTrace(samples=samples, duration_s=nbuckets * bucket_s, source_tag=source_tag)
 
 
-def load_trace(path: str, fmt: str | None = None, bucket_s: float = 1.0) -> LinkTrace:
-    """Read a trace file; format is sniffed from the extension unless given
-    ('csv' or 'opportunity')."""
-    if fmt is None:
-        fmt = "csv" if path.endswith(".csv") else "opportunity"
-    if fmt not in ("csv", "opportunity"):
-        raise ConfigurationError("unknown trace format %r" % fmt)
+def load_trace(path: str, bucket_s: float = 1.0) -> LinkTrace:
+    """Read a trace file. Its name decides the format: a name ending in
+    ``.csv`` is read as CSV, any other as packet opportunities, bucketed
+    by bucket_s."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigurationError("cannot read trace file %s: %s" % (path, exc)) from exc
-    if fmt == "csv":
+    if path.endswith(".csv"):
         return parse_csv_trace(lines, source_tag=path)
     return parse_packet_opportunity_trace(lines, bucket_s=bucket_s, source_tag=path)
 
 
-def load_corpus(corpus_dir: str, fmt: str | None = None) -> list[LinkTrace]:
+def load_corpus(corpus_dir: str) -> list[LinkTrace]:
     """Load every non-hidden file in a directory as a trace, in name order."""
     try:
         names = sorted(os.listdir(corpus_dir))
     except OSError as exc:
         raise ConfigurationError("cannot list corpus dir %s: %s" % (corpus_dir, exc)) from exc
     paths = [os.path.join(corpus_dir, n) for n in names if not n.startswith(".")]
-    traces = [load_trace(p, fmt) for p in paths if os.path.isfile(p)]
+    traces = [load_trace(p) for p in paths if os.path.isfile(p)]
     if not traces:
         raise ConfigurationError("no trace files under %s" % corpus_dir)
     return traces

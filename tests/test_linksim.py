@@ -324,7 +324,7 @@ class TestSendPath:
 
     def test_delivery_is_booked_at_send(self):
         scenario = one_block_scenario()
-        sim = Simulation(constant_trace(), scenario, make_scheduler("fifo"),
+        sim = Simulation(constant_trace(), scenario, make_scheduler("fifo", scenario),
                          LOSSLESS)
         block = sim.blocks[0]
         assert block.built == 0  # built at first take, not up front
@@ -439,7 +439,7 @@ class TestPacketLifetime:
 class TestGuards:
     def test_stale_event_is_an_invariant_error(self):
         scenario = one_block_scenario()
-        sim = Simulation(constant_trace(), scenario, make_scheduler("fifo"),
+        sim = Simulation(constant_trace(), scenario, make_scheduler("fifo", scenario),
                          LOSSLESS)
         first = sim.advance()
         assert first is not None
@@ -449,7 +449,8 @@ class TestGuards:
                 pass
 
     def test_ledger_byte_drift_is_an_invariant_error(self):
-        sim = Simulation(constant_trace(), one_block_scenario(), make_scheduler("fifo"),
+        scenario = one_block_scenario()
+        sim = Simulation(constant_trace(), scenario, make_scheduler("fifo", scenario),
                          LOSSLESS)
         sim.advance()
         sim.predictor.ledger._total += 1  # add/remove accounting drifts by one byte
@@ -459,7 +460,8 @@ class TestGuards:
     @staticmethod
     def _drained():
         """A lossless one-block run drained of events, before its audit."""
-        sim = Simulation(constant_trace(), one_block_scenario(), make_scheduler("fifo"),
+        scenario = one_block_scenario()
+        sim = Simulation(constant_trace(), scenario, make_scheduler("fifo", scenario),
                          LOSSLESS)
         while sim.advance() is not None:
             pass
@@ -488,8 +490,9 @@ class TestGuards:
         # both packets delivered (the loss signal comes at t0 + 80 ms, the
         # window closes at t0 + 90 ms), so the completed-block audit above
         # does not read its counts
-        sim = force_losses(Simulation(constant_trace(), one_block_scenario(deadline_s=0.09),
-                                      make_scheduler("fifo"), LOSSLESS), {0})
+        scenario = one_block_scenario(deadline_s=0.09)
+        sim = force_losses(Simulation(constant_trace(), scenario,
+                                      make_scheduler("fifo", scenario), LOSSLESS), {0})
         while sim.advance() is not None:
             pass
         (block,) = sim.blocks
@@ -515,8 +518,9 @@ class TestGuards:
         # its pending list any other way fails the run. The loss signal
         # comes at t0 + 80 ms, the window closes at t0 + 90 ms and the last
         # ack at t0 + 104 ms, so the block ends expired
-        sim = force_losses(Simulation(constant_trace(), one_block_scenario(deadline_s=0.09),
-                                      make_scheduler("fifo"), LOSSLESS), {0})
+        scenario = one_block_scenario(deadline_s=0.09)
+        sim = force_losses(Simulation(constant_trace(), scenario,
+                                      make_scheduler("fifo", scenario), LOSSLESS), {0})
         block = sim.blocks[0]
         while not block.pending:
             sim.advance()
@@ -531,19 +535,20 @@ class TestGuards:
         # must survive the addition there; a 1e-300 s RTT used to leave a
         # loss signal's response window without width, mid-run
         scenario = one_block_scenario()
-        sim = Simulation(constant_trace(), scenario, make_scheduler("fifo"), LOSSLESS)
+        sim = Simulation(constant_trace(), scenario, make_scheduler("fifo", scenario), LOSSLESS)
         last = max(block.expires_at for block in sim.blocks)
         least = 2 * math.ulp(last)  # last + ulp(last) is the next float
         for rtt_s in (1e-300, least / 2):
             with pytest.raises(ConfigurationError, match="lost to float rounding"):
-                Simulation(constant_trace(), scenario, make_scheduler("fifo"),
+                Simulation(constant_trace(), scenario, make_scheduler("fifo", scenario),
                            replace(LOSSLESS, rtt_s=rtt_s))
         # the least accepted RTT runs, its loss signals included
         sim, _ = run_one(scenario, scheduler="fifo", rtt_s=least, loss_rate=0.5)
         assert sim.counters["loss_signals"] > 0
 
     def test_run_twice_rejected(self):
-        sim = Simulation(constant_trace(), one_block_scenario(), make_scheduler("fifo"),
+        scenario = one_block_scenario()
+        sim = Simulation(constant_trace(), scenario, make_scheduler("fifo", scenario),
                          LOSSLESS)
         sim.run()
         with pytest.raises(SimulationInvariantError):

@@ -105,7 +105,7 @@ def _run(loss_rate=0.0, duration_s=4.0, deadline_s=0.2, forced=()):
         element(element_id=1, priority=1, deadline_s=deadline_s,
                 block_size_bytes=6000, period_s=0.5))
     trace = synthesize_trace("constant", duration_s=30.0, seed=0, mbps=2.0)
-    sim, records = run_recorded(trace, scenario, make_scheduler("proposed"),
+    sim, records = run_recorded(trace, scenario, make_scheduler("proposed", scenario),
                                    RunParams(duration_s=duration_s, seed=4, loss_rate=loss_rate),
                                    forced_loss_sends=forced)
     return sim, trace, records
@@ -162,7 +162,7 @@ class TestBuildReport:
         # a run is scored only once it drained and passed its audit
         scenario = scenario_of(element())
         sim = Simulation(synthesize_trace("constant", duration_s=30.0, seed=0, mbps=2.0),
-                         scenario, make_scheduler("proposed"), RunParams(duration_s=2.0))
+                         scenario, make_scheduler("proposed", scenario), RunParams(duration_s=2.0))
         for _ in range(steps):
             sim.advance()
         with pytest.raises(IllegalStateError, match="has not finished"):

@@ -163,10 +163,6 @@ class TestPackets:
         assert all(0 < p.size_bytes <= PACKET_PAYLOAD_BYTES for p in packets)
         assert sender.block.unsent == 0
 
-    def test_below_one_payload_rejected(self):
-        with pytest.raises(ConfigurationError):
-            block_at(total_bytes=PACKET_PAYLOAD_BYTES - 1)
-
 
 # one step on a block: take its next packet, lose the i-th packet in
 # flight (taken and not lost since), or expire it
@@ -227,9 +223,8 @@ class TestLazyPacketsEqualTheEagerModel:
 
 class TestScenarioValidation:
     def test_duplicate_element_ids_rejected(self):
-        cfg = scenario_of(element(element_id=0), element(element_id=0, priority=1))
-        with pytest.raises(ConfigurationError):
-            cfg.validate()
+        with pytest.raises(ConfigurationError, match="repeats an element_id"):
+            scenario_of(element(element_id=0), element(element_id=0, priority=1))
 
     @pytest.mark.parametrize("bad", [
         element(deadline_s=0.0),
@@ -239,7 +234,7 @@ class TestScenarioValidation:
     ])
     def test_bad_element_fields_rejected(self, bad):
         with pytest.raises(ConfigurationError):
-            scenario_of(bad).validate()
+            scenario_of(bad)
 
     @pytest.mark.parametrize("field", ["deadline_s", "period_s"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -252,10 +247,17 @@ class TestScenarioValidation:
             ScenarioConfig.from_dict(data)
 
     def test_priorities_must_ladder_from_zero(self):
-        cfg = scenario_of(element(element_id=0, priority=1),
-                          element(element_id=1, priority=2))
-        with pytest.raises(ConfigurationError):
-            cfg.validate()
+        with pytest.raises(ConfigurationError, match="must be exactly 0..K-1"):
+            scenario_of(element(element_id=0, priority=1),
+                        element(element_id=1, priority=2))
+
+    def test_invalid_scenario_cannot_be_built_or_copied(self):
+        # a scenario is checked when it is built, so no later code meets
+        # an invalid one: not a direct build, and not a replace() copy
+        with pytest.raises(ConfigurationError, match="element 0: deadline_s"):
+            scenario_of(element(deadline_s=-1.0))
+        with pytest.raises(ConfigurationError, match="has no elements"):
+            dataclasses.replace(two_element_scenario(), elements=[])
 
     def test_json_round_trip(self, tmp_path):
         cfg = two_element_scenario()
@@ -280,7 +282,6 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("name", ["scenario_1.json", "scenario_2.json", "scenario_3.json"])
     def test_bundled_scenarios_load(self, name):
         cfg = load_scenario(os.path.join(SCENARIO_DIR, name))
-        cfg.validate()
         assert len(cfg.elements) in (2, 3)
 
 

@@ -253,10 +253,11 @@ class TestSweep:
 
     def test_failing_parallel_cell_keeps_earlier_records(self, tmp_path):
         # the broken scenario's cells come after every cell of the good one;
-        # its invalid deadline fails generate_blocks inside the worker
-        broken = scenario_of(element(deadline_s=-1.0), name="broken")
+        # its deadline puts the latest send instant where the RTT is lost
+        # to float rounding, which each run refuses inside the worker
+        broken = scenario_of(element(deadline_s=1e15), name="broken")
         records_dir = tmp_path / "records"
-        with pytest.raises(ConfigurationError, match="deadline_s must be positive"):
+        with pytest.raises(ConfigurationError, match="lost to float rounding"):
             run_sweep(small_corpus(), [small_scenario(), broken], ["fifo"], [0, 1],
                       quick_params(duration_s=2.0), records_dir=str(records_dir), jobs=2)
         names = sorted(os.listdir(records_dir))
@@ -279,16 +280,16 @@ class TestSweep:
         # [12, 13, 14] and the worker must return cells 12 and 13 with it
         traces = small_corpus()[:2]
         seeds = list(range(7))
-        broken = scenario_of(element(deadline_s=-1.0), name="broken")
+        broken = scenario_of(element(deadline_s=1e15), name="broken")
         assert runner._chunk_size(28, 2) == 3
         records_dir = tmp_path / "records"
         log = []
-        with pytest.raises(ConfigurationError, match="deadline_s must be positive") as info:
+        with pytest.raises(ConfigurationError, match="lost to float rounding") as info:
             run_sweep(traces, [small_scenario(), broken], ["fifo"], seeds,
                       quick_params(duration_s=1.0), records_dir=str(records_dir), jobs=2,
                       log=log.append)
         # the worker's traceback rides along as the cause
-        assert "in validate" in str(info.value.__cause__)
+        assert "in __init__" in str(info.value.__cause__)
         good = [(trace.source_tag, seed) for trace in traces for seed in seeds]
         assert sorted(os.listdir(records_dir)) == sorted(
             record_key("fifo", "mini", tag, seed) + ".json" for tag, seed in good)
@@ -439,9 +440,13 @@ class TestTuneThresholds:
             (0.4, 1.8), (0.4, 2.3), (0.8, 1.8), (0.8, 2.3)]
 
     def test_inverted_pair_rejected(self):
-        with pytest.raises(ConfigurationError):
-            tune_thresholds([2.3], [0.8], small_corpus()[:1], small_scenario(),
-                            quick_params(duration_s=1.0))
+        # the valid cell (0.4, 1.8) comes first in grid order, yet every
+        # cell's thresholds are checked before it runs
+        log = []
+        with pytest.raises(ConfigurationError, match="got 2.3, 1.8 Mbps"):
+            tune_thresholds([0.4, 2.3], [1.8], small_corpus()[:1], small_scenario(),
+                            quick_params(duration_s=1.0), log=log.append)
+        assert log == []
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -186,7 +186,7 @@ def _engine_on_time(arrival: float, deadline: float, finish: float) -> bool:
         sim._on_block_delivered(finish, block)
 
     _, records = run_recorded(synthesize_trace("constant", duration_s=1.0, seed=0, mbps=1.0),
-                              scenario, make_scheduler("fifo"), RunParams(duration_s=1.0),
+                              scenario, make_scheduler("fifo", scenario), RunParams(duration_s=1.0),
                               drive=deliver)
     last = records[-1]
     assert (last["kind"], last["block_id"]) == ("block_complete", list(block.block_id))
@@ -698,10 +698,6 @@ class TestMakeScheduler:
         sched = make_scheduler("ldf", scenario=scenario)
         assert sched.rates == {0: 4.0, 1: 2.0}
 
-    def test_ldf_requires_scenario(self):
-        with pytest.raises(IllegalStateError):
-            make_scheduler("ldf")
-
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_scheduler("edf")
+            make_scheduler("edf", scenario_of(element()))

@@ -403,12 +403,6 @@ class TestLoadTrace:
         with pytest.raises(ConfigurationError):
             load_trace("/nonexistent/trace.csv")
 
-    def test_unknown_format_rejected(self, tmp_path):
-        path = tmp_path / "a.csv"
-        path.write_text("0,1.0\n")
-        with pytest.raises(ConfigurationError):
-            load_trace(str(path), fmt="parquet")
-
 
 class TestBundledCorpus:
     def test_twenty_traces_all_in_band(self):
