@@ -69,9 +69,11 @@ MUTANTS = (
     ("response-leaves-before-sample",
      "sample = self.ledger.bytes_sent_since(send_time) / width\n        self.ledger.remove(packet)",
      "self.ledger.remove(packet)\n        sample = self.ledger.bytes_sent_since(send_time) / width"),
-    # event order and loss timing
-    ("acks-before-sends", "_SEND_OPPORTUNITY = 0\n_PACKET_DELIVERED = 1\n_ACK = 2",
-     "_SEND_OPPORTUNITY = 2\n_PACKET_DELIVERED = 1\n_ACK = 0"),
+    # event order and loss timing: advance's merge of the heap, the send
+    # opportunity and the arrival cursor; at one instant, a heap event then
+    # runs before the opportunity, or an arrival before a heap event
+    ("acks-before-sends", "(time_s := heap[0][0]) < at and", "(time_s := heap[0][0]) <= at and"),
+    ("arrival-wins-ties", "and time_s <= arrival_at:", "and time_s < arrival_at:"),
     ("loss-signal-after-the-wire", "(t + self.rtt_s, _LOSS_SIGNAL,", "(end + self.rtt_s, _LOSS_SIGNAL,"),
     # the awaiting queue's packet life cycle and expiry
     ("take-keeps-exhausted-block", "if not (block.unsent or pending):", "if False:"),

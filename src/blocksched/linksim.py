@@ -49,7 +49,16 @@ blocks; ``counters`` keeps what no block holds: ``sends``,
 
 Event kinds at equal timestamps process in a fixed order:
 send_opportunity, packet_delivered (a block's last packet), ack,
-loss_signal, block_arrival.
+loss_signal, block_arrival. Only the middle three share a heap, ordered
+by (time, kind, seq). At most one send opportunity is ever pending, so
+it lives in one field, ``_opportunity_at`` (infinity when none is
+pending), and the arrivals are ``self.blocks``, which ``generate_blocks``
+sorts by (arrival time, block id), read through a cursor. ``advance``
+merges the three sources: the opportunity runs at or before any other
+event at its instant, as its kind is first, and an arrival only before a
+strictly later event, as its kind is last; arrivals at one instant run
+in the blocks' order. One heap of all five kinds would run the same
+events in the same order (``tests/test_engine_fuzz.py`` checks this).
 
 Recording is opt-in. Pass ``record``, a callable taking one dict, and the
 simulation hands it a JSON-ready record for every event and scheduling
@@ -89,6 +98,8 @@ _PACKET_DELIVERED = 1
 _ACK = 2
 _LOSS_SIGNAL = 3
 _BLOCK_ARRIVAL = 4
+
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -163,7 +174,10 @@ class Simulation:
         self._heap: list[tuple] = []
         self._seq = 0
         self._slot: Packet | None = None
-        self._opportunity_pending = False
+        self._opportunity_at = _INF  # the one pending send opportunity
+        # the next block to arrive is self.blocks[self._cursor]
+        self._cursor = 0
+        self._arrival_at = self.blocks[0].arrival_time if self.blocks else _INF
         self.counters = {
             "sends": 0,
             "retransmission_sends": 0,
@@ -171,39 +185,60 @@ class Simulation:
             "slot_discards": 0,
         }
         self.finished = False
-        for block in self.blocks:
-            self._push(block.arrival_time, _BLOCK_ARRIVAL, block)
 
     # -- event plumbing ------------------------------------------------
 
     def _push(self, time_s: float, kind: int, payload) -> None:
-        """Schedule an event; kind is one of the event-kind ints."""
+        """Schedule a heap event; kind is one of the event-kind ints."""
         heappush(self._heap, (time_s, kind, self._seq, payload))
         self._seq += 1
 
+    def _clock_regression(self, time_s: float) -> SimulationInvariantError:
+        return SimulationInvariantError("clock regression: %r -> %r" % (self.now, time_s))
+
     def advance(self):
-        """Process the earliest pending event; returns (time, kind), with the
-        kind as its event-kind int, or None when the heap is empty. Events
-        may never run behind the clock."""
-        if not self._heap:
-            return None
-        time_s, kind, _, payload = heappop(self._heap)
-        if time_s < self.now:
-            raise SimulationInvariantError("clock regression: %r -> %r" % (self.now, time_s))
-        self.now = time_s
-        if kind == _SEND_OPPORTUNITY:
-            self._on_send_opportunity(time_s)
-        elif kind == _ACK:
-            self._on_ack(time_s, payload)
-        elif kind == _PACKET_DELIVERED:
-            self._on_block_delivered(time_s, payload)
-        elif kind == _LOSS_SIGNAL:
-            self._on_loss_signal(time_s, payload)
-        elif kind == _BLOCK_ARRIVAL:
-            self._on_block_arrival(time_s, payload)
-        else:
-            raise SimulationInvariantError("unknown event kind %r" % kind)
-        return time_s, kind
+        """Process the earliest pending event, by the tie order; returns
+        (time, kind), with the kind as its event-kind int, or None when no
+        event is pending. Events may never run behind the clock."""
+        heap = self._heap
+        at = self._opportunity_at
+        arrival_at = self._arrival_at
+        # the tie order puts the heap's kinds after the opportunity's and
+        # before the arrivals'
+        if heap and (time_s := heap[0][0]) < at and time_s <= arrival_at:
+            time_s, kind, _, payload = heappop(heap)
+            if time_s < self.now:
+                raise self._clock_regression(time_s)
+            self.now = time_s
+            if kind == _ACK:
+                self._on_ack(time_s, payload)
+            elif kind == _PACKET_DELIVERED:
+                self._on_block_delivered(time_s, payload)
+            elif kind == _LOSS_SIGNAL:
+                self._on_loss_signal(time_s, payload)
+            else:
+                raise SimulationInvariantError("unknown heap event kind %r" % kind)
+            return time_s, kind
+        if at <= arrival_at:
+            if at == _INF:
+                return None
+            if at < self.now:
+                raise self._clock_regression(at)
+            self.now = at
+            self._opportunity_at = _INF
+            self._on_send_opportunity(at)
+            return at, _SEND_OPPORTUNITY
+        if arrival_at < self.now:
+            raise self._clock_regression(arrival_at)
+        self.now = arrival_at
+        blocks = self.blocks
+        cursor = self._cursor
+        block = blocks[cursor]
+        cursor += 1
+        self._cursor = cursor
+        self._arrival_at = blocks[cursor].arrival_time if cursor < len(blocks) else _INF
+        self._on_block_arrival(arrival_at, block)
+        return arrival_at, _BLOCK_ARRIVAL
 
     def run(self) -> None:
         """Process every event, then audit the drained run."""
@@ -215,9 +250,8 @@ class Simulation:
         self.finished = True
 
     def _ensure_opportunity(self, time_s: float) -> None:
-        if not self._opportunity_pending:
-            self._push(time_s, _SEND_OPPORTUNITY, None)
-            self._opportunity_pending = True
+        if self._opportunity_at == _INF:
+            self._opportunity_at = time_s
 
     # -- handlers ------------------------------------------------------
 
@@ -280,7 +314,6 @@ class Simulation:
         self._slot = packet
 
     def _on_send_opportunity(self, t: float) -> None:
-        self._opportunity_pending = False
         slot = self._slot
         # below the expiry watermark no queued block is past its deadline;
         # the filter is called through the module global so that a wrapper
@@ -345,9 +378,12 @@ class Simulation:
                          "thr_instant": size / latency if latency > 0 else None,
                          "arrives": arrive})
         self._fill_slot(t)
-        heappush(heap, (end, _SEND_OPPORTUNITY, self._seq, None))
-        self._seq += 1
-        self._opportunity_pending = True
+        # the link is busy until end; a second pending opportunity would be
+        # overwritten and lost
+        if self._opportunity_at != _INF:
+            raise SimulationInvariantError("send opportunity at %r already pending at a send"
+                                           % self._opportunity_at)
+        self._opportunity_at = end
 
     def _on_block_delivered(self, t: float, block: Block) -> None:
         """The block's last packet reached the client at t, its completion
@@ -393,6 +429,12 @@ class Simulation:
 
     def _finalize(self) -> None:
         now = self.now
+        if self._opportunity_at != _INF:
+            raise SimulationInvariantError("send opportunity at %r still pending after drain"
+                                           % self._opportunity_at)
+        if self._cursor != len(self.blocks):
+            raise SimulationInvariantError("%d of %d blocks arrived by drain"
+                                           % (self._cursor, len(self.blocks)))
         if self._slot is not None:
             raise SimulationInvariantError("selection queue still holds %r after drain"
                                            % (self._slot.packet_id,))

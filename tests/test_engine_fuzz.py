@@ -29,12 +29,19 @@ after its packet's send over ``t`` minus that send, and each decision's
 ``smoothed_bw`` is the latest such sample, or the low threshold before
 the first.
 
+A second property checks how ``advance`` merges its three event sources
+(the pending send opportunity, the heap and the arrival cursor): for every
+policy, with forced losses on top of the drawn loss rate, the event log
+equals that of ``HeapOnlySimulation``, which keeps all five event kinds
+in one heap.
+
 The suite profile keeps this short; ``HYPOTHESIS_PROFILE=fuzz`` runs it at
 length.
 """
 from __future__ import annotations
 
 import math
+from heapq import heappop
 
 import pytest
 from hypothesis import given, settings
@@ -42,14 +49,14 @@ from hypothesis import strategies as st
 
 from blocksched import linksim
 from blocksched.errors import ConfigurationError
-from blocksched.linksim import RunParams
+from blocksched.linksim import RunParams, Simulation
 from blocksched.metrics import build_report
 from blocksched.model import BlockAwaitingQueue, MediaElement, ScenarioConfig
 from blocksched.predictor import Thresholds, classify_regime
 from blocksched.schedulers import SCHEDULER_NAMES, make_scheduler
 from blocksched.traces import synthesize_trace
 from blocksched.units import PACKET_PAYLOAD_BYTES
-from conftest import run_recorded
+from conftest import force_losses, run_recorded
 
 # one draw runs every policy three times, so it gets a fifth of the
 # profile's example count
@@ -310,3 +317,80 @@ def test_engine_invariants_hold_on_generated_inputs(case):
             patch.setattr(linksim, "filter_expired", checked_filter_expired)
             checked = run_policy(case, name)
         assert checked[1] == records
+
+
+class HeapOnlySimulation(Simulation):
+    """The engine with every event in one heap as ``(t, kind, seq,
+    payload)``: the block arrivals pushed at start-up and each send
+    opportunity pushed when it is booked, one at a time. It reuses the
+    engine's handlers; a send books its next opportunity in
+    ``_opportunity_at``, which this class moves to the heap at once."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._opportunity_pending = False
+        for block in self.blocks:
+            self._push(block.arrival_time, linksim._BLOCK_ARRIVAL, block)
+        self._cursor = len(self.blocks)  # the heap holds the arrivals
+        self._arrival_at = math.inf
+
+    def _ensure_opportunity(self, time_s):
+        if not self._opportunity_pending:
+            self._push(time_s, linksim._SEND_OPPORTUNITY, None)
+            self._opportunity_pending = True
+
+    def advance(self):
+        if not self._heap:
+            return None
+        time_s, kind, _, payload = heappop(self._heap)
+        assert time_s >= self.now
+        self.now = time_s
+        if kind == linksim._SEND_OPPORTUNITY:
+            self._opportunity_pending = False
+            self._on_send_opportunity(time_s)
+            if self._opportunity_at != math.inf:  # the send booked the next one
+                self._ensure_opportunity(self._opportunity_at)
+                self._opportunity_at = math.inf
+        elif kind == linksim._PACKET_DELIVERED:
+            self._on_block_delivered(time_s, payload)
+        elif kind == linksim._ACK:
+            self._on_ack(time_s, payload)
+        elif kind == linksim._LOSS_SIGNAL:
+            self._on_loss_signal(time_s, payload)
+        else:
+            self._on_block_arrival(time_s, payload)
+        return time_s, kind
+
+
+def run_engine(case, name, engine):
+    """One recorded run of case under policy name on engine, a Simulation
+    class, with the case's forced losses; returns (sim, records, steps),
+    where steps are advance's (time, kind) returns."""
+    scenario, params = case["scenario"], case["params"]
+    records = []
+    sim = engine(case["trace"], scenario, make_scheduler(name, scenario, params.literal_mid_branch),
+                 params, record=records.append)
+    force_losses(sim, case["forced_losses"])
+    steps = []
+    while (step := sim.advance()) is not None:
+        steps.append(step)
+    sim._finalize()
+    return sim, records, steps
+
+
+@st.composite
+def lossy_draws(draw):
+    case = draw(draws())
+    case["forced_losses"] = draw(st.frozensets(st.integers(0, 300), max_size=30))
+    return case
+
+
+@settings(max_examples=max(1, settings.default.max_examples // 3))
+@given(lossy_draws())
+def test_event_sources_merge_as_one_heap(case):
+    for name in SCHEDULER_NAMES:
+        sim, records, steps = run_engine(case, name, Simulation)
+        oracle, oracle_records, oracle_steps = run_engine(case, name, HeapOnlySimulation)
+        assert records == oracle_records
+        assert steps == oracle_steps
+        assert sim.counters == oracle.counters

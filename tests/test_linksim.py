@@ -436,17 +436,113 @@ class TestPacketLifetime:
         assert live_packets(baseline) == 0
 
 
+def one_block_sim() -> Simulation:
+    """A lossless fifo run of one_block_scenario, not yet started."""
+    scenario = one_block_scenario()
+    return Simulation(constant_trace(), scenario, make_scheduler("fifo", scenario), LOSSLESS)
+
+
+class TestTieOrder:
+    """``advance`` merges three sources by the documented tie order: the
+    one pending send opportunity (a field) first, the heap's delivered, ack
+    and loss events next, by kind, and the block arrivals (a cursor over
+    the sorted blocks) last."""
+
+    HEAP_KINDS = {"delivered": linksim._PACKET_DELIVERED, "ack": linksim._ACK,
+                  "loss": linksim._LOSS_SIGNAL}
+
+    @staticmethod
+    def _stubbed_sim():
+        """one_block_sim with every handler replaced by a no-op, so events
+        can be injected at any instant without payloads."""
+        sim = one_block_sim()
+        for name in ("_on_send_opportunity", "_on_block_delivered", "_on_ack",
+                     "_on_loss_signal", "_on_block_arrival"):
+            setattr(sim, name, lambda *args: None)
+        return sim
+
+    @staticmethod
+    def _steps(sim):
+        steps = []
+        while (step := sim.advance()) is not None:
+            steps.append(step)
+        return steps
+
+    @pytest.mark.parametrize("kind", HEAP_KINDS.values(), ids=list(HEAP_KINDS))
+    def test_send_opportunity_runs_before_a_heap_event_at_its_instant(self, kind):
+        sim = self._stubbed_sim()
+        sim.advance()  # the block's arrival
+        t = sim.now + 0.25
+        sim._push(t, kind, None)  # pushed first, and still second
+        sim._opportunity_at = t
+        assert self._steps(sim) == [(t, linksim._SEND_OPPORTUNITY), (t, kind)]
+
+    def test_send_opportunity_runs_before_an_arrival_at_its_instant(self):
+        sim = self._stubbed_sim()
+        t = sim.blocks[0].arrival_time
+        sim._opportunity_at = t
+        assert self._steps(sim) == [(t, linksim._SEND_OPPORTUNITY), (t, linksim._BLOCK_ARRIVAL)]
+
+    @pytest.mark.parametrize("kind", HEAP_KINDS.values(), ids=list(HEAP_KINDS))
+    def test_arrival_runs_after_a_heap_event_at_its_instant(self, kind):
+        sim = self._stubbed_sim()
+        t = sim.blocks[0].arrival_time
+        sim._push(t, kind, None)
+        assert self._steps(sim) == [(t, kind), (t, linksim._BLOCK_ARRIVAL)]
+
+    def test_arrival_runs_before_a_later_heap_event(self):
+        sim = self._stubbed_sim()
+        t = sim.blocks[0].arrival_time
+        later = math.nextafter(t, math.inf)
+        sim._push(later, linksim._ACK, None)
+        assert self._steps(sim) == [(t, linksim._BLOCK_ARRIVAL), (later, linksim._ACK)]
+
+
 class TestGuards:
     def test_stale_event_is_an_invariant_error(self):
-        scenario = one_block_scenario()
-        sim = Simulation(constant_trace(), scenario, make_scheduler("fifo", scenario),
-                         LOSSLESS)
+        # through the heap
+        sim = one_block_sim()
         first = sim.advance()
         assert first is not None
-        sim._push(first[0] - 0.5, linksim._SEND_OPPORTUNITY, None)
+        sim._push(first[0] - 0.5, linksim._ACK, None)
         with pytest.raises(SimulationInvariantError, match="clock regression"):
             while sim.advance() is not None:
                 pass
+
+    @pytest.mark.parametrize("field", ["_opportunity_at", "_arrival_at"])
+    def test_stale_opportunity_or_arrival_is_an_invariant_error(self, field):
+        # through the opportunity field and through the arrival cursor's
+        # next instant
+        sim = one_block_sim()
+        first = sim.advance()
+        assert first is not None
+        setattr(sim, field, first[0] - 0.5)
+        with pytest.raises(SimulationInvariantError, match="clock regression"):
+            sim.advance()
+
+    def test_second_pending_send_opportunity_is_an_invariant_error(self):
+        # a send books the next opportunity at the end of its wire time; one
+        # already pending then would be overwritten and lost
+        sim = one_block_sim()
+
+        def booking(now, blocks, regime, smoothed_bw, features):
+            sim._ensure_opportunity(now)  # a second opportunity, booked mid-send
+            return select_block_fifo(now, blocks, regime, smoothed_bw, features)
+
+        sim.scheduler = Scheduler("booking", booking)
+        with pytest.raises(SimulationInvariantError, match="already pending at a send"):
+            sim.run()
+
+    def test_pending_send_opportunity_after_drain_is_an_invariant_error(self):
+        sim = self._drained()
+        sim._opportunity_at = sim.now + 1.0
+        with pytest.raises(SimulationInvariantError, match="still pending after drain"):
+            sim._finalize()
+
+    def test_arrival_cursor_short_of_the_blocks_is_an_invariant_error(self):
+        sim = one_block_sim()  # its one block never arrived
+        with pytest.raises(SimulationInvariantError, match="0 of 1 blocks arrived"):
+            sim._finalize()
 
     def test_ledger_byte_drift_is_an_invariant_error(self):
         scenario = one_block_scenario()
