@@ -6,8 +6,9 @@ search on the training split), traces (parse / filter / split /
 synthesize), and report (re-render a table from records).
 
 Results go to stdout or files; progress goes to stderr. Exit codes:
-0 success, 1 configuration problem or unreadable/unwritable file, 2
-simulation invariant violation.
+0 success, 1 input the program refuses (ConfigurationError) or a file
+it cannot read or write, 2 a state it must never reach
+(SimulationInvariantError). Either failure prints one line.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import json
 import os
 import sys
 
-from .errors import ConfigurationError, IllegalStateError, SimulationInvariantError
+from .errors import ConfigurationError, SimulationInvariantError
 from .model import load_scenario
 from .runner import (
     RunParams,
@@ -63,8 +64,8 @@ def _add_run_params(parser: argparse.ArgumentParser) -> None:
 
 
 def _default_group(trace_paths) -> str:
-    """The trace group label when --group is not given: the base name of
-    the one directory that holds every trace, else "corpus"."""
+    """The trace group label: the base name of the one directory that
+    holds every trace, else "corpus"."""
     dirs = {os.path.normpath(os.path.dirname(path)) for path in trace_paths}
     return os.path.basename(dirs.pop()) if len(dirs) == 1 else "corpus"
 
@@ -103,7 +104,7 @@ def _cmd_sweep(args) -> int:
     traces = load_filtered_corpus(args.corpus)
     os.makedirs(args.out_dir, exist_ok=True)
     records_dir = args.records_dir or os.path.join(args.out_dir, "records")
-    group = args.group or _default_group(t.source_tag for t in traces)
+    group = _default_group(t.source_tag for t in traces)
     table = run_sweep(traces, scenarios, args.schedulers, args.seeds, params,
                       records_dir=records_dir, trace_group=group, jobs=args.jobs, log=_log)
     table_txt = os.path.join(args.out_dir, "table.txt")
@@ -199,7 +200,7 @@ def _cmd_traces_synthesize(args) -> int:
 
 def _cmd_report(args) -> int:
     records = load_records(args.records)
-    table = build_table(records, args.group or _default_group(r["trace"] for r in records))
+    table = build_table(records, _default_group(r["trace"] for r in records))
     text = table.to_text()
     if args.out:
         with open(args.out, "w") as fh:
@@ -238,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out-dir", required=True)
     p_sweep.add_argument("--records-dir", default=None,
                          help="per-run record files (default: OUT_DIR/records)")
-    p_sweep.add_argument("--group", default=None, help="trace group label (default: corpus dirname)")
     p_sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     _add_run_params(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -294,9 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="re-render a comparison table from records")
     p_report.add_argument("--records", required=True)
-    p_report.add_argument("--group", default=None,
-                          help="trace group label (default: the records' trace dirname, "
-                               "as sweep labels it)")
     p_report.add_argument("--out", default=None)
     p_report.add_argument("--json-out", default=None)
     p_report.set_defaults(func=_cmd_report)
@@ -317,7 +314,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (SimulationInvariantError, IllegalStateError) as exc:
+    except SimulationInvariantError as exc:
         print("invariant violation: %s" % exc, file=sys.stderr)
         return 2
 

@@ -1,21 +1,14 @@
-"""Exception types. Configuration problems exit the CLI with code 1;
-simulation invariant violations, and IllegalStateError raised during a
-run (an object reached in the wrong lifecycle state, such as a block
-enqueued twice), exit with code 2."""
+"""Exception types, one per CLI exit code. Input the program refuses (a
+scenario, trace, record, threshold or run parameter) exits with code 1;
+a state the program must never reach, whether in the engine, the
+awaiting queue, the inflight ledger or the scoring of a run, exits with
+code 2."""
 from __future__ import annotations
 
 
 class ConfigurationError(Exception):
-    """Invalid scenario, trace, threshold, or run parameters."""
-
-
-class TraceParseError(ConfigurationError):
-    """Malformed trace input; message names the offending line."""
-
-
-class IllegalStateError(RuntimeError):
-    """An operation ran against an object in the wrong lifecycle state."""
+    """Invalid input; a malformed trace's message names the offending line."""
 
 
 class SimulationInvariantError(RuntimeError):
-    """The event loop or bookkeeping reached a provably wrong state."""
+    """The program reached a state it must never reach."""

@@ -76,7 +76,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable
 
-from .errors import ConfigurationError, IllegalStateError, SimulationInvariantError
+from .errors import ConfigurationError, SimulationInvariantError
 from .model import (
     Block,
     BlockAwaitingQueue,
@@ -281,7 +281,7 @@ class Simulation:
         if t >= queue.next_expiry:
             for b in eligible:
                 if t >= b.expires_at:  # past_deadline(t)
-                    raise IllegalStateError("block %r is expired at %r" % (b.block_id, t))
+                    raise SimulationInvariantError("block %r is expired at %r" % (b.block_id, t))
         regime = self.predictor.regime
         smoothed = self.predictor.smoothed
         if not eligible:

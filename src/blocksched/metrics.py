@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
-from .errors import ConfigurationError, IllegalStateError
+from .errors import ConfigurationError, SimulationInvariantError
 from .linksim import RunParams, Simulation
 
 
@@ -84,7 +84,7 @@ def session_window_end(sim: Simulation) -> float:
 def build_report(sim: Simulation) -> QoEReport:
     """Score a finished run against the trace it replayed."""
     if not sim.finished:
-        raise IllegalStateError("simulation has not finished; nothing to score")
+        raise SimulationInvariantError("simulation has not finished; nothing to score")
     if not sim.blocks:
         raise ConfigurationError("run produced no blocks; nothing to score")
     delivered = 0

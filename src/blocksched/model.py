@@ -55,7 +55,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError, IllegalStateError
+from .errors import ConfigurationError, SimulationInvariantError
 from .units import PACKET_PAYLOAD_BYTES
 
 # Block ids are (element_id, block_index); packet ids add a packet index.
@@ -120,6 +120,7 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         try:
+            name = str(data["name"])
             elements = [
                 MediaElement(
                     element_id=int(item["element_id"]),
@@ -132,14 +133,14 @@ class ScenarioConfig:
             ]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(1e400)
             raise ConfigurationError("malformed scenario config: %s" % exc) from exc
-        return cls(name=str(data["name"]), elements=elements)
+        return cls(name=name, elements=elements)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError("cannot read scenario file %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError("scenario file %s is not valid JSON: %s" % (path, exc)) from exc
@@ -332,11 +333,11 @@ class BlockAwaitingQueue:
 
     def enqueue(self, block: Block) -> None:
         if block.block_id in self._ids:
-            raise IllegalStateError("block %r already enqueued" % (block.block_id,))
+            raise SimulationInvariantError("block %r already enqueued" % (block.block_id,))
         if block.completion_time is not None or block.received_packets == block.packet_count:
-            raise IllegalStateError("block %r has no undelivered packets" % (block.block_id,))
+            raise SimulationInvariantError("block %r has no undelivered packets" % (block.block_id,))
         if block.expired:
-            raise IllegalStateError("block %r already expired" % (block.block_id,))
+            raise SimulationInvariantError("block %r already expired" % (block.block_id,))
         self._ids[block.block_id] = block
         if block.unsent or block.pending:
             self._ready[block.block_id] = block
@@ -345,7 +346,7 @@ class BlockAwaitingQueue:
 
     def remove(self, block: Block) -> None:
         if block.block_id not in self._ids:
-            raise IllegalStateError("block %r not in queue" % (block.block_id,))
+            raise SimulationInvariantError("block %r not in queue" % (block.block_id,))
         del self._ids[block.block_id]
         self._ready.pop(block.block_id, None)
 
@@ -361,7 +362,7 @@ class BlockAwaitingQueue:
         lost packet if one waits, else one built here (full payloads, then
         the smaller tail). A block left with nothing to send is unindexed."""
         if block.block_id not in self._ready:
-            raise IllegalStateError("block %r has nothing to send" % (block.block_id,))
+            raise SimulationInvariantError("block %r has nothing to send" % (block.block_id,))
         pending = block.pending
         if pending:
             packet = pending.pop()

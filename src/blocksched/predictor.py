@@ -62,9 +62,10 @@ class InflightLedger:
     """Bytes currently on the wire, keyed by packet, with send times.
 
     A key is any hashable that names one packet: the engine's packets hash
-    by identity. Send times must be added in nondecreasing order (``add``
-    raises ``ValueError`` otherwise), so appending keeps the entries in
-    send order; ``total_bytes`` is the running sum of the inflight sizes.
+    by identity. A key is inflight at most once and send times must be
+    added in nondecreasing order (``add`` raises ``SimulationInvariantError``
+    otherwise), so appending keeps the entries in send order;
+    ``total_bytes`` is the running sum of the inflight sizes.
     """
 
     def __init__(self) -> None:
@@ -89,10 +90,10 @@ class InflightLedger:
 
     def add(self, key, size_bytes: int, send_time: float) -> None:
         if key in self._entries:
-            raise KeyError("packet %r already inflight" % (key,))
+            raise SimulationInvariantError("packet %r already inflight" % (key,))
         if send_time < self._last_send:
-            raise ValueError("send time %r is earlier than the previous send at %r"
-                             % (send_time, self._last_send))
+            raise SimulationInvariantError("send time %r is earlier than the previous send at %r"
+                                           % (send_time, self._last_send))
         entry = (key, size_bytes, send_time)
         self._entries[key] = entry
         self._order.append(entry)

@@ -58,7 +58,7 @@ import enum
 import functools
 from typing import Callable, NamedTuple
 
-from .errors import ConfigurationError, IllegalStateError
+from .errors import ConfigurationError, SimulationInvariantError
 from .model import Block, BlockId
 from .predictor import Regime
 
@@ -85,7 +85,7 @@ def compute_block_stats(block: Block, now: float) -> BlockFeatures:
     """
     expires_at = block.expires_at
     if block.expired or now >= expires_at:
-        raise IllegalStateError("block %r is expired at %r" % (block.block_id, now))
+        raise SimulationInvariantError("block %r is expired at %r" % (block.block_id, now))
     total_bytes = block.total_bytes
     return ((total_bytes - block.acked_bytes) / total_bytes,
             (expires_at - now) / block.deadline_s,

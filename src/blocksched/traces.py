@@ -22,7 +22,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError, TraceParseError
+from .errors import ConfigurationError
 from .units import BYTES_PER_S_PER_MBPS, PACKET_PAYLOAD_BYTES, mbps_to_bytes_per_s
 
 # Corpus eligibility: keep challenged-but-usable links only.
@@ -178,27 +178,27 @@ def parse_csv_trace(lines, source_tag: str = "csv") -> LinkTrace:
             continue  # optional header row
         parts = line.split(",")
         if len(parts) != 2:
-            raise TraceParseError("%s line %d: expected 'timestamp_s,throughput_mbps', got %r"
-                                  % (source_tag, lineno, line))
+            raise ConfigurationError("%s line %d: expected 'timestamp_s,throughput_mbps', got %r"
+                                      % (source_tag, lineno, line))
         try:
             t = float(parts[0])
             mbps = float(parts[1])
         except ValueError:
-            raise TraceParseError("%s line %d: non-numeric field in %r" % (source_tag, lineno, line)) from None
+            raise ConfigurationError("%s line %d: non-numeric field in %r" % (source_tag, lineno, line)) from None
         if mbps < 0 or not math.isfinite(mbps) or not math.isfinite(t):
-            raise TraceParseError("%s line %d: invalid value in %r" % (source_tag, lineno, line))
+            raise ConfigurationError("%s line %d: invalid value in %r" % (source_tag, lineno, line))
         if last_t is None:
             if t != 0.0:
-                raise TraceParseError("%s line %d: first timestamp must be 0, got %r" % (source_tag, lineno, t))
+                raise ConfigurationError("%s line %d: first timestamp must be 0, got %r" % (source_tag, lineno, t))
         elif t <= last_t:
-            raise TraceParseError("%s line %d: timestamp %r does not increase past %r"
-                                  % (source_tag, lineno, t, last_t))
+            raise ConfigurationError("%s line %d: timestamp %r does not increase past %r"
+                                      % (source_tag, lineno, t, last_t))
         if last_t is not None:
             gap = t - last_t
         samples.append((t, mbps_to_bytes_per_s(mbps)))
         last_t = t
     if not samples:
-        raise TraceParseError("%s: no samples found" % source_tag)
+        raise ConfigurationError("%s: no samples found" % source_tag)
     duration = samples[-1][0] + (gap if gap is not None else 1.0)
     return LinkTrace(samples=tuple(samples), duration_s=duration, source_tag=source_tag)
 
@@ -220,20 +220,20 @@ def parse_packet_opportunity_trace(lines, bucket_s: float = 1.0,
         try:
             ms = int(line)
         except ValueError:
-            raise TraceParseError("%s line %d: expected integer milliseconds, got %r"
-                                  % (source_tag, lineno, line)) from None
+            raise ConfigurationError("%s line %d: expected integer milliseconds, got %r"
+                                      % (source_tag, lineno, line)) from None
         if ms < 0:
-            raise TraceParseError("%s line %d: negative timestamp %d" % (source_tag, lineno, ms))
+            raise ConfigurationError("%s line %d: negative timestamp %d" % (source_tag, lineno, ms))
         if ms >= MAX_OPPORTUNITY_BUCKETS * bucket_ms:  # refused before any bucket is made
-            raise TraceParseError("%s line %d: timestamp past the limit of %d buckets of %g s"
-                                  % (source_tag, lineno, MAX_OPPORTUNITY_BUCKETS, bucket_s))
+            raise ConfigurationError("%s line %d: timestamp past the limit of %d buckets of %g s"
+                                      % (source_tag, lineno, MAX_OPPORTUNITY_BUCKETS, bucket_s))
         if last is not None and ms < last:
-            raise TraceParseError("%s line %d: timestamp %d decreases below %d"
-                                  % (source_tag, lineno, ms, last))
+            raise ConfigurationError("%s line %d: timestamp %d decreases below %d"
+                                      % (source_tag, lineno, ms, last))
         stamps_ms.append(ms)
         last = ms
     if not stamps_ms:
-        raise TraceParseError("%s: no opportunities found" % source_tag)
+        raise ConfigurationError("%s: no opportunities found" % source_tag)
     nbuckets = int(stamps_ms[-1] // bucket_ms) + 1
     counts = [0] * nbuckets
     for ms in stamps_ms:
@@ -247,9 +247,9 @@ def load_trace(path: str, bucket_s: float = 1.0) -> LinkTrace:
     ``.csv`` is read as CSV, any other as packet opportunities, bucketed
     by bucket_s."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError("cannot read trace file %s: %s" % (path, exc)) from exc
     if path.endswith(".csv"):
         return parse_csv_trace(lines, source_tag=path)

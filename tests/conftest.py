@@ -1,4 +1,4 @@
-"""Shared builders for the test suite."""
+"""Shared builders and checks for the test suite."""
 from __future__ import annotations
 
 import math
@@ -130,6 +130,28 @@ def run_recorded(trace, scenario, scheduler, params: RunParams, drive=Simulation
         force_losses(sim, forced_loss_sends)
     drive(sim)
     return sim, records
+
+
+def check_estimate(records, low) -> None:
+    """Each response's sample and each decision's estimate, rebuilt from
+    the log's sends and responses in log order; low is the estimate
+    before the first sample."""
+    inflight = {}  # packet id -> (size, send time) of the sends not yet answered
+    latest = low
+    for r in records:
+        if r["kind"] == "send":
+            inflight[tuple(r["packet_id"])] = (r["size"], r["t"])
+        elif r["kind"] in ("ack", "loss"):
+            packet_id = tuple(r["packet_id"])
+            sent_at = inflight[packet_id][1]
+            # the measured packet's own bytes count: it is still in flight
+            window_bytes = sum(size for size, t in inflight.values() if t >= sent_at)
+            assert r["thr_smoothed"] == window_bytes / (r["t"] - sent_at), r
+            del inflight[packet_id]
+            latest = r["thr_smoothed"]
+        elif r["kind"] == "decision":
+            assert r["smoothed_bw"] == latest, r
+    assert not inflight
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

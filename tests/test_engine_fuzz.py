@@ -56,7 +56,7 @@ from blocksched.predictor import Thresholds, classify_regime
 from blocksched.schedulers import SCHEDULER_NAMES, make_scheduler
 from blocksched.traces import synthesize_trace
 from blocksched.units import PACKET_PAYLOAD_BYTES
-from conftest import force_losses, run_recorded
+from conftest import check_estimate, force_losses, run_recorded
 
 # one draw runs every policy three times, so it gets a fifth of the
 # profile's example count
@@ -253,28 +253,6 @@ def check_deliveries(result, records) -> None:
             assert completes[block.block_id] == block.completion_time == max(received)
     acks = [tuple(r["packet_id"]) for r in records if r["kind"] == "ack"]
     assert acks == list(arrives)  # a dict keeps the sends' order
-
-
-def check_estimate(records, low) -> None:
-    """Each response's sample and each decision's estimate, rebuilt from
-    the log's sends and responses in log order; low is the estimate
-    before the first sample."""
-    inflight = {}  # packet id -> (size, send time) of the sends not yet answered
-    latest = low
-    for r in records:
-        if r["kind"] == "send":
-            inflight[tuple(r["packet_id"])] = (r["size"], r["t"])
-        elif r["kind"] in ("ack", "loss"):
-            packet_id = tuple(r["packet_id"])
-            sent_at = inflight[packet_id][1]
-            # the measured packet's own bytes count: it is still in flight
-            window_bytes = sum(size for size, t in inflight.values() if t >= sent_at)
-            assert r["thr_smoothed"] == window_bytes / (r["t"] - sent_at), r
-            del inflight[packet_id]
-            latest = r["thr_smoothed"]
-        elif r["kind"] == "decision":
-            assert r["smoothed_bw"] == latest, r
-    assert not inflight
 
 
 @settings(max_examples=EXAMPLES)

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from blocksched import linksim
-from blocksched.errors import ConfigurationError, IllegalStateError, SimulationInvariantError
+from blocksched.errors import ConfigurationError, SimulationInvariantError
 from blocksched.linksim import Simulation
 from blocksched.model import Packet
 from blocksched.predictor import Regime
@@ -23,7 +23,14 @@ from blocksched.schedulers import (
     select_block_fifo,
 )
 from blocksched.traces import synthesize_trace
-from conftest import deep_queue_inputs, element, force_losses, run_recorded, scenario_of
+from conftest import (
+    check_estimate,
+    deep_queue_inputs,
+    element,
+    force_losses,
+    run_recorded,
+    scenario_of,
+)
 
 APPROX = dict(rel=1e-9, abs=1e-9)
 LOSSLESS = RunParams(duration_s=2.0, loss_rate=0.0)  # the one-block runs below
@@ -270,27 +277,16 @@ class TestConservation:
     @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
     def test_smoothed_estimates_match_an_inflight_replay(self, scheduler):
         # a long round trip keeps dozens of packets in flight and loss adds
-        # retransmissions; each response's estimate is recomputed from the
-        # send/ack/loss records alone by brute force
+        # retransmissions; each response's sample and each decision's
+        # estimate are recomputed from the records alone by brute force
         scenario = scenario_of(
             element(element_id=0, priority=0, deadline_s=1.2, block_size_bytes=15000, period_s=0.2),
             element(element_id=1, priority=1, deadline_s=2.0, block_size_bytes=30000, period_s=0.25))
         _, trace = self._inputs()
         sim, records = run_one(scenario, trace=trace, scheduler=scheduler,
                                   duration_s=6.0, seed=3, rtt_s=0.6, loss_rate=0.05)
-        inflight: dict = {}  # packet id -> (size, send time)
-        responses = 0
-        for r in records:
-            pid = tuple(r.get("packet_id", ()))
-            if r["kind"] == "send":
-                inflight[pid] = (r["size"], r["t"])
-            elif r["kind"] in ("ack", "loss"):
-                _, start = inflight[pid]
-                sent_since = sum(size for size, sent in inflight.values() if sent >= start)
-                assert r["thr_smoothed"] == sent_since / (r["t"] - start)
-                del inflight[pid]
-                responses += 1
-        assert inflight == {}
+        check_estimate(records, sim.params.thresholds.low)
+        responses = len(records_of(records, "ack")) + len(records_of(records, "loss"))
         assert responses == sim.counters["sends"]
         assert sim.counters["retransmission_sends"] > 0
 
@@ -714,7 +710,7 @@ class TestFeatureBuilds:
                          LOSSLESS)
         block = sim.blocks[0]
         sim.queue.enqueue(block)  # skip the expiry filter a send opportunity runs first
-        with pytest.raises(IllegalStateError, match="is expired at"):
+        with pytest.raises(SimulationInvariantError, match="is expired at"):
             sim._fill_slot(block.arrival_time + 0.5)
 
     @pytest.mark.parametrize("name", SCHEDULER_NAMES)

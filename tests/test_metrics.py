@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from blocksched.errors import IllegalStateError
+from blocksched.errors import SimulationInvariantError
 from blocksched.linksim import RunParams, Simulation
 from blocksched.model import BlockAwaitingQueue
 from blocksched.metrics import (
@@ -165,7 +165,7 @@ class TestBuildReport:
                          scenario, make_scheduler("proposed", scenario), RunParams(duration_s=2.0))
         for _ in range(steps):
             sim.advance()
-        with pytest.raises(IllegalStateError, match="has not finished"):
+        with pytest.raises(SimulationInvariantError, match="has not finished"):
             build_report(sim)
 
     def test_session_window_covers_overrun(self):

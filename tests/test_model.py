@@ -10,7 +10,7 @@ from collections import deque
 import pytest
 from hypothesis import example, given, strategies as st
 
-from blocksched.errors import ConfigurationError, IllegalStateError
+from blocksched.errors import ConfigurationError, SimulationInvariantError
 from blocksched.model import (
     BlockAwaitingQueue,
     MediaElement,
@@ -297,19 +297,19 @@ class TestQueue:
     def test_duplicate_enqueue_rejected(self):
         q = BlockAwaitingQueue()
         q.enqueue(block_at())
-        with pytest.raises(IllegalStateError, match="already enqueued"):
+        with pytest.raises(SimulationInvariantError, match="already enqueued"):
             q.enqueue(block_at())
 
     def test_completed_block_cannot_enter(self):
         b = built_block()
         b.received_packets = b.packet_count
         q = BlockAwaitingQueue()
-        with pytest.raises(IllegalStateError):
+        with pytest.raises(SimulationInvariantError):
             q.enqueue(b)
 
     def test_remove_unknown_block_rejected(self):
         q = BlockAwaitingQueue()
-        with pytest.raises(IllegalStateError):
+        with pytest.raises(SimulationInvariantError):
             q.remove(block_at())
 
     def test_membership_and_get(self):
@@ -371,7 +371,7 @@ class TestSendableIndex:
         first = blocks[0]
         for _ in range(first.packet_count):
             q.take(first)
-        with pytest.raises(IllegalStateError, match="nothing to send"):
+        with pytest.raises(SimulationInvariantError, match="nothing to send"):
             q.take(first)
         assert first.unsent == 0 and first.pending == []
 
@@ -485,7 +485,7 @@ class TestMarkBlockComplete:
         # a live block is always queued, so an absent one is an engine fault
         b = built_block(total_bytes=1500)
         b.received_packets = 1
-        with pytest.raises(IllegalStateError, match="not in queue"):
+        with pytest.raises(SimulationInvariantError, match="not in queue"):
             BlockAwaitingQueue().complete(b, 0.05)
         assert b.completion_time is None
 
@@ -495,7 +495,7 @@ class TestMarkBlockComplete:
         q.enqueue(b)
         b.received_packets = 1
         q.complete(b, 0.05)
-        with pytest.raises(IllegalStateError, match="not in queue"):
+        with pytest.raises(SimulationInvariantError, match="not in queue"):
             q.complete(b, 0.06)
         assert b.completion_time == 0.05
 
@@ -507,7 +507,7 @@ class TestMarkBlockComplete:
         q.enqueue(b)
         assert filter_expired(q, 0.2) == [b]
         b.received_packets = 1
-        with pytest.raises(IllegalStateError, match="not in queue"):
+        with pytest.raises(SimulationInvariantError, match="not in queue"):
             q.complete(b, 0.25)
         assert b.completion_time is None and b.expired
 

@@ -66,7 +66,7 @@ class TestSmoothed:
 
     def test_duplicate_inflight_entry_rejected(self):
         predictor = sent([("a", 1500, 0.0)])
-        with pytest.raises(KeyError):
+        with pytest.raises(SimulationInvariantError, match="already inflight"):
             predictor.on_send("a", 1500, 0.1)
 
     @given(sizes=st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=20),
@@ -145,7 +145,7 @@ class TestInflightLedger:
                 model[pid] = (size, now)
             elif op[0] == "stale" and next_id:
                 _, size, back = op
-                with pytest.raises(ValueError):
+                with pytest.raises(SimulationInvariantError, match="earlier than the previous send"):
                     ledger.add(next_id, size, now - back)
                 assert next_id not in ledger
             self._check(ledger, model)

@@ -13,7 +13,7 @@ import pytest
 
 from blocksched import runner
 from blocksched.cli import _params_from_args, build_parser, main
-from blocksched.errors import ConfigurationError, IllegalStateError, SimulationInvariantError
+from blocksched.errors import ConfigurationError, SimulationInvariantError
 from blocksched.runner import (
     RunParams,
     build_table,
@@ -24,7 +24,8 @@ from blocksched.runner import (
     run_sweep,
     tune_thresholds,
 )
-from blocksched.model import load_scenario
+from blocksched.model import BlockAwaitingQueue, load_scenario
+from blocksched.predictor import BandwidthPredictor
 from blocksched.traces import load_trace, split_corpus, synthesize_trace
 from conftest import CORPUS_DIR, REPO_ROOT, SCENARIO_DIR, element, quick_params, scenario_of
 
@@ -581,15 +582,16 @@ class TestCli:
         out_dir = os.path.join(str(tmp_path), "out")
         main(["sweep", "--corpus", corpus, "--scenarios", SCENARIO_1,
               "--schedulers", "proposed", "fifo", "--seeds", "0",
-              "--duration-s", "1.5", "--out-dir", out_dir, "--jobs", "1",
-              "--group", "corpus"])
+              "--duration-s", "1.5", "--out-dir", out_dir, "--jobs", "1"])
         with open(os.path.join(out_dir, "table.txt")) as fh:
             sweep_text = fh.read()
         capsys.readouterr()
-        code = main(["report", "--records", os.path.join(out_dir, "records"),
-                     "--group", "corpus"])
+        code = main(["report", "--records", os.path.join(out_dir, "records")])
         assert code == 0
         assert capsys.readouterr().out == sweep_text
+        # the label comes from the records alone; there is no option to set it
+        assert main(["report", "--records", os.path.join(out_dir, "records"),
+                     "--group", "corpus"]) == 1
 
     def test_report_without_group_reproduces_sweep_tables(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "mycorpus")
@@ -848,6 +850,72 @@ class TestCli:
         trace = self._write_trace(tmp_path)
         assert main(["run", "--scenario", SCENARIO_1, "--trace", trace,
                      "--duration-s", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["invariant violation: synthetic failure"]
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_illegal_state_during_run_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a queue life-cycle check firing inside a real run: each arriving
+        # block is enqueued a second time
+        enqueue = BlockAwaitingQueue.enqueue
+
+        def enqueue_twice(queue, block):
+            enqueue(queue, block)
+            enqueue(queue, block)
+
+        monkeypatch.setattr(BlockAwaitingQueue, "enqueue", enqueue_twice)
+        assert main(["run", "--scenario", SCENARIO_1, "--trace", self._write_trace(tmp_path),
+                     "--duration-s", "1"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invariant violation: block ")
+        assert err[0].endswith(" already enqueued")
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("booking, message", [
+        # the packet a second time, while it is still in flight
+        (lambda ledger, packet, size, t: ledger.add(packet, size, t), "already inflight"),
+        # another packet before the send just booked
+        (lambda ledger, packet, size, t: ledger.add(object(), size, t - 1.0),
+         "earlier than the previous send"),
+    ], ids=["twice", "out_of_send_order"])
+    def test_inflight_ledger_fault_during_run_exits_2_with_one_line(self, tmp_path, capsys,
+                                                                    monkeypatch, booking, message):
+        on_send = BandwidthPredictor.on_send
+
+        def book_again(predictor, packet, size, t):
+            on_send(predictor, packet, size, t)
+            booking(predictor.ledger, packet, size, t)
+
+        monkeypatch.setattr(BandwidthPredictor, "on_send", book_again)
+        assert main(["run", "--scenario", SCENARIO_1, "--trace", self._write_trace(tmp_path),
+                     "--duration-s", "1"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invariant violation: ") and message in err[0]
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_scenario_without_a_name_exits_1_naming_the_file(self, tmp_path, capsys):
+        data = dataclasses.asdict(load_scenario(SCENARIO_1))
+        del data["name"]
+        scenario = tmp_path / "nameless.json"
+        scenario.write_text(json.dumps(data))
+        assert main(["run", "--scenario", str(scenario), "--trace", self._write_trace(tmp_path),
+                     "--duration-s", "1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: scenario file %s: malformed scenario config: 'name'" % scenario]
+
+    @pytest.mark.parametrize("kind", ["scenario", "trace"])
+    def test_file_not_in_utf8_exits_1_naming_the_file(self, tmp_path, capsys, kind):
+        bad = tmp_path / ("bad.json" if kind == "scenario" else "bad.csv")
+        bad.write_bytes(b"\xff\n")
+        argv = {"scenario": SCENARIO_1, "trace": self._write_trace(tmp_path)}
+        argv[kind] = str(bad)
+        assert main(["run", "--scenario", argv["scenario"], "--trace", argv["trace"],
+                     "--duration-s", "1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cannot read %s file %s: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte" % (kind, bad)]
 
     def test_rtt_lost_in_rounding_exits_1_with_one_line(self, capsys):
         # a 1e-17 s RTT is positive and finite, but at the run's latest send
@@ -873,17 +941,3 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: rtt_s 1e-17 is lost to float rounding")
         assert "Traceback" not in captured.err + captured.out
         assert os.listdir(os.path.join(out_dir, "records")) == []
-
-    def test_illegal_state_during_run_exits_2(self, tmp_path, capsys, monkeypatch):
-        import blocksched.cli as cli_module
-
-        def boom(*args):
-            raise IllegalStateError("block (0, 3) is expired at 0.95")
-
-        monkeypatch.setattr(cli_module, "execute_run", boom)
-        trace = self._write_trace(tmp_path)
-        assert main(["run", "--scenario", SCENARIO_1, "--trace", trace,
-                     "--duration-s", "1"]) == 2
-        err = capsys.readouterr().err
-        assert "invariant violation: block (0, 3) is expired" in err
-        assert "Traceback" not in err

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from blocksched.errors import ConfigurationError, IllegalStateError
+from blocksched.errors import ConfigurationError, SimulationInvariantError
 from blocksched.linksim import RunParams
 from blocksched.model import BlockAwaitingQueue, Packet, filter_expired
 from blocksched.predictor import Regime
@@ -87,11 +87,11 @@ class TestBlockStats:
 
     def test_expired_block_rejected(self):
         block = block_at(arrival_time=0.0, deadline_s=0.2)
-        with pytest.raises(IllegalStateError):
+        with pytest.raises(SimulationInvariantError):
             compute_block_stats(block, now=0.3)
         block2 = block_at(arrival_time=0.0, deadline_s=0.2)
         block2.expired = True
-        with pytest.raises(IllegalStateError):
+        with pytest.raises(SimulationInvariantError):
             compute_block_stats(block2, now=0.1)
 
     def test_stats_are_an_immutable_value(self):
@@ -230,7 +230,7 @@ class TestExpiryRule:
             try:
                 compute_block_stats(block, now)
                 raised = False
-            except IllegalStateError:
+            except SimulationInvariantError:
                 raised = True
             assert raised == (filter_expired(queue, now) == [block]), now
 

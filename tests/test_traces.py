@@ -7,7 +7,7 @@ import os
 import pytest
 from hypothesis import given, strategies as st
 
-from blocksched.errors import ConfigurationError, TraceParseError
+from blocksched.errors import ConfigurationError
 from blocksched.traces import (
     LinkTrace,
     filter_corpus,
@@ -68,26 +68,26 @@ class TestOpportunityParsing:
         assert trace.duration_s == 3.0
 
     def test_non_integer_line_names_line_number(self):
-        with pytest.raises(TraceParseError, match="line 2"):
+        with pytest.raises(ConfigurationError, match="line 2"):
             parse_packet_opportunity_trace(["10", "12ab"])
 
     def test_decreasing_timestamp_names_line_number(self):
-        with pytest.raises(TraceParseError, match="line 3"):
+        with pytest.raises(ConfigurationError, match="line 3"):
             parse_packet_opportunity_trace(["5", "10", "7"])
 
     def test_negative_timestamp_rejected(self):
-        with pytest.raises(TraceParseError, match="line 1"):
+        with pytest.raises(ConfigurationError, match="line 1"):
             parse_packet_opportunity_trace(["-4"])
 
     def test_empty_input_rejected(self):
-        with pytest.raises(TraceParseError):
+        with pytest.raises(ConfigurationError, match="no opportunities found"):
             parse_packet_opportunity_trace([])
 
     @pytest.mark.parametrize("bucket_s", [1.0, 0.25])
     def test_stamp_needing_more_buckets_than_the_limit_rejected(self, bucket_s):
         # the first stamp past the limit is refused before any bucket is made
         limit_ms = int(MAX_OPPORTUNITY_BUCKETS * bucket_s * 1000)
-        with pytest.raises(TraceParseError, match="line 2: timestamp past the limit"):
+        with pytest.raises(ConfigurationError, match="line 2: timestamp past the limit"):
             parse_packet_opportunity_trace(["0", str(limit_ms)], bucket_s=bucket_s)
 
     @pytest.mark.parametrize("bucket_s", [math.nan, math.inf, 0.0, -1.0])
@@ -129,11 +129,11 @@ class TestCsvParsing:
         (["0,1.0", "0,2.0"], 2),
     ])
     def test_malformed_rows_name_line(self, lines, lineno):
-        with pytest.raises(TraceParseError, match="line %d" % lineno):
+        with pytest.raises(ConfigurationError, match="line %d" % lineno):
             parse_csv_trace(lines)
 
     def test_empty_rejected(self):
-        with pytest.raises(TraceParseError):
+        with pytest.raises(ConfigurationError, match="no samples found"):
             parse_csv_trace([])
 
 
