@@ -59,8 +59,8 @@ MUTANTS = (
     # tie rules of the policies
     ("rswn-expiry-tie-later", "expiry < best_expiry", "expiry <= best_expiry"),
     ("proposed-low-tie-earlier", "if champ_key <= key:", "if champ_key < key:"),
-    ("proposed-mid-tie-earlier", "if dr / pkt <= held[1] / held[2]:",
-     "if dr / pkt < held[1] / held[2]:"),
+    ("proposed-mid-tie-earlier", "if dr / pkt <= champ_dr / champ_pkt:",
+     "if dr / pkt < champ_dr / champ_pkt:"),
     ("proposed-first-retransmission", "for block in reversed(blocks):", "for block in blocks:"),
     # time_to_send's exact loop boundary
     ("loop-boundary-exclusive", "if rem <= 0:", "if rem < 0:"),

@@ -311,7 +311,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ConfigurationError, ValueError, OSError) as exc:
+    except (ConfigurationError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except SimulationInvariantError as exc:

@@ -36,19 +36,19 @@ from .linksim import RunParams, Simulation
 def channel_utilization(received_bytes: float, offered_bytes: float) -> float:
     """Received bytes over offered capacity bytes, clamped to [0, 1]."""
     if offered_bytes <= 0:
-        raise ValueError("offered_bytes must be positive, got %r" % offered_bytes)
+        raise SimulationInvariantError("offered_bytes must be positive, got %r" % offered_bytes)
     if received_bytes < 0:
-        raise ValueError("received_bytes must be non-negative, got %r" % received_bytes)
+        raise SimulationInvariantError("received_bytes must be non-negative, got %r" % received_bytes)
     return min(1.0, received_bytes / offered_bytes)
 
 
 def session_qoe(delivery_ratio: float, utilization: float, alpha: float = RunParams.alpha) -> float:
     if not 0.0 <= delivery_ratio <= 1.0:
-        raise ValueError("delivery_ratio must be in [0, 1], got %r" % delivery_ratio)
+        raise SimulationInvariantError("delivery_ratio must be in [0, 1], got %r" % delivery_ratio)
     if not 0.0 <= utilization <= 1.0:
-        raise ValueError("utilization must be in [0, 1], got %r" % utilization)
+        raise SimulationInvariantError("utilization must be in [0, 1], got %r" % utilization)
     if alpha < 0:
-        raise ValueError("alpha must be non-negative, got %r" % alpha)
+        raise SimulationInvariantError("alpha must be non-negative, got %r" % alpha)
     return delivery_ratio + alpha * utilization
 
 

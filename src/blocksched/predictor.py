@@ -64,8 +64,9 @@ class InflightLedger:
     A key is any hashable that names one packet: the engine's packets hash
     by identity. A key is inflight at most once and send times must be
     added in nondecreasing order (``add`` raises ``SimulationInvariantError``
-    otherwise), so appending keeps the entries in send order;
-    ``total_bytes`` is the running sum of the inflight sizes.
+    otherwise, and ``remove`` and ``send_time`` for a key not inflight), so
+    appending keeps the entries in send order; ``total_bytes`` is the
+    running sum of the inflight sizes.
     """
 
     def __init__(self) -> None:
@@ -102,7 +103,10 @@ class InflightLedger:
 
     def remove(self, key) -> None:
         entries = self._entries
-        entry = entries.pop(key)
+        try:
+            entry = entries.pop(key)
+        except KeyError:
+            raise SimulationInvariantError("packet %r is not inflight" % (key,)) from None
         self._total -= entry[1]
         order = self._order
         if order[0] is not entry:
@@ -118,7 +122,10 @@ class InflightLedger:
             self._stale -= 1
 
     def send_time(self, key) -> float:
-        return self._entries[key][2]
+        try:
+            return self._entries[key][2]
+        except KeyError:
+            raise SimulationInvariantError("packet %r is not inflight" % (key,)) from None
 
     def bytes_sent_since(self, window_start: float) -> int:
         """Total inflight bytes whose send time falls at or after window_start."""

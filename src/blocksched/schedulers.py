@@ -31,7 +31,12 @@ queue's sendable index and builds no features. Proposed builds them
 through its ``features`` argument, once per eligible block, and only on a
 decision that no retransmission settles (a block has a lost packet to
 resend when its ``pending`` list is non-empty: it holds only lost
-packets). fifo, ldf and rswn read the fields of the blocks themselves.
+packets). It compares each tuple in the pass that builds it, in queue
+order, and keeps only the champion block and its keys. fifo, ldf and
+rswn read the fields of the blocks themselves. The policies read the
+``Regime`` and ``DecisionReason`` members from module globals bound once,
+as ``predictor`` does for ``Regime``: a global read is cheaper than an
+attribute read on an enum class.
 
 The proposed policy is regime-switched. A lost packet awaiting
 retransmission always preempts fresh data. Otherwise:
@@ -114,6 +119,14 @@ class SchedulerDecision(NamedTuple):
     score: float | None = None
 
 
+# the members the policies read, bound once (see the module docstring)
+_LOW, _HIGH = Regime.LOW, Regime.HIGH
+_RETRANSMISSION = DecisionReason.RETRANSMISSION
+_LOW_REGIME = DecisionReason.LOW_REGIME
+_HIGH_REGIME = DecisionReason.HIGH_REGIME
+_MID_SIZE = DecisionReason.MID_SIZE
+_MID_DEADLINE = DecisionReason.MID_DEADLINE
+_FIRST_BLOCK = DecisionReason.FIRST_BLOCK
 _NONE_ELIGIBLE = SchedulerDecision(None, DecisionReason.NONE_ELIGIBLE)
 
 
@@ -125,46 +138,46 @@ def select_block_proposed(now: float, blocks: list[Block], regime: Regime, smoot
     A retransmission always takes the championship and nothing else
     outranks one, so when any block has a lost packet pending the last
     such block wins and no feature is built. Otherwise one loop serves the
-    low regime and one the high and mid regimes.
+    low regime and one the high and mid regimes; each builds a block's
+    features and compares them in the same step, in queue order.
 
     literal_mid_branch replays a quirk of the policy's original
     pseudocode in which the mid-regime update lines compare but never
     reassign the champion; the default closes that gap with the intended
     smallest remaining work rule.
     """
-    n = len(blocks)
-    if n == 0:
+    if not blocks:
         return _NONE_ELIGIBLE
     for block in reversed(blocks):
         if block.pending:
-            return _tuple_new(SchedulerDecision,
-                              (block.block_id, DecisionReason.RETRANSMISSION, None))
-    stats = [features(block, now) for block in blocks]
-    champ = 0
-    reason = DecisionReason.FIRST_BLOCK
-    if regime is Regime.LOW:
-        _, dr, pkt, p = stats[0]
+            return _tuple_new(SchedulerDecision, (block.block_id, _RETRANSMISSION, None))
+    rest = iter(blocks)
+    champ = next(rest)
+    reason = _FIRST_BLOCK
+    if regime is _LOW:
+        _, dr, pkt, p = features(champ, now)
         champ_key = dr / pkt * (1.0 + p)
-        for i in range(1, n):
-            _, dr, pkt, p = stats[i]
+        for block in rest:
+            _, dr, pkt, p = features(block, now)
             key = dr / pkt * (1.0 + p)
             if champ_key <= key:
-                champ, champ_key, reason = i, key, DecisionReason.LOW_REGIME
-        return _tuple_new(SchedulerDecision, (blocks[champ].block_id, reason, champ_key))
+                champ, champ_key, reason = block, key, _LOW_REGIME
+        return _tuple_new(SchedulerDecision, (champ.block_id, reason, champ_key))
     # the champion's keys, kept so that each block's are computed once:
     # champ_key is the active regime's key (the score), champ_size the mid
-    # rule's Sr * Pkt
-    high = regime is Regime.HIGH
-    sr, dr, pkt, p = stats[0]
-    champ_size = sr * pkt
-    champ_key = dr * (1.0 + p) / sr if high else champ_size
-    for i in range(1, n):
-        sr, dr, pkt, p = stats[i]
+    # rule's Sr * Pkt, and champ_dr, champ_pkt its Dr and Pkt for a size tie
+    high = regime is _HIGH
+    sr, champ_dr, champ_pkt, p = features(champ, now)
+    champ_size = sr * champ_pkt
+    champ_key = champ_dr * (1.0 + p) / sr if high else champ_size
+    for block in rest:
+        sr, dr, pkt, p = features(block, now)
         size = sr * pkt
         if high:
             key = dr * (1.0 + p) / sr
             if champ_key >= key:
-                champ, champ_key, champ_size, reason = i, key, size, DecisionReason.HIGH_REGIME
+                champ, champ_key, champ_size, reason = block, key, size, _HIGH_REGIME
+                champ_dr, champ_pkt = dr, pkt
                 continue
             # losing the high-regime test still earns the mid comparison
         else:
@@ -172,13 +185,14 @@ def select_block_proposed(now: float, blocks: list[Block], regime: Regime, smoot
         if literal_mid_branch:
             continue
         if size < champ_size:
-            champ, champ_key, champ_size, reason = i, key, size, DecisionReason.MID_SIZE
+            champ, champ_key, champ_size, reason = block, key, size, _MID_SIZE
+            champ_dr, champ_pkt = dr, pkt
         elif size == champ_size:
             # the deadline key Dr / Pkt breaks a size tie
-            held = stats[champ]
-            if dr / pkt <= held[1] / held[2]:
-                champ, champ_key, reason = i, key, DecisionReason.MID_DEADLINE
-    return _tuple_new(SchedulerDecision, (blocks[champ].block_id, reason, champ_key))
+            if dr / pkt <= champ_dr / champ_pkt:
+                champ, champ_key, reason = block, key, _MID_DEADLINE
+                champ_dr, champ_pkt = dr, pkt
+    return _tuple_new(SchedulerDecision, (champ.block_id, reason, champ_key))
 
 
 def select_block_fifo(now: float, blocks: list[Block], regime: Regime, smoothed_bw: float,
@@ -186,7 +200,7 @@ def select_block_fifo(now: float, blocks: list[Block], regime: Regime, smoothed_
     """Oldest block first."""
     if not blocks:
         return _NONE_ELIGIBLE
-    return _tuple_new(SchedulerDecision, (blocks[0].block_id, DecisionReason.FIRST_BLOCK, None))
+    return _tuple_new(SchedulerDecision, (blocks[0].block_id, _FIRST_BLOCK, None))
 
 
 def select_block_rswn(now: float, blocks: list[Block], regime: Regime, smoothed_bw: float,
@@ -213,10 +227,10 @@ def select_block_rswn(now: float, blocks: list[Block], regime: Regime, smoothed_
                 best, best_weight, best_expiry = i, weight, expiry
     if best < 0:
         best = min(range(len(blocks)), key=lambda i: (blocks[i].expires_at, i))
-        return _tuple_new(SchedulerDecision, (blocks[best].block_id, DecisionReason.FIRST_BLOCK,
+        return _tuple_new(SchedulerDecision, (blocks[best].block_id, _FIRST_BLOCK,
                                               blocks[best].expires_at))
     return _tuple_new(SchedulerDecision,
-                      (blocks[best].block_id, DecisionReason.FIRST_BLOCK, float(best_weight)))
+                      (blocks[best].block_id, _FIRST_BLOCK, float(best_weight)))
 
 
 class Scheduler:
@@ -275,7 +289,7 @@ class LdfScheduler(Scheduler):
             if d > best_deficit:
                 best, best_deficit = i, d
         return _tuple_new(SchedulerDecision,
-                          (blocks[best].block_id, DecisionReason.FIRST_BLOCK, best_deficit))
+                          (blocks[best].block_id, _FIRST_BLOCK, best_deficit))
 
     def note_on_time(self, element_id: int) -> None:
         if element_id in self.deficits:

@@ -22,7 +22,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SimulationInvariantError
 from .units import BYTES_PER_S_PER_MBPS, PACKET_PAYLOAD_BYTES, mbps_to_bytes_per_s
 
 # Corpus eligibility: keep challenged-but-usable links only.
@@ -79,7 +79,7 @@ class LinkTrace:
     def capacity_at(self, time_s: float) -> float:
         """Capacity in bytes/s at an instant, with the trace looping."""
         if time_s < 0:
-            raise ValueError("time_s must be non-negative, got %r" % time_s)
+            raise SimulationInvariantError("time_s must be non-negative, got %r" % time_s)
         time_s = time_s % self.duration_s
         idx = bisect_right(self._starts, time_s) - 1
         return self.samples[idx][1]
@@ -99,7 +99,7 @@ class LinkTrace:
     def integrate_capacity(self, t0: float, t1: float) -> float:
         """Bytes the link can carry over [t0, t1), with the trace looping."""
         if t0 < 0 or t1 < t0:
-            raise ValueError("invalid window [%r, %r)" % (t0, t1))
+            raise SimulationInvariantError("invalid window [%r, %r)" % (t0, t1))
         return self._absolute_prefix(t1) - self._absolute_prefix(t0)
 
     def time_to_send(self, start_s: float, nbytes: float) -> float:
@@ -107,9 +107,9 @@ class LinkTrace:
         start_s, with the trace looping. Construction rejects a trace whose
         whole loop carries zero bytes, so every transmission finishes."""
         if nbytes <= 0:
-            raise ValueError("nbytes must be positive, got %r" % nbytes)
+            raise SimulationInvariantError("nbytes must be positive, got %r" % nbytes)
         if start_s < 0:
-            raise ValueError("start_s must be non-negative, got %r" % start_s)
+            raise SimulationInvariantError("start_s must be non-negative, got %r" % start_s)
         base = self._prefix[-1]  # bytes_per_loop, positive
         target = self._absolute_prefix(start_s) + nbytes
         loops = math.floor(target / base)

@@ -63,11 +63,11 @@ class TestUtilization:
         assert channel_utilization(1500.0, 1000.0) == 1.0
 
     def test_zero_offered_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationInvariantError, match="offered_bytes must be positive"):
             channel_utilization(10.0, 0.0)
 
     def test_negative_received_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationInvariantError, match="received_bytes must be non-negative"):
             channel_utilization(-1.0, 100.0)
 
     def test_counts_every_received_byte(self):
@@ -86,7 +86,7 @@ class TestSessionQoe:
 
     @pytest.mark.parametrize("ratio,util", [(-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.1)])
     def test_out_of_range_inputs_rejected(self, ratio, util):
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationInvariantError, match="must be in \\[0, 1\\]"):
             session_qoe(ratio, util)
 
     @given(ratio=st.floats(min_value=0, max_value=1),

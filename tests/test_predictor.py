@@ -69,6 +69,14 @@ class TestSmoothed:
         with pytest.raises(SimulationInvariantError, match="already inflight"):
             predictor.on_send("a", 1500, 0.1)
 
+    def test_lookups_of_a_packet_not_inflight_are_invariant_errors(self):
+        predictor = sent([("a", 1500, 0.0)])
+        with pytest.raises(SimulationInvariantError, match="packet 'b' is not inflight"):
+            predictor.on_response("b", 0.5)
+        with pytest.raises(SimulationInvariantError, match="packet 'b' is not inflight"):
+            predictor.ledger.remove("b")
+        assert "a" in predictor.ledger and predictor.ledger.total_bytes == 1500
+
     @given(sizes=st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=20),
            scale=st.sampled_from([2, 3, 5]))
     def test_scales_with_bytes(self, sizes, scale):

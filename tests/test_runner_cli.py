@@ -26,7 +26,7 @@ from blocksched.runner import (
 )
 from blocksched.model import BlockAwaitingQueue, load_scenario
 from blocksched.predictor import BandwidthPredictor
-from blocksched.traces import load_trace, split_corpus, synthesize_trace
+from blocksched.traces import LinkTrace, load_trace, split_corpus, synthesize_trace
 from conftest import CORPUS_DIR, REPO_ROOT, SCENARIO_DIR, element, quick_params, scenario_of
 
 SCENARIO_1 = os.path.join(SCENARIO_DIR, "scenario_1.json")
@@ -893,6 +893,33 @@ class TestCli:
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("invariant violation: ") and message in err[0]
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_response_for_a_packet_never_booked_exits_2_with_one_line(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        # the ledger books nothing, so the first response looks up a packet
+        # that is not in flight
+        monkeypatch.setattr(BandwidthPredictor, "on_send", lambda *args: None)
+        assert main(["run", "--scenario", SCENARIO_1, "--trace", self._write_trace(tmp_path),
+                     "--duration-s", "1"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invariant violation: packet ")
+        assert err[0].endswith(" is not inflight")
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_trace_check_failing_during_run_exits_2_with_one_line(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # only a fault of the engine can hand time_to_send a negative size;
+        # that is not bad input
+        time_to_send = LinkTrace.time_to_send
+        monkeypatch.setattr(LinkTrace, "time_to_send",
+                            lambda trace, start_s, nbytes: time_to_send(trace, start_s, -nbytes))
+        assert main(["run", "--scenario", SCENARIO_1, "--trace", self._write_trace(tmp_path),
+                     "--duration-s", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "invariant violation: nbytes must be positive, got -1500"]
         assert "Traceback" not in captured.err + captured.out
 
     def test_scenario_without_a_name_exits_1_naming_the_file(self, tmp_path, capsys):

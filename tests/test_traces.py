@@ -7,7 +7,7 @@ import os
 import pytest
 from hypothesis import given, strategies as st
 
-from blocksched.errors import ConfigurationError
+from blocksched.errors import ConfigurationError, SimulationInvariantError
 from blocksched.traces import (
     LinkTrace,
     filter_corpus,
@@ -178,7 +178,7 @@ class TestCapacityLookupAndIntegration:
 
     def test_negative_time_rejected(self):
         trace = mk([(0.0, 100.0)], 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationInvariantError, match="time_s must be non-negative"):
             trace.capacity_at(-0.1)
 
     def test_integration_constant(self):
