@@ -99,9 +99,10 @@ MUTANTS = (
     # the engine passes a decision's inputs by position
     ("engine-swaps-regime-and-bw", "select(t, eligible, regime, smoothed,",
      "select(t, eligible, smoothed, regime,"),
-    # a policy's choice outside the sendable index fails the run
-    ("fill-slot-trusts-the-policy",
-     "if block is None or not (block.unsent or block.pending) or block.expired:", "if False:"),
+    # take is the one check of a policy's choice: one outside the sendable
+    # index fails the run (lost shares the guard's condition line)
+    ("take-trusts-the-policy",
+     "if block.block_id not in self._ready:\n            raise", "if False:\n            raise"),
     # a sweep pairs each chunk's records with its cells: zipping the cells
     # first takes one cell too many per chunk; overlapping chunks run a cell twice
     ("sweep-zip-takes-a-cell-first", "for record, (path, args) in zip(chunk_records, cells):",

@@ -267,8 +267,8 @@ class Simulation:
 
     def _fill_slot(self, t: float) -> None:
         """Let the policy choose a block at t and put the packet the queue's
-        ``take`` gives for it in the selection queue; with nothing eligible,
-        or when the policy passes, the slot stays empty."""
+        ``take`` gives for it in the selection queue; with nothing eligible
+        the policy is not asked and the slot stays empty."""
         queue = self.queue
         eligible = queue.sendable()
         for b in eligible:
@@ -295,20 +295,13 @@ class Simulation:
         # wrapper installed on it sees every call
         decision: SchedulerDecision = self.scheduler.select(t, eligible, regime, smoothed,
                                                             compute_block_stats)
-        selected = decision.selected
+        block = decision.selected
         if self.record is not None:
-            self.record({"kind": "decision", "t": t,
-                         "selected": None if selected is None else list(selected),
+            self.record({"kind": "decision", "t": t, "selected": list(block.block_id),
                          "reason": decision.reason.value, "regime": int(regime),
                          "score": decision.score, "smoothed_bw": smoothed,
                          "eligible": len(eligible)})
-        if selected is None:
-            return
-        block = queue.get(selected)
-        if block is None or not (block.unsent or block.pending) or block.expired:
-            raise SimulationInvariantError(
-                "scheduler %s selected ineligible block %r" % (self.scheduler.name, selected)
-            )
+        # take refuses a block outside the sendable index, the policy's fault
         packet = queue.take(block)
         packet.enqueue_time = t
         self._slot = packet

@@ -324,9 +324,6 @@ class BlockAwaitingQueue:
     def __contains__(self, block_id: BlockId) -> bool:
         return block_id in self._ids
 
-    def get(self, block_id: BlockId) -> Block | None:
-        return self._ids.get(block_id)
-
     def sendable(self) -> list[Block]:
         """The queued blocks with something to send, in queue order."""
         return list(self._ready.values())
@@ -360,7 +357,11 @@ class BlockAwaitingQueue:
     def take(self, block: Block) -> Packet:
         """The next packet of block, which must be sendable: its most recently
         lost packet if one waits, else one built here (full payloads, then
-        the smaller tail). A block left with nothing to send is unindexed."""
+        the smaller tail). A block left with nothing to send is unindexed.
+
+        This is the one check of a block a policy chose: one outside the
+        sendable index (not queued, expired, or with nothing to send) is
+        refused here."""
         if block.block_id not in self._ready:
             raise SimulationInvariantError("block %r has nothing to send" % (block.block_id,))
         pending = block.pending

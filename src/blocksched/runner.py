@@ -97,10 +97,18 @@ def _write_record(path: str, record: dict) -> None:
         raise
 
 
+def _is_number(value) -> bool:
+    """A finite int or float; json reads true and false as bools, which
+    are ints to isinstance but no number of a run."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _read_record(path: str) -> dict:
     """One record file, parsed; a file that is not valid JSON, or not an
-    object holding the keys a table reads, is a ConfigurationError naming
-    it."""
+    object holding the keys a table reads with values of their types
+    (string labels, an integer seed, finite metrics), is a
+    ConfigurationError naming it."""
     try:
         with open(path) as fh:
             record = json.load(fh)
@@ -111,6 +119,15 @@ def _read_record(path: str) -> dict:
     missing = [key for key in (*_RECORD_KEYS, *TABLE_METRICS) if key not in record]
     if missing:
         raise ConfigurationError("record %s lacks %s" % (path, ", ".join(missing)))
+    seed = record["seed"]
+    malformed = [key for key in ("scheduler", "scenario", "trace")
+                 if not isinstance(record[key], str)]
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        malformed.append("seed")
+    malformed += [key for key in TABLE_METRICS if not _is_number(record[key])]
+    if malformed:
+        raise ConfigurationError("record %s has malformed %s" % (path, ", ".join(
+            "%s %s" % (key, json.dumps(record[key])) for key in malformed)))
     return record
 
 
@@ -341,10 +358,15 @@ def tune_thresholds(grid_low_mbps, grid_high_mbps, traces, scenario: ScenarioCon
                     log=None) -> TuneResult:
     """Grid-search (L, H) by mean proposed-scheduler QoE over the given
     traces; ties prefer the smallest (L, H). Every cell is persisted when
-    cells_path is given."""
+    cells_path is given. A repeated (L, H) pair is a ConfigurationError,
+    raised before any cell runs."""
+    pairs = sorted((lo, hi) for lo in grid_low_mbps for hi in grid_high_mbps)
+    # a repeated pair would be run, logged and persisted twice
+    for pair, following in zip(pairs, pairs[1:]):
+        if pair == following:
+            raise ConfigurationError("threshold grid repeats the pair %r Mbps" % (pair,))
     # every cell's Thresholds is built, and so checked, before any cell runs
-    grid = [(lo, hi, Thresholds.from_mbps(lo, hi))
-            for lo, hi in sorted((lo, hi) for lo in grid_low_mbps for hi in grid_high_mbps)]
+    grid = [(lo, hi, Thresholds.from_mbps(lo, hi)) for lo, hi in pairs]
     if not grid:
         raise ConfigurationError("empty threshold grid")
     traces = list(traces)

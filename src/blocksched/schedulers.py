@@ -3,9 +3,12 @@
 All policies see the same view: the queue of live blocks in arrival
 order, already stripped of expired blocks by ``model.filter_expired``,
 restricted to blocks that have a packet ready to send. They return the
-id of the block whose next packet should enter the selection queue, and
-change no block and no queue: the awaiting queue in ``model`` owns every
-change to a queued block's packets.
+block itself, one of those they were given, whose next packet should
+enter the selection queue, and change no block and no queue: the
+awaiting queue in ``model`` owns every change to a queued block's
+packets. The engine calls a policy only when that list is non-empty, so
+every decision selects a block; a decision with nothing eligible is
+recorded by the engine alone, and no policy is asked.
 
 Each stateless policy is a plain ``select_block_*`` function of that
 view, and ``Scheduler(name, policy)`` is the one class that drives any
@@ -64,7 +67,7 @@ import functools
 from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError, SimulationInvariantError
-from .model import Block, BlockId
+from .model import Block
 from .predictor import Regime
 
 # a block's scheduling features at one instant, a plain tuple built at most
@@ -105,16 +108,15 @@ class DecisionReason(str, enum.Enum):
     MID_SIZE = "mid_size"
     MID_DEADLINE = "mid_deadline"
     FIRST_BLOCK = "first_block"
-    NONE_ELIGIBLE = "none_eligible"
 
 
 class SchedulerDecision(NamedTuple):
     """One policy's choice (an immutable tuple): the block whose next
-    packet goes next, or None, and why. The policies build it with
+    packet goes next, and why. The policies build it with
     ``tuple.__new__``, which skips the NamedTuple's Python-level
     ``__new__``."""
 
-    selected: BlockId | None
+    selected: Block
     reason: DecisionReason
     score: float | None = None
 
@@ -127,7 +129,6 @@ _HIGH_REGIME = DecisionReason.HIGH_REGIME
 _MID_SIZE = DecisionReason.MID_SIZE
 _MID_DEADLINE = DecisionReason.MID_DEADLINE
 _FIRST_BLOCK = DecisionReason.FIRST_BLOCK
-_NONE_ELIGIBLE = SchedulerDecision(None, DecisionReason.NONE_ELIGIBLE)
 
 
 def select_block_proposed(now: float, blocks: list[Block], regime: Regime, smoothed_bw: float,
@@ -146,11 +147,9 @@ def select_block_proposed(now: float, blocks: list[Block], regime: Regime, smoot
     reassign the champion; the default closes that gap with the intended
     smallest remaining work rule.
     """
-    if not blocks:
-        return _NONE_ELIGIBLE
     for block in reversed(blocks):
         if block.pending:
-            return _tuple_new(SchedulerDecision, (block.block_id, _RETRANSMISSION, None))
+            return _tuple_new(SchedulerDecision, (block, _RETRANSMISSION, None))
     rest = iter(blocks)
     champ = next(rest)
     reason = _FIRST_BLOCK
@@ -162,7 +161,7 @@ def select_block_proposed(now: float, blocks: list[Block], regime: Regime, smoot
             key = dr / pkt * (1.0 + p)
             if champ_key <= key:
                 champ, champ_key, reason = block, key, _LOW_REGIME
-        return _tuple_new(SchedulerDecision, (champ.block_id, reason, champ_key))
+        return _tuple_new(SchedulerDecision, (champ, reason, champ_key))
     # the champion's keys, kept so that each block's are computed once:
     # champ_key is the active regime's key (the score), champ_size the mid
     # rule's Sr * Pkt, and champ_dr, champ_pkt its Dr and Pkt for a size tie
@@ -192,15 +191,13 @@ def select_block_proposed(now: float, blocks: list[Block], regime: Regime, smoot
             if dr / pkt <= champ_dr / champ_pkt:
                 champ, champ_key, reason = block, key, _MID_DEADLINE
                 champ_dr, champ_pkt = dr, pkt
-    return _tuple_new(SchedulerDecision, (champ.block_id, reason, champ_key))
+    return _tuple_new(SchedulerDecision, (champ, reason, champ_key))
 
 
 def select_block_fifo(now: float, blocks: list[Block], regime: Regime, smoothed_bw: float,
                       features: Callable[[Block, float], BlockFeatures]) -> SchedulerDecision:
     """Oldest block first."""
-    if not blocks:
-        return _NONE_ELIGIBLE
-    return _tuple_new(SchedulerDecision, (blocks[0].block_id, _FIRST_BLOCK, None))
+    return _tuple_new(SchedulerDecision, (blocks[0], _FIRST_BLOCK, None))
 
 
 def select_block_rswn(now: float, blocks: list[Block], regime: Regime, smoothed_bw: float,
@@ -210,8 +207,6 @@ def select_block_rswn(now: float, blocks: list[Block], regime: Regime, smoothed_
     windows; ties keep the earlier expiry instant, then the earlier block.
     Falls back to the earliest expiry instant when nothing looks
     completable. The expiry instant is ``Block.expires_at``."""
-    if not blocks:
-        return _NONE_ELIGIBLE
     best = -1
     if smoothed_bw > 0:
         best_weight = best_expiry = 0
@@ -227,10 +222,9 @@ def select_block_rswn(now: float, blocks: list[Block], regime: Regime, smoothed_
                 best, best_weight, best_expiry = i, weight, expiry
     if best < 0:
         best = min(range(len(blocks)), key=lambda i: (blocks[i].expires_at, i))
-        return _tuple_new(SchedulerDecision, (blocks[best].block_id, _FIRST_BLOCK,
+        return _tuple_new(SchedulerDecision, (blocks[best], _FIRST_BLOCK,
                                               blocks[best].expires_at))
-    return _tuple_new(SchedulerDecision,
-                      (blocks[best].block_id, _FIRST_BLOCK, float(best_weight)))
+    return _tuple_new(SchedulerDecision, (blocks[best], _FIRST_BLOCK, float(best_weight)))
 
 
 class Scheduler:
@@ -279,8 +273,6 @@ class LdfScheduler(Scheduler):
     def select(self, now: float, blocks: list[Block], regime: Regime, smoothed_bw: float,
                features: Callable[[Block, float], BlockFeatures]) -> SchedulerDecision:
         self._tick(now)
-        if not blocks:
-            return _NONE_ELIGIBLE
         deficit_of = self.deficits.get
         best = 0
         best_deficit = deficit_of(blocks[0].element_id, 0.0)
@@ -288,8 +280,7 @@ class LdfScheduler(Scheduler):
             d = deficit_of(blocks[i].element_id, 0.0)
             if d > best_deficit:
                 best, best_deficit = i, d
-        return _tuple_new(SchedulerDecision,
-                          (blocks[best].block_id, _FIRST_BLOCK, best_deficit))
+        return _tuple_new(SchedulerDecision, (blocks[best], _FIRST_BLOCK, best_deficit))
 
     def note_on_time(self, element_id: int) -> None:
         if element_id in self.deficits:

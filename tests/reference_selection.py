@@ -25,11 +25,8 @@ LOW, MID, HIGH = 0, 1, 2
 
 
 def reference_select(entries, regime, literal_mid=False):
-    """entries: list of dicts with keys dr, sr, pkt, p, retx.
-    Returns (winner_index, reason_string) or (None, 'none_eligible')."""
-    if len(entries) == 0:
-        return None, "none_eligible"
-
+    """entries: a non-empty list of dicts with keys dr, sr, pkt, p, retx.
+    Returns (winner_index, reason_string)."""
     best = 0
     best_is_retx = bool(entries[0]["retx"])
     reason = "retransmission" if best_is_retx else "first_block"
@@ -94,10 +91,8 @@ def reference_rswn(blocks, now, bw):
     bandwidth bw (none when bw <= 0), the least key (-(1 + P), expiry
     instant) wins, the first of equal keys; the score is the weight 1 + P.
     With nothing completable, the earliest expiry instant wins, the first
-    of equal ones, and it is the score. Returns (winner_index, score) or
-    (None, None)."""
-    if not blocks:
-        return None, None
+    of equal ones, and it is the score. blocks is non-empty. Returns
+    (winner_index, score)."""
     best = -1
     best_key = None
     for i, block in enumerate(blocks):

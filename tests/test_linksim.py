@@ -726,13 +726,13 @@ class TestFeatureBuilds:
 
     @pytest.mark.parametrize("case", ["not_queued", "nothing_to_send"])
     def test_policy_selecting_outside_the_sendable_index_is_an_invariant_error(self, case):
-        # the policy sees only sendable blocks, so naming any other block is
+        # the policy sees only sendable blocks, so choosing any other block is
         # its fault: a block never queued, or one queued with every packet
         # out. The other block is sendable, so the policy is asked
         scenario = scenario_of(*(element(element_id=i, priority=i, deadline_s=5.0,
                                          block_size_bytes=3000, period_s=2.0) for i in (0, 1)))
         stubborn = Scheduler("stubborn", lambda *args: SchedulerDecision(
-            (0, 0), DecisionReason.FIRST_BLOCK))
+            chosen, DecisionReason.FIRST_BLOCK))
         sim = Simulation(constant_trace(), scenario, stubborn, LOSSLESS)
         chosen, other = sorted(sim.blocks, key=lambda b: b.block_id)
         sim.queue.enqueue(other)
@@ -742,7 +742,7 @@ class TestFeatureBuilds:
                 sim.queue.take(chosen)
         assert sim.queue.sendable() == [other]
         with pytest.raises(SimulationInvariantError,
-                           match=r"scheduler stubborn selected ineligible block \(0, 0\)"):
+                           match=r"block \(0, 0\) has nothing to send"):
             sim._fill_slot(other.arrival_time)
 
 

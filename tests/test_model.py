@@ -317,7 +317,6 @@ class TestQueue:
         b = block_at()
         q.enqueue(b)
         assert b.block_id in q
-        assert q.get(b.block_id) is b
         q.remove(b)
         assert b.block_id not in q
 

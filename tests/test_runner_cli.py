@@ -454,6 +454,14 @@ class TestTuneThresholds:
             tune_thresholds([], [2.3], small_corpus()[:1], small_scenario(),
                             quick_params(duration_s=1.0))
 
+    def test_repeated_pair_rejected_before_any_cell_runs(self):
+        # a repeated (L, H) pair would run, log and persist one cell twice
+        log = []
+        with pytest.raises(ConfigurationError, match=r"repeats the pair \(0.4, 1.8\)"):
+            tune_thresholds([0.4, 0.4], [1.8], small_corpus()[:1], small_scenario(),
+                            quick_params(duration_s=1.0), log=log.append)
+        assert log == []
+
     def test_repeated_seeds_rejected(self):
         with pytest.raises(ConfigurationError, match="repeats the run"):
             tune_thresholds([0.8], [2.3], small_corpus()[:1], small_scenario(),
@@ -736,6 +744,26 @@ class TestCli:
         bad.write_text(content)
         assert main(["report", "--records", str(records_dir)]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: record %s %s" % (bad, problem)]
+
+    @pytest.mark.parametrize("key, value", [
+        ("delivery_ratio", '"x"'), ("seed", '"zero"'), ("qoe", "true"), ("utilization", "NaN"),
+        ("seed", "false"), ("trace", "3")])
+    def test_record_with_a_malformed_value_exits_1_naming_the_file(self, tmp_path, capsys,
+                                                                     key, value):
+        # a string metric failed in the mean's fsum and a string seed in the
+        # table's sort, each with a traceback; a bool or NaN metric, a bool
+        # seed and a numeric label made a table
+        records_dir = tmp_path / "records"
+        records_dir.mkdir()
+        good = {"scheduler": "fifo", "scenario": "s", "trace": "t", "seed": 1,
+                "delivery_ratio": 1.0, "utilization": 0.5, "effective_utilization": 0.5,
+                "qoe": 1.4}
+        (records_dir / "good.json").write_text(json.dumps(good))
+        bad = records_dir / "bad.json"
+        bad.write_text(json.dumps(dict(good, **{key: "@"})).replace('"@"', value))
+        assert main(["report", "--records", str(records_dir)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: record %s has malformed %s %s" % (bad, key, value)]
 
     def test_out_of_range_scenario_number_exits_1_with_one_line(self, tmp_path, capsys):
         # json reads 1e400 as infinity, which no byte count can be

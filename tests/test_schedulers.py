@@ -248,7 +248,7 @@ class TestProposedLowRegime:
         ctx = ctx_of([stats_of(dr=0.6, pkt=1, p=0), stats_of(dr=0.25, pkt=1, p=0)],
                      regime=Regime.LOW)
         decision = select_block_proposed(*ctx)
-        assert decision.selected == ctx.blocks[0].block_id
+        assert decision.selected is ctx.blocks[0]
         assert decision.reason is DecisionReason.FIRST_BLOCK
         assert decision.score == 0.6
 
@@ -256,20 +256,20 @@ class TestProposedLowRegime:
         ctx = ctx_of([stats_of(dr=0.25, pkt=1, p=0), stats_of(dr=0.6, pkt=1, p=0)],
                      regime=Regime.LOW)
         decision = select_block_proposed(*ctx)
-        assert decision.selected == ctx.blocks[1].block_id
+        assert decision.selected is ctx.blocks[1]
         assert decision.reason is DecisionReason.LOW_REGIME
 
     def test_priority_scales_key(self):
         # same slack per packet, higher rank wins: 0.5*(1+2)=1.5 beats 0.5
         ctx = ctx_of([stats_of(dr=0.5, pkt=1, p=0), stats_of(dr=0.5, pkt=1, p=2)],
                      regime=Regime.LOW)
-        assert select_block_proposed(*ctx).selected == ctx.blocks[1].block_id
+        assert select_block_proposed(*ctx).selected is ctx.blocks[1]
 
     def test_equal_keys_pick_later_block(self):
         ctx = ctx_of([stats_of(dr=0.5, pkt=2), stats_of(dr=0.25, pkt=1)],
                      regime=Regime.LOW)
         decision = select_block_proposed(*ctx)
-        assert decision.selected == ctx.blocks[1].block_id
+        assert decision.selected is ctx.blocks[1]
         assert decision.reason is DecisionReason.LOW_REGIME
 
 
@@ -279,7 +279,7 @@ class TestProposedMidRegime:
         ctx = ctx_of([stats_of(sr=1.0, pkt=4), stats_of(sr=0.5, pkt=2)],
                      regime=Regime.MID)
         decision = select_block_proposed(*ctx)
-        assert decision.selected == ctx.blocks[1].block_id
+        assert decision.selected is ctx.blocks[1]
         assert decision.reason is DecisionReason.MID_SIZE
         assert decision.score == 1.0
 
@@ -287,7 +287,7 @@ class TestProposedMidRegime:
         ctx = ctx_of([stats_of(sr=0.5, pkt=2), stats_of(sr=1.0, pkt=4)],
                      regime=Regime.MID)
         decision = select_block_proposed(*ctx)
-        assert decision.selected == ctx.blocks[0].block_id
+        assert decision.selected is ctx.blocks[0]
         assert decision.reason is DecisionReason.FIRST_BLOCK
 
     def test_work_tie_breaks_on_deadline_pressure(self):
@@ -295,21 +295,21 @@ class TestProposedMidRegime:
         ctx = ctx_of([stats_of(sr=0.5, pkt=2, dr=0.8), stats_of(sr=1.0, pkt=1, dr=0.3)],
                      regime=Regime.MID)
         decision = select_block_proposed(*ctx)
-        assert decision.selected == ctx.blocks[1].block_id
+        assert decision.selected is ctx.blocks[1]
         assert decision.reason is DecisionReason.MID_DEADLINE
 
     def test_full_tie_picks_later_block(self):
         ctx = ctx_of([stats_of(sr=0.5, pkt=2, dr=0.4), stats_of(sr=0.5, pkt=2, dr=0.4)],
                      regime=Regime.MID)
         decision = select_block_proposed(*ctx)
-        assert decision.selected == ctx.blocks[1].block_id
+        assert decision.selected is ctx.blocks[1]
         assert decision.reason is DecisionReason.MID_DEADLINE
 
     def test_literal_branch_never_swaps(self):
         ctx = ctx_of([stats_of(sr=1.0, pkt=4), stats_of(sr=0.5, pkt=2)],
                      regime=Regime.MID)
         decision = select_block_proposed(*ctx, literal_mid_branch=True)
-        assert decision.selected == ctx.blocks[0].block_id
+        assert decision.selected is ctx.blocks[0]
         assert decision.reason is DecisionReason.FIRST_BLOCK
 
 
@@ -320,7 +320,7 @@ class TestProposedHighRegime:
         ctx = ctx_of([stats_of(dr=1.0, p=1, sr=1.0), stats_of(dr=0.5, p=0, sr=1.0)],
                      regime=Regime.HIGH)
         decision = select_block_proposed(*ctx)
-        assert decision.selected == ctx.blocks[1].block_id
+        assert decision.selected is ctx.blocks[1]
         assert decision.reason is DecisionReason.HIGH_REGIME
         assert decision.score == 0.5
 
@@ -331,7 +331,7 @@ class TestProposedHighRegime:
                       stats_of(dr=1.0, p=1, sr=1.0, pkt=2)],
                      regime=Regime.HIGH)
         decision = select_block_proposed(*ctx)
-        assert decision.selected == ctx.blocks[1].block_id
+        assert decision.selected is ctx.blocks[1]
         assert decision.reason is DecisionReason.MID_SIZE
         assert decision.score == 2.0  # reported in the active regime's key
 
@@ -340,14 +340,14 @@ class TestProposedHighRegime:
                       stats_of(dr=1.0, p=1, sr=1.0, pkt=2)],
                      regime=Regime.HIGH)
         decision = select_block_proposed(*ctx, literal_mid_branch=True)
-        assert decision.selected == ctx.blocks[0].block_id
+        assert decision.selected is ctx.blocks[0]
         assert decision.reason is DecisionReason.FIRST_BLOCK
 
     def test_equal_keys_pick_later_block(self):
         ctx = ctx_of([stats_of(dr=0.5, p=1, sr=1.0), stats_of(dr=1.0, p=0, sr=1.0)],
                      regime=Regime.HIGH)
         decision = select_block_proposed(*ctx)
-        assert decision.selected == ctx.blocks[1].block_id
+        assert decision.selected is ctx.blocks[1]
         assert decision.reason is DecisionReason.HIGH_REGIME
 
 
@@ -356,20 +356,20 @@ class TestRetransmissionDominance:
         ctx = ctx_of([stats_of(dr=1.0, pkt=1, p=2), stats_of(dr=0.01, pkt=8, p=0)],
                      retx=[False, True], regime=Regime.LOW)
         decision = select_block_proposed(*ctx)
-        assert decision.selected == ctx.blocks[1].block_id
+        assert decision.selected is ctx.blocks[1]
         assert decision.reason is DecisionReason.RETRANSMISSION
         assert decision.score is None
 
     def test_later_retransmission_wins(self):
         ctx = ctx_of([stats_of(), stats_of(), stats_of()],
                      retx=[True, False, True], regime=Regime.MID)
-        assert select_block_proposed(*ctx).selected == ctx.blocks[2].block_id
+        assert select_block_proposed(*ctx).selected is ctx.blocks[2]
 
     def test_fresh_data_cannot_take_back_the_slot(self):
         ctx = ctx_of([stats_of(dr=0.5), stats_of(sr=0.01, pkt=1, dr=0.9, p=2)],
                      retx=[True, False], regime=Regime.MID)
         decision = select_block_proposed(*ctx)
-        assert decision.selected == ctx.blocks[0].block_id
+        assert decision.selected is ctx.blocks[0]
         assert decision.reason is DecisionReason.RETRANSMISSION
 
     def test_retransmission_builds_no_features(self):
@@ -379,12 +379,7 @@ class TestRetransmissionDominance:
         blocks = [block_at(element_id=0, index=i) for i in range(3)]
         blocks[1].pending.append(Packet(blocks[1], 0, 1500))
         decision = select_block_proposed(0.0, blocks, Regime.LOW, 1.0, refuse)
-        assert decision.selected == blocks[1].block_id
-
-    def test_empty_queue(self):
-        decision = select_block_proposed(*ctx_of())
-        assert decision.selected is None
-        assert decision.reason is DecisionReason.NONE_ELIGIBLE
+        assert decision.selected is blocks[1]
 
 
 def test_policies_take_the_five_inputs_in_order():
@@ -431,12 +426,13 @@ def test_a_dropped_fresh_import_is_freed():
 
 class TestSchedulerDecision:
     def test_is_an_immutable_value_with_optional_score(self):
-        decision = SchedulerDecision((0, 1), DecisionReason.FIRST_BLOCK)
+        block = block_at()
+        decision = SchedulerDecision(block, DecisionReason.FIRST_BLOCK)
         assert decision.score is None
         assert SchedulerDecision._fields == ("selected", "reason", "score")
         with pytest.raises(AttributeError):
             decision.score = 1.0
-        assert decision == SchedulerDecision(selected=(0, 1), reason=DecisionReason.FIRST_BLOCK,
+        assert decision == SchedulerDecision(selected=block, reason=DecisionReason.FIRST_BLOCK,
                                              score=None)
 
 
@@ -469,7 +465,7 @@ def _expected_score(entries, regime, idx, reason):
 
 
 class TestOracleEquivalence:
-    @given(entries=st.lists(ENTRY, min_size=0, max_size=6),
+    @given(entries=st.lists(ENTRY, min_size=1, max_size=6),
            regime=st.sampled_from([Regime.LOW, Regime.MID, Regime.HIGH]),
            literal=st.booleans())
     def test_matches_reference_scan(self, entries, regime, literal):
@@ -477,14 +473,9 @@ class TestOracleEquivalence:
         decision = select_block_proposed(*ctx, literal_mid_branch=literal)
         expected_idx, expected_reason = reference_select(
             entries, HIGH_REGIMES[regime], literal_mid=literal)
-        if expected_idx is None:
-            assert decision.selected is None
-            assert decision.score is None
-        else:
-            assert decision.selected == ctx.blocks[expected_idx].block_id
-            assert decision.score == _expected_score(entries, regime, expected_idx,
-                                                     expected_reason)
+        assert decision.selected is ctx.blocks[expected_idx]
         assert decision.reason.value == expected_reason
+        assert decision.score == _expected_score(entries, regime, expected_idx, expected_reason)
 
     def test_matches_reference_scan_bulk(self):
         rng = random.Random(1234)
@@ -508,7 +499,7 @@ class TestOracleEquivalence:
                         decision = select_block_proposed(*ctx, literal_mid_branch=literal)
                         idx, reason = reference_select(entries, HIGH_REGIMES[regime],
                                                        literal_mid=literal)
-                        assert decision.selected == ctx.blocks[idx].block_id
+                        assert decision.selected is ctx.blocks[idx]
                         assert decision.reason.value == reason
                         assert decision.score == _expected_score(entries, regime, idx, reason)
                         checked += 1
@@ -522,7 +513,7 @@ def baseline_contexts(draw):
     absolute deadlines (so keys tie), and a bandwidth estimate that is
     zero, negative or positive. The features are left unbuilt."""
     blocks = []
-    for i in range(draw(st.integers(0, 10))):
+    for i in range(draw(st.integers(1, 10))):
         block = built_block(arrival_time=draw(st.sampled_from([0.0, 0.1, 0.2])),
                             deadline_s=draw(st.sampled_from([0.1, 0.2, 0.3])),
                             priority=draw(st.integers(0, 2)),
@@ -539,12 +530,8 @@ def baseline_contexts(draw):
 
 def _matches(decision, ctx, expected):
     idx, score = expected
-    if idx is None:
-        assert decision.selected is None
-        assert decision.reason is DecisionReason.NONE_ELIGIBLE
-    else:
-        assert decision.selected == ctx.blocks[idx].block_id
-        assert decision.reason is DecisionReason.FIRST_BLOCK
+    assert decision.selected is ctx.blocks[idx]
+    assert decision.reason is DecisionReason.FIRST_BLOCK
     assert decision.score == score
 
 
@@ -559,10 +546,7 @@ class TestBaselineOracles:
 class TestFifo:
     def test_oldest_first(self):
         ctx = ctx_of(blocks=[block_at(element_id=0, index=i) for i in range(3)])
-        assert select_block_fifo(*ctx).selected == ctx.blocks[0].block_id
-
-    def test_empty(self):
-        assert select_block_fifo(*ctx_of()).selected is None
+        assert select_block_fifo(*ctx).selected is ctx.blocks[0]
 
 
 class TestLdf:
@@ -573,7 +557,7 @@ class TestLdf:
                              block_at(element_id=1, index=0, arrival_time=0.0, deadline_s=9.0)])
         decision = sched.select(*ctx)
         assert sched.deficits == {0: 3.0, 1: 1.5}
-        assert decision.selected == (0, 0)
+        assert decision.selected is ctx.blocks[0]
         assert decision.score == 3.0
 
     def test_on_time_completion_repays_one_unit(self):
@@ -631,7 +615,7 @@ class TestLdf:
         ctx = ctx_of(now=1.0,
                      blocks=[block_at(element_id=0, index=0, deadline_s=9.0),
                              block_at(element_id=1, index=0, deadline_s=9.0)])
-        assert sched.select(*ctx).selected == (0, 0)
+        assert sched.select(*ctx).selected is ctx.blocks[0]
 
     def test_clock_never_runs_backwards(self):
         sched = LdfScheduler({0: 1.0})
@@ -653,14 +637,14 @@ class TestRswn:
         blocks = self._blocks()
         ctx = ctx_of(blocks=blocks, now=0.0, smoothed=10000.0)
         decision = select_block_rswn(*ctx)
-        assert decision.selected == (2, 0)
+        assert decision.selected is blocks[2]
         assert decision.score == 2.0  # weight 1 + P of the winner
 
     def test_weight_ties_prefer_earlier_deadline(self):
         blocks = [block_at(element_id=0, index=0, total_bytes=1500, deadline_s=0.4, priority=1),
                   block_at(element_id=1, index=0, total_bytes=1500, deadline_s=0.3, priority=1)]
         ctx = ctx_of(blocks=blocks, now=0.0, smoothed=10000.0)
-        assert select_block_rswn(*ctx).selected == (1, 0)
+        assert select_block_rswn(*ctx).selected is blocks[1]
 
     def test_full_tie_keeps_the_earlier_block(self):
         # equal weight and equal expiry instant: the earlier block in queue
@@ -677,12 +661,12 @@ class TestRswn:
         ctx = ctx_of(blocks=blocks, now=0.0, smoothed=1.0)
         decision = select_block_rswn(*ctx)
         # two blocks share the earliest expiry; queue order breaks the tie
-        assert decision.selected == (0, 0)
+        assert decision.selected is blocks[0]
 
     def test_zero_bandwidth_uses_fallback(self):
         blocks = self._blocks()
         ctx = ctx_of(blocks=blocks, now=0.0, smoothed=0.0)
-        assert select_block_rswn(*ctx).selected == (0, 0)
+        assert select_block_rswn(*ctx).selected is blocks[0]
 
 
 class TestMakeScheduler:
